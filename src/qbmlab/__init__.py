@@ -60,7 +60,6 @@ from .training import (
     train,
 )
 from .datasets import (
-    ExperimentTarget,
     haar_random_pure,
     haar_unitary,
     random_mixed,
@@ -69,7 +68,7 @@ from .datasets import (
     step_distribution,
     step_function_state,
 )
-from .serialize import load_target, save_target, write_csv, write_json
+from .serialize import write_csv, write_json
 from .experiments import (
     DEFAULTS,
     EXPERIMENTS,

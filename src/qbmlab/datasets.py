@@ -12,8 +12,7 @@ can run in any order (or in parallel) without changing results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .operators import (
 from .training import PovmTrainingSet, StateTrainingSet
 
 __all__ = [
-    "ExperimentTarget",
     "haar_random_pure",
     "haar_unitary",
     "random_mixed",
@@ -35,30 +33,6 @@ __all__ = [
     "step_distribution",
     "step_function_state",
 ]
-
-TARGET_KINDS = ("povm_pure", "state_pure", "state_mixed", "thermal_teacher")
-
-
-@dataclass(frozen=True)
-class ExperimentTarget:
-    """A generated training target plus enough metadata to regenerate it.
-
-    ``payload`` is a :class:`PovmTrainingSet` for measurement-statistics
-    targets and a :class:`StateTrainingSet` for full-state targets.
-    """
-
-    kind: str
-    payload: Union[PovmTrainingSet, StateTrainingSet]
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in TARGET_KINDS:
-            raise ValueError(f"unknown target kind {self.kind!r}")
-        want_povm = self.kind == "povm_pure"
-        is_povm = isinstance(self.payload, PovmTrainingSet)
-        if want_povm != is_povm:
-            raise TypeError(f"payload type does not match kind {self.kind!r}")
-
 
 def split_seeds(seed: int, n: int) -> list:
     """Derive ``n`` independent child seed sequences from one root seed.

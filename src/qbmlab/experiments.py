@@ -22,6 +22,7 @@ from .datasets import (
     haar_random_pure,
     random_mixed,
     random_ti_teacher,
+    split_seeds,
     step_distribution,
     step_function_state,
 )
@@ -307,10 +308,6 @@ def _map_instances(fn, items, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _instance_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-
-
 def _pad_curve(values: np.ndarray, length: int) -> np.ndarray:
     """Extend a (possibly aborted) trace curve to full length.
 
@@ -457,8 +454,8 @@ def run_povm_experiment(config: ExperimentConfig):
 
 
 def _tomography_instance(args):
-    n, target_kind, seed, index, opt = args
-    rng = _instance_rng(seed, index)
+    n, target_kind, seed_seq, opt = args
+    rng = np.random.default_rng(seed_seq)
     target = random_mixed(n, rng) if target_kind == "mixed" else haar_random_pure(n, rng)
     model = build_model("pauli_complete", n)
     trace = train(model, np.zeros(model.n_terms), target, opt)
@@ -477,8 +474,8 @@ def run_tomography_ensemble(config: ExperimentConfig):
     """
     opt = config.optimizer(gradient_kind="relent", lam=0.0)
     args = [
-        (config.n_visible, config.target_kind, config.seed, i, opt)
-        for i in range(config.ensemble)
+        (config.n_visible, config.target_kind, child, opt)
+        for child in split_seeds(config.seed, config.ensemble)
     ]
     results = _map_instances(_tomography_instance, args, config.jobs)
     s_curves = np.asarray([r[0] for r in results])
@@ -529,8 +526,8 @@ def run_tomography_ensemble(config: ExperimentConfig):
 
 
 def _hamlearn_instance(args):
-    n, normalize, seed, index, theta0_scale, opt = args
-    rng = _instance_rng(seed, index)
+    n, normalize, seed_seq, theta0_scale, opt = args
+    rng = np.random.default_rng(seed_seq)
     model, theta_true, target = random_ti_teacher(n, normalize, rng)
     theta0 = theta0_scale * rng.standard_normal(model.n_terms)
     trace = train(model, theta0, target, opt)
@@ -556,8 +553,8 @@ def run_hamlearn(config: ExperimentConfig):
     variants = {}
     for normalize, name in ((True, "normalized"), (False, "unnormalized")):
         args = [
-            (config.n_visible, normalize, config.seed, i, config.theta0_scale, opt)
-            for i in range(config.ensemble)
+            (config.n_visible, normalize, child, config.theta0_scale, opt)
+            for child in split_seeds(config.seed, config.ensemble)
         ]
         results = _map_instances(_hamlearn_instance, args, config.jobs)
         s_curves = np.asarray([r[0] for r in results])
@@ -608,8 +605,8 @@ def run_hamlearn(config: ExperimentConfig):
 
 
 def _meanfield_instance(args):
-    n, seed, index, opt = args
-    rng = _instance_rng(seed, index)
+    n, seed_seq, opt = args
+    rng = np.random.default_rng(seed_seq)
     _, _, target = random_ti_teacher(n, False, rng)
     student = build_model("mean_field", n)
     trace = train(student, np.zeros(student.n_terms), target, opt)
@@ -639,7 +636,7 @@ def run_meanfield(config: ExperimentConfig):
     """
     opt = config.optimizer(gradient_kind="relent", lam=0.0)
     args = [
-        (config.n_visible, config.seed, i, opt) for i in range(config.ensemble)
+        (config.n_visible, child, opt) for child in split_seeds(config.seed, config.ensemble)
     ]
     results = _map_instances(_meanfield_instance, args, config.jobs)
     s_curves = np.asarray([r[0] for r in results])
@@ -703,7 +700,7 @@ def run_commutator_compare(config: ExperimentConfig):
     """
     data = _step_povm(config.n_visible, config.noise_p, config.povm_kind)
     model = build_model(config.family, config.n_visible, config.n_hidden)
-    rng = _instance_rng(config.seed, 0)
+    rng = np.random.default_rng(split_seeds(config.seed, 1)[0])
     theta0 = config.theta0_scale * rng.standard_normal(model.n_terms)
 
     total = config.epochs
@@ -935,7 +932,7 @@ def run_variance_sweep(config: ExperimentConfig):
     proportional to the number of terms at fixed sample count.
     """
     n = config.n_visible
-    rng = _instance_rng(config.seed, 0)
+    rng = np.random.default_rng(split_seeds(config.seed, 1)[0])
     small = build_model("mean_field", n)
     big = build_model("mean_field", 2 * n)
     theta_small = 0.3 * rng.standard_normal(small.n_terms)

@@ -111,29 +111,37 @@ def matrix_log_psd(A: np.ndarray, clip: float = 1e-10) -> np.ndarray:
     return hermitize((V * logs) @ V.conj().T)
 
 
+def _exp_neg_divided_differences(evals: np.ndarray) -> np.ndarray:
+    """Symmetric matrix of divided differences of x -> e^{-x} at evals.
+
+    Entry (i, j) is (e^{-a} - e^{-b}) / (a - b) for a = evals[i],
+    b = evals[j], with the confluent limit -e^{-(a+b)/2} used when
+    |a - b| < 1e-8.
+    """
+    a = evals[:, None]
+    b = evals[None, :]
+    diff = a - b
+    near = np.abs(diff) < 1e-8
+    return np.where(
+        near,
+        -np.exp(-(a + b) / 2.0),
+        (np.exp(-a) - np.exp(-b)) / np.where(near, 1.0, diff),
+    )
+
+
 def frechet_exp_neg(H: np.ndarray, E: np.ndarray) -> np.ndarray:
     """Directional derivative of H -> e^{-H} along E.
 
-    Computed in the eigenbasis of H via divided differences of
-    x -> e^{-x}: entry (i, j) of the rotated E is scaled by
-    (e^{-a} - e^{-b}) / (a - b) for eigenvalue pair (a, b), with the
-    confluent limit -e^{-(a+b)/2} used when |a - b| < 1e-8.
+    Computed in the eigenbasis of H (Daleckii-Krein): entry (i, j) of the
+    rotated E is scaled by the divided difference of x -> e^{-x} at the
+    eigenvalue pair (i, j).
     """
     evals, V = hermitian_eigendecompose(H)
     E = _require_hermitian(E, "direction")
     if E.shape != V.shape:
         raise ValueError(f"direction shape {E.shape} does not match {V.shape}")
-    a = evals[:, None]
-    b = evals[None, :]
-    diff = a - b
-    near = np.abs(diff) < 1e-8
-    kernel = np.where(
-        near,
-        -np.exp(-(a + b) / 2.0),
-        (np.exp(-a) - np.exp(-b)) / np.where(near, 1.0, diff),
-    )
     rotated = V.conj().T @ E @ V
-    return V @ (rotated * kernel) @ V.conj().T
+    return V @ (rotated * _exp_neg_divided_differences(evals)) @ V.conj().T
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

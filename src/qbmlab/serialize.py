@@ -1,4 +1,4 @@
-"""Deterministic file output: CSV curves, JSON summaries, target documents.
+"""Deterministic file output: CSV curves and JSON summaries.
 
 Determinism contract: every writer here is a pure function of its inputs.
 Floats are rendered with ``repr`` (shortest round-trip form), JSON keys are
@@ -13,15 +13,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .datasets import ExperimentTarget
-from .training import PovmTrainingSet, StateTrainingSet
 
 __all__ = [
     "format_cell",
-    "load_target",
     "matrix_to_pairs",
-    "pairs_to_matrix",
-    "save_target",
     "write_csv",
     "write_json",
 ]
@@ -75,42 +70,3 @@ def matrix_to_pairs(matrix: np.ndarray) -> list:
     m = np.asarray(matrix, dtype=complex)
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
-
-def pairs_to_matrix(pairs) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
-    if arr.ndim != 3 or arr.shape[-1] != 2:
-        raise ValueError("expected an n x n x 2 array of [real, imag] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
-def save_target(path, target: ExperimentTarget, seed=None) -> None:
-    """Serialize a generated target with its generator metadata.
-
-    The payload matrices are stored explicitly (real/imag pairs) so a saved
-    target can be audited or reloaded without rerunning the generator.
-    """
-    doc = {"kind": target.kind, "metadata": _jsonable(target.metadata)}
-    if seed is not None:
-        doc["seed"] = int(seed)
-    payload = target.payload
-    if isinstance(payload, PovmTrainingSet):
-        doc["elements"] = [matrix_to_pairs(el) for el in payload.elements]
-        doc["probabilities"] = [float(p) for p in payload.probabilities]
-    else:
-        doc["target"] = matrix_to_pairs(payload.rho)
-    write_json(path, doc)
-
-
-def load_target(path) -> ExperimentTarget:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if "elements" in doc:
-        payload = PovmTrainingSet(
-            elements=tuple(pairs_to_matrix(el) for el in doc["elements"]),
-            probabilities=np.asarray(doc["probabilities"], dtype=float),
-        )
-    else:
-        payload = StateTrainingSet(rho=pairs_to_matrix(doc["target"]))
-    return ExperimentTarget(
-        kind=doc["kind"], payload=payload, metadata=doc.get("metadata", {})
-    )

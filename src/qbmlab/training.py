@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, InitVar
 import numpy as np
 
 from .linalg import (
+    _exp_neg_divided_differences,
     expectation_value,
     gibbs_state,
     hermitian_eigendecompose,
@@ -338,20 +339,20 @@ def grad_povm_gt(
     """Exact gradient of objective_povm_gt.
 
     Component j:  sum_v P_v ( -<H_j>_{H_v} + <H_j>_H ) - lam theta_j [quantum],
-    where H_v = H - log Lambda_v uses the clipped logarithm.
+    where H_v = H - log Lambda_v uses the clipped logarithm. As the outcome
+    probabilities sum to 1, this is Tr[H_j (rho - sum_v P_v rho_v)].
     """
     theta = _check_theta(model, theta)
     _check_visible_dim(model, data.dim)
     H = assemble_hamiltonian(model, theta)
-    rho, _ = gibbs_state(H)
-    grad = term_expectations(model, rho)  # outcome probabilities sum to 1
+    X, _ = gibbs_state(H)
     for element, p in zip(data.elements, data.probabilities):
         if p == 0.0:
             continue
         log_el = pad_to_hidden(matrix_log_psd(element, clip), model.n_hidden)
         rho_v, _ = gibbs_state(H - log_el)
-        grad -= p * term_expectations(model, rho_v)
-    return grad - _reg_grad(model, theta, lam)
+        X -= p * rho_v
+    return term_expectations(model, X) - _reg_grad(model, theta, lam)
 
 
 def grad_povm_exact(
@@ -359,9 +360,12 @@ def grad_povm_exact(
 ) -> np.ndarray:
     """Gradient of objective_povm_exact via the derivative of e^{-H}.
 
-    d/dtheta_j Tr[Lambda e^{-H}] is evaluated in the eigenbasis of H with
-    divided differences of e^{-x} (the same kernel as frechet_exp_neg),
-    shifted by the minimum eigenvalue so large ||H|| stays finite; the
+    The Frechet derivative D(H, E) of e^{-H} along E is self-adjoint under
+    the trace, Tr[Lambda D(H, H_j)] = Tr[H_j D(H, Lambda)], so component j
+    is Re Tr[H_j (rho + sum_v P_v D(H, Lambda_v) / Tr[Lambda_v e^{-H}])].
+    The D(H, Lambda_v) are summed in the eigenbasis of H and scaled once by
+    the divided differences of e^{-x} (the kernel of frechet_exp_neg) at
+    eigenvalues shifted by the minimum, so large ||H|| stays finite; the
     shift cancels in the likelihood ratios.
     """
     theta = _check_theta(model, theta)
@@ -370,46 +374,30 @@ def grad_povm_exact(
     evals, V = hermitian_eigendecompose(H)
     shifted = evals - evals[0]
     weights = np.exp(-shifted)
-    total = weights.sum()
-    rho = hermitize((V * (weights / total)) @ V.conj().T)
-
-    a = shifted[:, None]
-    b = shifted[None, :]
-    diff = a - b
-    near = np.abs(diff) < 1e-8
-    kernel = np.where(
-        near,
-        -np.exp(-(a + b) / 2.0),
-        (np.exp(-a) - np.exp(-b)) / np.where(near, 1.0, diff),
-    )
-    # rotate every term into the eigenbasis once
-    rotated = np.einsum("ai,maj,jb->mib", V.conj(), model.matrix_stack, V, optimize=True)
-
-    grad = term_expectations(model, rho)
+    rho = hermitize((V * (weights / weights.sum())) @ V.conj().T)
+    # sum_v (P_v / L_v) V^+ Lambda_v V, with L_v = Tr[Lambda_v e^{-(H - evals[0])}]
+    weighted = np.zeros_like(V)
     for element, p in zip(data.elements, data.probabilities):
         if p == 0.0:
             continue
         el_rot = V.conj().T @ pad_to_hidden(element, model.n_hidden) @ V
-        denom = float(np.sum(el_rot * np.diag(weights).T).real)
-        denom = max(denom, LIKELIHOOD_FLOOR)
-        # Tr[Lambda (rotated_j * kernel)] for every term j
-        numer = np.einsum("ij,mji->m", el_rot, rotated * kernel, optimize=True).real
-        grad += p * numer / denom
-    return grad - _reg_grad(model, theta, lam)
+        likelihood = max(float(el_rot.diagonal().real @ weights), LIKELIHOOD_FLOOR)
+        weighted += (p / likelihood) * el_rot
+    X = rho + V @ (weighted * _exp_neg_divided_differences(shifted)) @ V.conj().T
+    return term_expectations(model, X) - _reg_grad(model, theta, lam)
 
 
 def _hadamard_series(H: np.ndarray, direction: np.ndarray, order: int) -> np.ndarray:
-    """Truncation of int_0^1 e^{-sH} D e^{sH} ds to `order` terms.
+    """Truncation of int_0^1 e^{sH} D e^{-sH} ds to `order` terms.
 
-    Equals sum_{m=0}^{order-1} (-1)^m ad_H^m(D) / (m+1)!. Order 1 keeps
-    only D itself; the alternating nested commutators follow from
-    Hadamard's lemma applied to the Duhamel integral.
+    Equals sum_{m=0}^{order-1} ad_H^m(D) / (m+1)! with ad_H(D) = HD - DH,
+    by Hadamard's lemma. Order 1 keeps only D itself.
     """
-    series = direction.astype(np.complex128, copy=True)
+    series = direction.copy()
     nested = direction
     for m in range(1, order):
         nested = H @ nested - nested @ H
-        series += ((-1) ** m / math.factorial(m + 1)) * nested
+        series += nested / math.factorial(m + 1)
     return series
 
 
@@ -422,32 +410,28 @@ def grad_povm_commutator(
 ) -> np.ndarray:
     """Commutator-series approximation to grad_povm_exact.
 
-    The Duhamel integrand is expanded with Hadamard's lemma and truncated
-    after `order` nested commutators; only the real part of each trace is
-    kept (the truncation's anti-Hermitian residue is discarded). Exact
-    for commuting models at any order and increasingly accurate in
-    `order` while ||H|| is moderate; orders above 12 are rejected as
-    numerically useless.
+    The Duhamel integral of each term, sum_m (-1)^m ad_H^m(H_j) / (m+1)!
+    by Hadamard's lemma, is truncated after `order` nested commutators. Since
+    Tr[ad_H(A) B] = -Tr[A ad_H(B)], the series moves off the terms onto
+    B = rho sum_v (P_v / L_v) Lambda_v with L_v = Tr[rho Lambda_v]:
+    component j is Re Tr[H_j (rho - sum_{m<order} ad_H^m(B) / (m+1)!)].
+    Only the real part of each trace is kept (the truncation's
+    anti-Hermitian residue is discarded). Exact for commuting models at
+    any order and increasingly accurate in `order` while ||H|| is
+    moderate; orders above 12 are rejected as numerically useless.
     """
     _check_commutator_order(order)
     theta = _check_theta(model, theta)
     _check_visible_dim(model, data.dim)
     H = assemble_hamiltonian(model, theta)
     rho, _ = gibbs_state(H)
-    grad = term_expectations(model, rho)
-    padded = [
-        (pad_to_hidden(e, model.n_hidden), p)
-        for e, p in zip(data.elements, data.probabilities)
-        if p > 0.0
-    ]
-    likelihoods = [max(expectation_value(rho, el), LIKELIHOOD_FLOOR) for el, _ in padded]
-    for j, term in enumerate(model.terms):
-        series = _hadamard_series(H, term.matrix, order)
-        series_rho = series @ rho
-        for (el, p), likelihood in zip(padded, likelihoods):
-            numer = float(np.sum(el * series_rho.T).real)
-            grad[j] -= p * numer / likelihood
-    return grad - _reg_grad(model, theta, lam)
+    weighted = np.zeros_like(rho)
+    for element, p in zip(data.elements, data.probabilities):
+        if p > 0.0:
+            el = pad_to_hidden(element, model.n_hidden)
+            weighted += (p / max(expectation_value(rho, el), LIKELIHOOD_FLOOR)) * el
+    X = rho - _hadamard_series(H, rho @ weighted, order)
+    return term_expectations(model, X) - _reg_grad(model, theta, lam)
 
 
 def objective_relent(
@@ -472,13 +456,22 @@ def objective_relent(
 def grad_relent(
     model: HamiltonianModel, theta, data: StateTrainingSet, lam: float = 0.0
 ) -> np.ndarray:
-    """Gradient of objective_relent: -Tr[rho H_j] + <H_j>_H - lam theta_j [quantum]."""
+    """Gradient of objective_relent: Tr[H_j (sigma - rho)] - lam theta_j [quantum].
+
+    sigma is the Gibbs state of H, rho the (embedded) target.
+    """
     theta = _check_theta(model, theta)
     _check_visible_dim(model, data.dim)
     rho = embed_target_state(data.rho, model.n_hidden)
     sigma, _ = gibbs_state(assemble_hamiltonian(model, theta))
-    grad = term_expectations(model, sigma) - term_expectations(model, rho)
-    return grad - _reg_grad(model, theta, lam)
+    return term_expectations(model, sigma - rho) - _reg_grad(model, theta, lam)
+
+
+def _seed_sequence(rng_seed) -> np.random.SeedSequence:
+    """rng_seed itself if it is a SeedSequence, else a SeedSequence seeded by it."""
+    if isinstance(rng_seed, np.random.SeedSequence):
+        return rng_seed
+    return np.random.SeedSequence(rng_seed)
 
 
 def sampled_expectation(state: np.ndarray, term: np.ndarray, n_samples: int, rng_seed) -> float:
@@ -487,7 +480,7 @@ def sampled_expectation(state: np.ndarray, term: np.ndarray, n_samples: int, rng
     The term is eigendecomposed (its spectral norm must not exceed 1, the
     normalization under which the variance bound Var <= 1/n_samples
     holds), outcome i is drawn with probability <v_i|state|v_i> clamped
-    to [0, 1] and renormalized at 1e-12 tolerance, and the sampled
+    to [0, 1] and renormalized, and the sampled
     eigenvalues are averaged. Deterministic given rng_seed.
     """
     if n_samples < 1:
@@ -500,12 +493,9 @@ def sampled_expectation(state: np.ndarray, term: np.ndarray, n_samples: int, rng
     probs = np.einsum("ia,ab,bi->i", V.conj().T, state, V).real
     probs = np.clip(probs, 0.0, 1.0)
     total = probs.sum()
-    if abs(total - 1.0) > 1e-12:
-        if total <= 0.0:
-            raise ValueError("state has no weight on the term eigenbasis")
-        probs = probs / total
-    else:
-        probs = probs / total
+    if total <= 0.0:
+        raise ValueError("state has no weight on the term eigenbasis")
+    probs = probs / total
     rng = np.random.default_rng(rng_seed)
     picks = rng.choice(evals.size, size=n_samples, p=probs)
     return float(evals[picks].mean())
@@ -530,8 +520,7 @@ def grad_relent_sampled(
     _check_visible_dim(model, data.dim)
     rho = embed_target_state(data.rho, model.n_hidden)
     sigma, _ = gibbs_state(assemble_hamiltonian(model, theta))
-    seed_seq = rng_seed if isinstance(rng_seed, np.random.SeedSequence) else np.random.SeedSequence(rng_seed)
-    children = seed_seq.spawn(2 * model.n_terms)
+    children = _seed_sequence(rng_seed).spawn(2 * model.n_terms)
     grad = np.empty(model.n_terms)
     for j, term in enumerate(model.terms):
         target_part = sampled_expectation(rho, term.matrix, n_samples, children[2 * j])
@@ -596,8 +585,7 @@ def train(
     settings).
     """
     theta = _check_theta(model, theta0).copy()
-    seed_seq = rng_seed if isinstance(rng_seed, np.random.SeedSequence) else np.random.SeedSequence(rng_seed)
-    epoch_seeds = seed_seq.spawn(config.epochs + 1)
+    epoch_seeds = _seed_sequence(rng_seed).spawn(config.epochs + 1)
     monitor, gradient = _monitor_and_gradient(model, data, config, epoch_seeds)
 
     trace = TrainingTrace()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qbmlab.datasets import (
-    ExperimentTarget,
     haar_random_pure,
     haar_unitary,
     random_mixed,
@@ -15,7 +14,6 @@ from qbmlab.datasets import (
 )
 from qbmlab.linalg import gibbs_state
 from qbmlab.operators import assemble_hamiltonian
-from qbmlab.serialize import load_target, save_target
 from qbmlab.training import PovmTrainingSet, StateTrainingSet
 
 
@@ -139,40 +137,3 @@ class TestSplitSeeds:
             assert np.array_equal(x, y)
         assert len({tuple(x) for x in states}) == 4  # streams differ
 
-
-class TestExperimentTarget:
-    def test_kind_payload_consistency(self, rng):
-        ExperimentTarget(kind="state_mixed", payload=random_mixed(1, rng), metadata={})
-        with pytest.raises(TypeError):
-            ExperimentTarget(kind="povm_pure", payload=random_mixed(1, rng), metadata={})
-
-    def test_unknown_kind(self, rng):
-        with pytest.raises(ValueError):
-            ExperimentTarget(kind="classical", payload=random_mixed(1, rng), metadata={})
-
-    def test_povm_target_round_trip(self, tmp_path):
-        _, povm, _ = step_function_state(2, 0.1)
-        t = ExperimentTarget(kind="povm_pure", payload=povm, metadata={"n_visible": 2, "noise_p": 0.1})
-        path = tmp_path / "target.json"
-        save_target(path, t, seed=11)
-        back = load_target(path)
-        assert back.kind == t.kind
-        assert back.metadata["n_visible"] == 2
-        assert np.allclose(back.payload.elements[0], povm.elements[0])
-        assert np.allclose(back.payload.probabilities, povm.probabilities)
-
-    def test_state_target_round_trip(self, rng, tmp_path):
-        s = random_mixed(2, rng)
-        t = ExperimentTarget(kind="state_mixed", payload=s, metadata={"n": 2})
-        path = tmp_path / "state.json"
-        save_target(path, t)
-        back = load_target(path)
-        assert np.allclose(back.payload.rho, s.rho, atol=1e-15)
-
-    def test_serialization_deterministic(self, rng, tmp_path):
-        s = random_mixed(2, np.random.default_rng(4))
-        t = ExperimentTarget(kind="state_mixed", payload=s, metadata={"n": 2})
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        save_target(p1, t, seed=4)
-        save_target(p2, t, seed=4)
-        assert p1.read_bytes() == p2.read_bytes()

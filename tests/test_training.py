@@ -1,9 +1,11 @@
 """Objectives, gradients and the optimizer loop."""
 
+import math
+
 import numpy as np
 import pytest
 
-from qbmlab.linalg import gibbs_state
+from qbmlab.linalg import frechet_exp_neg, gibbs_state
 from qbmlab.operators import (
     assemble_hamiltonian,
     build_classical_bm,
@@ -205,6 +207,61 @@ class TestGradients:
             grad_povm_commutator(m, np.zeros(len(m.terms)), data, order=0)
         with pytest.raises(ValueError):
             grad_povm_commutator(m, np.zeros(len(m.terms)), data, order=MAX_COMMUTATOR_ORDER + 1)
+
+
+class TestPerTermOracles:
+    """Adjoint-form gradients against term-by-term reference formulas.
+
+    Fermionic 3+1 does not commute and has a hidden unit, so the POVM
+    elements are padded and every nested commutator is nonzero.
+    """
+
+    @pytest.fixture
+    def problem(self, rng):
+        m = build_fermionic_model(3, 1)
+        theta = rng.normal(size=len(m.terms))
+        theta *= 2.0 / np.linalg.norm(assemble_hamiltonian(m, theta), 2)  # ||H|| = 2
+        data = random_full_rank_povm(8, rng)
+        H = assemble_hamiltonian(m, theta)
+        padded = [np.kron(el, np.eye(2)) for el in data.elements]
+        return m, theta, data, H, padded
+
+    def test_exact_matches_per_term_frechet_derivative(self, problem):
+        m, theta, data, H, padded = problem
+        evals, V = np.linalg.eigh(H)
+        exp_neg_h = (V * np.exp(-evals)) @ V.conj().T
+        rho = exp_neg_h / np.trace(exp_neg_h).real
+        want = np.array([
+            np.trace(rho @ t.matrix).real
+            + sum(
+                p * np.trace(el @ frechet_exp_neg(H, t.matrix)).real
+                / np.trace(el @ exp_neg_h).real
+                for el, p in zip(padded, data.probabilities)
+            )
+            for t in m.terms
+        ])
+        got = grad_povm_exact(m, theta, data)
+        assert np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("order", range(1, MAX_COMMUTATOR_ORDER + 1))
+    def test_commutator_matches_per_term_series(self, problem, order):
+        m, theta, data, H, padded = problem
+        rho, _ = gibbs_state(H)
+        want = []
+        for t in m.terms:
+            # sum_m (-1)^m ad_H^m(H_j) / (m+1)!
+            series = t.matrix.astype(complex)
+            nested = t.matrix
+            for k in range(1, order):
+                nested = H @ nested - nested @ H
+                series = series + (-1) ** k / math.factorial(k + 1) * nested
+            want.append(np.trace(rho @ t.matrix).real - sum(
+                p * np.trace(el @ series @ rho).real / np.trace(rho @ el).real
+                for el, p in zip(padded, data.probabilities)
+            ))
+        want = np.array(want)
+        got = grad_povm_commutator(m, theta, data, order=order)
+        assert np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want)
 
 
 class TestSampledGradient:
