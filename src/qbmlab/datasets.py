@@ -5,14 +5,12 @@ noisy step-function distribution encoded as a pure state, Haar-random pure
 states, random full-rank mixed states, and random transverse-field Ising
 teacher Hamiltonians whose Gibbs states serve as reconstruction targets.
 
-All generators are pure functions of an ``numpy.random.Generator``; ensemble
+The random generators are pure functions of a ``numpy.random.Generator``; ensemble
 code derives per-instance generators with :func:`split_seeds` so instances
 can run in any order (or in parallel) without changing results.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -67,27 +65,19 @@ def step_distribution(n_visible: int, noise_p: float = 0.1) -> np.ndarray:
     return q
 
 
-def step_function_state(
-    n_visible: int,
-    noise_p: float = 0.1,
-    rng: Optional[np.random.Generator] = None,
-):
+def step_function_state(n_visible: int, noise_p: float = 0.1):
     """Step-function target as a pure state, a POVM set, and a state set.
 
     Encodes the classical distribution ``q`` from :func:`step_distribution`
     as the real nonnegative amplitude vector ``|psi> = sum_x sqrt(q_x)|x>``.
     The POVM is the two-outcome projector pair ``{|psi><psi|, 1 - |psi><psi|}``
     with target statistics ``(1, 0)``: maximizing the likelihood pulls the
-    Gibbs state onto the target state.
-
-    ``rng`` is accepted for interface symmetry with the other generators and
-    ignored: the construction is fully analytic.
+    Gibbs state onto the target state. The construction is fully analytic.
 
     Returns
     -------
     (amplitudes, PovmTrainingSet, StateTrainingSet)
     """
-    del rng
     q = step_distribution(n_visible, noise_p)
     psi = np.sqrt(q).astype(complex)
     projector = np.outer(psi, psi.conj())

@@ -113,7 +113,6 @@ class ExperimentConfig:
     lam: float = 0.0
     gradient_kind: str = "exact"
     commutator_order: int = 5
-    n_samples: int = 512
     noise_p: float = 0.1
     target_kind: str = "mixed"
     povm_kind: str = "projector"
@@ -154,7 +153,6 @@ class ExperimentConfig:
             epochs=self.epochs,
             lam=self.lam,
             commutator_order=self.commutator_order,
-            n_samples=self.n_samples,
         )
         kwargs.update(overrides)
         return OptimizerConfig(**kwargs)
@@ -274,7 +272,6 @@ class EnsembleSummary:
 
     experiment: str
     metric: str
-    epochs: np.ndarray
     curves: dict
     finals: np.ndarray
     extras: dict = field(default_factory=dict)
@@ -291,6 +288,15 @@ def percentile_curves(values: np.ndarray) -> dict:
     values = np.asarray(values, dtype=float)
     levels = np.percentile(values, PERCENTILE_VALUES, axis=0)
     return {label: levels[i] for i, label in enumerate(PERCENTILE_LABELS)}
+
+
+def _percentile_rows(curves_by_key: dict, epochs) -> list:
+    """CSV rows key + (epoch, p2_5, ..., p97_5) for each key, epoch by epoch."""
+    return [
+        key + (e,) + tuple(curves[label][e] for label in PERCENTILE_LABELS)
+        for key, curves in curves_by_key.items()
+        for e in epochs
+    ]
 
 
 def _parse_int_list(text: str) -> list:
@@ -389,7 +395,6 @@ def run_povm_experiment(config: ExperimentConfig):
             )
     results = _map_instances(_povm_branch, jobs_args, config.jobs)
 
-    epochs = np.arange(opt.epochs + 1)
     rows = []
     points = []
     quantum_curves = []
@@ -413,14 +418,13 @@ def run_povm_experiment(config: ExperimentConfig):
             )
         )
         for label, curve in (("fermionic", q_curve), ("classical_bm", c_curve)):
-            for e in epochs:
-                rows.append((nv, nh, label, int(e), curve[e], o_max - curve[e]))
+            for e in range(opt.epochs + 1):
+                rows.append((nv, nh, label, e, curve[e], o_max - curve[e]))
 
     quantum_curves = np.asarray(quantum_curves)
     summary = EnsembleSummary(
         experiment=config.experiment,
         metric="delta_objective",
-        epochs=epochs,
         curves=percentile_curves(quantum_curves),
         finals=quantum_curves[:, -1],
         extras=dict(
@@ -432,19 +436,10 @@ def run_povm_experiment(config: ExperimentConfig):
     )
     files = {
         "curves.csv": (
-            "csv",
             ("n_visible", "n_hidden", "model", "epoch", "objective", "delta_objective"),
             rows,
         ),
-        "summary.json": (
-            "json",
-            dict(
-                experiment=config.experiment,
-                metric=summary.metric,
-                grid=points,
-                quantum_beats_classical=summary.extras["quantum_beats_classical"],
-            ),
-        ),
+        "summary.json": dict(experiment=config.experiment, metric=summary.metric, **summary.extras),
     }
     return summary, files
 
@@ -479,22 +474,19 @@ def run_tomography_ensemble(config: ExperimentConfig):
     ]
     results = _map_instances(_tomography_instance, args, config.jobs)
     s_curves = np.asarray([r[0] for r in results])
-    epochs = np.arange(opt.epochs + 1)
+    finals = s_curves[:, -1]
     summary = EnsembleSummary(
         experiment=config.experiment,
         metric="relative_entropy",
-        epochs=epochs,
         curves=percentile_curves(s_curves),
-        finals=s_curves[:, -1],
+        finals=finals,
         extras=dict(
+            target_kind=config.target_kind,
+            median_final=float(np.median(finals)),
+            finals=[float(v) for v in finals],
             n_diverged=sum(r[3] for r in results),
-            median_final=float(np.median(s_curves[:, -1])),
         ),
     )
-    curve_rows = [
-        (int(e),) + tuple(summary.curves[label][e] for label in PERCENTILE_LABELS)
-        for e in epochs
-    ]
     reconstructions = [
         dict(
             instance=i,
@@ -504,19 +496,12 @@ def run_tomography_ensemble(config: ExperimentConfig):
         for i in range(len(results))
     ]
     files = {
-        "curves.csv": ("csv", ("epoch",) + PERCENTILE_LABELS, curve_rows),
-        "summary.json": (
-            "json",
-            dict(
-                experiment=config.experiment,
-                metric=summary.metric,
-                target_kind=config.target_kind,
-                median_final=summary.extras["median_final"],
-                finals=[float(v) for v in summary.finals],
-                n_diverged=summary.extras["n_diverged"],
-            ),
+        "curves.csv": (
+            ("epoch",) + PERCENTILE_LABELS,
+            _percentile_rows({(): summary.curves}, range(opt.epochs + 1)),
         ),
-        "reconstructions.json": ("json", reconstructions),
+        "summary.json": dict(experiment=config.experiment, metric=summary.metric, **summary.extras),
+        "reconstructions.json": reconstructions,
     }
     return summary, files
 
@@ -549,7 +534,6 @@ def run_hamlearn(config: ExperimentConfig):
     estimated Hamiltonians.
     """
     opt = config.optimizer(gradient_kind="relent", lam=0.0)
-    epochs = np.arange(opt.epochs + 1)
     variants = {}
     for normalize, name in ((True, "normalized"), (False, "unnormalized")):
         args = [
@@ -570,32 +554,24 @@ def run_hamlearn(config: ExperimentConfig):
     summary = EnsembleSummary(
         experiment=config.experiment,
         metric="relative_entropy",
-        epochs=epochs,
         curves=variants["normalized"]["s"],
         finals=variants["normalized"]["s_finals"],
         extras=variants,
     )
-    rows = []
-    for name, data in variants.items():
-        for metric in ("s", "dh"):
-            for e in epochs:
-                rows.append(
-                    (name, metric, int(e))
-                    + tuple(data[metric][label][e] for label in PERCENTILE_LABELS)
-                )
+    curves_by_key = {
+        (name, metric): data[metric] for name, data in variants.items() for metric in ("s", "dh")
+    }
+    medians = {
+        f"median_final_{metric}_{name}": data[f"median_final_{metric}"]
+        for name, data in variants.items()
+        for metric in ("s", "dh")
+    }
     files = {
-        "curves.csv": ("csv", ("variant", "metric", "epoch") + PERCENTILE_LABELS, rows),
-        "summary.json": (
-            "json",
-            dict(
-                experiment=config.experiment,
-                n_visible=config.n_visible,
-                median_final_s_normalized=variants["normalized"]["median_final_s"],
-                median_final_s_unnormalized=variants["unnormalized"]["median_final_s"],
-                median_final_dh_normalized=variants["normalized"]["median_final_dh"],
-                median_final_dh_unnormalized=variants["unnormalized"]["median_final_dh"],
-            ),
+        "curves.csv": (
+            ("variant", "metric", "epoch") + PERCENTILE_LABELS,
+            _percentile_rows(curves_by_key, range(opt.epochs + 1)),
         ),
+        "summary.json": dict(experiment=config.experiment, n_visible=config.n_visible, **medians),
     }
     return summary, files
 
@@ -641,12 +617,10 @@ def run_meanfield(config: ExperimentConfig):
     results = _map_instances(_meanfield_instance, args, config.jobs)
     s_curves = np.asarray([r[0] for r in results])
     overlap_curves = np.asarray([r[1] for r in results])
-    epochs = np.arange(opt.epochs + 1)
     overlap_pct = percentile_curves(overlap_curves)
     summary = EnsembleSummary(
         experiment=config.experiment,
         metric="relative_entropy",
-        epochs=epochs,
         curves=percentile_curves(s_curves),
         finals=s_curves[:, -1],
         extras=dict(
@@ -656,29 +630,22 @@ def run_meanfield(config: ExperimentConfig):
             median_final_s=float(np.median(s_curves[:, -1])),
         ),
     )
-    rows = []
-    for metric, curves in (("s", summary.curves), ("overlap", overlap_pct)):
-        for e in epochs:
-            rows.append(
-                (metric, int(e)) + tuple(curves[label][e] for label in PERCENTILE_LABELS)
-            )
     files = {
-        "curves.csv": ("csv", ("metric", "epoch") + PERCENTILE_LABELS, rows),
-        "summary.json": (
-            "json",
-            dict(
-                experiment=config.experiment,
-                n_visible=config.n_visible,
-                median_final_s=summary.extras["median_final_s"],
-                median_final_overlap=summary.extras["median_final_overlap"],
+        "curves.csv": (
+            ("metric", "epoch") + PERCENTILE_LABELS,
+            _percentile_rows(
+                {("s",): summary.curves, ("overlap",): overlap_pct}, range(opt.epochs + 1)
             ),
         ),
-        "instance_matrices.json": (
-            "json",
-            dict(
-                target=matrix_to_pairs(results[0][2]),
-                model_state=matrix_to_pairs(results[0][3]),
-            ),
+        "summary.json": dict(
+            experiment=config.experiment,
+            n_visible=config.n_visible,
+            median_final_s=summary.extras["median_final_s"],
+            median_final_overlap=summary.extras["median_final_overlap"],
+        ),
+        "instance_matrices.json": dict(
+            target=matrix_to_pairs(results[0][2]),
+            model_state=matrix_to_pairs(results[0][3]),
         ),
     }
     return summary, files
@@ -739,12 +706,10 @@ def run_commutator_compare(config: ExperimentConfig):
                 best = (eta, mu, curve)
     best_eta, best_mu, curve_c = best
 
-    epochs = np.arange(total + 1)
     stacked = np.asarray([curve_a, curve_b, curve_c])
     summary = EnsembleSummary(
         experiment=config.experiment,
         metric="objective_exact",
-        epochs=epochs,
         curves=percentile_curves(stacked),
         finals=stacked[:, -1],
         extras=dict(
@@ -757,25 +722,11 @@ def run_commutator_compare(config: ExperimentConfig):
             diverged_b=bool(trace_b2.diverged),
         ),
     )
-    rows = [
-        (int(e), curve_a[e], curve_b[e], curve_c[e]) for e in epochs
-    ]
+    rows = [(e, curve_a[e], curve_b[e], curve_c[e]) for e in range(total + 1)]
     files = {
-        "curves.csv": ("csv", ("epoch", "objective_a", "objective_b", "objective_c"), rows),
-        "grid.csv": ("csv", ("eta", "momentum", "final_objective"), grid_rows),
-        "summary.json": (
-            "json",
-            dict(
-                experiment=config.experiment,
-                final_a=summary.extras["final_a"],
-                final_b=summary.extras["final_b"],
-                final_c=summary.extras["final_c"],
-                switch_epoch=first,
-                best_eta=best_eta,
-                best_momentum=best_mu,
-                diverged_b=summary.extras["diverged_b"],
-            ),
-        ),
+        "curves.csv": (("epoch", "objective_a", "objective_b", "objective_c"), rows),
+        "grid.csv": (("eta", "momentum", "final_objective"), grid_rows),
+        "summary.json": dict(experiment=config.experiment, **summary.extras),
     }
     return summary, files
 
@@ -876,8 +827,8 @@ def gradcheck(config: ExperimentConfig):
         for r in table
     ]
     files = {
-        "report.json": ("json", report),
-        "table.csv": ("csv", ("family", "kind", "max_rel_error", "tolerance", "ok"), rows),
+        "report.json": report,
+        "table.csv": (("family", "kind", "max_rel_error", "tolerance", "ok"), rows),
     }
     return report, files
 
@@ -981,8 +932,8 @@ def run_variance_sweep(config: ExperimentConfig):
         for i in range(len(grid))
     ]
     files = {
-        "variance.csv": ("csv", ("n_samples", "mse_small", "mse_big", "ratio"), rows),
-        "summary.json": ("json", report),
+        "variance.csv": (("n_samples", "mse_small", "mse_big", "ratio"), rows),
+        "summary.json": report,
     }
     return report, files
 
@@ -1014,7 +965,9 @@ def _tool_version() -> str:
 def run_experiment(config: ExperimentConfig):
     """Run one experiment; write its files and manifest if config.out is set.
 
-    Returns the in-memory result (an EnsembleSummary or a report dict).
+    A runner returns (result, files); in files a ``.csv`` name maps to
+    (header, rows) and any other name to a JSON payload. Returns the
+    in-memory result (an EnsembleSummary or a report dict).
     """
     result, files = _RUNNERS[config.experiment](config)
     if config.out:
@@ -1031,8 +984,8 @@ def run_experiment(config: ExperimentConfig):
         write_json(os.path.join(config.out, "manifest.json"), manifest)
         for name, payload in files.items():
             path = os.path.join(config.out, name)
-            if payload[0] == "csv":
-                write_csv(path, payload[1], payload[2])
+            if name.endswith(".csv"):
+                write_csv(path, *payload)
             else:
-                write_json(path, payload[1])
+                write_json(path, payload)
     return result

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, InitVar
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,14 +47,16 @@ __all__ = [
     "trace_to_csv",
 ]
 
-GRADIENT_KINDS = ("gt", "exact", "commutator", "relent", "relent_sampled")
-
 # Likelihoods below this underflow threshold contribute the clamped
 # log value instead of -inf.
 LIKELIHOOD_FLOOR = 1e-300
 LOG_CLAMP = -700.0
 
 MAX_COMMUTATOR_ORDER = 12
+
+# Eigenvalue floor of the POVM-element logarithms in the Golden-Thompson
+# bound, which makes rank-deficient elements full rank.
+GT_CLIP = 1e-10
 
 
 @dataclass(frozen=True)
@@ -63,15 +65,13 @@ class PovmTrainingSet:
 
     Validation checks each element is PSD (eigenvalues >= -1e-10), the
     elements sum to the identity within 1e-9, and the probabilities are
-    nonnegative and sum to 1 within 1e-12. Pass validate=False only for
-    deliberately perturbed sets (e.g. clipped-element comparisons).
+    nonnegative and sum to 1 within 1e-12.
     """
 
     elements: tuple[np.ndarray, ...]
     probabilities: np.ndarray
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate):
+    def __post_init__(self):
         elements = tuple(np.asarray(e, dtype=np.complex128) for e in self.elements)
         probs = np.asarray(self.probabilities, dtype=np.float64)
         for e in elements:
@@ -84,8 +84,6 @@ class PovmTrainingSet:
         dim = elements[0].shape[0]
         if probs.shape != (len(elements),):
             raise ValueError("one probability per POVM element required")
-        if not validate:
-            return
         total = np.zeros((dim, dim), dtype=np.complex128)
         for e in elements:
             if e.shape != (dim, dim):
@@ -135,7 +133,6 @@ class OptimizerConfig:
     lam: float = 0.0
     commutator_order: int = 5
     n_samples: int = 512
-    clip: float = 1e-10
 
     def __post_init__(self):
         if self.gradient_kind not in GRADIENT_KINDS:
@@ -154,8 +151,6 @@ class OptimizerConfig:
         _check_commutator_order(self.commutator_order)
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.clip <= 0:
-            raise ValueError("clip must be positive")
 
 
 @dataclass(frozen=True)
@@ -237,12 +232,28 @@ def _check_theta(model: HamiltonianModel, theta) -> np.ndarray:
     return theta
 
 
-def _check_visible_dim(model: HamiltonianModel, dim: int) -> None:
-    if dim != 2**model.n_visible:
+def _setup(model: HamiltonianModel, theta, data):
+    """Checked theta and H(theta) for training data on the visible units."""
+    theta = _check_theta(model, theta)
+    if data.dim != 2**model.n_visible:
         raise ValueError(
-            f"training data dimension {dim} does not match "
+            f"training data dimension {data.dim} does not match "
             f"2^{model.n_visible} visible units"
         )
+    return theta, assemble_hamiltonian(model, theta)
+
+
+def _povm_setup(model: HamiltonianModel, theta, data: PovmTrainingSet):
+    """Checked theta, H(theta) and the (P_v, Lambda_v) pairs with P_v > 0."""
+    theta, H = _setup(model, theta, data)
+    pairs = [(p, e) for e, p in zip(data.elements, data.probabilities) if p > 0.0]
+    return theta, H, pairs
+
+
+def _relent_setup(model: HamiltonianModel, theta, data: StateTrainingSet):
+    """Checked theta, H(theta) and the target embedded on the hidden units."""
+    theta, H = _setup(model, theta, data)
+    return theta, H, embed_target_state(data.rho, model.n_hidden)
 
 
 def pad_to_hidden(operator: np.ndarray, n_hidden: int) -> np.ndarray:
@@ -255,6 +266,23 @@ def pad_to_hidden(operator: np.ndarray, n_hidden: int) -> np.ndarray:
 def embed_target_state(rho: np.ndarray, n_hidden: int) -> np.ndarray:
     """Target for hidden-unit models: rho (x) I / 2^{n_hidden}."""
     return pad_to_hidden(rho, n_hidden) / 2**n_hidden
+
+
+def _padded_likelihoods(model: HamiltonianModel, rho: np.ndarray, pairs):
+    """Yield (P_v, Lambda_v (x) I, Tr[rho (Lambda_v (x) I)]) for each pair."""
+    for p, element in pairs:
+        padded = pad_to_hidden(element, model.n_hidden)
+        yield p, padded, expectation_value(rho, padded)
+
+
+def _gt_states(model: HamiltonianModel, H: np.ndarray, pairs):
+    """Yield (P_v, rho_v, log Z_v), the Gibbs state of H - log Lambda_v, per pair.
+
+    The logarithm clips the eigenvalues of Lambda_v at GT_CLIP.
+    """
+    for p, element in pairs:
+        log_el = pad_to_hidden(matrix_log_psd(element, GT_CLIP), model.n_hidden)
+        yield (p, *gibbs_state(H - log_el))
 
 
 def _reg_value(model: HamiltonianModel, theta: np.ndarray, lam: float) -> float:
@@ -290,24 +318,14 @@ def objective_povm_exact(
     sum_v P_v log( Tr[Lambda_v e^{-H}] / Tr[e^{-H}] ) - (lam/2)||theta_Q||^2,
     in nats. Vanishing likelihoods clamp their log at -700.
     """
-    theta = _check_theta(model, theta)
-    _check_visible_dim(model, data.dim)
-    rho, _ = gibbs_state(assemble_hamiltonian(model, theta))
-    value = 0.0
-    for element, p in zip(data.elements, data.probabilities):
-        if p == 0.0:
-            continue
-        likelihood = expectation_value(rho, pad_to_hidden(element, model.n_hidden))
-        value += p * _clamped_log(likelihood)
+    theta, H, pairs = _povm_setup(model, theta, data)
+    rho, _ = gibbs_state(H)
+    value = sum(p * _clamped_log(L) for p, _, L in _padded_likelihoods(model, rho, pairs))
     return value - _reg_value(model, theta, lam)
 
 
 def objective_povm_gt(
-    model: HamiltonianModel,
-    theta,
-    data: PovmTrainingSet,
-    lam: float = 0.0,
-    clip: float = 1e-10,
+    model: HamiltonianModel, theta, data: PovmTrainingSet, lam: float = 0.0
 ) -> float:
     """Golden-Thompson lower bound on the POVM log-likelihood objective.
 
@@ -315,26 +333,14 @@ def objective_povm_gt(
     with rank-deficient elements made full rank by eigenvalue clipping.
     The bound is tight whenever Lambda_v commutes with H.
     """
-    theta = _check_theta(model, theta)
-    _check_visible_dim(model, data.dim)
-    H = assemble_hamiltonian(model, theta)
+    theta, H, pairs = _povm_setup(model, theta, data)
     _, log_z = gibbs_state(H)
-    value = 0.0
-    for element, p in zip(data.elements, data.probabilities):
-        if p == 0.0:
-            continue
-        log_el = pad_to_hidden(matrix_log_psd(element, clip), model.n_hidden)
-        _, log_z_v = gibbs_state(H - log_el)
-        value += p * (log_z_v - log_z)
+    value = sum(p * (log_z_v - log_z) for p, _, log_z_v in _gt_states(model, H, pairs))
     return value - _reg_value(model, theta, lam)
 
 
 def grad_povm_gt(
-    model: HamiltonianModel,
-    theta,
-    data: PovmTrainingSet,
-    lam: float = 0.0,
-    clip: float = 1e-10,
+    model: HamiltonianModel, theta, data: PovmTrainingSet, lam: float = 0.0
 ) -> np.ndarray:
     """Exact gradient of objective_povm_gt.
 
@@ -342,15 +348,9 @@ def grad_povm_gt(
     where H_v = H - log Lambda_v uses the clipped logarithm. As the outcome
     probabilities sum to 1, this is Tr[H_j (rho - sum_v P_v rho_v)].
     """
-    theta = _check_theta(model, theta)
-    _check_visible_dim(model, data.dim)
-    H = assemble_hamiltonian(model, theta)
+    theta, H, pairs = _povm_setup(model, theta, data)
     X, _ = gibbs_state(H)
-    for element, p in zip(data.elements, data.probabilities):
-        if p == 0.0:
-            continue
-        log_el = pad_to_hidden(matrix_log_psd(element, clip), model.n_hidden)
-        rho_v, _ = gibbs_state(H - log_el)
+    for p, rho_v, _ in _gt_states(model, H, pairs):
         X -= p * rho_v
     return term_expectations(model, X) - _reg_grad(model, theta, lam)
 
@@ -368,18 +368,14 @@ def grad_povm_exact(
     eigenvalues shifted by the minimum, so large ||H|| stays finite; the
     shift cancels in the likelihood ratios.
     """
-    theta = _check_theta(model, theta)
-    _check_visible_dim(model, data.dim)
-    H = assemble_hamiltonian(model, theta)
+    theta, H, pairs = _povm_setup(model, theta, data)
     evals, V = hermitian_eigendecompose(H)
     shifted = evals - evals[0]
     weights = np.exp(-shifted)
     rho = hermitize((V * (weights / weights.sum())) @ V.conj().T)
     # sum_v (P_v / L_v) V^+ Lambda_v V, with L_v = Tr[Lambda_v e^{-(H - evals[0])}]
     weighted = np.zeros_like(V)
-    for element, p in zip(data.elements, data.probabilities):
-        if p == 0.0:
-            continue
+    for p, element in pairs:
         el_rot = V.conj().T @ pad_to_hidden(element, model.n_hidden) @ V
         likelihood = max(float(el_rot.diagonal().real @ weights), LIKELIHOOD_FLOOR)
         weighted += (p / likelihood) * el_rot
@@ -421,15 +417,11 @@ def grad_povm_commutator(
     moderate; orders above 12 are rejected as numerically useless.
     """
     _check_commutator_order(order)
-    theta = _check_theta(model, theta)
-    _check_visible_dim(model, data.dim)
-    H = assemble_hamiltonian(model, theta)
+    theta, H, pairs = _povm_setup(model, theta, data)
     rho, _ = gibbs_state(H)
     weighted = np.zeros_like(rho)
-    for element, p in zip(data.elements, data.probabilities):
-        if p > 0.0:
-            el = pad_to_hidden(element, model.n_hidden)
-            weighted += (p / max(expectation_value(rho, el), LIKELIHOOD_FLOOR)) * el
+    for p, el, likelihood in _padded_likelihoods(model, rho, pairs):
+        weighted += (p / max(likelihood, LIKELIHOOD_FLOOR)) * el
     X = rho - _hadamard_series(H, rho @ weighted, order)
     return term_expectations(model, X) - _reg_grad(model, theta, lam)
 
@@ -443,13 +435,9 @@ def objective_relent(
     with log Gibbs(H) = -H - logZ so arbitrarily large ||H|| stays
     finite; ascending this objective drives the Gibbs state toward rho.
     """
-    theta = _check_theta(model, theta)
-    _check_visible_dim(model, data.dim)
-    rho = embed_target_state(data.rho, model.n_hidden)
-    H = assemble_hamiltonian(model, theta)
+    theta, H, rho = _relent_setup(model, theta, data)
     _, log_z = gibbs_state(H)
-    entropy = von_neumann_entropy(rho)
-    relent = -entropy + expectation_value(rho, H) + log_z
+    relent = -von_neumann_entropy(rho) + expectation_value(rho, H) + log_z
     return -relent - _reg_value(model, theta, lam)
 
 
@@ -460,10 +448,8 @@ def grad_relent(
 
     sigma is the Gibbs state of H, rho the (embedded) target.
     """
-    theta = _check_theta(model, theta)
-    _check_visible_dim(model, data.dim)
-    rho = embed_target_state(data.rho, model.n_hidden)
-    sigma, _ = gibbs_state(assemble_hamiltonian(model, theta))
+    theta, H, rho = _relent_setup(model, theta, data)
+    sigma, _ = gibbs_state(H)
     return term_expectations(model, sigma - rho) - _reg_grad(model, theta, lam)
 
 
@@ -516,10 +502,8 @@ def grad_relent_sampled(
     rng_seed, so the mean squared error scales like
     (number of terms) / n_samples.
     """
-    theta = _check_theta(model, theta)
-    _check_visible_dim(model, data.dim)
-    rho = embed_target_state(data.rho, model.n_hidden)
-    sigma, _ = gibbs_state(assemble_hamiltonian(model, theta))
+    theta, H, rho = _relent_setup(model, theta, data)
+    sigma, _ = gibbs_state(H)
     children = _seed_sequence(rng_seed).spawn(2 * model.n_terms)
     grad = np.empty(model.n_terms)
     for j, term in enumerate(model.terms):
@@ -529,43 +513,23 @@ def grad_relent_sampled(
     return grad - _reg_grad(model, theta, lam)
 
 
-def _monitor_and_gradient(model, data, config: OptimizerConfig, epoch_seeds):
-    kind = config.gradient_kind
-    if kind in ("gt", "exact", "commutator"):
-        if not isinstance(data, PovmTrainingSet):
-            raise ValueError(f"gradient kind {kind!r} trains on a PovmTrainingSet")
-
-        def monitor(theta):
-            return objective_povm_exact(model, theta, data, config.lam)
-
-        if kind == "gt":
-            def gradient(theta, epoch):
-                return grad_povm_gt(model, theta, data, config.lam, config.clip)
-        elif kind == "exact":
-            def gradient(theta, epoch):
-                return grad_povm_exact(model, theta, data, config.lam)
-        else:
-            def gradient(theta, epoch):
-                return grad_povm_commutator(
-                    model, theta, data, config.lam, config.commutator_order
-                )
-        return monitor, gradient
-
-    if not isinstance(data, StateTrainingSet):
-        raise ValueError(f"gradient kind {kind!r} trains on a StateTrainingSet")
-
-    def monitor(theta):
-        return objective_relent(model, theta, data, config.lam)
-
-    if kind == "relent":
-        def gradient(theta, epoch):
-            return grad_relent(model, theta, data, config.lam)
-    else:
-        def gradient(theta, epoch):
-            return grad_relent_sampled(
-                model, theta, data, config.lam, config.n_samples, epoch_seeds[epoch]
-            )
-    return monitor, gradient
+# Gradient kind -> (training-set type, gradient at (model, theta, data, config,
+# epoch seed)). The gradients are looked up by their module names at call
+# time, so a wrapper installed on a public name sees every call.
+_GRADIENTS = {
+    "gt": (PovmTrainingSet, lambda m, t, d, c, s: grad_povm_gt(m, t, d, c.lam)),
+    "exact": (PovmTrainingSet, lambda m, t, d, c, s: grad_povm_exact(m, t, d, c.lam)),
+    "commutator": (
+        PovmTrainingSet,
+        lambda m, t, d, c, s: grad_povm_commutator(m, t, d, c.lam, c.commutator_order),
+    ),
+    "relent": (StateTrainingSet, lambda m, t, d, c, s: grad_relent(m, t, d, c.lam)),
+    "relent_sampled": (
+        StateTrainingSet,
+        lambda m, t, d, c, s: grad_relent_sampled(m, t, d, c.lam, c.n_samples, s),
+    ),
+}
+GRADIENT_KINDS = tuple(_GRADIENTS)
 
 
 def train(
@@ -585,8 +549,13 @@ def train(
     settings).
     """
     theta = _check_theta(model, theta0).copy()
+    data_type, gradient = _GRADIENTS[config.gradient_kind]
+    if not isinstance(data, data_type):
+        raise ValueError(
+            f"gradient kind {config.gradient_kind!r} trains on a {data_type.__name__}"
+        )
+    monitor = objective_povm_exact if data_type is PovmTrainingSet else objective_relent
     epoch_seeds = _seed_sequence(rng_seed).spawn(config.epochs + 1)
-    monitor, gradient = _monitor_and_gradient(model, data, config, epoch_seeds)
 
     trace = TrainingTrace()
     velocity = np.zeros_like(theta)
@@ -595,8 +564,8 @@ def train(
         # overflow in an unstable run shows up as a non-finite value below,
         # which is handled; the numpy warning would just be noise
         with np.errstate(over="ignore", invalid="ignore"):
-            objective = monitor(theta)
-            grad = gradient(theta, epoch)
+            objective = monitor(model, theta, data, config.lam)
+            grad = gradient(model, theta, data, config, epoch_seeds[epoch])
         if not (np.isfinite(objective) and np.all(np.isfinite(grad))):
             trace.diverged = True
             trace.note = f"non-finite objective or gradient at epoch {epoch}"

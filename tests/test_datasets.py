@@ -57,11 +57,6 @@ class TestStepFunctionState:
         assert isinstance(states, StateTrainingSet)
         assert np.allclose(states.rho, proj)
 
-    def test_deterministic_without_rng(self):
-        a = step_function_state(2, 0.1)[0]
-        b = step_function_state(2, 0.1, rng=np.random.default_rng(9))[0]
-        assert np.array_equal(a, b)
-
 
 class TestHaar:
     def test_unitary(self, rng):

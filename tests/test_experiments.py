@@ -100,7 +100,6 @@ class TestEnsembleSummary:
             EnsembleSummary(
                 experiment="tomography",
                 metric="relative_entropy",
-                epochs=np.arange(3),
                 curves=bad,
                 finals=np.zeros(4),
                 extras={},
@@ -149,7 +148,61 @@ class TestSerializeHelpers:
         assert json.loads(p1.read_text()) == {"a": 0.25, "b": 1, "c": [0, 1, 2]}
 
 
+# experiment -> (tiny settings, output file names, top-level keys of its
+# summary.json or report.json). perfbench/check.py rejects a run whose
+# summary gains or loses a key against its reference outputs.
+OUTPUT_LAYOUTS = {
+    "povm-train": (
+        {"n_visible_grid": "2", "n_hidden_grid": "0", "epochs": "2"},
+        {"curves.csv", "summary.json"},
+        {"experiment", "metric", "grid", "quantum_beats_classical"},
+    ),
+    "tomography": (
+        {"ensemble": "2", "epochs": "2"},
+        {"curves.csv", "summary.json", "reconstructions.json"},
+        {"experiment", "metric", "target_kind", "median_final", "finals", "n_diverged"},
+    ),
+    "hamlearn": (
+        {"ensemble": "2", "epochs": "2"},
+        {"curves.csv", "summary.json"},
+        {"experiment", "n_visible", "median_final_s_normalized", "median_final_s_unnormalized",
+         "median_final_dh_normalized", "median_final_dh_unnormalized"},
+    ),
+    "meanfield": (
+        {"ensemble": "2", "epochs": "2", "n_visible": "2"},
+        {"curves.csv", "summary.json", "instance_matrices.json"},
+        {"experiment", "n_visible", "median_final_s", "median_final_overlap"},
+    ),
+    "commutator-compare": (
+        {"n_visible": "2", "epochs": "2", "eta_grid": "0.1", "momentum_grid": "0"},
+        {"curves.csv", "grid.csv", "summary.json"},
+        {"experiment", "final_a", "final_b", "final_c", "switch_epoch", "best_eta",
+         "best_momentum", "diverged_b"},
+    ),
+    "gradcheck": (
+        {"ensemble": "1"},
+        {"table.csv", "report.json"},
+        {"table", "ksweep", "ok"},
+    ),
+    "variance-sweep": (
+        {"n_repeats": "2", "n_samples_grid": "64,128"},
+        {"variance.csv", "summary.json"},
+        {"n_samples", "mse_small", "mse_big", "slope", "intercept", "ratio_mean",
+         "n_terms_small", "n_terms_big"},
+    ),
+}
+
+
 class TestOutputs:
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_output_files_and_summary_keys(self, tmp_path, experiment):
+        settings, names, keys = OUTPUT_LAYOUTS[experiment]
+        out = tmp_path / experiment
+        run_experiment(make_config(experiment, settings, {"out": str(out)}))
+        assert {p.name for p in out.iterdir()} == names | {"manifest.json"}
+        summary_name = "report.json" if experiment == "gradcheck" else "summary.json"
+        assert set(json.loads((out / summary_name).read_text())) == keys
+
     def test_manifest_echoes_config(self, tmp_path):
         out = tmp_path / "run"
         cfg = make_config("tomography", {"ensemble": "3", "epochs": "4", "out": str(out)})
@@ -227,8 +280,9 @@ class TestCli:
         assert manifest["config"]["epochs"] == 6
 
     def test_bad_key_exit_code(self, capsys):
-        assert main(["tomography", "--set", "nope=1"]) == 2
-        assert "unknown config key" in capsys.readouterr().err
+        for pair in ("nope=1", "n_samples=64"):
+            assert main(["tomography", "--set", pair]) == 2
+            assert "unknown config key" in capsys.readouterr().err
 
     def test_bad_value_exit_code(self, capsys):
         assert main(["tomography", "--set", "epochs=ten"]) == 2

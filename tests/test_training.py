@@ -76,10 +76,6 @@ class TestTrainingSets:
         with pytest.raises(ValueError):
             PovmTrainingSet(elements=(half, half), probabilities=np.array([0.7, 0.7]))
 
-    def test_povm_validate_flag_skips_checks(self):
-        half = np.eye(2, dtype=complex) / 2
-        PovmTrainingSet(elements=(half, half), probabilities=np.array([0.7, 0.7]), validate=False)
-
     def test_state_set_rejects_non_density(self):
         with pytest.raises(ValueError):
             StateTrainingSet(rho=np.diag([2.0, -1.0]).astype(complex))
