@@ -17,6 +17,7 @@ from .linalg import (
     hermitian_eigendecompose,
     hermitize,
     kron,
+    log_partition,
     matrix_log_psd,
     relative_entropy,
     validate_density_matrix,

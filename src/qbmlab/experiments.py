@@ -36,6 +36,7 @@ from .serialize import matrix_to_pairs, write_csv, write_json
 from .training import (
     GRADIENT_KINDS,
     MAX_COMMUTATOR_ORDER,
+    POVM_GRADIENT_KINDS,
     OptimizerConfig,
     PovmTrainingSet,
     StateTrainingSet,
@@ -138,6 +139,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown model family {self.family!r}")
         if self.gradient_kind not in GRADIENT_KINDS:
             raise ValueError(f"unknown gradient kind {self.gradient_kind!r}")
+        if self.experiment == "povm-train" and self.gradient_kind not in POVM_GRADIENT_KINDS:
+            raise ValueError(
+                f"povm-train trains on POVM statistics; gradient_kind must be one of "
+                f"{POVM_GRADIENT_KINDS}, got {self.gradient_kind!r}"
+            )
         if self.target_kind not in ("mixed", "pure"):
             raise ValueError("target_kind must be 'mixed' or 'pure'")
         if self.povm_kind not in ("projector", "basis"):

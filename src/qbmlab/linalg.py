@@ -20,6 +20,7 @@ __all__ = [
     "hermitize",
     "hermitian_eigendecompose",
     "gibbs_state",
+    "log_partition",
     "matrix_log_psd",
     "frechet_exp_neg",
     "von_neumann_entropy",
@@ -79,20 +80,45 @@ def hermitian_eigendecompose(A: np.ndarray) -> EigenSystem:
     return EigenSystem(evals, evecs)
 
 
-def gibbs_state(H: np.ndarray) -> tuple[np.ndarray, float]:
-    """Thermal state of H at unit inverse temperature.
+def _shifted_weights(evals: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Gibbs weights e^{-(lambda_i - lambda_min)}, their sum and log Z.
 
-    Returns (rho, logZ) with rho = e^{-H} / Tr[e^{-H}]. Weights are
-    formed as e^{-(lambda_i - lambda_min)} so only ratios of order one
-    are ever exponentiated; logZ is shift-corrected.
+    evals must be ascending. Only ratios of order one are ever
+    exponentiated; log Z is shift-corrected.
     """
-    evals, V = hermitian_eigendecompose(H)
     shift = evals[0]
     weights = np.exp(-(evals - shift))
     total = weights.sum()
+    return weights, total, float(np.log(total) - shift)
+
+
+def _hermitian_eigenvalues(A: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, without eigenvectors.
+
+    The input is checked and symmetrized as in hermitian_eigendecompose.
+    """
+    return np.linalg.eigvalsh(_require_hermitian(A, "operator"))
+
+
+def gibbs_state(H: np.ndarray) -> tuple[np.ndarray, float]:
+    """Thermal state of H at unit inverse temperature.
+
+    Returns (rho, logZ) with rho = e^{-H} / Tr[e^{-H}], formed from
+    max-shifted weights so that large ||H|| cannot overflow.
+    """
+    evals, V = hermitian_eigendecompose(H)
+    weights, total, log_z = _shifted_weights(evals)
     rho = (V * (weights / total)) @ V.conj().T
-    log_z = float(np.log(total) - shift)
     return hermitize(rho), log_z
+
+
+def log_partition(H: np.ndarray) -> float:
+    """log Tr[e^{-H}] from the spectrum alone (eigvalsh, no eigenvectors).
+
+    The same shifted log-sum-exp as gibbs_state's logZ, for callers that
+    need only the normalization.
+    """
+    return _shifted_weights(_hermitian_eigenvalues(H))[2]
 
 
 def matrix_log_psd(A: np.ndarray, clip: float = 1e-10) -> np.ndarray:
@@ -145,8 +171,8 @@ def frechet_exp_neg(H: np.ndarray, E: np.ndarray) -> np.ndarray:
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy -Tr[rho log rho] in nats, with 0 log 0 = 0."""
-    evals, _ = hermitian_eigendecompose(rho)
+    """Entropy -Tr[rho log rho] in nats, with 0 log 0 = 0 (spectrum only)."""
+    evals = _hermitian_eigenvalues(rho)
     p = evals[evals > 1e-18]
     return float(-np.sum(p * np.log(p)))
 
@@ -222,8 +248,13 @@ def expectation_value(state: np.ndarray, observable: np.ndarray) -> float:
 
 
 def validate_density_matrix(rho: np.ndarray, name: str = "state") -> np.ndarray:
-    """Check Hermiticity (1e-10), positivity (evals >= -1e-10) and unit trace (1e-10)."""
+    """Check finite entries, Hermiticity, positivity and unit trace.
+
+    Hermiticity and trace hold within 1e-10; eigenvalues must be >= -1e-10.
+    """
     rho = _as_square_matrix(rho, name)
+    if not np.all(np.isfinite(rho)):
+        raise ValueError(f"{name} has non-finite entries")
     scale = max(1.0, float(np.linalg.norm(rho)))
     if np.linalg.norm(rho - rho.conj().T) > 1e-10 * scale:
         raise ValueError(f"{name} is not Hermitian within 1e-10")

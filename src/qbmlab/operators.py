@@ -13,8 +13,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import kron
-
 __all__ = [
     "PAULI",
     "Term",
@@ -46,21 +44,93 @@ PAULI = {
 QUANTUM_OFFDIAG_TOL = 1e-12
 
 
+def _bit(site: int, n: int) -> int:
+    """Basis-index bit of qubit `site` out of n (qubit 0 is the most significant)."""
+    return 1 << (n - 1 - site)
+
+
+def _masked_parity(values: np.ndarray, mask: int) -> np.ndarray:
+    """popcount(values & mask) mod 2, by XOR over the set bits of mask."""
+    parity = np.zeros_like(values)
+    bit = 0
+    while mask >> bit:
+        if (mask >> bit) & 1:
+            parity ^= (values >> bit) & 1
+        bit += 1
+    return parity
+
+
+def _scatter(n: int, rows, cols, values) -> np.ndarray:
+    """Dense 2^n x 2^n complex matrix with the given entries, zero elsewhere."""
+    out = np.zeros((2**n, 2**n), dtype=np.complex128)
+    out[rows, cols] = values
+    return out
+
+
 def pauli_matrix(letters: str) -> np.ndarray:
-    """Dense matrix of a Pauli string such as "IXZ" (qubit 0 leftmost)."""
+    """Dense matrix of a Pauli string such as "IXZ" (qubit 0 leftmost).
+
+    With x the bitmask of the X/Y sites, z that of the Z/Y sites and #Y the
+    number of Y letters, the string maps basis state c to
+    i^{#Y} (-1)^{popcount(c & z)} |c ^ x>, so the matrix is one scatter.
+    """
     if not letters:
         raise ValueError("empty Pauli string")
-    out = None
-    for ch in letters:
+    n = len(letters)
+    x = z = n_y = 0
+    for site, ch in enumerate(letters):
         if ch not in PAULI:
             raise ValueError(f"unknown Pauli letter {ch!r} in {letters!r}")
-        out = PAULI[ch].copy() if out is None else np.kron(out, PAULI[ch])
+        if ch in "XY":
+            x |= _bit(site, n)
+        if ch in "YZ":
+            z |= _bit(site, n)
+        n_y += ch == "Y"
+    cols = np.arange(2**n)
+    phases = (1, 1j, -1, -1j)[n_y % 4] * (1 - 2 * _masked_parity(cols, z))
+    return _scatter(n, cols ^ x, cols, phases)
+
+
+def _number_product(sites, n: int) -> np.ndarray:
+    """Product of the number operators n_j = (I - Z_j)/2 over `sites` (diagonal)."""
+    mask = sum(_bit(j, n) for j in sites)
+    cols = np.arange(2**n)
+    return _scatter(n, cols, cols, (cols & mask) == mask)
+
+
+def _ladder_product(ops, n: int):
+    """Nonzero entries (rows, cols, signs) of a product of Jordan-Wigner ladder operators.
+
+    `ops` lists the factors left to right as (mode, creates). They act on
+    every basis column at once, rightmost first: a factor needs its mode
+    empty (creation) or occupied (annihilation), flips the mode's bit and
+    contributes the parity of the occupied lower-indexed modes.
+    """
+    cols = np.arange(2**n)
+    rows = cols.copy()
+    signs = np.ones_like(cols)
+    alive = np.ones(cols.shape, dtype=bool)
+    for mode, creates in reversed(ops):
+        bit = _bit(mode, n)
+        alive &= ((rows & bit) == 0) == creates
+        # the Z string on modes 0..mode-1, the `mode` most significant bits
+        signs *= 1 - 2 * _masked_parity(rows, ((1 << mode) - 1) << (n - mode))
+        rows ^= bit
+    return rows[alive], cols[alive], signs[alive]
+
+
+def _ladder_term(ops, n: int) -> np.ndarray:
+    """The Hermitian term B + B^ for the ladder-operator product B."""
+    rows, cols, signs = _ladder_product(ops, n)
+    out = _scatter(n, rows, cols, signs)
+    out[cols, rows] += signs
     return out
 
 
 def _offdiagonal_max(matrix: np.ndarray) -> float:
-    off = matrix - np.diag(np.diag(matrix))
-    return float(np.abs(off).max()) if off.size else 0.0
+    magnitudes = np.abs(matrix)
+    np.fill_diagonal(magnitudes, 0.0)
+    return float(magnitudes.max()) if magnitudes.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -75,7 +145,12 @@ class Term:
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"term {self.label!r} matrix must be square")
-        if np.abs(m - m.conj().T).max() > 1e-12:
+        # m - m^ formed in one contiguous buffer: fresh dim x dim temporaries
+        # and strided transposed reads dominate this check at large dim
+        defect = np.ascontiguousarray(m.T)
+        np.conjugate(defect, out=defect)
+        np.subtract(m, defect, out=defect)
+        if np.abs(defect).max() > 1e-12:
             raise ValueError(f"term {self.label!r} is not Hermitian within 1e-12")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -143,15 +218,6 @@ def _check_sizes(n_visible: int, n_hidden: int, cap: int, family: str) -> int:
     return n
 
 
-def _single_site(op: str, site: int, n: int) -> np.ndarray:
-    return pauli_matrix("".join(op if k == site else "I" for k in range(n)))
-
-
-def _number_operator(site: int, n: int) -> np.ndarray:
-    # (I - Z_site)/2: occupation of the computational-basis excited state
-    return (pauli_matrix("I" * n) - _single_site("Z", site, n)) / 2.0
-
-
 def build_classical_bm(
     n_visible: int, n_hidden: int = 0, edges=()
 ) -> HamiltonianModel:
@@ -176,10 +242,15 @@ def build_classical_bm(
             raise ValueError(f"duplicate edge {key}")
         seen.add(key)
         canon.append(key)
-    terms = [make_term(f"n{j}", _number_operator(j, n)) for j in range(n)]
-    for i, j in canon:
-        terms.append(make_term(f"n{i}n{j}", _number_operator(i, n) @ _number_operator(j, n)))
+    terms = [make_term(f"n{j}", _number_product([j], n)) for j in range(n)]
+    terms += [make_term(f"n{i}n{j}", _number_product([i, j], n)) for i, j in canon]
     return HamiltonianModel("classical_bm", n_visible, n_hidden, tuple(terms), tuple(canon))
+
+
+def _site_term(letters: dict, n: int) -> Term:
+    """Pauli term with letters[site] on the given sites, labelled like "Z0Z3"."""
+    label = "".join(f"{op}{site}" for site, op in letters.items())
+    return make_term(label, pauli_matrix("".join(letters.get(k, "I") for k in range(n))))
 
 
 def complete_graph_edges(n: int) -> tuple[tuple[int, int], ...]:
@@ -193,11 +264,9 @@ def build_transverse_ising_complete(n: int) -> HamiltonianModel:
     pair lexicographically. n(n+3)/2 terms total, all visible.
     """
     _check_sizes(n, 0, 12, "ti_complete")
-    terms = [make_term(f"Z{j}", _single_site("Z", j, n)) for j in range(n)]
-    terms += [make_term(f"X{j}", _single_site("X", j, n)) for j in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        zz = _single_site("Z", i, n) @ _single_site("Z", j, n)
-        terms.append(make_term(f"Z{i}Z{j}", zz))
+    terms = [_site_term({j: "Z"}, n) for j in range(n)]
+    terms += [_site_term({j: "X"}, n) for j in range(n)]
+    terms += [_site_term({i: "Z", j: "Z"}, n) for i, j in itertools.combinations(range(n), 2)]
     return HamiltonianModel("ti_complete", n, 0, tuple(terms))
 
 
@@ -220,10 +289,7 @@ def build_mean_field(n: int) -> HamiltonianModel:
     uncorrelated approximation to any multi-qubit target.
     """
     _check_sizes(n, 0, 12, "mean_field")
-    terms = []
-    for j in range(n):
-        for op in "XYZ":
-            terms.append(make_term(f"{op}{j}", _single_site(op, j, n)))
+    terms = [_site_term({j: op}, n) for j in range(n) for op in "XYZ"]
     return HamiltonianModel("mean_field", n, 0, tuple(terms))
 
 
@@ -235,16 +301,7 @@ def jordan_wigner_annihilator(p: int, n: int) -> np.ndarray:
     """
     if not 0 <= p < n:
         raise ValueError(f"mode index {p} out of range for {n} modes")
-    lower = (PAULI["X"] + 1j * PAULI["Y"]) / 2.0
-    out = np.ones((1, 1), dtype=np.complex128)
-    for k in range(n):
-        if k < p:
-            out = kron(out, PAULI["Z"])
-        elif k == p:
-            out = kron(out, lower)
-        else:
-            out = kron(out, PAULI["I"])
-    return out
+    return _scatter(n, *_ladder_product([(p, False)], n))
 
 
 def build_fermionic_model(n_visible: int, n_hidden: int = 0) -> HamiltonianModel:
@@ -262,27 +319,21 @@ def build_fermionic_model(n_visible: int, n_hidden: int = 0) -> HamiltonianModel
     n = _check_sizes(n_visible, n_hidden, 8, "fermionic")
     if n < 2:
         raise ValueError("fermionic model needs at least 2 modes")
-    a = [jordan_wigner_annihilator(p, n) for p in range(n)]
-    ad = [op.conj().T for op in a]
-    terms = []
-    for p in range(n):
-        terms.append(make_term(f"a{p}+a{p}^", a[p] + ad[p]))
+    terms = [make_term(f"a{p}+a{p}^", _ladder_term([(p, False)], n)) for p in range(n)]
     for p in range(n):
         for q in range(p, n):
             if p == q:
-                terms.append(make_term(f"n{p}", ad[p] @ a[p]))
+                terms.append(make_term(f"n{p}", _number_product([p], n)))
             else:
-                terms.append(make_term(f"hop({p},{q})", ad[p] @ a[q] + ad[q] @ a[p]))
+                terms.append(make_term(f"hop({p},{q})", _ladder_term([(p, True), (q, False)], n)))
     pairs = list(itertools.combinations(range(n), 2))
     for ip, (p, q) in enumerate(pairs):
         for r, s in pairs[ip:]:
             if (p, q) == (r, s):
-                terms.append(make_term(f"n{p}n{q}", ad[p] @ a[p] @ ad[q] @ a[q]))
+                terms.append(make_term(f"n{p}n{q}", _number_product([p, q], n)))
             else:
-                body = ad[p] @ ad[q] @ a[s] @ a[r]
-                terms.append(
-                    make_term(f"int({p},{q};{r},{s})", body + body.conj().T)
-                )
+                body = [(p, True), (q, True), (s, False), (r, False)]
+                terms.append(make_term(f"int({p},{q};{r},{s})", _ladder_term(body, n)))
     return HamiltonianModel("fermionic", n_visible, n_hidden, tuple(terms))
 
 

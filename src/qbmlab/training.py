@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .linalg import (
     hermitian_eigendecompose,
     hermitize,
     kron,
+    log_partition,
     matrix_log_psd,
     validate_density_matrix,
     von_neumann_entropy,
@@ -34,6 +36,7 @@ __all__ = [
     "TraceRecord",
     "TrainingTrace",
     "GRADIENT_KINDS",
+    "POVM_GRADIENT_KINDS",
     "objective_povm_exact",
     "objective_povm_gt",
     "objective_relent",
@@ -63,9 +66,9 @@ GT_CLIP = 1e-10
 class PovmTrainingSet:
     """Measurement operators on the visible units with outcome frequencies.
 
-    Validation checks each element is PSD (eigenvalues >= -1e-10), the
-    elements sum to the identity within 1e-9, and the probabilities are
-    nonnegative and sum to 1 within 1e-12.
+    Validation checks every entry is finite, each element is PSD
+    (eigenvalues >= -1e-10), the elements sum to the identity within 1e-9,
+    and the probabilities are nonnegative and sum to 1 within 1e-12.
     """
 
     elements: tuple[np.ndarray, ...]
@@ -88,6 +91,8 @@ class PovmTrainingSet:
         for e in elements:
             if e.shape != (dim, dim):
                 raise ValueError("POVM elements must share one square shape")
+            if not np.all(np.isfinite(e)):
+                raise ValueError("POVM element has non-finite entries")
             if np.abs(e - e.conj().T).max() > 1e-10:
                 raise ValueError("POVM element is not Hermitian within 1e-10")
             if np.linalg.eigvalsh(hermitize(e))[0] < -1e-10:
@@ -95,6 +100,8 @@ class PovmTrainingSet:
             total += e
         if np.abs(total - np.eye(dim)).max() > 1e-9:
             raise ValueError("POVM elements do not sum to the identity within 1e-9")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("outcome probabilities must be finite")
         if probs.min() < 0:
             raise ValueError("outcome probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > 1e-12:
@@ -120,6 +127,11 @@ class StateTrainingSet:
     @property
     def dim(self) -> int:
         return self.rho.shape[0]
+
+    @cached_property
+    def entropy(self) -> float:
+        """Von Neumann entropy of the target, computed once."""
+        return von_neumann_entropy(self.rho)
 
 
 @dataclass(frozen=True)
@@ -275,14 +287,13 @@ def _padded_likelihoods(model: HamiltonianModel, rho: np.ndarray, pairs):
         yield p, padded, expectation_value(rho, padded)
 
 
-def _gt_states(model: HamiltonianModel, H: np.ndarray, pairs):
-    """Yield (P_v, rho_v, log Z_v), the Gibbs state of H - log Lambda_v, per pair.
+def _gt_hamiltonians(model: HamiltonianModel, H: np.ndarray, pairs):
+    """Yield (P_v, H - log Lambda_v) per pair, the Golden-Thompson Hamiltonians.
 
     The logarithm clips the eigenvalues of Lambda_v at GT_CLIP.
     """
     for p, element in pairs:
-        log_el = pad_to_hidden(matrix_log_psd(element, GT_CLIP), model.n_hidden)
-        yield (p, *gibbs_state(H - log_el))
+        yield p, H - pad_to_hidden(matrix_log_psd(element, GT_CLIP), model.n_hidden)
 
 
 def _reg_value(model: HamiltonianModel, theta: np.ndarray, lam: float) -> float:
@@ -334,8 +345,8 @@ def objective_povm_gt(
     The bound is tight whenever Lambda_v commutes with H.
     """
     theta, H, pairs = _povm_setup(model, theta, data)
-    _, log_z = gibbs_state(H)
-    value = sum(p * (log_z_v - log_z) for p, _, log_z_v in _gt_states(model, H, pairs))
+    log_z = log_partition(H)
+    value = sum(p * (log_partition(H_v) - log_z) for p, H_v in _gt_hamiltonians(model, H, pairs))
     return value - _reg_value(model, theta, lam)
 
 
@@ -350,8 +361,8 @@ def grad_povm_gt(
     """
     theta, H, pairs = _povm_setup(model, theta, data)
     X, _ = gibbs_state(H)
-    for p, rho_v, _ in _gt_states(model, H, pairs):
-        X -= p * rho_v
+    for p, H_v in _gt_hamiltonians(model, H, pairs):
+        X -= p * gibbs_state(H_v)[0]
     return term_expectations(model, X) - _reg_grad(model, theta, lam)
 
 
@@ -431,13 +442,15 @@ def objective_relent(
 ) -> float:
     """Negative relative entropy -S(rho || Gibbs(H)) - (lam/2)||theta_Q||^2.
 
-    Hidden units see the embedded target rho (x) I/2^{n_hidden}. Written
-    with log Gibbs(H) = -H - logZ so arbitrarily large ||H|| stays
-    finite; ascending this objective drives the Gibbs state toward rho.
+    Hidden units see the embedded target rho (x) I/2^{n_hidden}, whose
+    entropy is S(rho) + n_hidden ln 2 with S(rho) cached on the data.
+    Written with log Gibbs(H) = -H - logZ so arbitrarily large ||H|| stays
+    finite, and logZ needs only the spectrum of H; ascending this
+    objective drives the Gibbs state toward rho.
     """
     theta, H, rho = _relent_setup(model, theta, data)
-    _, log_z = gibbs_state(H)
-    relent = -von_neumann_entropy(rho) + expectation_value(rho, H) + log_z
+    entropy = data.entropy + model.n_hidden * math.log(2.0)
+    relent = -entropy + expectation_value(rho, H) + log_partition(H)
     return -relent - _reg_value(model, theta, lam)
 
 
@@ -530,6 +543,9 @@ _GRADIENTS = {
     ),
 }
 GRADIENT_KINDS = tuple(_GRADIENTS)
+POVM_GRADIENT_KINDS = tuple(
+    kind for kind, (data_type, _) in _GRADIENTS.items() if data_type is PovmTrainingSet
+)
 
 
 def train(

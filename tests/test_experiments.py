@@ -284,6 +284,13 @@ class TestCli:
             assert main(["tomography", "--set", pair]) == 2
             assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["relent", "relent_sampled"])
+    def test_povm_train_rejects_state_gradient_kind(self, capsys, kind):
+        assert main(["povm-train", "--set", f"gradient_kind={kind}", "--set", "epochs=1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "povm-train" in err and kind in err
+
     def test_bad_value_exit_code(self, capsys):
         assert main(["tomography", "--set", "epochs=ten"]) == 2
         capsys.readouterr()

@@ -12,6 +12,7 @@ from qbmlab.linalg import (
     hermitian_eigendecompose,
     hermitize,
     kron,
+    log_partition,
     matrix_log_psd,
     relative_entropy,
     validate_density_matrix,
@@ -95,6 +96,24 @@ class TestGibbsState:
         rho, logz = gibbs_state(h)
         validate_density_matrix(rho)
         assert np.isfinite(logz)
+
+
+class TestLogPartition:
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 50.0])
+    def test_matches_gibbs_state(self, rng, scale):
+        for dim in (2, 8, 32):
+            h = random_hermitian(dim, rng, scale=scale)
+            _, logz = gibbs_state(h)
+            assert abs(log_partition(h) - logz) <= 1e-12 * abs(logz)
+
+    def test_diagonal_closed_form(self):
+        e = np.array([-3.0, 0.5, 2.0, 40.0])
+        expected = np.log(np.exp(-e).sum())
+        assert abs(log_partition(np.diag(e).astype(complex)) - expected) < 1e-12 * abs(expected)
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError):
+            log_partition(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
 class TestMatrixLogPsd:
@@ -276,6 +295,12 @@ class TestDensityValidation:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             validate_density_matrix(np.diag([1.5, -0.5]).astype(complex))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_density_matrix(np.full((2, 2), np.nan))
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_density_matrix(np.array([[np.inf, 0.0], [0.0, 0.0]]))
 
     def test_expectation_value(self):
         assert abs(expectation_value(P0, pauli_matrix("Z")) - 1.0) < 1e-12

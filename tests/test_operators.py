@@ -7,6 +7,8 @@ import pytest
 
 from qbmlab.linalg import gibbs_state, kron
 from qbmlab.operators import (
+    PAULI,
+    _masked_parity,
     HamiltonianModel,
     assemble_hamiltonian,
     build_classical_bm,
@@ -282,3 +284,119 @@ class TestSerialization:
         with pytest.raises(Exception):
             m.n_visible = 3
         assert isinstance(m, HamiltonianModel)
+
+
+# Term-construction oracles: every term as the dense np.kron chains of the
+# 2x2 PAULI matrices and products of kron-built Jordan-Wigner annihilators.
+
+
+def _kron_word(word):
+    out = np.ones((1, 1), dtype=np.complex128)
+    for ch in word:
+        out = np.kron(out, PAULI[ch])
+    return out
+
+
+def _site_word(n, letters):
+    return "".join(letters.get(k, "I") for k in range(n))
+
+
+def _kron_annihilator(p, n):
+    lower = (PAULI["X"] + 1j * PAULI["Y"]) / 2.0
+    factors = [PAULI["Z"]] * p + [lower] + [PAULI["I"]] * (n - p - 1)
+    out = np.ones((1, 1), dtype=np.complex128)
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
+def _kron_number(site, n):
+    return (_kron_word("I" * n) - _kron_word(_site_word(n, {site: "Z"}))) / 2.0
+
+
+def _oracle_classical_bm(n):
+    terms = [(f"n{j}", _kron_number(j, n)) for j in range(n)]
+    terms += [(f"n{i}n{j}", _kron_number(i, n) @ _kron_number(j, n))
+              for i, j in itertools.combinations(range(n), 2)]
+    return terms
+
+
+def _oracle_ti_complete(n):
+    terms = [(f"Z{j}", _kron_word(_site_word(n, {j: "Z"}))) for j in range(n)]
+    terms += [(f"X{j}", _kron_word(_site_word(n, {j: "X"}))) for j in range(n)]
+    terms += [(f"Z{i}Z{j}", _kron_word(_site_word(n, {i: "Z", j: "Z"})))
+              for i, j in itertools.combinations(range(n), 2)]
+    return terms
+
+
+def _oracle_mean_field(n):
+    return [(f"{op}{j}", _kron_word(_site_word(n, {j: op})))
+            for j in range(n) for op in "XYZ"]
+
+
+def _oracle_pauli_complete(n):
+    words = ("".join(w) for w in itertools.product("IXYZ", repeat=n))
+    return [(w, _kron_word(w)) for w in words if set(w) != {"I"}]
+
+
+def _oracle_fermionic(n):
+    a = [_kron_annihilator(p, n) for p in range(n)]
+    ad = [op.conj().T for op in a]
+    terms = [(f"a{p}+a{p}^", a[p] + ad[p]) for p in range(n)]
+    for p in range(n):
+        for q in range(p, n):
+            if p == q:
+                terms.append((f"n{p}", ad[p] @ a[p]))
+            else:
+                terms.append((f"hop({p},{q})", ad[p] @ a[q] + ad[q] @ a[p]))
+    pairs = list(itertools.combinations(range(n), 2))
+    for ip, (p, q) in enumerate(pairs):
+        for r, s in pairs[ip:]:
+            if (p, q) == (r, s):
+                terms.append((f"n{p}n{q}", ad[p] @ a[p] @ ad[q] @ a[q]))
+            else:
+                body = ad[p] @ ad[q] @ a[s] @ a[r]
+                terms.append((f"int({p},{q};{r},{s})", body + body.conj().T))
+    return terms
+
+
+ORACLE_CASES = [
+    ("classical_bm", 3, 1, _oracle_classical_bm),
+    ("ti_complete", 4, 0, _oracle_ti_complete),
+    ("mean_field", 3, 0, _oracle_mean_field),
+    ("pauli_complete", 2, 0, _oracle_pauli_complete),
+    ("fermionic", 3, 1, _oracle_fermionic),
+]
+
+
+class TestMaskedParity:
+    def test_matches_popcount_below_4096(self):
+        values = np.arange(2**12)
+        for mask in (0, 1, 0b101, 0b100000000001, 2**12 - 1, 0b011011011011):
+            expected = [bin(c & mask).count("1") & 1 for c in range(2**12)]
+            assert _masked_parity(values, mask).tolist() == expected
+
+
+class TestTermOracles:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pauli_matrix_every_word(self, n):
+        for letters in itertools.product("IXYZ", repeat=n):
+            word = "".join(letters)
+            assert np.array_equal(pauli_matrix(word), _kron_word(word)), word
+
+    @pytest.mark.parametrize("family,nv,nh,oracle", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+    def test_every_term_labels_and_flags(self, family, nv, nh, oracle):
+        model = build_model(family, nv, nh)
+        expected = oracle(nv + nh)
+        assert list(model.labels) == [label for label, _ in expected]
+        for term, (label, matrix) in zip(model.terms, expected):
+            assert term.matrix.dtype == np.complex128
+            assert np.array_equal(term.matrix, matrix), label
+            off_diagonal = matrix - np.diag(np.diag(matrix))
+            assert term.is_quantum == bool(np.any(off_diagonal != 0)), label
+        assert np.array_equal(model.matrix_stack, np.stack([m for _, m in expected]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_annihilator_matches_kron_chain(self, n):
+        for p in range(n):
+            assert np.array_equal(jordan_wigner_annihilator(p, n), _kron_annihilator(p, n))

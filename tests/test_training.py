@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from qbmlab.linalg import frechet_exp_neg, gibbs_state
+import qbmlab.training as training
+from qbmlab.linalg import frechet_exp_neg, gibbs_state, relative_entropy
 from qbmlab.operators import (
     assemble_hamiltonian,
     build_classical_bm,
@@ -20,6 +21,7 @@ from qbmlab.training import (
     OptimizerConfig,
     PovmTrainingSet,
     StateTrainingSet,
+    embed_target_state,
     grad_povm_commutator,
     grad_povm_exact,
     grad_povm_gt,
@@ -79,6 +81,17 @@ class TestTrainingSets:
     def test_state_set_rejects_non_density(self):
         with pytest.raises(ValueError):
             StateTrainingSet(rho=np.diag([2.0, -1.0]).astype(complex))
+
+    def test_povm_rejects_non_finite(self):
+        half = np.eye(2) / 2
+        with pytest.raises(ValueError, match="finite"):
+            PovmTrainingSet(elements=(half, half), probabilities=[np.nan, np.nan])
+        with pytest.raises(ValueError, match="non-finite"):
+            PovmTrainingSet(elements=(np.full((2, 2), np.nan), half), probabilities=[0.5, 0.5])
+
+    def test_state_set_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            StateTrainingSet(rho=np.full((2, 2), np.nan))
 
 
 class TestOptimizerConfig:
@@ -142,6 +155,36 @@ class TestObjectives:
         # objective is -S(rho||sigma), maximal at 0 when sigma == rho
         assert abs(objective_relent(m, theta, data)) < 1e-10
         assert objective_relent(m, theta + 0.5, data) < 0
+
+    @pytest.mark.parametrize("n_hidden", [0, 1])
+    def test_relent_equals_negative_relative_entropy(self, rng, n_hidden):
+        # spectrum-only logZ and the cached target entropy against the
+        # two-eigendecomposition relative_entropy
+        m = build_fermionic_model(2, n_hidden)
+        data = random_mixed(2, rng)
+        for _ in range(5):
+            theta = rng.normal(size=m.n_terms)
+            sigma, _ = gibbs_state(assemble_hamiltonian(m, theta))
+            expected = -relative_entropy(embed_target_state(data.rho, n_hidden), sigma)
+            value = objective_relent(m, theta, data)
+            assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+
+    def test_target_entropy_computed_once_per_set(self, rng, monkeypatch):
+        calls = []
+        original = training.von_neumann_entropy
+
+        def counting(rho):
+            calls.append(rho.shape)
+            return original(rho)
+
+        monkeypatch.setattr(training, "von_neumann_entropy", counting)
+        m = build_complete_pauli_set(2)
+        first, second = random_mixed(2, rng), random_mixed(2, rng)
+        for _ in range(5):
+            theta = rng.normal(size=m.n_terms)
+            objective_relent(m, theta, first)
+            objective_relent(m, theta, second)
+        assert len(calls) == 2
 
 
 class TestGradients:
