@@ -91,40 +91,38 @@ def pauli_matrix(letters: str) -> np.ndarray:
     return _scatter(n, cols ^ x, cols, phases)
 
 
-def _number_product(sites, n: int) -> np.ndarray:
-    """Product of the number operators n_j = (I - Z_j)/2 over `sites` (diagonal)."""
-    mask = sum(_bit(j, n) for j in sites)
-    cols = np.arange(2**n)
-    return _scatter(n, cols, cols, (cols & mask) == mask)
-
-
 def _ladder_product(ops, n: int):
-    """Nonzero entries (rows, cols, signs) of a product of Jordan-Wigner ladder operators.
+    """Entries (rows, cols, values) of a product of Jordan-Wigner ladder operators.
 
     `ops` lists the factors left to right as (mode, creates). They act on
-    every basis column at once, rightmost first: a factor needs its mode
-    empty (creation) or occupied (annihilation), flips the mode's bit and
-    contributes the parity of the occupied lower-indexed modes.
+    every basis column at once, rightmost first: a factor flips the mode's
+    bit, contributes the parity of the occupied lower-indexed modes, and
+    zeroes the column unless the mode was empty (creation) or occupied
+    (annihilation). Column c holds its one possible entry at row rows[c].
     """
     cols = np.arange(2**n)
     rows = cols.copy()
-    signs = np.ones_like(cols)
-    alive = np.ones(cols.shape, dtype=bool)
+    values = np.ones_like(cols)
     for mode, creates in reversed(ops):
-        bit = _bit(mode, n)
-        alive &= ((rows & bit) == 0) == creates
+        shift = n - 1 - mode
+        values *= ((rows >> shift) & 1) ^ int(creates)
         # the Z string on modes 0..mode-1, the `mode` most significant bits
-        signs *= 1 - 2 * _masked_parity(rows, ((1 << mode) - 1) << (n - mode))
-        rows ^= bit
-    return rows[alive], cols[alive], signs[alive]
+        values *= 1 - 2 * _masked_parity(rows, ((1 << mode) - 1) << (shift + 1))
+        rows ^= 1 << shift
+    return rows, cols, values
 
 
 def _ladder_term(ops, n: int) -> np.ndarray:
     """The Hermitian term B + B^ for the ladder-operator product B."""
-    rows, cols, signs = _ladder_product(ops, n)
-    out = _scatter(n, rows, cols, signs)
-    out[cols, rows] += signs
+    rows, cols, values = _ladder_product(ops, n)
+    out = _scatter(n, rows, cols, values)
+    out[cols, rows] += values
     return out
+
+
+def _number_term(modes, n: int) -> np.ndarray:
+    """Product of the number operators n_p = a_p^ a_p over `modes` (diagonal)."""
+    return _scatter(n, *_ladder_product([(p, c) for p in modes for c in (True, False)], n))
 
 
 def _offdiagonal_max(matrix: np.ndarray) -> float:
@@ -145,12 +143,15 @@ class Term:
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"term {self.label!r} matrix must be square")
-        # m - m^ formed in one contiguous buffer: fresh dim x dim temporaries
-        # and strided transposed reads dominate this check at large dim
-        defect = np.ascontiguousarray(m.T)
+        # m - m^ formed in one fresh C-ordered copy of m.T (never a view of
+        # m): extra dim x dim temporaries dominate this check at large dim
+        defect = np.array(m.T, order="C")
         np.conjugate(defect, out=defect)
         np.subtract(m, defect, out=defect)
-        if np.abs(defect).max() > 1e-12:
+        worst = np.abs(defect).max()
+        if not np.isfinite(worst):
+            raise ValueError(f"term {self.label!r} has non-finite entries")
+        if worst > 1e-12:
             raise ValueError(f"term {self.label!r} is not Hermitian within 1e-12")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -242,8 +243,8 @@ def build_classical_bm(
             raise ValueError(f"duplicate edge {key}")
         seen.add(key)
         canon.append(key)
-    terms = [make_term(f"n{j}", _number_product([j], n)) for j in range(n)]
-    terms += [make_term(f"n{i}n{j}", _number_product([i, j], n)) for i, j in canon]
+    terms = [make_term(f"n{j}", _number_term([j], n)) for j in range(n)]
+    terms += [make_term(f"n{i}n{j}", _number_term([i, j], n)) for i, j in canon]
     return HamiltonianModel("classical_bm", n_visible, n_hidden, tuple(terms), tuple(canon))
 
 
@@ -323,14 +324,14 @@ def build_fermionic_model(n_visible: int, n_hidden: int = 0) -> HamiltonianModel
     for p in range(n):
         for q in range(p, n):
             if p == q:
-                terms.append(make_term(f"n{p}", _number_product([p], n)))
+                terms.append(make_term(f"n{p}", _number_term([p], n)))
             else:
                 terms.append(make_term(f"hop({p},{q})", _ladder_term([(p, True), (q, False)], n)))
     pairs = list(itertools.combinations(range(n), 2))
     for ip, (p, q) in enumerate(pairs):
         for r, s in pairs[ip:]:
             if (p, q) == (r, s):
-                terms.append(make_term(f"n{p}n{q}", _number_product([p, q], n)))
+                terms.append(make_term(f"n{p}n{q}", _number_term([p, q], n)))
             else:
                 body = [(p, True), (q, True), (s, False), (r, False)]
                 terms.append(make_term(f"int({p},{q};{r},{s})", _ladder_term(body, n)))

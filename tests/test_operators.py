@@ -10,6 +10,7 @@ from qbmlab.operators import (
     PAULI,
     _masked_parity,
     HamiltonianModel,
+    Term,
     assemble_hamiltonian,
     build_classical_bm,
     build_complete_pauli_set,
@@ -20,6 +21,7 @@ from qbmlab.operators import (
     complete_graph_edges,
     jordan_wigner_annihilator,
     load_model,
+    make_term,
     model_descriptor,
     pauli_matrix,
     save_model,
@@ -51,6 +53,53 @@ class TestPauliMatrix:
     def test_rejects_bad_letter(self):
         with pytest.raises(ValueError):
             pauli_matrix("XQ")
+
+
+class TestTerm:
+    # A transposed C-ordered array is Fortran-ordered, and so is np.asarray
+    # of it; the Hermiticity check must neither write into it nor misjudge it.
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "not_hermitian"])
+    def test_fortran_ordered_input_untouched(self, hermitian, rng):
+        raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        base = raw + raw.conj().T if hermitian else raw
+        source = base.T
+        assert source.flags.f_contiguous and not source.flags.c_contiguous
+        snapshot = source.copy()
+        if hermitian:
+            term = Term("h", source, True)
+            assert np.array_equal(term.matrix, snapshot)
+        else:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                Term("h", source, True)
+        assert np.array_equal(source, snapshot)
+        assert np.array_equal(base, snapshot.T)
+
+    def test_real_fortran_ordered_input_untouched(self, rng):
+        raw = rng.standard_normal((4, 4))
+        base = raw + raw.T
+        source = base.T
+        snapshot = source.copy()
+        term = make_term("s", source)
+        assert np.array_equal(term.matrix, snapshot)
+        assert term.is_quantum
+        assert np.array_equal(source, snapshot)
+        assert np.array_equal(base, snapshot.T)
+
+    def test_transpose_of_read_only_term_matrix(self):
+        first = make_term("y", pauli_matrix("Y"))
+        second = make_term("yT", first.matrix.T)
+        assert np.array_equal(second.matrix, pauli_matrix("Y").T)
+        assert np.array_equal(first.matrix, pauli_matrix("Y"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        matrix = np.eye(2, dtype=np.complex128)
+        matrix[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            make_term("bad", matrix)
+        matrix = np.full((2, 2), bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            Term("bad", matrix, False)
 
 
 class TestClassicalBm:
