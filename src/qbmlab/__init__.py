@@ -35,11 +35,8 @@ from .operators import (
     build_transverse_ising_complete,
     complete_graph_edges,
     jordan_wigner_annihilator,
-    load_model,
     make_term,
-    model_descriptor,
     pauli_matrix,
-    save_model,
 )
 from .training import (
     GRADIENT_KINDS,
@@ -57,7 +54,6 @@ from .training import (
     objective_povm_gt,
     objective_relent,
     sampled_expectation,
-    trace_to_csv,
     train,
 )
 from .datasets import (

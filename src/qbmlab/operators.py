@@ -7,9 +7,9 @@ the leftmost tensor factor; visible units come before hidden units.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,9 +27,6 @@ __all__ = [
     "build_model",
     "jordan_wigner_annihilator",
     "assemble_hamiltonian",
-    "model_descriptor",
-    "save_model",
-    "load_model",
 ]
 
 PAULI = {
@@ -141,6 +138,10 @@ class Term:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.complex128)
+        if m.flags.writeable and np.may_share_memory(m, self.matrix):
+            # freeze a private copy, never the caller's array; the builders
+            # hand over fresh arrays already read-only, which need none
+            m = m.copy()
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"term {self.label!r} matrix must be square")
         # m - m^ formed in one fresh C-ordered copy of m.T (never a view of
@@ -161,6 +162,25 @@ def make_term(label: str, matrix: np.ndarray) -> Term:
     """Build a Term, flagging it quantum iff any off-diagonal entry exceeds 1e-12."""
     matrix = np.asarray(matrix, dtype=np.complex128)
     return Term(label, matrix, _offdiagonal_max(matrix) > QUANTUM_OFFDIAG_TOL)
+
+
+def _owned_term(label: str, matrix: np.ndarray) -> Term:
+    """make_term for a fresh array the builder hands over (frozen, not copied)."""
+    matrix.flags.writeable = False
+    return make_term(label, matrix)
+
+
+class TermEntries(NamedTuple):
+    """The nonzero entries H_j[r, c] of a model's terms, concatenated in term order.
+
+    Builder terms have at most two nonzeros per column, so this list is
+    O(n_terms * dim) long where the dense stack is O(n_terms * dim^2).
+    """
+
+    index: np.ndarray  # term j of each entry
+    flat: np.ndarray  # r * dim + c
+    flat_t: np.ndarray  # c * dim + r, the transposed position
+    values: np.ndarray  # H_j[r, c]
 
 
 @dataclass(frozen=True)
@@ -202,10 +222,33 @@ class HamiltonianModel:
 
     @cached_property
     def matrix_stack(self) -> np.ndarray:
-        """All term matrices as one (n_terms, dim, dim) array."""
+        """All term matrices as one (n_terms, dim, dim) array.
+
+        For inspection and tests only: assembly and term expectations run
+        on `entries`.
+        """
         stack = np.stack([t.matrix for t in self.terms])
         stack.flags.writeable = False
         return stack
+
+    @cached_property
+    def entries(self) -> TermEntries:
+        """Every nonzero entry of every term, built from the dense matrices on first use."""
+        if any(t.matrix.shape != (self.dim, self.dim) for t in self.terms):
+            raise ValueError(f"every term must be {self.dim} x {self.dim} for {self.n_qubits} qubits")
+        # flatnonzero of the boolean mask: np.nonzero on complex data is 2-3x slower
+        positions = [np.flatnonzero(t.matrix != 0) for t in self.terms]
+        flat = np.concatenate(positions)
+        rows, cols = np.divmod(flat, self.dim)
+        entries = TermEntries(
+            index=np.repeat(np.arange(self.n_terms), [p.size for p in positions]),
+            flat=flat,
+            flat_t=cols * self.dim + rows,
+            values=np.concatenate([t.matrix.ravel()[p] for t, p in zip(self.terms, positions)]),
+        )
+        for a in entries:
+            a.flags.writeable = False
+        return entries
 
 
 def _check_sizes(n_visible: int, n_hidden: int, cap: int, family: str) -> int:
@@ -243,15 +286,15 @@ def build_classical_bm(
             raise ValueError(f"duplicate edge {key}")
         seen.add(key)
         canon.append(key)
-    terms = [make_term(f"n{j}", _number_term([j], n)) for j in range(n)]
-    terms += [make_term(f"n{i}n{j}", _number_term([i, j], n)) for i, j in canon]
+    terms = [_owned_term(f"n{j}", _number_term([j], n)) for j in range(n)]
+    terms += [_owned_term(f"n{i}n{j}", _number_term([i, j], n)) for i, j in canon]
     return HamiltonianModel("classical_bm", n_visible, n_hidden, tuple(terms), tuple(canon))
 
 
 def _site_term(letters: dict, n: int) -> Term:
     """Pauli term with letters[site] on the given sites, labelled like "Z0Z3"."""
     label = "".join(f"{op}{site}" for site, op in letters.items())
-    return make_term(label, pauli_matrix("".join(letters.get(k, "I") for k in range(n))))
+    return _owned_term(label, pauli_matrix("".join(letters.get(k, "I") for k in range(n))))
 
 
 def complete_graph_edges(n: int) -> tuple[tuple[int, int], ...]:
@@ -279,7 +322,7 @@ def build_complete_pauli_set(n: int) -> HamiltonianModel:
         word = "".join(letters)
         if set(word) == {"I"}:
             continue
-        terms.append(make_term(word, pauli_matrix(word)))
+        terms.append(_owned_term(word, pauli_matrix(word)))
     return HamiltonianModel("pauli_complete", n, 0, tuple(terms))
 
 
@@ -320,21 +363,21 @@ def build_fermionic_model(n_visible: int, n_hidden: int = 0) -> HamiltonianModel
     n = _check_sizes(n_visible, n_hidden, 8, "fermionic")
     if n < 2:
         raise ValueError("fermionic model needs at least 2 modes")
-    terms = [make_term(f"a{p}+a{p}^", _ladder_term([(p, False)], n)) for p in range(n)]
+    terms = [_owned_term(f"a{p}+a{p}^", _ladder_term([(p, False)], n)) for p in range(n)]
     for p in range(n):
         for q in range(p, n):
             if p == q:
-                terms.append(make_term(f"n{p}", _number_term([p], n)))
+                terms.append(_owned_term(f"n{p}", _number_term([p], n)))
             else:
-                terms.append(make_term(f"hop({p},{q})", _ladder_term([(p, True), (q, False)], n)))
+                terms.append(_owned_term(f"hop({p},{q})", _ladder_term([(p, True), (q, False)], n)))
     pairs = list(itertools.combinations(range(n), 2))
     for ip, (p, q) in enumerate(pairs):
         for r, s in pairs[ip:]:
             if (p, q) == (r, s):
-                terms.append(make_term(f"n{p}n{q}", _number_term([p, q], n)))
+                terms.append(_owned_term(f"n{p}n{q}", _number_term([p, q], n)))
             else:
                 body = [(p, True), (q, True), (s, False), (r, False)]
-                terms.append(make_term(f"int({p},{q};{r},{s})", _ladder_term(body, n)))
+                terms.append(_owned_term(f"int({p},{q};{r},{s})", _ladder_term(body, n)))
     return HamiltonianModel("fermionic", n_visible, n_hidden, tuple(terms))
 
 
@@ -369,43 +412,13 @@ def assemble_hamiltonian(model: HamiltonianModel, theta) -> np.ndarray:
         raise ValueError(
             f"theta has shape {theta.shape}, model needs ({model.n_terms},)"
         )
-    return np.tensordot(theta, model.matrix_stack, axes=1)
+    # Real and imaginary parts scatter separately, each summed in term order,
+    # so mirrored entries H[r, c] and H[c, r] come out exact conjugates.
+    entries = model.entries
+    size = model.dim**2
+    weights = theta[entries.index]
+    H = np.empty(size, dtype=np.complex128)
+    H.real = np.bincount(entries.flat, weights * entries.values.real, size)
+    H.imag = np.bincount(entries.flat, weights * entries.values.imag, size)
+    return H.reshape(model.dim, model.dim)
 
-
-def model_descriptor(model: HamiltonianModel, theta=None) -> dict:
-    """JSON-ready description: family, sizes, edges and the weight vector."""
-    if theta is None:
-        theta = np.zeros(model.n_terms)
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (model.n_terms,):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({model.n_terms},)")
-    return {
-        "family": model.family,
-        "n_visible": model.n_visible,
-        "n_hidden": model.n_hidden,
-        "edges": None if model.edges is None else [list(e) for e in model.edges],
-        "labels": list(model.labels),
-        "theta": [float(x) for x in theta],
-    }
-
-
-def save_model(path, model: HamiltonianModel, theta=None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(model_descriptor(model, theta), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_model(path) -> tuple[HamiltonianModel, np.ndarray]:
-    with open(path, encoding="utf-8") as fh:
-        desc = json.load(fh)
-    edges = desc.get("edges")
-    model = build_model(
-        desc["family"],
-        int(desc["n_visible"]),
-        int(desc["n_hidden"]),
-        None if edges is None else [tuple(e) for e in edges],
-    )
-    theta = np.asarray(desc["theta"], dtype=np.float64)
-    if list(model.labels) != list(desc["labels"]):
-        raise ValueError("descriptor labels do not match the rebuilt model")
-    return model, theta

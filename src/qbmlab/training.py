@@ -47,7 +47,6 @@ __all__ = [
     "grad_relent_sampled",
     "sampled_expectation",
     "train",
-    "trace_to_csv",
 ]
 
 # Likelihoods below this underflow threshold contribute the clamped
@@ -208,28 +207,6 @@ class TrainingTrace:
         return self.records[-1].theta
 
 
-def trace_to_csv(trace: TrainingTrace, path) -> None:
-    """Write the trace as CSV: epoch, objective, grad_norm, elapsed_s, theta_*.
-
-    The numeric columns are deterministic given seed and config; the
-    elapsed_s column is wall time and is exempt from byte-for-byte
-    reproducibility.
-    """
-    if not trace.records:
-        raise ValueError("cannot serialize an empty trace")
-    n_theta = trace.records[0].theta.size
-    header = ["epoch", "objective", "grad_norm", "elapsed_s"]
-    header += [f"theta_{j}" for j in range(n_theta)]
-    lines = [",".join(header)]
-    for r in trace.records:
-        cells = [str(r.epoch), repr(float(r.objective)), repr(float(r.grad_norm))]
-        cells.append(repr(float(r.elapsed_s)))
-        cells += [repr(float(x)) for x in r.theta]
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _check_commutator_order(order: int) -> None:
     if not 1 <= order <= MAX_COMMUTATOR_ORDER:
         raise ValueError(
@@ -311,8 +288,17 @@ def _reg_grad(model: HamiltonianModel, theta: np.ndarray, lam: float) -> np.ndar
 
 
 def term_expectations(model: HamiltonianModel, state: np.ndarray) -> np.ndarray:
-    """Vector of Re Tr[state H_j] over the model terms."""
-    return np.tensordot(model.matrix_stack, state, axes=([1, 2], [1, 0])).real
+    """Vector of Re Tr[state H_j] over the model terms.
+
+    Tr[state H_j] = sum over the entries H_j[r, c] of H_j[r, c] state[c, r]:
+    a gather at the transposed positions and a per-term sum.
+    """
+    state = np.asarray(state)
+    if state.shape != (model.dim, model.dim):
+        raise ValueError(f"state shape {state.shape} does not match dimension {model.dim}")
+    entries = model.entries
+    picked = state.ravel()[entries.flat_t]
+    return np.bincount(entries.index, (entries.values * picked).real, model.n_terms)
 
 
 def _clamped_log(value: float) -> float:

@@ -1,4 +1,4 @@
-"""Hamiltonian family builders: term structure, algebra, serialization."""
+"""Hamiltonian family builders: term structure, algebra, the sparse entry list."""
 
 import itertools
 
@@ -20,12 +20,11 @@ from qbmlab.operators import (
     build_transverse_ising_complete,
     complete_graph_edges,
     jordan_wigner_annihilator,
-    load_model,
     make_term,
-    model_descriptor,
     pauli_matrix,
-    save_model,
 )
+
+from conftest import ENTRY_LIST_MODELS, entry_list_model, random_hermitian
 
 ALL_FAMILIES = ("classical_bm", "ti_complete", "pauli_complete", "mean_field", "fermionic")
 
@@ -90,6 +89,16 @@ class TestTerm:
         second = make_term("yT", first.matrix.T)
         assert np.array_equal(second.matrix, pauli_matrix("Y").T)
         assert np.array_equal(first.matrix, pauli_matrix("Y"))
+
+    def test_leaves_caller_array_writeable(self, rng):
+        make_term("z", PAULI["Z"])
+        assert PAULI["Z"].flags.writeable
+        # complex128 already, so np.asarray hands back the caller's own array
+        source = random_hermitian(4, rng)
+        term = Term("h", source, True)
+        assert source.flags.writeable and not term.matrix.flags.writeable
+        source[0, 0] += 1.0
+        assert not np.array_equal(term.matrix, source)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
@@ -304,30 +313,6 @@ class TestEveryBuilder:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("family", ALL_FAMILIES)
-    def test_round_trip(self, family, rng, tmp_path):
-        m = _build(family, 2, 1 if family == "fermionic" else 0)
-        theta = rng.normal(size=len(m.terms))
-        path = tmp_path / "model.json"
-        save_model(path, m, theta)
-        loaded, theta2 = load_model(path)
-        assert loaded.family == m.family
-        assert loaded.n_visible == m.n_visible
-        assert loaded.n_hidden == m.n_hidden
-        assert np.allclose(theta2, theta)
-        for a, b in zip(loaded.terms, m.terms):
-            assert a.label == b.label
-            assert np.allclose(a.matrix, b.matrix)
-
-    def test_descriptor_fields(self):
-        m = build_classical_bm(2, edges=((0, 1),))
-        d = model_descriptor(m, np.array([0.5, -0.25, 1.0]))
-        assert d["family"] == "classical_bm"
-        assert d["n_visible"] == 2
-        assert d["edges"] == [[0, 1]]
-        assert d["labels"] == [t.label for t in m.terms]
-        assert d["theta"] == [0.5, -0.25, 1.0]
-
     def test_model_immutable(self):
         m = build_mean_field(1)
         with pytest.raises(Exception):
@@ -449,3 +434,30 @@ class TestTermOracles:
     def test_annihilator_matches_kron_chain(self, n):
         for p in range(n):
             assert np.array_equal(jordan_wigner_annihilator(p, n), _kron_annihilator(p, n))
+
+
+class TestEntryList:
+    @pytest.mark.parametrize("name", ENTRY_LIST_MODELS)
+    def test_assemble_matches_dense_stack(self, name, rng):
+        model = entry_list_model(name, rng)
+        theta = rng.normal(size=model.n_terms)
+        got = assemble_hamiltonian(model, theta)
+        want = np.tensordot(theta, model.matrix_stack, axes=1)
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+        assert np.array_equal(got, got.conj().T)
+
+    @pytest.mark.parametrize("name", ENTRY_LIST_MODELS)
+    def test_entries_are_the_nonzeros_in_term_order(self, name, rng):
+        model = entry_list_model(name, rng)
+        entries = model.entries
+        assert np.all(np.diff(entries.index) >= 0)
+        stack = model.matrix_stack.reshape(model.n_terms, -1)
+        assert np.count_nonzero(stack) == entries.index.size
+        assert np.array_equal(stack[entries.index, entries.flat], entries.values)
+        transposed = model.matrix_stack.transpose(0, 2, 1).reshape(model.n_terms, -1)
+        assert np.array_equal(transposed[entries.index, entries.flat_t], entries.values)
+
+    def test_term_size_must_match_qubit_count(self):
+        model = HamiltonianModel("custom", 1, 0, (make_term("zz", pauli_matrix("ZZ")),))
+        with pytest.raises(ValueError, match="2 x 2"):
+            assemble_hamiltonian(model, np.ones(1))

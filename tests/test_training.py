@@ -31,12 +31,12 @@ from qbmlab.training import (
     objective_povm_gt,
     objective_relent,
     sampled_expectation,
-    trace_to_csv,
+    term_expectations,
     train,
 )
 from qbmlab.datasets import random_mixed, step_function_state
 
-from conftest import random_full_rank_povm
+from conftest import ENTRY_LIST_MODELS, entry_list_model, random_full_rank_povm
 
 
 def central_difference(fun, theta, step=1e-6):
@@ -407,23 +407,23 @@ class TestTrainLoop:
             train(m, np.zeros(3), data, OptimizerConfig(gradient_kind="gt"))
 
 
-class TestTraceCsv:
-    def test_round_trip_columns(self, rng, tmp_path):
-        m = build_mean_field(1)
-        data = random_mixed(1, rng)
-        cfg = OptimizerConfig(gradient_kind="relent", learning_rate=0.5, epochs=3)
-        tr = train(m, np.zeros(3), data, cfg)
-        path = tmp_path / "trace.csv"
-        trace_to_csv(tr, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "epoch,objective,grad_norm,elapsed_s,theta_0,theta_1,theta_2"
-        assert len(lines) == 5
-        row = lines[2].split(",")
-        assert float(row[1]) == tr.objectives[1]  # repr round-trips exactly
-        assert float(row[4]) == tr.thetas[1][0]
+class TestTermExpectations:
+    @pytest.mark.parametrize("name", ENTRY_LIST_MODELS)
+    def test_matches_dense_stack(self, name, rng):
+        model = entry_list_model(name, rng)
+        X = rng.normal(size=(model.dim, model.dim)) + 1j * rng.normal(size=(model.dim, model.dim))
+        got = term_expectations(model, X)
+        want = np.tensordot(model.matrix_stack, X, axes=([1, 2], [1, 0])).real
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
-    def test_empty_trace_rejected(self, tmp_path):
-        from qbmlab.training import TrainingTrace
-
+    def test_state_shape_checked(self):
         with pytest.raises(ValueError):
-            trace_to_csv(TrainingTrace(), tmp_path / "x.csv")
+            term_expectations(build_mean_field(2), np.eye(2))
+
+    def test_training_never_builds_the_dense_stack(self, rng):
+        m = build_fermionic_model(2, 1)
+        data = random_full_rank_povm(4, rng)
+        cfg = OptimizerConfig(gradient_kind="exact", learning_rate=0.1, epochs=2)
+        train(m, np.zeros(len(m.terms)), data, cfg)
+        assert "entries" in vars(m)
+        assert "matrix_stack" not in vars(m)
