@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import gibbs_state, validate_density_matrix
+from .linalg import _gibbs_from_eigensystem, hermitian_eigendecompose, validate_density_matrix
 from .operators import (
     HamiltonianModel,
     assemble_hamiltonian,
@@ -133,7 +133,10 @@ def random_ti_teacher(
 
     Teacher parameters are i.i.d. standard Gaussians over the complete-graph
     transverse-field Ising terms; with ``normalize`` they are rescaled so the
-    assembled Hamiltonian has unit spectral norm.
+    assembled Hamiltonian has unit spectral norm. One eigendecomposition of
+    the raw Hamiltonian gives both: its spectral norm is the largest
+    ``|lambda|``, and the rescaled Hamiltonian has eigenvalues ``lambda / norm``
+    with the same eigenvectors.
 
     Returns
     -------
@@ -141,7 +144,10 @@ def random_ti_teacher(
     """
     model = build_transverse_ising_complete(int(n))
     theta = rng.standard_normal(model.n_terms)
+    evals, V = hermitian_eigendecompose(assemble_hamiltonian(model, theta))
     if normalize:
-        theta = theta / np.linalg.norm(assemble_hamiltonian(model, theta), 2)
-    rho, _ = gibbs_state(assemble_hamiltonian(model, theta))
+        norm = np.abs(evals).max()
+        theta = theta / norm
+        evals = evals / norm
+    rho, _, _ = _gibbs_from_eigensystem(evals, V)
     return model, theta, StateTrainingSet(rho=rho)

@@ -56,6 +56,7 @@ __all__ = [
     "EXPERIMENTS",
     "EnsembleSummary",
     "ExperimentConfig",
+    "READS",
     "gradcheck",
     "make_config",
     "parse_config_file",
@@ -95,9 +96,9 @@ MODEL_FAMILIES = (
 class ExperimentConfig:
     """Flat configuration for every experiment.
 
-    Unused keys are simply ignored by a given experiment; grid-valued keys
-    are comma-separated strings so the whole config round-trips through a
-    flat key=value file.
+    Each experiment reads only some keys (see READS); make_config rejects
+    any other key set explicitly. Grid-valued keys are comma-separated
+    strings so the whole config round-trips through a flat key=value file.
     """
 
     experiment: str
@@ -223,6 +224,27 @@ DEFAULTS = {
 }
 
 
+# Keys each experiment reads besides seed and out. The fixed parts of its
+# design (model family, gradient rule, lam = 0 for state learning) are not
+# among them.
+_STEP_KEYS = {"learning_rate", "momentum", "epochs"}
+READS = {
+    "povm-train": _STEP_KEYS | {
+        "jobs", "n_visible_grid", "n_hidden_grid", "povm_kind", "noise_p",
+        "theta0_scale", "gradient_kind", "lam", "commutator_order",
+    },
+    "tomography": _STEP_KEYS | {"ensemble", "jobs", "n_visible", "target_kind"},
+    "hamlearn": _STEP_KEYS | {"ensemble", "jobs", "n_visible", "theta0_scale"},
+    "meanfield": _STEP_KEYS | {"ensemble", "jobs", "n_visible"},
+    "commutator-compare": _STEP_KEYS | {
+        "family", "n_visible", "n_hidden", "povm_kind", "noise_p", "theta0_scale",
+        "lam", "commutator_order", "switch_fraction", "eta_grid", "momentum_grid",
+    },
+    "gradcheck": {"ensemble", "lam"},
+    "variance-sweep": {"n_visible", "n_samples_grid", "n_repeats"},
+}
+
+
 def _coerce(name: str, raw: str):
     fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
     if name not in fields:
@@ -261,15 +283,23 @@ def make_config(experiment: str, *overrides: dict) -> ExperimentConfig:
     """Resolve a config: built-in defaults, then each override mapping.
 
     String values (from config files or CLI flags) are coerced to the
-    declared field type; already-typed values pass through unchanged.
+    declared field type; already-typed values pass through unchanged. A key
+    set by an override that the experiment does not read is an error; keys
+    from DEFAULTS do not count.
     """
     merged = dict(DEFAULTS.get(experiment, {}))
+    explicit = set()
     for mapping in overrides:
         for key, value in mapping.items():
             if key == "experiment":
                 continue
             merged[key] = _coerce(key, value) if isinstance(value, str) else value
-    return ExperimentConfig(experiment=experiment, **merged)
+            explicit.add(key)
+    config = ExperimentConfig(experiment=experiment, **merged)
+    ignored = sorted(explicit - READS[experiment] - {"seed", "out"})
+    if ignored:
+        raise ValueError(f"{experiment} does not read config key(s) {', '.join(ignored)}")
+    return config
 
 
 @dataclass

@@ -100,16 +100,23 @@ def _hermitian_eigenvalues(A: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(_require_hermitian(A, "operator"))
 
 
+def _gibbs_from_eigensystem(
+    evals: np.ndarray, V: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Gibbs state, shifted weights and log Z of the matrix with eigensystem (evals, V)."""
+    weights, total, log_z = _shifted_weights(evals)
+    rho = (V * (weights / total)) @ V.conj().T
+    return hermitize(rho), weights, log_z
+
+
 def gibbs_state(H: np.ndarray) -> tuple[np.ndarray, float]:
     """Thermal state of H at unit inverse temperature.
 
     Returns (rho, logZ) with rho = e^{-H} / Tr[e^{-H}], formed from
     max-shifted weights so that large ||H|| cannot overflow.
     """
-    evals, V = hermitian_eigendecompose(H)
-    weights, total, log_z = _shifted_weights(evals)
-    rho = (V * (weights / total)) @ V.conj().T
-    return hermitize(rho), log_z
+    rho, _, log_z = _gibbs_from_eigensystem(*hermitian_eigendecompose(H))
+    return rho, log_z
 
 
 def log_partition(H: np.ndarray) -> float:

@@ -12,11 +12,14 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import (
+    EigenSystem,
     _exp_neg_divided_differences,
+    _gibbs_from_eigensystem,
     expectation_value,
     gibbs_state,
     hermitian_eigendecompose,
@@ -67,7 +70,9 @@ class PovmTrainingSet:
 
     Validation checks every entry is finite, each element is PSD
     (eigenvalues >= -1e-10), the elements sum to the identity within 1e-9,
-    and the probabilities are nonnegative and sum to 1 within 1e-12.
+    and the probabilities are nonnegative and sum to 1 within 1e-12. The
+    elements padded to a model's hidden units, and their logarithms, are
+    built on first use and kept on the set (see _padded_pairs).
     """
 
     elements: tuple[np.ndarray, ...]
@@ -221,28 +226,55 @@ def _check_theta(model: HamiltonianModel, theta) -> np.ndarray:
     return theta
 
 
+class _Evaluation(NamedTuple):
+    """A model's Hamiltonian and Gibbs state at one theta (see _evaluate)."""
+
+    key: bytes  # the bytes of theta
+    H: np.ndarray
+    eigen: EigenSystem
+    weights: np.ndarray  # Gibbs weights e^{-(lambda_i - lambda_min)}
+    rho: np.ndarray  # e^{-H} / Tr[e^{-H}]
+    log_z: float
+
+
+def _evaluate(model: HamiltonianModel, theta: np.ndarray) -> _Evaluation:
+    """H(theta), its eigensystem, Gibbs state and log Z, from one eigh.
+
+    The model keeps the record of the last theta it was evaluated at, so the
+    monitor and gradient of an epoch share one assembly and one eigh. Only
+    the exact bytes of theta match, and a hit returns what a miss computes.
+    The record's arrays are read-only.
+    """
+    key = theta.tobytes()
+    record = model.__dict__.get("_evaluation")
+    if record is not None and record.key == key:
+        return record
+    H = assemble_hamiltonian(model, theta)
+    eigen = hermitian_eigendecompose(H)
+    rho, weights, log_z = _gibbs_from_eigensystem(*eigen)
+    for array in (H, *eigen, weights, rho):
+        array.flags.writeable = False
+    record = _Evaluation(key, H, eigen, weights, rho, log_z)
+    # stored like a cached_property: the frozen model's __dict__, dropped with it
+    model.__dict__["_evaluation"] = record
+    return record
+
+
 def _setup(model: HamiltonianModel, theta, data):
-    """Checked theta and H(theta) for training data on the visible units."""
+    """Checked theta and the model's evaluation at theta, for data on the visible units."""
     theta = _check_theta(model, theta)
     if data.dim != 2**model.n_visible:
         raise ValueError(
             f"training data dimension {data.dim} does not match "
             f"2^{model.n_visible} visible units"
         )
-    return theta, assemble_hamiltonian(model, theta)
-
-
-def _povm_setup(model: HamiltonianModel, theta, data: PovmTrainingSet):
-    """Checked theta, H(theta) and the (P_v, Lambda_v) pairs with P_v > 0."""
-    theta, H = _setup(model, theta, data)
-    pairs = [(p, e) for e, p in zip(data.elements, data.probabilities) if p > 0.0]
-    return theta, H, pairs
+    return theta, _evaluate(model, theta)
 
 
 def _relent_setup(model: HamiltonianModel, theta, data: StateTrainingSet):
-    """Checked theta, H(theta) and the target embedded on the hidden units."""
-    theta, H = _setup(model, theta, data)
-    return theta, H, embed_target_state(data.rho, model.n_hidden)
+    """Checked theta, the evaluation at theta and the target embedded on the hidden units."""
+    theta, ev = _setup(model, theta, data)
+    return theta, ev, embed_target_state(data.rho, model.n_hidden)
 
 
 def pad_to_hidden(operator: np.ndarray, n_hidden: int) -> np.ndarray:
@@ -257,20 +289,35 @@ def embed_target_state(rho: np.ndarray, n_hidden: int) -> np.ndarray:
     return pad_to_hidden(rho, n_hidden) / 2**n_hidden
 
 
-def _padded_likelihoods(model: HamiltonianModel, rho: np.ndarray, pairs):
-    """Yield (P_v, Lambda_v (x) I, Tr[rho (Lambda_v (x) I)]) for each pair."""
-    for p, element in pairs:
-        padded = pad_to_hidden(element, model.n_hidden)
+def _padded_pairs(data: PovmTrainingSet, n_hidden: int, log: bool = False) -> tuple:
+    """(P_v, Lambda_v (x) I), or (P_v, log Lambda_v (x) I) with log, for each P_v > 0.
+
+    Built on first use and kept on the training set, once per (log, n_hidden).
+    The logarithm clips the eigenvalues of Lambda_v at GT_CLIP. The padded
+    operators are read-only.
+    """
+    cache = data.__dict__.setdefault("_padded", {})
+    if (log, n_hidden) not in cache:
+        pairs = []
+        for p, element in zip(data.probabilities, data.elements):
+            if p > 0.0:
+                op = pad_to_hidden(matrix_log_psd(element, GT_CLIP) if log else element, n_hidden)
+                op.flags.writeable = False
+                pairs.append((p, op))
+        cache[log, n_hidden] = tuple(pairs)
+    return cache[log, n_hidden]
+
+
+def _padded_likelihoods(model: HamiltonianModel, rho: np.ndarray, data: PovmTrainingSet):
+    """Yield (P_v, Lambda_v (x) I, Tr[rho (Lambda_v (x) I)]) for each P_v > 0."""
+    for p, padded in _padded_pairs(data, model.n_hidden):
         yield p, padded, expectation_value(rho, padded)
 
 
-def _gt_hamiltonians(model: HamiltonianModel, H: np.ndarray, pairs):
-    """Yield (P_v, H - log Lambda_v) per pair, the Golden-Thompson Hamiltonians.
-
-    The logarithm clips the eigenvalues of Lambda_v at GT_CLIP.
-    """
-    for p, element in pairs:
-        yield p, H - pad_to_hidden(matrix_log_psd(element, GT_CLIP), model.n_hidden)
+def _gt_hamiltonians(model: HamiltonianModel, H: np.ndarray, data: PovmTrainingSet):
+    """Yield (P_v, H - log Lambda_v) for each P_v > 0, the Golden-Thompson Hamiltonians."""
+    for p, padded_log in _padded_pairs(data, model.n_hidden, log=True):
+        yield p, H - padded_log
 
 
 def _reg_value(model: HamiltonianModel, theta: np.ndarray, lam: float) -> float:
@@ -315,9 +362,8 @@ def objective_povm_exact(
     sum_v P_v log( Tr[Lambda_v e^{-H}] / Tr[e^{-H}] ) - (lam/2)||theta_Q||^2,
     in nats. Vanishing likelihoods clamp their log at -700.
     """
-    theta, H, pairs = _povm_setup(model, theta, data)
-    rho, _ = gibbs_state(H)
-    value = sum(p * _clamped_log(L) for p, _, L in _padded_likelihoods(model, rho, pairs))
+    theta, ev = _setup(model, theta, data)
+    value = sum(p * _clamped_log(L) for p, _, L in _padded_likelihoods(model, ev.rho, data))
     return value - _reg_value(model, theta, lam)
 
 
@@ -330,9 +376,10 @@ def objective_povm_gt(
     with rank-deficient elements made full rank by eigenvalue clipping.
     The bound is tight whenever Lambda_v commutes with H.
     """
-    theta, H, pairs = _povm_setup(model, theta, data)
-    log_z = log_partition(H)
-    value = sum(p * (log_partition(H_v) - log_z) for p, H_v in _gt_hamiltonians(model, H, pairs))
+    theta, ev = _setup(model, theta, data)
+    value = sum(
+        p * (log_partition(H_v) - ev.log_z) for p, H_v in _gt_hamiltonians(model, ev.H, data)
+    )
     return value - _reg_value(model, theta, lam)
 
 
@@ -345,9 +392,9 @@ def grad_povm_gt(
     where H_v = H - log Lambda_v uses the clipped logarithm. As the outcome
     probabilities sum to 1, this is Tr[H_j (rho - sum_v P_v rho_v)].
     """
-    theta, H, pairs = _povm_setup(model, theta, data)
-    X, _ = gibbs_state(H)
-    for p, H_v in _gt_hamiltonians(model, H, pairs):
+    theta, ev = _setup(model, theta, data)
+    X = ev.rho.copy()
+    for p, H_v in _gt_hamiltonians(model, ev.H, data):
         X -= p * gibbs_state(H_v)[0]
     return term_expectations(model, X) - _reg_grad(model, theta, lam)
 
@@ -365,18 +412,15 @@ def grad_povm_exact(
     eigenvalues shifted by the minimum, so large ||H|| stays finite; the
     shift cancels in the likelihood ratios.
     """
-    theta, H, pairs = _povm_setup(model, theta, data)
-    evals, V = hermitian_eigendecompose(H)
-    shifted = evals - evals[0]
-    weights = np.exp(-shifted)
-    rho = hermitize((V * (weights / weights.sum())) @ V.conj().T)
+    theta, ev = _setup(model, theta, data)
+    evals, V = ev.eigen
     # sum_v (P_v / L_v) V^+ Lambda_v V, with L_v = Tr[Lambda_v e^{-(H - evals[0])}]
     weighted = np.zeros_like(V)
-    for p, element in pairs:
-        el_rot = V.conj().T @ pad_to_hidden(element, model.n_hidden) @ V
-        likelihood = max(float(el_rot.diagonal().real @ weights), LIKELIHOOD_FLOOR)
+    for p, padded in _padded_pairs(data, model.n_hidden):
+        el_rot = V.conj().T @ padded @ V
+        likelihood = max(float(el_rot.diagonal().real @ ev.weights), LIKELIHOOD_FLOOR)
         weighted += (p / likelihood) * el_rot
-    X = rho + V @ (weighted * _exp_neg_divided_differences(shifted)) @ V.conj().T
+    X = ev.rho + V @ (weighted * _exp_neg_divided_differences(evals - evals[0])) @ V.conj().T
     return term_expectations(model, X) - _reg_grad(model, theta, lam)
 
 
@@ -414,12 +458,12 @@ def grad_povm_commutator(
     moderate; orders above 12 are rejected as numerically useless.
     """
     _check_commutator_order(order)
-    theta, H, pairs = _povm_setup(model, theta, data)
-    rho, _ = gibbs_state(H)
+    theta, ev = _setup(model, theta, data)
+    rho = ev.rho
     weighted = np.zeros_like(rho)
-    for p, el, likelihood in _padded_likelihoods(model, rho, pairs):
+    for p, el, likelihood in _padded_likelihoods(model, rho, data):
         weighted += (p / max(likelihood, LIKELIHOOD_FLOOR)) * el
-    X = rho - _hadamard_series(H, rho @ weighted, order)
+    X = rho - _hadamard_series(ev.H, rho @ weighted, order)
     return term_expectations(model, X) - _reg_grad(model, theta, lam)
 
 
@@ -431,12 +475,11 @@ def objective_relent(
     Hidden units see the embedded target rho (x) I/2^{n_hidden}, whose
     entropy is S(rho) + n_hidden ln 2 with S(rho) cached on the data.
     Written with log Gibbs(H) = -H - logZ so arbitrarily large ||H|| stays
-    finite, and logZ needs only the spectrum of H; ascending this
-    objective drives the Gibbs state toward rho.
+    finite; ascending this objective drives the Gibbs state toward rho.
     """
-    theta, H, rho = _relent_setup(model, theta, data)
+    theta, ev, rho = _relent_setup(model, theta, data)
     entropy = data.entropy + model.n_hidden * math.log(2.0)
-    relent = -entropy + expectation_value(rho, H) + log_partition(H)
+    relent = -entropy + expectation_value(rho, ev.H) + ev.log_z
     return -relent - _reg_value(model, theta, lam)
 
 
@@ -447,9 +490,8 @@ def grad_relent(
 
     sigma is the Gibbs state of H, rho the (embedded) target.
     """
-    theta, H, rho = _relent_setup(model, theta, data)
-    sigma, _ = gibbs_state(H)
-    return term_expectations(model, sigma - rho) - _reg_grad(model, theta, lam)
+    theta, ev, rho = _relent_setup(model, theta, data)
+    return term_expectations(model, ev.rho - rho) - _reg_grad(model, theta, lam)
 
 
 def _seed_sequence(rng_seed) -> np.random.SeedSequence:
@@ -468,13 +510,23 @@ def sampled_expectation(state: np.ndarray, term: np.ndarray, n_samples: int, rng
     to [0, 1] and renormalized, and the sampled
     eigenvalues are averaged. Deterministic given rng_seed.
     """
+    return _sample_mean(state, _measurement_basis(term), n_samples, rng_seed)
+
+
+def _measurement_basis(term: np.ndarray) -> EigenSystem:
+    """Eigensystem of a term whose spectral norm must not exceed 1."""
+    basis = hermitian_eigendecompose(term)
+    norm = np.abs(basis.eigenvalues).max()
+    if norm > 1.0 + 1e-8:
+        raise ValueError(f"term spectral norm {norm:.6f} exceeds 1; rescale the term")
+    return basis
+
+
+def _sample_mean(state: np.ndarray, basis: EigenSystem, n_samples: int, rng_seed) -> float:
+    """sampled_expectation for a term given by its _measurement_basis."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    evals, V = hermitian_eigendecompose(term)
-    if np.abs(evals).max() > 1.0 + 1e-8:
-        raise ValueError(
-            f"term spectral norm {np.abs(evals).max():.6f} exceeds 1; rescale the term"
-        )
+    evals, V = basis
     probs = np.einsum("ia,ab,bi->i", V.conj().T, state, V).real
     probs = np.clip(probs, 0.0, 1.0)
     total = probs.sum()
@@ -501,13 +553,14 @@ def grad_relent_sampled(
     rng_seed, so the mean squared error scales like
     (number of terms) / n_samples.
     """
-    theta, H, rho = _relent_setup(model, theta, data)
-    sigma, _ = gibbs_state(H)
+    theta, ev, rho = _relent_setup(model, theta, data)
     children = _seed_sequence(rng_seed).spawn(2 * model.n_terms)
     grad = np.empty(model.n_terms)
     for j, term in enumerate(model.terms):
-        target_part = sampled_expectation(rho, term.matrix, n_samples, children[2 * j])
-        gibbs_part = sampled_expectation(sigma, term.matrix, n_samples, children[2 * j + 1])
+        # one eigendecomposition per term serves both expectations
+        basis = _measurement_basis(term.matrix)
+        target_part = _sample_mean(rho, basis, n_samples, children[2 * j])
+        gibbs_part = _sample_mean(ev.rho, basis, n_samples, children[2 * j + 1])
         grad[j] = gibbs_part - target_part
     return grad - _reg_grad(model, theta, lam)
 

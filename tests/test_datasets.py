@@ -121,6 +121,13 @@ class TestTiTeacher:
         rho, _ = gibbs_state(assemble_hamiltonian(model, theta))
         assert np.allclose(target.rho, rho, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_normalized_target_is_teacher_gibbs(self, rng, n):
+        # built from the raw spectrum rescaled, not a second eigendecomposition
+        model, theta, target = random_ti_teacher(n, True, rng)
+        rho, _ = gibbs_state(assemble_hamiltonian(model, theta))
+        assert np.abs(target.rho - rho).max() <= 1e-12
+
 
 class TestSplitSeeds:
     def test_deterministic_and_distinct(self):

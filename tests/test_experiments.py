@@ -1,5 +1,6 @@
 """Experiment runner plumbing: configs, ensembles, CLI, output files."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from qbmlab.experiments import (
     EXPERIMENTS,
     EnsembleSummary,
     ExperimentConfig,
+    READS,
     make_config,
     parse_config_file,
     percentile_curves,
@@ -51,12 +53,31 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             make_config("tomography", {"ensemble": "0"})
-        with pytest.raises(ValueError):
-            make_config("tomography", {"family": "heisenberg"})
-        with pytest.raises(ValueError):
-            make_config("tomography", {"gradient_kind": "newton"})
+        with pytest.raises(ValueError, match="unknown model family"):
+            make_config("commutator-compare", {"family": "heisenberg"})
+        with pytest.raises(ValueError, match="unknown gradient kind"):
+            make_config("povm-train", {"gradient_kind": "newton"})
         with pytest.raises(ValueError):
             make_config("tomography", {"target_kind": "thermal"})
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_every_read_key_accepted(self, experiment):
+        # each key set to its resolved value: explicit, valid, and read
+        resolved = make_config(experiment)
+        keys = READS[experiment] | {"seed", "out"}
+        cfg = make_config(experiment, {key: getattr(resolved, key) for key in keys})
+        assert cfg == resolved
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_keys_an_experiment_ignores_are_rejected(self, experiment):
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"experiment"}
+        ignored = fields - READS[experiment] - {"seed", "out"}
+        assert ignored
+        resolved = make_config(experiment)
+        for key in ignored:
+            # even the value the experiment would have used
+            with pytest.raises(ValueError, match=f"does not read config key.*{key}"):
+                make_config(experiment, {key: getattr(resolved, key)})
 
     def test_optimizer_view(self):
         cfg = make_config("povm-train")
@@ -290,6 +311,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "povm-train" in err and kind in err
+
+    @pytest.mark.parametrize("argv", [
+        ["hamlearn", "--ensemble", "1", "--set", "epochs=1", "--set", "family=fermionic",
+         "--set", "gradient_kind=gt", "--set", "n_hidden=2"],
+        ["tomography", "--set", "lam=5"],
+        ["povm-train", "--ensemble", "3"],
+    ])
+    def test_ignored_key_exit_code(self, tmp_path, capsys, argv):
+        out = tmp_path / "never"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "does not read config key" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_value_exit_code(self, capsys):
         assert main(["tomography", "--set", "epochs=ten"]) == 2

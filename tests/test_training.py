@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import qbmlab.linalg as linalg
 import qbmlab.training as training
 from qbmlab.linalg import frechet_exp_neg, gibbs_state, relative_entropy
 from qbmlab.operators import (
@@ -427,3 +428,135 @@ class TestTermExpectations:
         train(m, np.zeros(len(m.terms)), data, cfg)
         assert "entries" in vars(m)
         assert "matrix_stack" not in vars(m)
+
+
+# Every public objective and gradient at (model, theta, POVM data, state data).
+EVALUATIONS = {
+    "objective_povm_exact": lambda m, t, povm, state: objective_povm_exact(m, t, povm, 0.3),
+    "objective_povm_gt": lambda m, t, povm, state: objective_povm_gt(m, t, povm, 0.3),
+    "objective_relent": lambda m, t, povm, state: objective_relent(m, t, state, 0.3),
+    "grad_povm_gt": lambda m, t, povm, state: grad_povm_gt(m, t, povm, 0.3),
+    "grad_povm_exact": lambda m, t, povm, state: grad_povm_exact(m, t, povm, 0.3),
+    "grad_povm_commutator": lambda m, t, povm, state: grad_povm_commutator(m, t, povm, 0.3, 4),
+    "grad_relent": lambda m, t, povm, state: grad_relent(m, t, state, 0.3),
+    "grad_relent_sampled": lambda m, t, povm, state: grad_relent_sampled(
+        m, t, state, 0.3, n_samples=64, rng_seed=5
+    ),
+}
+
+
+def _counting(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+class TestEvaluationRecord:
+    """Each model keeps H, its eigensystem, rho and log Z at the last theta."""
+
+    @pytest.fixture
+    def problem(self, rng):
+        # one hidden unit, so the padded POVM elements and logarithms differ
+        # from the visible ones
+        theta = 0.4 * rng.normal(size=build_fermionic_model(2, 1).n_terms)
+        other = 0.4 * rng.normal(size=theta.size)
+        return theta, other, random_full_rank_povm(4, rng), random_mixed(2, rng)
+
+    @pytest.mark.parametrize("name", EVALUATIONS)
+    def test_value_does_not_depend_on_history(self, name, problem):
+        theta, other, povm, state = problem
+        fresh = EVALUATIONS[name](build_fermionic_model(2, 1), theta, povm, state)
+
+        warm = build_fermionic_model(2, 1)
+        for evaluate in EVALUATIONS.values():
+            evaluate(warm, theta.copy(), povm, state)
+        after_same = EVALUATIONS[name](warm, theta, povm, state)
+
+        moved = build_fermionic_model(2, 1)
+        for evaluate in EVALUATIONS.values():
+            evaluate(moved, other, povm, state)
+        after_other = EVALUATIONS[name](moved, theta, povm, state)
+
+        for value in (after_same, after_other):
+            assert np.array_equal(value, fresh)
+
+    def test_models_share_nothing(self, rng):
+        first = build_mean_field(2)
+        # same term count and dimension, other Hamiltonian
+        second = type(first)("mean_field", 2, 0, first.terms[::-1])
+        theta = rng.normal(size=first.n_terms)
+        data = random_mixed(2, rng)
+        want = grad_relent(type(first)("mean_field", 2, 0, first.terms[::-1]), theta, data)
+        grad_relent(first, theta, data)
+        assert np.array_equal(grad_relent(second, theta, data), want)
+        a, b = training._evaluate(first, theta), training._evaluate(second, theta)
+        for x, y in zip((a.H, *a.eigen, a.rho), (b.H, *b.eigen, b.rho)):
+            assert not np.shares_memory(x, y)
+        assert not np.array_equal(a.H, b.H)
+
+    def test_cached_arrays_read_only(self, problem):
+        theta, _, povm, _ = problem
+        m = build_fermionic_model(2, 1)
+        grad_povm_gt(m, theta, povm)
+        record = training._evaluate(m, theta)
+        for array in (record.H, *record.eigen, record.weights, record.rho):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            record.rho[0, 0] = 0.0
+        for log in (False, True):
+            for _, padded in training._padded_pairs(povm, m.n_hidden, log):
+                assert not padded.flags.writeable
+
+    def test_one_eigh_for_every_gradient_at_one_theta(self, problem, monkeypatch):
+        theta, _, povm, state = problem
+        calls = []
+        _counting(monkeypatch, training, "hermitian_eigendecompose", calls)
+        m = build_fermionic_model(2, 1)
+        grad_povm_gt(m, theta, povm)
+        grad_povm_exact(m, theta, povm)
+        grad_povm_commutator(m, theta, povm)
+        grad_relent(m, theta, state)
+        objective_relent(m, theta, state)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", ["relent", "exact", "commutator", "gt"])
+    def test_train_decomposes_h_once_per_epoch(self, kind, problem, monkeypatch):
+        _, _, povm, state = problem
+        calls = []
+        # every eigh of the training loop, in training and in linalg's own helpers
+        _counting(monkeypatch, training, "hermitian_eigendecompose", calls)
+        _counting(monkeypatch, linalg, "hermitian_eigendecompose", calls)
+        logs = []
+        _counting(monkeypatch, training, "matrix_log_psd", logs)
+        m = build_fermionic_model(2, 1)
+        data = state if kind == "relent" else povm
+        epochs = 4
+        cfg = OptimizerConfig(gradient_kind=kind, learning_rate=0.1, epochs=epochs)
+        trace = train(m, np.zeros(m.n_terms), data, cfg)
+        assert len(trace.records) == epochs + 1
+        if kind == "gt":
+            # one eigh of H and one per H_v each epoch, plus one per element's
+            # logarithm, taken once per training set
+            n_elements = len(povm.elements)
+            assert len(logs) == n_elements
+            assert len(calls) == (epochs + 1) * (1 + n_elements) + n_elements
+        else:
+            assert logs == []
+            assert len(calls) == epochs + 1
+
+    def test_logarithms_once_per_set_and_hidden_count(self, rng, monkeypatch):
+        logs = []
+        _counting(monkeypatch, training, "matrix_log_psd", logs)
+        first, second = random_full_rank_povm(4, rng), random_full_rank_povm(4, rng)
+        cfg = OptimizerConfig(gradient_kind="gt", learning_rate=0.1, epochs=3)
+        for n_hidden in (0, 1, 0, 1):
+            m = build_fermionic_model(2, n_hidden)
+            for data in (first, second):
+                train(m, np.zeros(m.n_terms), data, cfg)
+                objective_povm_gt(m, np.zeros(m.n_terms), data)
+        # two elements per set, two sets, two hidden counts
+        assert len(logs) == 2 * 2 * 2
