@@ -67,7 +67,6 @@ from .datasets import (
 )
 from .serialize import write_csv, write_json
 from .experiments import (
-    DEFAULTS,
     EXPERIMENTS,
     EnsembleSummary,
     ExperimentConfig,

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-One subcommand per experiment. Settings resolve in order: built-in
-experiment defaults, then ``--config`` file keys, then repeatable
+One subcommand per experiment. Settings resolve in order: the
+experiment's config defaults, then ``--config`` file keys, then repeatable
 ``--set key=value`` overrides, then the explicit convenience flags.
 
 ``qbmlab gradcheck`` exits nonzero if any gradient check fails its
@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
             action="append",
             default=[],
             metavar="KEY=VALUE",
-            help="override any config key (repeatable)",
+            help="set one of the experiment's config keys (repeatable)",
         )
     return parser
 

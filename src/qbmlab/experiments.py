@@ -14,7 +14,7 @@ import dataclasses
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -31,15 +31,16 @@ from .operators import (
     HamiltonianModel,
     assemble_hamiltonian,
     build_model,
+    check_model_size,
 )
 from .serialize import matrix_to_pairs, write_csv, write_json
 from .training import (
-    GRADIENT_KINDS,
     MAX_COMMUTATOR_ORDER,
     POVM_GRADIENT_KINDS,
     OptimizerConfig,
     PovmTrainingSet,
     StateTrainingSet,
+    _evaluate,
     grad_povm_commutator,
     grad_povm_exact,
     grad_povm_gt,
@@ -52,11 +53,9 @@ from .training import (
 )
 
 __all__ = [
-    "DEFAULTS",
     "EXPERIMENTS",
     "EnsembleSummary",
     "ExperimentConfig",
-    "READS",
     "gradcheck",
     "make_config",
     "parse_config_file",
@@ -70,201 +69,79 @@ __all__ = [
     "run_variance_sweep",
 ]
 
-EXPERIMENTS = (
-    "povm-train",
-    "tomography",
-    "hamlearn",
-    "meanfield",
-    "commutator-compare",
-    "gradcheck",
-    "variance-sweep",
-)
-
 PERCENTILE_LABELS = ("p2_5", "p5", "p50", "p95", "p97_5")
 PERCENTILE_VALUES = (2.5, 5.0, 50.0, 95.0, 97.5)
-
-MODEL_FAMILIES = (
-    "classical_bm",
-    "fermionic",
-    "ti_complete",
-    "pauli_complete",
-    "mean_field",
-)
 
 
 @dataclass
 class ExperimentConfig:
-    """Flat configuration for every experiment.
+    """Settings every experiment reads, subclassed once per experiment.
 
-    Each experiment reads only some keys (see READS); make_config rejects
-    any other key set explicitly. Grid-valued keys are comma-separated
-    strings so the whole config round-trips through a flat key=value file.
+    A subclass's fields are exactly the keys its runner reads, with the tuned
+    defaults the acceptance checks run at. Grid-valued keys are comma-separated
+    strings, so a config round-trips through a flat key = value file. Building
+    a config checks every value (step keys through optimizer(), model sizes
+    through models()), so a config that builds also runs.
     """
 
-    experiment: str
+    experiment: ClassVar[str]  # set from EXPERIMENTS
     seed: int = 0
     out: Optional[str] = None
-    ensemble: int = 100
-    jobs: int = 1
-    family: str = "fermionic"
-    n_visible: int = 2
-    n_hidden: int = 0
-    learning_rate: float = 0.1
-    momentum: float = 0.0
-    epochs: int = 100
-    lam: float = 0.0
-    gradient_kind: str = "exact"
-    commutator_order: int = 5
-    noise_p: float = 0.1
-    target_kind: str = "mixed"
-    povm_kind: str = "projector"
-    theta0_scale: float = 0.01
-    n_visible_grid: str = "3,4,5"
-    n_hidden_grid: str = "0,1,2"
-    switch_fraction: float = 0.5
-    eta_grid: str = "0.01,0.05,0.1,0.5,1"
-    momentum_grid: str = "0,0.5,0.9"
-    n_samples_grid: str = "64,128,256,512,1024"
-    n_repeats: int = 40
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(
-                f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}"
-            )
-        if self.ensemble < 1:
-            raise ValueError("ensemble must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if self.family not in MODEL_FAMILIES:
-            raise ValueError(f"unknown model family {self.family!r}")
-        if self.gradient_kind not in GRADIENT_KINDS:
-            raise ValueError(f"unknown gradient kind {self.gradient_kind!r}")
-        if self.experiment == "povm-train" and self.gradient_kind not in POVM_GRADIENT_KINDS:
-            raise ValueError(
-                f"povm-train trains on POVM statistics; gradient_kind must be one of "
-                f"{POVM_GRADIENT_KINDS}, got {self.gradient_kind!r}"
-            )
-        if self.target_kind not in ("mixed", "pure"):
-            raise ValueError("target_kind must be 'mixed' or 'pure'")
-        if self.povm_kind not in ("projector", "basis"):
-            raise ValueError("povm_kind must be 'projector' or 'basis'")
-        if not 0.0 < self.switch_fraction < 1.0:
-            raise ValueError("switch_fraction must lie in (0, 1)")
+        keys = _fields(self)
+        for key, value in ((key, getattr(self, key)) for key in keys):
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
+            if key in ("ensemble", "jobs", "n_repeats") and value < 1:
+                raise ValueError(f"{key} must be >= 1, got {value}")
+        if "noise_p" in keys and not 0.0 <= self.noise_p < 0.5:
+            raise ValueError(f"noise_p must lie in [0, 0.5), got {self.noise_p}")
+        for key, allowed in (("povm_kind", ("projector", "basis")), ("target_kind", ("mixed", "pure"))):
+            if key in keys and getattr(self, key) not in allowed:
+                raise ValueError(f"{key} must be one of {allowed}, got {getattr(self, key)!r}")
+        self.optimizer()
+        for model in self.models():
+            check_model_size(*model)
 
-    def optimizer(self, **overrides) -> OptimizerConfig:
-        kwargs = dict(
-            gradient_kind=self.gradient_kind,
-            learning_rate=self.learning_rate,
-            momentum=self.momentum,
-            epochs=self.epochs,
-            lam=self.lam,
-            commutator_order=self.commutator_order,
-        )
-        kwargs.update(overrides)
-        return OptimizerConfig(**kwargs)
+    def grid(self, key: str, kind: type = int) -> list:
+        """The values of a comma-separated grid key; empty or unparsable is an error."""
+        text = str(getattr(self, key))
+        try:
+            values = [kind(v) for v in text.split(",") if v.strip()]
+        except ValueError:
+            values = []
+        if not values or not np.all(np.isfinite(values)):
+            raise ValueError(f"{key} must list finite {kind.__name__}s by commas, got {text!r}")
+        return values
 
+    def models(self) -> list:
+        """(family, n_visible, n_hidden) of every model the keys make the runner build."""
+        return []
 
-# Per-experiment default overrides, applied before config files and CLI
-# flags. These are the tuned settings the acceptance checks run at.
-DEFAULTS = {
-    "povm-train": dict(
-        family="fermionic",
-        gradient_kind="gt",
-        learning_rate=0.2,
-        momentum=0.0,
-        epochs=200,
-        lam=0.0,
-    ),
-    "tomography": dict(
-        family="pauli_complete",
-        gradient_kind="relent",
-        learning_rate=1.0,
-        epochs=100,
-        n_visible=2,
-        ensemble=100,
-    ),
-    "hamlearn": dict(
-        family="ti_complete",
-        gradient_kind="relent",
-        learning_rate=1.0,
-        epochs=100,
-        n_visible=2,
-        ensemble=50,
-    ),
-    "meanfield": dict(
-        family="mean_field",
-        gradient_kind="relent",
-        learning_rate=1.0,
-        momentum=0.3,
-        epochs=100,
-        n_visible=5,
-        ensemble=50,
-    ),
-    # Regularization keeps the trained Hamiltonian inside the commutator
-    # series' convergence region; without it the order-5 phase ascends a
-    # badly truncated gradient and schedule B loses to plain bound training.
-    "commutator-compare": dict(
-        family="fermionic",
-        gradient_kind="gt",
-        n_visible=4,
-        learning_rate=0.1,
-        momentum=0.0,
-        epochs=200,
-        lam=0.2,
-        commutator_order=5,
-        ensemble=1,
-    ),
-    "gradcheck": dict(ensemble=100, lam=0.3),
-    "variance-sweep": dict(
-        family="mean_field",
-        n_visible=2,
-        ensemble=1,
-    ),
-}
+    def optimizer(self, **fixed) -> OptimizerConfig:
+        """OptimizerConfig from the step keys this config has, with `fixed` on top."""
+        steps = {key: getattr(self, key) for key in _fields(self) & _fields(OptimizerConfig)}
+        return OptimizerConfig(**{**steps, **fixed})
 
 
-# Keys each experiment reads besides seed and out. The fixed parts of its
-# design (model family, gradient rule, lam = 0 for state learning) are not
-# among them.
-_STEP_KEYS = {"learning_rate", "momentum", "epochs"}
-READS = {
-    "povm-train": _STEP_KEYS | {
-        "jobs", "n_visible_grid", "n_hidden_grid", "povm_kind", "noise_p",
-        "theta0_scale", "gradient_kind", "lam", "commutator_order",
-    },
-    "tomography": _STEP_KEYS | {"ensemble", "jobs", "n_visible", "target_kind"},
-    "hamlearn": _STEP_KEYS | {"ensemble", "jobs", "n_visible", "theta0_scale"},
-    "meanfield": _STEP_KEYS | {"ensemble", "jobs", "n_visible"},
-    "commutator-compare": _STEP_KEYS | {
-        "family", "n_visible", "n_hidden", "povm_kind", "noise_p", "theta0_scale",
-        "lam", "commutator_order", "switch_fraction", "eta_grid", "momentum_grid",
-    },
-    "gradcheck": {"ensemble", "lam"},
-    "variance-sweep": {"n_visible", "n_samples_grid", "n_repeats"},
-}
+def _fields(config) -> set:
+    return {f.name for f in dataclasses.fields(config)}
 
 
-def _coerce(name: str, raw: str):
-    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-    if name not in fields:
-        raise KeyError(f"unknown config key {name!r}")
-    typ = fields[name].type
-    text = raw.strip()
-    if typ in ("int",):
-        return int(text)
-    if typ in ("float",):
-        return float(text)
-    if typ in ("Optional[str]",):
+def _coerce(key: str, raw: str):
+    text, kind = raw.strip(), _KEY_TYPES[key]
+    if kind == "Optional[str]":
         return text or None
-    return text
+    return {"int": int, "float": float}.get(kind, str)(text)
 
 
 def parse_config_file(path) -> dict:
     """Parse a flat ``key = value`` config file.
 
     Blank lines and ``#`` comments are ignored. Values are coerced to the
-    declared type of the matching :class:`ExperimentConfig` field.
+    declared type of the key in the experiment configs; a key that no
+    experiment reads is a KeyError.
     """
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -274,32 +151,33 @@ def parse_config_file(path) -> dict:
                 continue
             if "=" not in stripped:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = stripped.partition("=")
-            out[key.strip()] = _coerce(key.strip(), value)
+            key, _, value = (part.strip() for part in stripped.partition("="))
+            if key not in _KEY_TYPES:
+                raise KeyError(f"unknown config key {key!r}")
+            out[key] = _coerce(key, value)
     return out
 
 
 def make_config(experiment: str, *overrides: dict) -> ExperimentConfig:
-    """Resolve a config: built-in defaults, then each override mapping.
+    """Resolve a config: the experiment's defaults, then each override mapping.
 
-    String values (from config files or CLI flags) are coerced to the
-    declared field type; already-typed values pass through unchanged. A key
-    set by an override that the experiment does not read is an error; keys
-    from DEFAULTS do not count.
+    Each value is coerced to the declared field type through its string
+    form, so a value of the wrong type (2.5 for an int key) is a ValueError.
+    A key that no experiment reads is a KeyError, a key only other
+    experiments read a ValueError.
     """
-    merged = dict(DEFAULTS.get(experiment, {}))
-    explicit = set()
-    for mapping in overrides:
-        for key, value in mapping.items():
-            if key == "experiment":
-                continue
-            merged[key] = _coerce(key, value) if isinstance(value, str) else value
-            explicit.add(key)
-    config = ExperimentConfig(experiment=experiment, **merged)
-    ignored = sorted(explicit - READS[experiment] - {"seed", "out"})
+    if experiment not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {experiment!r}; choose from {tuple(EXPERIMENTS)}")
+    config_class = EXPERIMENTS[experiment][0]
+    merged = {key: value for mapping in overrides for key, value in mapping.items()}
+    unknown = sorted(merged.keys() - _KEY_TYPES.keys())
+    if unknown:
+        raise KeyError(f"unknown config key {unknown[0]!r}")
+    ignored = sorted(merged.keys() - _fields(config_class))
     if ignored:
         raise ValueError(f"{experiment} does not read config key(s) {', '.join(ignored)}")
-    return config
+    return config_class(**{key: None if value is None else _coerce(key, str(value))
+                            for key, value in merged.items()})
 
 
 @dataclass
@@ -333,14 +211,6 @@ def _percentile_rows(curves_by_key: dict, epochs) -> list:
         for key, curves in curves_by_key.items()
         for e in epochs
     ]
-
-
-def _parse_int_list(text: str) -> list:
-    return [int(v) for v in str(text).split(",") if str(v).strip() != ""]
-
-
-def _parse_float_list(text: str) -> list:
-    return [float(v) for v in str(text).split(",") if str(v).strip() != ""]
 
 
 def _map_instances(fn, items, jobs: int) -> list:
@@ -377,6 +247,35 @@ def finite_difference_gradient(objective, theta: np.ndarray, step: float = 1e-6)
 # POVM generative-fit grid (quantum vs classical)
 
 
+POVM_FAMILIES = ("fermionic", "classical_bm")  # quantum, then classical
+
+
+@dataclass
+class PovmTrainConfig(ExperimentConfig):
+    jobs: int = 1
+    n_visible_grid: str = "3,4,5"
+    n_hidden_grid: str = "0,1,2"
+    povm_kind: str = "projector"
+    noise_p: float = 0.1
+    theta0_scale: float = 0.01
+    gradient_kind: str = "gt"
+    learning_rate: float = 0.2
+    momentum: float = 0.0
+    epochs: int = 200
+    lam: float = 0.0
+    commutator_order: int = 5
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.gradient_kind not in POVM_GRADIENT_KINDS:
+            raise ValueError(f"povm-train trains on POVM statistics; gradient_kind must be "
+                             f"one of {POVM_GRADIENT_KINDS}, got {self.gradient_kind!r}")
+
+    def models(self) -> list:
+        return [(family, nv, nh) for nv in self.grid("n_visible_grid")
+                for nh in self.grid("n_hidden_grid") for family in POVM_FAMILIES]
+
+
 def _step_povm(n_visible: int, noise_p: float, povm_kind: str) -> PovmTrainingSet:
     if povm_kind == "projector":
         _, povm, _ = step_function_state(n_visible, noise_p)
@@ -409,26 +308,21 @@ def _povm_branch(args):
     return curve, bool(trace.diverged)
 
 
-def run_povm_experiment(config: ExperimentConfig):
+def run_povm_experiment(config: PovmTrainConfig):
     """Fermionic vs classical generative fit on the step-function target.
 
     Trains both models at every (n_visible, n_hidden) grid point and tracks
     the exact objective; the reported curve is the shortfall from the
     entropy-limited maximum, ``delta = max_objective - objective``.
     """
-    grid = [
-        (nv, nh)
-        for nv in _parse_int_list(config.n_visible_grid)
-        for nh in _parse_int_list(config.n_hidden_grid)
-    ]
+    grid = [(nv, nh) for nv in config.grid("n_visible_grid") for nh in config.grid("n_hidden_grid")]
     opt = config.optimizer()
-    jobs_args = []
-    for point_index, (nv, nh) in enumerate(grid):
-        for branch, family in enumerate(("fermionic", "classical_bm")):
-            jobs_args.append(
-                (nv, nh, family, config.povm_kind, config.noise_p,
-                 config.seed, point_index, branch, config.theta0_scale, opt)
-            )
+    jobs_args = [
+        (nv, nh, family, config.povm_kind, config.noise_p,
+         config.seed, point_index, branch, config.theta0_scale, opt)
+        for point_index, (nv, nh) in enumerate(grid)
+        for branch, family in enumerate(POVM_FAMILIES)
+    ]
     results = _map_instances(_povm_branch, jobs_args, config.jobs)
 
     rows = []
@@ -453,7 +347,7 @@ def run_povm_experiment(config: ExperimentConfig):
                 diverged_classical=c_div,
             )
         )
-        for label, curve in (("fermionic", q_curve), ("classical_bm", c_curve)):
+        for label, curve in zip(POVM_FAMILIES, (q_curve, c_curve)):
             for e in range(opt.epochs + 1):
                 rows.append((nv, nh, label, e, curve[e], o_max - curve[e]))
 
@@ -484,6 +378,20 @@ def run_povm_experiment(config: ExperimentConfig):
 # Tomography ensemble (relative-entropy training of random states)
 
 
+@dataclass
+class TomographyConfig(ExperimentConfig):
+    ensemble: int = 100
+    jobs: int = 1
+    n_visible: int = 2
+    target_kind: str = "mixed"
+    learning_rate: float = 1.0
+    momentum: float = 0.0
+    epochs: int = 100
+
+    def models(self) -> list:
+        return [("pauli_complete", self.n_visible, 0)]
+
+
 def _tomography_instance(args):
     n, target_kind, seed_seq, opt = args
     rng = np.random.default_rng(seed_seq)
@@ -491,11 +399,12 @@ def _tomography_instance(args):
     model = build_model("pauli_complete", n)
     trace = train(model, np.zeros(model.n_terms), target, opt)
     s_curve = _pad_curve(-trace.objectives, opt.epochs + 1)
-    sigma, _ = gibbs_state(assemble_hamiltonian(model, trace.final_theta))
+    # train's last epoch evaluated final_theta unless the run diverged
+    sigma = _evaluate(model, trace.final_theta).rho
     return s_curve, target.rho, sigma, bool(trace.diverged)
 
 
-def run_tomography_ensemble(config: ExperimentConfig):
+def run_tomography_ensemble(config: TomographyConfig):
     """Reconstruct random states from full density-matrix data.
 
     Each instance trains a complete-Pauli-set model by relative-entropy
@@ -503,7 +412,7 @@ def run_tomography_ensemble(config: ExperimentConfig):
     per epoch; the divergence equals minus the monitored objective at
     lam = 0.
     """
-    opt = config.optimizer(gradient_kind="relent", lam=0.0)
+    opt = config.optimizer(gradient_kind="relent")
     args = [
         (config.n_visible, config.target_kind, child, opt)
         for child in split_seeds(config.seed, config.ensemble)
@@ -546,6 +455,20 @@ def run_tomography_ensemble(config: ExperimentConfig):
 # Hamiltonian learning (normalized vs unnormalized teachers)
 
 
+@dataclass
+class HamlearnConfig(ExperimentConfig):
+    ensemble: int = 50
+    jobs: int = 1
+    n_visible: int = 2
+    theta0_scale: float = 0.01
+    learning_rate: float = 1.0
+    momentum: float = 0.0
+    epochs: int = 100
+
+    def models(self) -> list:
+        return [("ti_complete", self.n_visible, 0)]
+
+
 def _hamlearn_instance(args):
     n, normalize, seed_seq, theta0_scale, opt = args
     rng = np.random.default_rng(seed_seq)
@@ -561,7 +484,7 @@ def _hamlearn_instance(args):
     return s_curve, _pad_curve(np.asarray(dh), opt.epochs + 1)
 
 
-def run_hamlearn(config: ExperimentConfig):
+def run_hamlearn(config: HamlearnConfig):
     """Learn random transverse-field Ising teachers from their Gibbs states.
 
     Runs the same ensemble twice: teachers rescaled to unit spectral norm,
@@ -569,7 +492,7 @@ def run_hamlearn(config: ExperimentConfig):
     S(rho || sigma) and the Frobenius distance between the true and
     estimated Hamiltonians.
     """
-    opt = config.optimizer(gradient_kind="relent", lam=0.0)
+    opt = config.optimizer(gradient_kind="relent")
     variants = {}
     for normalize, name in ((True, "normalized"), (False, "unnormalized")):
         args = [
@@ -616,6 +539,19 @@ def run_hamlearn(config: ExperimentConfig):
 # Mean-field approximation quality
 
 
+@dataclass
+class MeanfieldConfig(ExperimentConfig):
+    ensemble: int = 50
+    jobs: int = 1
+    n_visible: int = 5
+    learning_rate: float = 1.0
+    momentum: float = 0.3
+    epochs: int = 100
+
+    def models(self) -> list:
+        return [("ti_complete", self.n_visible, 0), ("mean_field", self.n_visible, 0)]
+
+
 def _meanfield_instance(args):
     n, seed_seq, opt = args
     rng = np.random.default_rng(seed_seq)
@@ -631,7 +567,7 @@ def _meanfield_instance(args):
     return s_curve, _pad_curve(np.asarray(overlaps), opt.epochs + 1), target.rho, sigma
 
 
-def run_meanfield(config: ExperimentConfig):
+def run_meanfield(config: MeanfieldConfig):
     """Train product (mean-field) models against full Ising Gibbs states.
 
     Teachers are unit-variance Gaussian transverse-field Ising instances;
@@ -646,7 +582,7 @@ def run_meanfield(config: ExperimentConfig):
     rather than how mixed the teacher is. It stays out of the output
     files.
     """
-    opt = config.optimizer(gradient_kind="relent", lam=0.0)
+    opt = config.optimizer(gradient_kind="relent")
     args = [
         (config.n_visible, child, opt) for child in split_seeds(config.seed, config.ensemble)
     ]
@@ -691,7 +627,40 @@ def run_meanfield(config: ExperimentConfig):
 # Golden-Thompson vs commutator training schedules
 
 
-def run_commutator_compare(config: ExperimentConfig):
+@dataclass
+class CommutatorCompareConfig(ExperimentConfig):
+    family: str = "fermionic"
+    n_visible: int = 4
+    n_hidden: int = 0
+    povm_kind: str = "projector"
+    noise_p: float = 0.1
+    theta0_scale: float = 0.01
+    learning_rate: float = 0.1
+    momentum: float = 0.0
+    epochs: int = 200
+    # Regularization keeps the trained Hamiltonian inside the commutator
+    # series' convergence region; without it the order-5 phase ascends a
+    # badly truncated gradient and schedule B loses to plain bound training.
+    lam: float = 0.2
+    commutator_order: int = 5
+    switch_fraction: float = 0.5
+    eta_grid: str = "0.01,0.05,0.1,0.5,1"
+    momentum_grid: str = "0,0.5,0.9"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 < self.switch_fraction < 1.0:
+            raise ValueError("switch_fraction must lie in (0, 1)")
+        if min(self.grid("eta_grid", float)) <= 0:
+            raise ValueError("eta_grid values must be positive")
+        for mu in self.grid("momentum_grid", float):
+            self.optimizer(momentum=mu)
+
+    def models(self) -> list:
+        return [(self.family, self.n_visible, self.n_hidden)]
+
+
+def run_commutator_compare(config: CommutatorCompareConfig):
     """Compare three training schedules on the step-function POVM task.
 
     A: bound-based gradients throughout. B: the same, switching to the
@@ -716,31 +685,22 @@ def run_commutator_compare(config: ExperimentConfig):
 
     opt_b1 = config.optimizer(gradient_kind="gt", epochs=first)
     trace_b1 = train(model, theta0, data, opt_b1)
-    opt_b2 = config.optimizer(
-        gradient_kind="commutator",
-        epochs=second,
-        commutator_order=config.commutator_order,
-    )
+    opt_b2 = config.optimizer(gradient_kind="commutator", epochs=second)
     trace_b2 = train(model, trace_b1.final_theta, data, opt_b2)
     curve_b = _pad_curve(
         np.concatenate([trace_b1.objectives, trace_b2.objectives[1:]]), total + 1
     )
 
-    best = None
-    grid_rows = []
-    for eta in _parse_float_list(config.eta_grid):
-        for mu in _parse_float_list(config.momentum_grid):
-            if eta == 0:
-                continue
+    runs = []
+    for eta in config.grid("eta_grid", float):
+        for mu in config.grid("momentum_grid", float):
             opt_c = config.optimizer(
                 gradient_kind="gt", learning_rate=eta, momentum=mu, epochs=total
             )
-            trace_c = train(model, theta0, data, opt_c)
-            curve = _pad_curve(trace_c.objectives, total + 1)
-            grid_rows.append((eta, mu, float(curve[-1])))
-            if best is None or curve[-1] > best[2][-1]:
-                best = (eta, mu, curve)
-    best_eta, best_mu, curve_c = best
+            runs.append((eta, mu, _pad_curve(train(model, theta0, data, opt_c).objectives, total + 1)))
+    # the first run with the best final objective
+    best_eta, best_mu, curve_c = max(runs, key=lambda run: run[2][-1])
+    grid_rows = [(eta, mu, float(curve[-1])) for eta, mu, curve in runs]
 
     stacked = np.asarray([curve_a, curve_b, curve_c])
     summary = EnsembleSummary(
@@ -806,7 +766,13 @@ def _family_key(family: str) -> int:
     return sum((i + 1) * ord(c) for i, c in enumerate(family)) % (2**31)
 
 
-def gradcheck(config: ExperimentConfig):
+@dataclass
+class GradcheckConfig(ExperimentConfig):
+    ensemble: int = 100
+    lam: float = 0.3
+
+
+def gradcheck(config: GradcheckConfig):
     """Verify every analytic gradient kind against finite differences.
 
     For each family the check draws random unit-spectral-norm parameter
@@ -910,7 +876,23 @@ def commutator_order_sweep(seed: int, n_instances: int = 5, orders=range(1, 9)) 
 # Sampled-gradient variance sweep
 
 
-def run_variance_sweep(config: ExperimentConfig):
+@dataclass
+class VarianceSweepConfig(ExperimentConfig):
+    n_visible: int = 2
+    n_samples_grid: str = "64,128,256,512,1024"
+    n_repeats: int = 40
+
+    def __post_init__(self):
+        super().__post_init__()
+        counts = self.grid("n_samples_grid")
+        if min(counts) < 1 or len(set(counts)) < 2:
+            raise ValueError("n_samples_grid needs two or more distinct sample counts, all >= 1")
+
+    def models(self) -> list:
+        return [("mean_field", self.n_visible, 0), ("mean_field", 2 * self.n_visible, 0)]
+
+
+def run_variance_sweep(config: VarianceSweepConfig):
     """Mean squared error of the sampled gradient vs sample count.
 
     Fixes one small product model and one with twice the term count,
@@ -932,7 +914,7 @@ def run_variance_sweep(config: ExperimentConfig):
     true_small = grad_relent(small, theta_small, state_small)
     true_big = grad_relent(big, theta_big, state_big)
 
-    grid = _parse_int_list(config.n_samples_grid)
+    grid = config.grid("n_samples_grid")
     mse = {"small": [], "big": []}
     for gi, n_samples in enumerate(grid):
         for mi, (label, model, theta, state, true) in enumerate((
@@ -978,15 +960,21 @@ def run_variance_sweep(config: ExperimentConfig):
 # Dispatch and output
 
 
-_RUNNERS = {
-    "povm-train": run_povm_experiment,
-    "tomography": run_tomography_ensemble,
-    "hamlearn": run_hamlearn,
-    "meanfield": run_meanfield,
-    "commutator-compare": run_commutator_compare,
-    "gradcheck": gradcheck,
-    "variance-sweep": run_variance_sweep,
+# Experiment name -> (config class, runner), in CLI order.
+EXPERIMENTS = {
+    "povm-train": (PovmTrainConfig, run_povm_experiment),
+    "tomography": (TomographyConfig, run_tomography_ensemble),
+    "hamlearn": (HamlearnConfig, run_hamlearn),
+    "meanfield": (MeanfieldConfig, run_meanfield),
+    "commutator-compare": (CommutatorCompareConfig, run_commutator_compare),
+    "gradcheck": (GradcheckConfig, gradcheck),
+    "variance-sweep": (VarianceSweepConfig, run_variance_sweep),
 }
+for _name, (_config_class, _) in EXPERIMENTS.items():
+    _config_class.experiment = _name
+# Key -> declared type, over every key some experiment reads.
+_KEY_TYPES = {f.name: f.type for config_class, _ in EXPERIMENTS.values()
+              for f in dataclasses.fields(config_class)}
 
 
 def _tool_version() -> str:
@@ -1001,24 +989,18 @@ def _tool_version() -> str:
 def run_experiment(config: ExperimentConfig):
     """Run one experiment; write its files and manifest if config.out is set.
 
-    A runner returns (result, files); in files a ``.csv`` name maps to
-    (header, rows) and any other name to a JSON payload. Returns the
-    in-memory result (an EnsembleSummary or a report dict).
+    The manifest holds the experiment, tool version, seed and config: every
+    key the experiment reads, so only settings that took effect. A runner
+    returns (result, files); in files a ``.csv`` name maps to (header, rows)
+    and any other name to a JSON payload. Returns the in-memory result (an
+    EnsembleSummary or a report dict).
     """
-    result, files = _RUNNERS[config.experiment](config)
+    result, files = EXPERIMENTS[config.experiment][1](config)
     if config.out:
         os.makedirs(config.out, exist_ok=True)
-        manifest = dict(
-            experiment=config.experiment,
-            version=_tool_version(),
-            seed=config.seed,
-            config={
-                f.name: getattr(config, f.name)
-                for f in dataclasses.fields(ExperimentConfig)
-            },
-        )
-        write_json(os.path.join(config.out, "manifest.json"), manifest)
-        for name, payload in files.items():
+        manifest = dict(experiment=config.experiment, version=_tool_version(), seed=config.seed,
+                        config=dataclasses.asdict(config))
+        for name, payload in {"manifest.json": manifest, **files}.items():
             path = os.path.join(config.out, name)
             if name.endswith(".csv"):
                 write_csv(path, *payload)

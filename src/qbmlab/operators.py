@@ -25,6 +25,7 @@ __all__ = [
     "build_mean_field",
     "build_fermionic_model",
     "build_model",
+    "check_model_size",
     "jordan_wigner_annihilator",
     "assemble_hamiltonian",
 ]
@@ -251,14 +252,26 @@ class HamiltonianModel:
         return entries
 
 
-def _check_sizes(n_visible: int, n_hidden: int, cap: int, family: str) -> int:
+# Largest qubit count (visible + hidden) of each family: one dense H(theta) and its eigh.
+QUBIT_CAPS = {"classical_bm": 12, "fermionic": 8, "ti_complete": 12, "pauli_complete": 6,
+              "mean_field": 12}
+
+
+def check_model_size(family: str, n_visible: int, n_hidden: int = 0) -> int:
+    """Qubit count of build_model(family, n_visible, n_hidden); raises its ValueError unbuilt."""
+    if family not in QUBIT_CAPS:
+        raise ValueError(f"unknown model family {family!r}")
+    if n_hidden and family not in ("classical_bm", "fermionic"):
+        raise ValueError(f"family {family!r} has no hidden-unit variant")
     if n_visible < 1:
         raise ValueError(f"{family}: n_visible must be >= 1, got {n_visible}")
     if n_hidden < 0:
         raise ValueError(f"{family}: n_hidden must be >= 0, got {n_hidden}")
-    n = n_visible + n_hidden
+    n, cap = n_visible + n_hidden, QUBIT_CAPS[family]
     if n > cap:
         raise ValueError(f"{family}: {n} qubits exceeds the dense-matrix cap of {cap}")
+    if family == "fermionic" and n < 2:
+        raise ValueError("fermionic model needs at least 2 modes")
     return n
 
 
@@ -270,7 +283,7 @@ def build_classical_bm(
     All terms are diagonal. Edges connect distinct vertices (visible
     units first, hidden after); duplicates are rejected.
     """
-    n = _check_sizes(n_visible, n_hidden, 12, "classical_bm")
+    n = check_model_size("classical_bm", n_visible, n_hidden)
     canon = []
     seen = set()
     for e in edges:
@@ -307,7 +320,7 @@ def build_transverse_ising_complete(n: int) -> HamiltonianModel:
     Terms in order: Z on every qubit, X on every qubit, then ZZ on every
     pair lexicographically. n(n+3)/2 terms total, all visible.
     """
-    _check_sizes(n, 0, 12, "ti_complete")
+    check_model_size("ti_complete", n)
     terms = [_site_term({j: "Z"}, n) for j in range(n)]
     terms += [_site_term({j: "X"}, n) for j in range(n)]
     terms += [_site_term({i: "Z", j: "Z"}, n) for i, j in itertools.combinations(range(n), 2)]
@@ -316,7 +329,7 @@ def build_transverse_ising_complete(n: int) -> HamiltonianModel:
 
 def build_complete_pauli_set(n: int) -> HamiltonianModel:
     """All 4^n - 1 non-identity Pauli strings, lexicographically ordered."""
-    _check_sizes(n, 0, 6, "pauli_complete")
+    check_model_size("pauli_complete", n)
     terms = []
     for letters in itertools.product("IXYZ", repeat=n):
         word = "".join(letters)
@@ -332,7 +345,7 @@ def build_mean_field(n: int) -> HamiltonianModel:
     Gibbs states factorize across qubits, so this is the natural
     uncorrelated approximation to any multi-qubit target.
     """
-    _check_sizes(n, 0, 12, "mean_field")
+    check_model_size("mean_field", n)
     terms = [_site_term({j: op}, n) for j in range(n) for op in "XYZ"]
     return HamiltonianModel("mean_field", n, 0, tuple(terms))
 
@@ -360,9 +373,7 @@ def build_fermionic_model(n_visible: int, n_hidden: int = 0) -> HamiltonianModel
     Zeroing every off-diagonal weight leaves exactly the classical
     Boltzmann machine on the complete graph.
     """
-    n = _check_sizes(n_visible, n_hidden, 8, "fermionic")
-    if n < 2:
-        raise ValueError("fermionic model needs at least 2 modes")
+    n = check_model_size("fermionic", n_visible, n_hidden)
     terms = [_owned_term(f"a{p}+a{p}^", _ladder_term([(p, False)], n)) for p in range(n)]
     for p in range(n):
         for q in range(p, n):
@@ -387,22 +398,19 @@ def build_model(
     n_hidden: int = 0,
     edges=None,
 ) -> HamiltonianModel:
-    """Construct a model family by name (used by serialization and the CLI)."""
+    """Construct a model family by name (used by the experiments)."""
+    check_model_size(family, n_visible, n_hidden)
     if family == "classical_bm":
         if edges is None:
             edges = complete_graph_edges(n_visible + n_hidden)
         return build_classical_bm(n_visible, n_hidden, edges)
     if family == "fermionic":
         return build_fermionic_model(n_visible, n_hidden)
-    if n_hidden:
-        raise ValueError(f"family {family!r} has no hidden-unit variant")
     if family == "ti_complete":
         return build_transverse_ising_complete(n_visible)
     if family == "pauli_complete":
         return build_complete_pauli_set(n_visible)
-    if family == "mean_field":
-        return build_mean_field(n_visible)
-    raise ValueError(f"unknown model family {family!r}")
+    return build_mean_field(n_visible)
 
 
 def assemble_hamiltonian(model: HamiltonianModel, theta) -> np.ndarray:

@@ -274,7 +274,7 @@ def _setup(model: HamiltonianModel, theta, data):
 def _relent_setup(model: HamiltonianModel, theta, data: StateTrainingSet):
     """Checked theta, the evaluation at theta and the target embedded on the hidden units."""
     theta, ev = _setup(model, theta, data)
-    return theta, ev, embed_target_state(data.rho, model.n_hidden)
+    return theta, ev, _embedded_target(data, model.n_hidden)
 
 
 def pad_to_hidden(operator: np.ndarray, n_hidden: int) -> np.ndarray:
@@ -287,6 +287,15 @@ def pad_to_hidden(operator: np.ndarray, n_hidden: int) -> np.ndarray:
 def embed_target_state(rho: np.ndarray, n_hidden: int) -> np.ndarray:
     """Target for hidden-unit models: rho (x) I / 2^{n_hidden}."""
     return pad_to_hidden(rho, n_hidden) / 2**n_hidden
+
+
+def _embedded_target(data: StateTrainingSet, n_hidden: int) -> np.ndarray:
+    """rho (x) I / 2^{n_hidden}, read-only, kept on the set once per n_hidden (rho itself at 0)."""
+    cache = data.__dict__.setdefault("_embedded", {0: data.rho})
+    if n_hidden not in cache:
+        cache[n_hidden] = embed_target_state(data.rho, n_hidden)
+        cache[n_hidden].flags.writeable = False
+    return cache[n_hidden]
 
 
 def _padded_pairs(data: PovmTrainingSet, n_hidden: int, log: bool = False) -> tuple:

@@ -2,31 +2,51 @@
 
 import dataclasses
 import json
+import os
+import re
+import shlex
 
 import numpy as np
 import pytest
 
+import qbmlab.cli
+import qbmlab.experiments as experiments
+import qbmlab.linalg as linalg
 from qbmlab.cli import build_parser, main
+from qbmlab.datasets import random_mixed, split_seeds
 from qbmlab.experiments import (
-    DEFAULTS,
     EXPERIMENTS,
     EnsembleSummary,
     ExperimentConfig,
-    READS,
     make_config,
     parse_config_file,
     percentile_curves,
     run_experiment,
 )
+from qbmlab.operators import QUBIT_CAPS, assemble_hamiltonian, build_model
 from qbmlab.serialize import format_cell, write_csv, write_json
+from qbmlab.training import train
+
+
+def _keys(experiment) -> set:
+    return {f.name for f in dataclasses.fields(EXPERIMENTS[experiment][0])}
 
 
 class TestConfig:
     def test_every_experiment_has_defaults(self):
-        for name in EXPERIMENTS:
+        for name, (config_class, _) in EXPERIMENTS.items():
             cfg = make_config(name)
+            assert type(cfg) is config_class and isinstance(cfg, ExperimentConfig)
             assert cfg.experiment == name
-            assert cfg.ensemble >= 1
+            assert cfg == config_class()
+
+    def test_settable_keys_per_experiment(self):
+        # the keys each runner reads, plus seed and out; none added
+        counts = {name: len(_keys(name)) for name in EXPERIMENTS}
+        assert counts == {"povm-train": 14, "tomography": 9, "hamlearn": 9, "meanfield": 8,
+                          "commutator-compare": 16, "gradcheck": 4, "variance-sweep": 5}
+        for name in EXPERIMENTS:
+            assert {"seed", "out"} <= _keys(name)
 
     def test_string_values_coerced(self):
         cfg = make_config("tomography", {"epochs": "25", "learning_rate": "0.5", "out": "somewhere"})
@@ -45,6 +65,8 @@ class TestConfig:
     def test_bad_int_rejected(self):
         with pytest.raises(ValueError):
             make_config("tomography", {"epochs": "sixty"})
+        with pytest.raises(ValueError):
+            make_config("tomography", {"epochs": 2.5})
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError):
@@ -60,32 +82,44 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_config("tomography", {"target_kind": "thermal"})
 
-    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
     def test_every_read_key_accepted(self, experiment):
-        # each key set to its resolved value: explicit, valid, and read
+        # each key set explicitly to its default
         resolved = make_config(experiment)
-        keys = READS[experiment] | {"seed", "out"}
-        cfg = make_config(experiment, {key: getattr(resolved, key) for key in keys})
+        cfg = make_config(experiment, dataclasses.asdict(resolved))
         assert cfg == resolved
 
-    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
     def test_keys_an_experiment_ignores_are_rejected(self, experiment):
-        fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"experiment"}
-        ignored = fields - READS[experiment] - {"seed", "out"}
+        others = {}
+        for name in EXPERIMENTS:
+            others.update(dataclasses.asdict(make_config(name)))
+        ignored = others.keys() - _keys(experiment)
         assert ignored
-        resolved = make_config(experiment)
         for key in ignored:
-            # even the value the experiment would have used
+            # a value another experiment accepts
             with pytest.raises(ValueError, match=f"does not read config key.*{key}"):
-                make_config(experiment, {key: getattr(resolved, key)})
+                make_config(experiment, {key: others[key]})
 
     def test_optimizer_view(self):
         cfg = make_config("povm-train")
         opt = cfg.optimizer()
-        assert opt.gradient_kind == DEFAULTS["povm-train"]["gradient_kind"]
-        assert opt.epochs == cfg.epochs
-        opt2 = cfg.optimizer(epochs=3)
-        assert opt2.epochs == 3
+        assert (opt.gradient_kind, opt.learning_rate, opt.epochs, opt.lam) == ("gt", 0.2, 200, 0.0)
+        assert cfg.optimizer(epochs=3).epochs == 3
+        # keys the experiment lacks keep OptimizerConfig's defaults
+        opt = make_config("tomography", {"momentum": "0.5"}).optimizer(gradient_kind="relent")
+        assert (opt.gradient_kind, opt.momentum, opt.lam, opt.commutator_order) == ("relent", 0.5, 0.0, 5)
+
+    def test_sizes_checked_against_the_family_caps(self):
+        make_config("tomography", {"n_visible": QUBIT_CAPS["pauli_complete"]})
+        with pytest.raises(ValueError, match="cap"):
+            make_config("tomography", {"n_visible": QUBIT_CAPS["pauli_complete"] + 1})
+        # variance-sweep's big model has twice the qubits
+        make_config("variance-sweep", {"n_visible": QUBIT_CAPS["mean_field"] // 2})
+        with pytest.raises(ValueError, match="cap"):
+            make_config("variance-sweep", {"n_visible": QUBIT_CAPS["mean_field"] // 2 + 1})
+        with pytest.raises(ValueError, match="cap"):
+            make_config("povm-train", {"n_visible_grid": "3", "n_hidden_grid": "0,6"})
 
     def test_parse_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -214,8 +248,23 @@ OUTPUT_LAYOUTS = {
 }
 
 
+def _recording(config):
+    """A copy of config that records, from now on, every attribute read on it."""
+
+    class Recording(type(config)):
+        def __getattribute__(self, name):
+            reads = object.__getattribute__(self, "__dict__").get("reads")
+            if reads is not None:
+                reads.add(name)
+            return object.__getattribute__(self, name)
+
+    copy = Recording(**dataclasses.asdict(config))
+    copy.reads = set()
+    return copy
+
+
 class TestOutputs:
-    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
     def test_output_files_and_summary_keys(self, tmp_path, experiment):
         settings, names, keys = OUTPUT_LAYOUTS[experiment]
         out = tmp_path / experiment
@@ -223,6 +272,15 @@ class TestOutputs:
         assert {p.name for p in out.iterdir()} == names | {"manifest.json"}
         summary_name = "report.json" if experiment == "gradcheck" else "summary.json"
         assert set(json.loads((out / summary_name).read_text())) == keys
+        # the manifest records exactly the settings the experiment reads
+        assert set(json.loads((out / "manifest.json").read_text())["config"]) == _keys(experiment)
+
+    @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+    def test_runner_reads_every_key(self, experiment):
+        # a key the runner never reads would be a setting that silently does nothing
+        config = _recording(make_config(experiment, OUTPUT_LAYOUTS[experiment][0]))
+        EXPERIMENTS[experiment][1](config)
+        assert _keys(experiment) - {"out"} <= config.reads
 
     def test_manifest_echoes_config(self, tmp_path):
         out = tmp_path / "run"
@@ -232,7 +290,8 @@ class TestOutputs:
         assert manifest["experiment"] == "tomography"
         assert manifest["seed"] == cfg.seed
         assert manifest["config"]["epochs"] == 4
-        assert manifest["config"]["family"] == "pauli_complete"
+        # tomography always fits the complete Pauli family and never reads the key
+        assert "family" not in manifest["config"]
         assert "version" in manifest
 
     def test_tomography_files(self, tmp_path):
@@ -245,6 +304,22 @@ class TestOutputs:
         first = np.array(recon[0]["reconstruction"])
         assert first.shape == (4, 4, 2)  # real/imag pairs
         assert np.array(recon[0]["target"]).shape == (4, 4, 2)
+
+    def test_tomography_reconstruction_reuses_the_final_evaluation(self, monkeypatch):
+        fresh_gibbs = linalg.gibbs_state
+        calls = []
+        for module in (experiments, linalg):
+            monkeypatch.setattr(module, "gibbs_state", lambda H: calls.append(H) or fresh_gibbs(H))
+        cfg = make_config("tomography", {"epochs": "3"})
+        seed_seq = split_seeds(cfg.seed, 1)[0]
+        opt = cfg.optimizer(gradient_kind="relent")
+        _, _, sigma, _ = experiments._tomography_instance((cfg.n_visible, "mixed", seed_seq, opt))
+        assert calls == []
+        # bit for bit what diagonalizing the final theta afresh gives
+        target = random_mixed(cfg.n_visible, np.random.default_rng(seed_seq))
+        model = build_model("pauli_complete", cfg.n_visible)
+        trace = train(model, np.zeros(model.n_terms), target, opt)
+        assert np.array_equal(sigma, fresh_gibbs(assemble_hamiltonian(model, trace.final_theta))[0])
 
     def test_curves_csv_shape(self, tmp_path):
         out = tmp_path / "tomo2"
@@ -268,7 +343,7 @@ class TestCli:
         parser = build_parser()
         # argparse keeps subparser choices on the action
         sub = next(a for a in parser._actions if hasattr(a, "choices") and a.choices)
-        assert set(EXPERIMENTS) <= set(sub.choices)
+        assert set(EXPERIMENTS) == set(sub.choices)
 
     def test_main_runs_and_writes(self, tmp_path, capsys):
         out = tmp_path / "cli"
@@ -324,6 +399,38 @@ class TestCli:
         assert "does not read config key" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["tomography", "--set", "momentum=1.5", "--ensemble", "1"],
+        ["povm-train", "--set", "commutator_order=20", "--set", "epochs=1"],
+        ["povm-train", "--set", "noise_p=0.7", "--set", "epochs=1"],
+        ["povm-train", "--set", "n_visible_grid=", "--set", "epochs=1"],
+        ["povm-train", "--set", "n_visible_grid=1", "--set", "epochs=1"],
+        ["commutator-compare", "--set", "eta_grid=abc"],
+        ["commutator-compare", "--set", "eta_grid=0", "--set", "epochs=2"],
+        ["commutator-compare", "--set", "momentum_grid=0,1"],
+        ["commutator-compare", "--set", "family=ti_complete", "--set", "n_hidden=1"],
+        ["variance-sweep", "--set", "n_samples_grid=0"],
+        ["variance-sweep", "--set", "n_samples_grid=64"],
+        ["variance-sweep", "--set", "n_repeats=0"],
+        ["variance-sweep", "--set", "n_visible=7"],
+        ["hamlearn", "--set", "n_visible=20", "--ensemble", "1", "--set", "epochs=1"],
+        ["tomography", "--set", "n_visible=7", "--ensemble", "1"],
+        ["meanfield", "--jobs", "0"],
+        ["gradcheck", "--set", "lam=-1"],
+        ["meanfield", "--set", "learning_rate=-1"],
+        ["hamlearn", "--set", "epochs=0"],
+        ["gradcheck", "--set", "lam=nan"],
+        ["tomography", "--set", "learning_rate=nan", "--ensemble", "1"],
+        ["hamlearn", "--set", "theta0_scale=inf", "--ensemble", "1"],
+        ["commutator-compare", "--set", "eta_grid=0.1,nan"],
+    ])
+    def test_invalid_value_exits_2_with_one_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "never"
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("qbmlab: ") and captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_bad_value_exit_code(self, capsys):
         assert main(["tomography", "--set", "epochs=ten"]) == 2
         capsys.readouterr()
@@ -338,3 +445,50 @@ class TestCli:
         out = capsys.readouterr().out
         assert "gradcheck passed" in out
         assert "monotone from order 2: True" in out
+
+
+def _readme_cli_examples():
+    """(argv lists, (experiment, config-file text)) from README's CLI section."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("## CLI"):text.index("## Library use")]
+    commands = [
+        shlex.split(line.split("&&")[0])[1:]
+        for block in re.findall(r"```sh\n(.*?)```", section, re.S)
+        for line in block.splitlines()
+        if line.startswith("qbmlab ")
+    ]
+    config_text = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+    # the example's leading comment names its experiment
+    experiment = config_text.lstrip("# ").split()[0]
+    return commands, (experiment, config_text)
+
+
+class TestReadme:
+    @pytest.fixture
+    def stub_runs(self, monkeypatch):
+        configs = []
+        report = dict(table=[], ksweep=dict(mean_errors=[], monotone_from_2=True), ok=True,
+                      slope=-1.0, ratio_mean=2.0, n_terms_big=2, n_terms_small=1)
+
+        def record(config):
+            configs.append(config)
+            return report
+
+        monkeypatch.setattr(qbmlab.cli, "run_experiment", record)
+        return configs
+
+    def test_cli_examples_resolve(self, stub_runs, capsys):
+        commands, _ = _readme_cli_examples()
+        assert len(commands) >= 5
+        for argv in commands:
+            assert main(argv) == 0, (argv, capsys.readouterr().err)
+        assert [c.experiment for c in stub_runs] == [argv[0] for argv in commands]
+
+    def test_config_file_example_resolves(self, stub_runs, tmp_path, capsys):
+        _, (experiment, config_text) = _readme_cli_examples()
+        path = tmp_path / "example.cfg"
+        path.write_text(config_text)
+        assert main([experiment, "--config", str(path)]) == 0, capsys.readouterr().err
+        assert stub_runs[0].experiment == experiment

@@ -560,3 +560,19 @@ class TestEvaluationRecord:
                 objective_povm_gt(m, np.zeros(m.n_terms), data)
         # two elements per set, two sets, two hidden counts
         assert len(logs) == 2 * 2 * 2
+
+    def test_target_embedded_once_per_set_and_hidden_count(self, rng, monkeypatch):
+        calls = []
+        _counting(monkeypatch, training, "embed_target_state", calls)
+        data = random_mixed(2, rng)
+        cfg = OptimizerConfig(gradient_kind="relent", learning_rate=0.1, epochs=3)
+        for n_hidden in (0, 1, 2, 1, 2, 0):
+            m = build_fermionic_model(2, n_hidden)
+            train(m, 0.1 * rng.normal(size=m.n_terms), data, cfg)
+            target = training._embedded_target(data, n_hidden)
+            assert not target.flags.writeable
+            # the module's own name, not the counting wrapper
+            assert np.array_equal(target, embed_target_state(data.rho, n_hidden))
+        # n_hidden 1 and 2; at n_hidden 0 the target is the set's rho itself
+        assert len(calls) == 2
+        assert training._embedded_target(data, 0) is data.rho
