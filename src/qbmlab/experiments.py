@@ -26,7 +26,7 @@ from .datasets import (
     step_distribution,
     step_function_state,
 )
-from .linalg import expectation_value, fidelity, gibbs_state
+from .linalg import _hermitian_eigenvalues, expectation_value, fidelity, gibbs_state
 from .operators import (
     HamiltonianModel,
     assemble_hamiltonian,
@@ -295,9 +295,7 @@ def _max_objective(povm: PovmTrainingSet) -> float:
 
 
 def _povm_branch(args):
-    (n_visible, n_hidden, family, povm_kind, noise_p, seed, point_index,
-     branch, theta0_scale, opt) = args
-    data = _step_povm(n_visible, noise_p, povm_kind)
+    (data, n_visible, n_hidden, family, seed, point_index, branch, theta0_scale, opt) = args
     model = build_model(family, n_visible, n_hidden)
     rng = np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(point_index, branch))
@@ -317,9 +315,13 @@ def run_povm_experiment(config: PovmTrainConfig):
     """
     grid = [(nv, nh) for nv in config.grid("n_visible_grid") for nh in config.grid("n_hidden_grid")]
     opt = config.optimizer()
+    # The data depend on n_visible only: one set per n_visible serves both
+    # branches of every grid point, so its padded elements and GT logarithms
+    # are built once per (n_visible, n_hidden).
+    povms = {nv: _step_povm(nv, config.noise_p, config.povm_kind)
+             for nv in set(config.grid("n_visible_grid"))}
     jobs_args = [
-        (nv, nh, family, config.povm_kind, config.noise_p,
-         config.seed, point_index, branch, config.theta0_scale, opt)
+        (povms[nv], nv, nh, family, config.seed, point_index, branch, config.theta0_scale, opt)
         for point_index, (nv, nh) in enumerate(grid)
         for branch, family in enumerate(POVM_FAMILIES)
     ]
@@ -331,7 +333,7 @@ def run_povm_experiment(config: PovmTrainConfig):
     for idx, (nv, nh) in enumerate(grid):
         # The entropy-limited maximum depends on the target statistics,
         # hence on n_visible in basis mode (it is 0 in projector mode).
-        o_max = _max_objective(_step_povm(nv, config.noise_p, config.povm_kind))
+        o_max = _max_objective(povms[nv])
         q_curve, q_div = results[2 * idx]
         c_curve, c_div = results[2 * idx + 1]
         quantum_curves.append(o_max - q_curve)
@@ -747,7 +749,7 @@ GRADCHECK_SIZES = {
 def _random_full_rank_povm(dim: int, rng: np.random.Generator) -> PovmTrainingSet:
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     bulk = raw @ raw.conj().T
-    bulk /= np.linalg.eigvalsh(bulk)[-1]
+    bulk /= _hermitian_eigenvalues(bulk)[-1]
     first = 0.1 * np.eye(dim) + 0.8 * bulk
     p = rng.uniform(0.2, 0.8)
     return PovmTrainingSet(

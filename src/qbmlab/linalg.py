@@ -1,9 +1,12 @@
 """Dense Hermitian linear algebra for thermal-state models.
 
-Everything here works on plain complex ndarrays at full-matrix scale
-(a handful of qubits, dimension at most a few thousand). Gibbs weights
-are always computed in the eigenbasis with a max-shift so that matrix
-norms up to ~50 stay far away from overflow.
+Everything here takes and returns plain complex ndarrays at full-matrix
+scale (a handful of qubits, dimension at most a few thousand). The one
+exception is inside the eigensolver: a Hermitian matrix with no imaginary
+part is real symmetric and goes to numpy's real solver, so its
+eigenvectors are float64. Gibbs weights are always computed in the
+eigenbasis with a max-shift so that matrix norms up to ~50 stay far away
+from overflow. This module is the only caller of numpy's eigensolvers.
 """
 from __future__ import annotations
 
@@ -37,7 +40,8 @@ class EigenSystem(NamedTuple):
     """Eigendecomposition of a Hermitian matrix.
 
     eigenvalues are real and ascending; eigenvectors holds the matching
-    orthonormal eigenvectors as columns.
+    orthonormal eigenvectors as columns, float64 for a real-symmetric
+    matrix and complex128 otherwise.
     """
 
     eigenvalues: np.ndarray
@@ -69,14 +73,25 @@ def _require_hermitian(A, name: str = "matrix", rtol: float = HERMITICITY_RTOL) 
     return hermitize(A)
 
 
+def _real_if_symmetric(H: np.ndarray) -> np.ndarray:
+    """H.real for a Hermitian H without imaginary part, else H itself.
+
+    The real-symmetric solver does about a quarter of the complex one's
+    arithmetic on the same matrix.
+    """
+    return H if np.count_nonzero(H.imag) else H.real
+
+
 def hermitian_eigendecompose(A: np.ndarray) -> EigenSystem:
     """Eigendecompose a Hermitian matrix.
 
     The input may be non-Hermitian at the rounding level (it is
-    symmetrized first); a defect beyond 1e-8 * ||A||_F is an error.
+    symmetrized first); a defect beyond 1e-8 * ||A||_F is an error. If the
+    symmetrized matrix has no imaginary part, the real-symmetric solver
+    runs and the eigenvectors are float64; otherwise they are complex128.
     """
     H = _require_hermitian(A, "operator")
-    evals, evecs = np.linalg.eigh(H)
+    evals, evecs = np.linalg.eigh(_real_if_symmetric(H))
     return EigenSystem(evals, evecs)
 
 
@@ -95,18 +110,23 @@ def _shifted_weights(evals: np.ndarray) -> tuple[np.ndarray, float, float]:
 def _hermitian_eigenvalues(A: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, without eigenvectors.
 
-    The input is checked and symmetrized as in hermitian_eigendecompose.
+    The input is checked, symmetrized and solved in real arithmetic when
+    it can be, as in hermitian_eigendecompose.
     """
-    return np.linalg.eigvalsh(_require_hermitian(A, "operator"))
+    return np.linalg.eigvalsh(_real_if_symmetric(_require_hermitian(A, "operator")))
 
 
 def _gibbs_from_eigensystem(
     evals: np.ndarray, V: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Gibbs state, shifted weights and log Z of the matrix with eigensystem (evals, V)."""
+    """Gibbs state, shifted weights and log Z of the matrix with eigensystem (evals, V).
+
+    rho is formed in V's arithmetic (real for real eigenvectors) and
+    returned as complex128.
+    """
     weights, total, log_z = _shifted_weights(evals)
     rho = (V * (weights / total)) @ V.conj().T
-    return hermitize(rho), weights, log_z
+    return hermitize(rho).astype(np.complex128, copy=False), weights, log_z
 
 
 def gibbs_state(H: np.ndarray) -> tuple[np.ndarray, float]:
@@ -141,7 +161,7 @@ def matrix_log_psd(A: np.ndarray, clip: float = 1e-10) -> np.ndarray:
     if evals[0] < -1e-8:
         raise ValueError(f"matrix has negative eigenvalue {evals[0]:.3e}, not PSD")
     logs = np.log(np.maximum(evals, clip))
-    return hermitize((V * logs) @ V.conj().T)
+    return hermitize((V * logs) @ V.conj().T).astype(np.complex128, copy=False)
 
 
 def _exp_neg_divided_differences(evals: np.ndarray) -> np.ndarray:
@@ -268,7 +288,7 @@ def validate_density_matrix(rho: np.ndarray, name: str = "state") -> np.ndarray:
     trace = complex(np.trace(rho))
     if abs(trace - 1.0) > 1e-10:
         raise ValueError(f"{name} trace {trace} differs from 1 beyond 1e-10")
-    evals = np.linalg.eigvalsh(hermitize(rho))
+    evals = _hermitian_eigenvalues(rho)
     if evals[0] < -1e-10:
         raise ValueError(f"{name} has eigenvalue {evals[0]:.3e} below -1e-10")
     return rho

@@ -20,10 +20,10 @@ from .linalg import (
     EigenSystem,
     _exp_neg_divided_differences,
     _gibbs_from_eigensystem,
+    _hermitian_eigenvalues,
     expectation_value,
     gibbs_state,
     hermitian_eigendecompose,
-    hermitize,
     kron,
     log_partition,
     matrix_log_psd,
@@ -99,7 +99,7 @@ class PovmTrainingSet:
                 raise ValueError("POVM element has non-finite entries")
             if np.abs(e - e.conj().T).max() > 1e-10:
                 raise ValueError("POVM element is not Hermitian within 1e-10")
-            if np.linalg.eigvalsh(hermitize(e))[0] < -1e-10:
+            if _hermitian_eigenvalues(e)[0] < -1e-10:
                 raise ValueError("POVM element has eigenvalue below -1e-10")
             total += e
         if np.abs(total - np.eye(dim)).max() > 1e-9:
@@ -198,10 +198,6 @@ class TrainingTrace:
     @property
     def objectives(self) -> np.ndarray:
         return np.array([r.objective for r in self.records])
-
-    @property
-    def grad_norms(self) -> np.ndarray:
-        return np.array([r.grad_norm for r in self.records])
 
     @property
     def thetas(self) -> np.ndarray:
@@ -424,7 +420,7 @@ def grad_povm_exact(
     theta, ev = _setup(model, theta, data)
     evals, V = ev.eigen
     # sum_v (P_v / L_v) V^+ Lambda_v V, with L_v = Tr[Lambda_v e^{-(H - evals[0])}]
-    weighted = np.zeros_like(V)
+    weighted = np.zeros(V.shape, dtype=np.complex128)  # V is real for real-symmetric H
     for p, padded in _padded_pairs(data, model.n_hidden):
         el_rot = V.conj().T @ padded @ V
         likelihood = max(float(el_rot.diagonal().real @ ev.weights), LIKELIHOOD_FLOOR)

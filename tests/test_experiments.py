@@ -12,6 +12,7 @@ import pytest
 import qbmlab.cli
 import qbmlab.experiments as experiments
 import qbmlab.linalg as linalg
+import qbmlab.training as training
 from qbmlab.cli import build_parser, main
 from qbmlab.datasets import random_mixed, split_seeds
 from qbmlab.experiments import (
@@ -25,7 +26,7 @@ from qbmlab.experiments import (
 )
 from qbmlab.operators import QUBIT_CAPS, assemble_hamiltonian, build_model
 from qbmlab.serialize import format_cell, write_csv, write_json
-from qbmlab.training import train
+from qbmlab.training import PovmTrainingSet, train
 
 
 def _keys(experiment) -> set:
@@ -169,6 +170,31 @@ class TestParallelism:
         for k in s1.curves:
             assert np.array_equal(s1.curves[k], s2.curves[k])
         assert np.array_equal(s1.finals, s2.finals)
+
+    def test_povm_train_job_count_does_not_change_outputs(self, tmp_path):
+        base = {"n_visible_grid": "2,3", "n_hidden_grid": "0,1", "epochs": "3"}
+        outputs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            run_experiment(make_config("povm-train", base, {"jobs": jobs, "out": str(out)}))
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"})
+        assert outputs[0] == outputs[1]
+
+
+class TestPovmData:
+    def test_one_training_set_per_n_visible(self, monkeypatch):
+        built, logs = [], []
+        post_init = PovmTrainingSet.__post_init__
+        monkeypatch.setattr(PovmTrainingSet, "__post_init__",
+                            lambda self: built.append(self.dim) or post_init(self))
+        log = training.matrix_log_psd
+        monkeypatch.setattr(training, "matrix_log_psd", lambda *args: logs.append(args) or log(*args))
+        settings = {"n_visible_grid": "2,3", "n_hidden_grid": "0,1", "epochs": "2"}
+        run_experiment(make_config("povm-train", settings))
+        # both branches of every grid point and the maximum share one set per n_visible
+        assert sorted(built) == [4, 8]
+        # the GT logarithm of the one projector with P_v > 0, once per (n_visible, n_hidden)
+        assert len(logs) == 4
 
 
 class TestSerializeHelpers:

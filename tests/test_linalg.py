@@ -1,8 +1,12 @@
 """Frozen-value and property tests for the dense linear-algebra layer."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qbmlab
 from qbmlab.linalg import (
     distance,
     expectation_value,
@@ -70,6 +74,76 @@ class TestEigendecompose:
     def test_hermitize_absorbs_roundoff(self):
         h = pauli_matrix("X") + 1e-12 * np.array([[0, 1j], [0, 0]])
         assert np.allclose(hermitize(h), hermitize(h).conj().T)
+
+
+def random_real_symmetric(dim, rng):
+    a = rng.normal(size=(dim, dim))
+    return (a + a.T) / 2
+
+
+class TestRealSymmetricPath:
+    """A Hermitian matrix without imaginary part goes to the real solver."""
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    @pytest.mark.parametrize("dim", [2, 8, 64])
+    def test_matches_the_complex_solver(self, rng, dtype, dim):
+        h = random_real_symmetric(dim, rng).astype(dtype)
+        want_evals, U = np.linalg.eigh(h.astype(np.complex128))
+        evals, V = hermitian_eigendecompose(h)
+        assert V.dtype == np.float64
+        assert np.abs(evals - want_evals).max() <= 1e-12 * np.abs(want_evals).max()
+        assert np.linalg.norm(V.T @ V - np.eye(dim)) < 1e-12
+        assert np.linalg.norm((V * evals) @ V.T - h) <= 1e-12 * np.linalg.norm(h)
+        # the Gibbs state as the complex solver's eigensystem gives it
+        weights = np.exp(-(want_evals - want_evals[0]))
+        want_rho = (U * (weights / weights.sum())) @ U.conj().T
+        want_log_z = np.log(weights.sum()) - want_evals[0]
+        rho, log_z = gibbs_state(h)
+        assert rho.dtype == np.complex128
+        assert np.abs(rho - want_rho).max() <= 1e-13
+        assert abs(log_z - want_log_z) <= 1e-13 * max(1.0, abs(want_log_z))
+        assert abs(log_partition(h) - want_log_z) <= 1e-13 * max(1.0, abs(want_log_z))
+
+    def test_anti_hermitian_noise_cancels_before_the_test(self, rng):
+        h = random_real_symmetric(8, rng)
+        noisy = h + 1e-12j * random_real_symmetric(8, rng)
+        evals, V = hermitian_eigendecompose(noisy)
+        assert V.dtype == np.float64
+        assert np.array_equal(evals, hermitian_eigendecompose(h).eigenvalues)
+
+    @pytest.mark.parametrize("size", [1.0, 1e-300])
+    def test_any_imaginary_part_stays_complex(self, rng, size):
+        a = rng.normal(size=(8, 8))
+        h = random_real_symmetric(8, rng) + 1j * size * (a - a.T)
+        evals, V = hermitian_eigendecompose(h)
+        assert V.dtype == np.complex128
+        assert np.array_equal(evals, np.linalg.eigh(hermitize(h))[0])
+        assert hermitian_eigendecompose(pauli_matrix("Y")).eigenvectors.dtype == np.complex128
+
+    def test_public_results_stay_complex(self, rng):
+        h = random_real_symmetric(8, rng)
+        rho, _ = gibbs_state(h)
+        assert matrix_log_psd(rho).dtype == np.complex128
+        assert validate_density_matrix(rho.real).dtype == np.complex128
+        assert abs(fidelity(rho.real, rho) - 1.0) < 1e-12
+        evals, V = hermitian_eigendecompose(h)
+        derivative = frechet_exp_neg(h, np.eye(8))
+        assert derivative.dtype == np.complex128
+        # along the identity, which commutes with h, the derivative is -e^{-h}
+        assert np.allclose(derivative, -(V * np.exp(-evals)) @ V.T, atol=1e-12)
+
+
+def test_only_linalg_calls_numpy_eigensolvers():
+    # every solve goes through linalg, which checks Hermiticity and picks the arithmetic
+    solver = re.compile(r"\b(np|numpy)\.linalg\.(eigh|eigvalsh|eigvals|eig)\b|from numpy\.linalg import")
+    package = Path(qbmlab.__file__).parent
+    offenders = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(package.glob("*.py")) if path.name != "linalg.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if solver.search(line)
+    ]
+    assert offenders == []
 
 
 class TestGibbsState:

@@ -14,6 +14,7 @@ from qbmlab.operators import (
     build_complete_pauli_set,
     build_fermionic_model,
     build_mean_field,
+    build_model,
     complete_graph_edges,
 )
 from qbmlab.training import (
@@ -35,7 +36,7 @@ from qbmlab.training import (
     term_expectations,
     train,
 )
-from qbmlab.datasets import random_mixed, step_function_state
+from qbmlab.datasets import random_mixed, random_ti_teacher, step_function_state
 
 from conftest import ENTRY_LIST_MODELS, entry_list_model, random_full_rank_povm
 
@@ -266,21 +267,35 @@ class TestPerTermOracles:
         padded = [np.kron(el, np.eye(2)) for el in data.elements]
         return m, theta, data, H, padded
 
-    def test_exact_matches_per_term_frechet_derivative(self, problem):
-        m, theta, data, H, padded = problem
+    @staticmethod
+    def exact_oracle(m, H, padded, probabilities):
         evals, V = np.linalg.eigh(H)
         exp_neg_h = (V * np.exp(-evals)) @ V.conj().T
         rho = exp_neg_h / np.trace(exp_neg_h).real
-        want = np.array([
+        return np.array([
             np.trace(rho @ t.matrix).real
             + sum(
                 p * np.trace(el @ frechet_exp_neg(H, t.matrix)).real
                 / np.trace(el @ exp_neg_h).real
-                for el, p in zip(padded, data.probabilities)
+                for el, p in zip(padded, probabilities)
             )
             for t in m.terms
         ])
+
+    def test_exact_matches_per_term_frechet_derivative(self, problem):
+        m, theta, data, H, padded = problem
+        want = self.exact_oracle(m, H, padded, data.probabilities)
         got = grad_povm_exact(m, theta, data)
+        assert np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want)
+
+    def test_exact_with_real_eigenvectors_and_real_data(self, problem):
+        # fermionic H and the step-function projectors are real: every solve is real
+        m, theta, _, H, _ = problem
+        _, data, _ = step_function_state(3)
+        padded = [np.kron(el, np.eye(2)) for el in data.elements]
+        got = grad_povm_exact(m, theta, data)
+        assert training._evaluate(m, theta).eigen.eigenvectors.dtype == np.float64
+        want = self.exact_oracle(m, H, padded, data.probabilities)
         assert np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("order", range(1, MAX_COMMUTATOR_ORDER + 1))
@@ -547,6 +562,32 @@ class TestEvaluationRecord:
         else:
             assert logs == []
             assert len(calls) == epochs + 1
+
+    @pytest.mark.parametrize("family, n_visible, n_hidden, kind, real", [
+        ("fermionic", 3, 1, "gt", True),
+        ("classical_bm", 3, 1, "exact", True),
+        ("ti_complete", 4, 0, "relent", True),
+        ("mean_field", 3, 0, "relent", False),
+        ("pauli_complete", 2, 0, "relent", False),
+    ])
+    def test_train_solves_in_the_arithmetic_of_the_model(
+        self, family, n_visible, n_hidden, kind, real, rng, monkeypatch
+    ):
+        # real models on real data take the real solver; complex ones keep the complex one
+        if kind != "relent":
+            data = step_function_state(n_visible)[1]
+        elif real:
+            data = random_ti_teacher(n_visible, True, rng)[2]
+        else:
+            data = random_mixed(n_visible, rng)
+        m = build_model(family, n_visible, n_hidden)
+        dtypes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(linalg.np.linalg, "eigh", lambda a: dtypes.append(a.dtype) or eigh(a))
+        cfg = OptimizerConfig(gradient_kind=kind, learning_rate=0.1, epochs=3)
+        train(m, 0.1 * rng.normal(size=m.n_terms), data, cfg)
+        assert len(dtypes) >= 4
+        assert set(dtypes) == {np.dtype(np.float64 if real else np.complex128)}
 
     def test_logarithms_once_per_set_and_hidden_count(self, rng, monkeypatch):
         logs = []
