@@ -1,6 +1,6 @@
 """Desk-scale training laboratory for quantum Boltzmann machines.
 
-Dense exact-diagonalization tooling (2 to 12 qubits) for training Gibbs
+Dense exact-diagonalization tooling (up to 10 qubits) for training Gibbs
 states e^{-H}/Tr[e^{-H}] of parameterized Hamiltonians against measurement
 statistics or full target states, with exact, bound-based, commutator-series
 and sampled gradients, plus seeded experiment runners that emit plot-ready

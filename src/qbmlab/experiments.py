@@ -26,7 +26,7 @@ from .datasets import (
     step_distribution,
     step_function_state,
 )
-from .linalg import _hermitian_eigenvalues, expectation_value, fidelity, gibbs_state
+from .linalg import _hermitian_eigenvalues, fidelity
 from .operators import (
     HamiltonianModel,
     assemble_hamiltonian,
@@ -561,12 +561,9 @@ def _meanfield_instance(args):
     student = build_model("mean_field", n)
     trace = train(student, np.zeros(student.n_terms), target, opt)
     s_curve = _pad_curve(-trace.objectives, opt.epochs + 1)
-    overlaps = []
-    sigma = None
-    for th in trace.thetas:
-        sigma, _ = gibbs_state(assemble_hamiltonian(student, th))
-        overlaps.append(expectation_value(target.rho, sigma))
-    return s_curve, _pad_curve(np.asarray(overlaps), opt.epochs + 1), target.rho, sigma
+    overlaps = _pad_curve([r.overlap for r in trace.records], opt.epochs + 1)
+    # train's last epoch evaluated final_theta unless the run diverged
+    return s_curve, overlaps, target.rho, _evaluate(student, trace.final_theta).rho
 
 
 def run_meanfield(config: MeanfieldConfig):
@@ -685,21 +682,22 @@ def run_commutator_compare(config: CommutatorCompareConfig):
     trace_a = train(model, theta0, data, opt_a)
     curve_a = _pad_curve(trace_a.objectives, total + 1)
 
-    opt_b1 = config.optimizer(gradient_kind="gt", epochs=first)
-    trace_b1 = train(model, theta0, data, opt_b1)
+    # B's first phase is A's run up to epoch `first`, record for record
     opt_b2 = config.optimizer(gradient_kind="commutator", epochs=second)
-    trace_b2 = train(model, trace_b1.final_theta, data, opt_b2)
+    trace_b2 = train(model, trace_a.records[: first + 1][-1].theta, data, opt_b2)
     curve_b = _pad_curve(
-        np.concatenate([trace_b1.objectives, trace_b2.objectives[1:]]), total + 1
+        np.concatenate([trace_a.objectives[: first + 1], trace_b2.objectives[1:]]), total + 1
     )
 
+    # C's curves by settings: the grid point with A's settings is A's run
+    curves = {opt_a: curve_a}
     runs = []
     for eta in config.grid("eta_grid", float):
         for mu in config.grid("momentum_grid", float):
-            opt_c = config.optimizer(
-                gradient_kind="gt", learning_rate=eta, momentum=mu, epochs=total
-            )
-            runs.append((eta, mu, _pad_curve(train(model, theta0, data, opt_c).objectives, total + 1)))
+            opt_c = config.optimizer(gradient_kind="gt", learning_rate=eta, momentum=mu, epochs=total)
+            if opt_c not in curves:
+                curves[opt_c] = _pad_curve(train(model, theta0, data, opt_c).objectives, total + 1)
+            runs.append((eta, mu, curves[opt_c]))
     # the first run with the best final objective
     best_eta, best_mu, curve_c = max(runs, key=lambda run: run[2][-1])
     grid_rows = [(eta, mu, float(curve[-1])) for eta, mu, curve in runs]

@@ -123,10 +123,10 @@ def _number_term(modes, n: int) -> np.ndarray:
     return _scatter(n, *_ladder_product([(p, c) for p in modes for c in (True, False)], n))
 
 
-def _offdiagonal_max(matrix: np.ndarray) -> float:
-    magnitudes = np.abs(matrix)
-    np.fill_diagonal(magnitudes, 0.0)
-    return float(magnitudes.max()) if magnitudes.size else 0.0
+def _nonzeros(m: np.ndarray) -> np.ndarray:
+    """Flat C-order positions of the entries of m != 0, NaN and inf included."""
+    # nonzero of the boolean mask, not of m: on complex data it is 2-3x slower
+    return (m != 0).ravel().nonzero()[0]
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ class Term:
 
     label: str
     matrix: np.ndarray
-    is_quantum: bool
+    is_quantum: bool = field(init=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.complex128)
@@ -143,26 +143,27 @@ class Term:
             # freeze a private copy, never the caller's array; the builders
             # hand over fresh arrays already read-only, which need none
             m = m.copy()
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"term {self.label!r} matrix must be square")
-        # m - m^ formed in one fresh C-ordered copy of m.T (never a view of
-        # m): extra dim x dim temporaries dominate this check at large dim
-        defect = np.array(m.T, order="C")
-        np.conjugate(defect, out=defect)
-        np.subtract(m, defect, out=defect)
-        worst = np.abs(defect).max()
-        if not np.isfinite(worst):
-            raise ValueError(f"term {self.label!r} has non-finite entries")
-        if worst > 1e-12:
-            raise ValueError(f"term {self.label!r} is not Hermitian within 1e-12")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+            raise ValueError(f"term {self.label!r} matrix must be square and non-empty")
+        # Exact on the nonzeros alone: m - m^ vanishes where m and m^T both do, and
+        # |m[r,c] - conj(m[c,r])| = |m[c,r] - conj(m[r,c])|, so the maxima agree.
+        # With k = r * dim + c, m.T.flat[k] is m[c, r]; diagonal k are multiples of dim + 1.
+        flat = _nonzeros(m)
+        values = m.flat[flat]
+        with np.errstate(invalid="ignore"):  # inf - inf, reported below
+            worst = np.abs(values - m.T.flat[flat].conj()).max(initial=0.0)
+        if not worst <= 1e-12:  # NaN too
+            problem = "is not Hermitian within 1e-12" if np.isfinite(worst) else "has non-finite entries"
+            raise ValueError(f"term {self.label!r} {problem}")
+        offdiagonal = np.abs(values[flat % (m.shape[0] + 1) != 0]).max(initial=0.0)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "is_quantum", bool(offdiagonal > QUANTUM_OFFDIAG_TOL))
 
 
 def make_term(label: str, matrix: np.ndarray) -> Term:
     """Build a Term, flagging it quantum iff any off-diagonal entry exceeds 1e-12."""
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    return Term(label, matrix, _offdiagonal_max(matrix) > QUANTUM_OFFDIAG_TOL)
+    return Term(label, matrix)
 
 
 def _owned_term(label: str, matrix: np.ndarray) -> Term:
@@ -237,8 +238,7 @@ class HamiltonianModel:
         """Every nonzero entry of every term, built from the dense matrices on first use."""
         if any(t.matrix.shape != (self.dim, self.dim) for t in self.terms):
             raise ValueError(f"every term must be {self.dim} x {self.dim} for {self.n_qubits} qubits")
-        # flatnonzero of the boolean mask: np.nonzero on complex data is 2-3x slower
-        positions = [np.flatnonzero(t.matrix != 0) for t in self.terms]
+        positions = [_nonzeros(t.matrix) for t in self.terms]
         flat = np.concatenate(positions)
         rows, cols = np.divmod(flat, self.dim)
         entries = TermEntries(
@@ -252,9 +252,10 @@ class HamiltonianModel:
         return entries
 
 
-# Largest qubit count (visible + hidden) of each family: one dense H(theta) and its eigh.
-QUBIT_CAPS = {"classical_bm": 12, "fermionic": 8, "ti_complete": 12, "pauli_complete": 6,
-              "mean_field": 12}
+# Largest qubit count (visible + hidden) of each family: its dense terms take n_terms * 4^n * 16
+# bytes, at most 1.02 GiB at these caps (ti_complete 10) and over 2 GiB one qubit on.
+QUBIT_CAPS = {"classical_bm": 10, "fermionic": 8, "ti_complete": 10, "pauli_complete": 6,
+              "mean_field": 10}
 
 
 def check_model_size(family: str, n_visible: int, n_hidden: int = 0) -> int:

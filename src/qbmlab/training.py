@@ -9,7 +9,6 @@ terms. Inverse temperature is fixed at 1 throughout.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -175,7 +174,7 @@ class TraceRecord:
     theta: np.ndarray
     objective: float
     grad_norm: float
-    elapsed_s: float
+    overlap: float | None = None  # Tr(rho sigma), (embedded) target and Gibbs state; state data only
 
 
 @dataclass
@@ -616,10 +615,10 @@ def train(
         )
     monitor = objective_povm_exact if data_type is PovmTrainingSet else objective_relent
     epoch_seeds = _seed_sequence(rng_seed).spawn(config.epochs + 1)
+    target = _embedded_target(data, model.n_hidden) if data_type is StateTrainingSet else None
 
     trace = TrainingTrace()
     velocity = np.zeros_like(theta)
-    start = time.perf_counter()
     for epoch in range(config.epochs + 1):
         # overflow in an unstable run shows up as a non-finite value below,
         # which is handled; the numpy warning would just be noise
@@ -636,7 +635,8 @@ def train(
                 theta=theta.copy(),
                 objective=float(objective),
                 grad_norm=float(np.linalg.norm(grad)),
-                elapsed_s=time.perf_counter() - start,
+                # from the Gibbs state this epoch's evaluation record holds
+                overlap=None if target is None else expectation_value(target, _evaluate(model, theta).rho),
             )
         )
         if epoch == config.epochs:

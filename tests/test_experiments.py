@@ -14,7 +14,7 @@ import qbmlab.experiments as experiments
 import qbmlab.linalg as linalg
 import qbmlab.training as training
 from qbmlab.cli import build_parser, main
-from qbmlab.datasets import random_mixed, split_seeds
+from qbmlab.datasets import random_mixed, random_ti_teacher, split_seeds
 from qbmlab.experiments import (
     EXPERIMENTS,
     EnsembleSummary,
@@ -334,8 +334,10 @@ class TestOutputs:
     def test_tomography_reconstruction_reuses_the_final_evaluation(self, monkeypatch):
         fresh_gibbs = linalg.gibbs_state
         calls = []
+        # experiments imports no gibbs_state now; the spy would catch one imported again
         for module in (experiments, linalg):
-            monkeypatch.setattr(module, "gibbs_state", lambda H: calls.append(H) or fresh_gibbs(H))
+            monkeypatch.setattr(module, "gibbs_state", lambda H: calls.append(H) or fresh_gibbs(H),
+                                raising=False)
         cfg = make_config("tomography", {"epochs": "3"})
         seed_seq = split_seeds(cfg.seed, 1)[0]
         opt = cfg.optimizer(gradient_kind="relent")
@@ -346,6 +348,53 @@ class TestOutputs:
         model = build_model("pauli_complete", cfg.n_visible)
         trace = train(model, np.zeros(model.n_terms), target, opt)
         assert np.array_equal(sigma, fresh_gibbs(assemble_hamiltonian(model, trace.final_theta))[0])
+
+    def test_meanfield_overlaps_come_from_the_training_epochs(self, monkeypatch):
+        decompose = linalg.hermitian_eigendecompose
+        calls = []
+        for module in (training, linalg):
+            monkeypatch.setattr(module, "hermitian_eigendecompose",
+                                lambda H: calls.append(H) or decompose(H))
+        cfg = make_config("meanfield", {"epochs": "4", "n_visible": "3"})
+        seed_seq = split_seeds(cfg.seed, 1)[0]
+        opt = cfg.optimizer(gradient_kind="relent")
+        _, overlaps, rho, sigma = experiments._meanfield_instance((cfg.n_visible, seed_seq, opt))
+        # one eigh per epoch, none after training
+        assert len(calls) == opt.epochs + 1
+        # bit for bit what diagonalizing every recorded theta afresh gives
+        _, _, target = random_ti_teacher(cfg.n_visible, False, np.random.default_rng(seed_seq))
+        student = build_model("mean_field", cfg.n_visible)
+        trace = train(student, np.zeros(student.n_terms), target, opt)
+        fresh = [linalg.gibbs_state(assemble_hamiltonian(student, th))[0] for th in trace.thetas]
+        assert np.array_equal(overlaps, [linalg.expectation_value(rho, s) for s in fresh])
+        assert np.array_equal(sigma, fresh[-1])
+
+    def test_commutator_compare_reuses_schedule_a(self, monkeypatch):
+        settings = {"n_visible": "2", "epochs": "6", "eta_grid": "0.05,0.1", "momentum_grid": "0,0.5"}
+        runs = []
+        monkeypatch.setattr(experiments, "train",
+                            lambda *args, **kw: runs.append(args[3]) or train(*args, **kw))
+        config = make_config("commutator-compare", settings)
+        _, files = experiments.run_commutator_compare(config)
+        # A, B's commutator phase and the three grid points other than A's own
+        assert [opt.gradient_kind for opt in runs] == ["gt", "commutator", "gt", "gt", "gt"]
+        assert len(set(runs)) == 5
+        # every curve and grid value is what training each schedule afresh gives
+        data = experiments._step_povm(config.n_visible, config.noise_p, config.povm_kind)
+        model = build_model(config.family, config.n_visible)
+        rng = np.random.default_rng(split_seeds(config.seed, 1)[0])
+        theta0 = config.theta0_scale * rng.standard_normal(model.n_terms)
+        first = 3
+        b1 = train(model, theta0, data, config.optimizer(gradient_kind="gt", epochs=first))
+        b2 = train(model, b1.final_theta, data,
+                   config.optimizer(gradient_kind="commutator", epochs=6 - first))
+        grid = {(eta, mu): train(model, theta0, data, config.optimizer(
+                    gradient_kind="gt", learning_rate=eta, momentum=mu)).objectives
+                for eta in (0.05, 0.1) for mu in (0.0, 0.5)}
+        rows = files["curves.csv"][1]
+        assert [row[1] for row in rows] == list(grid[0.1, 0.0])
+        assert [row[2] for row in rows] == list(b1.objectives) + list(b2.objectives[1:])
+        assert files["grid.csv"][1] == [(eta, mu, float(curve[-1])) for (eta, mu), curve in grid.items()]
 
     def test_curves_csv_shape(self, tmp_path):
         out = tmp_path / "tomo2"

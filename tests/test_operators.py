@@ -1,6 +1,7 @@
 """Hamiltonian family builders: term structure, algebra, the sparse entry list."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from qbmlab.linalg import gibbs_state, kron
 from qbmlab.operators import (
     PAULI,
+    QUBIT_CAPS,
     _masked_parity,
     HamiltonianModel,
     Term,
@@ -65,11 +67,11 @@ class TestTerm:
         assert source.flags.f_contiguous and not source.flags.c_contiguous
         snapshot = source.copy()
         if hermitian:
-            term = Term("h", source, True)
+            term = Term("h", source)
             assert np.array_equal(term.matrix, snapshot)
         else:
             with pytest.raises(ValueError, match="not Hermitian"):
-                Term("h", source, True)
+                Term("h", source)
         assert np.array_equal(source, snapshot)
         assert np.array_equal(base, snapshot.T)
 
@@ -95,7 +97,7 @@ class TestTerm:
         assert PAULI["Z"].flags.writeable
         # complex128 already, so np.asarray hands back the caller's own array
         source = random_hermitian(4, rng)
-        term = Term("h", source, True)
+        term = Term("h", source)
         assert source.flags.writeable and not term.matrix.flags.writeable
         source[0, 0] += 1.0
         assert not np.array_equal(term.matrix, source)
@@ -108,7 +110,123 @@ class TestTerm:
             make_term("bad", matrix)
         matrix = np.full((2, 2), bad)
         with pytest.raises(ValueError, match="non-finite"):
-            Term("bad", matrix, False)
+            Term("bad", matrix)
+
+
+def _dense_reference(matrix):
+    """The dense term checks: the verdict and, if accepted, the quantum flag.
+
+    max |m - m^| over every entry, non-finite first, then the 1e-12
+    Hermiticity bound, then the largest off-diagonal magnitude.
+    """
+    m = np.asarray(matrix, dtype=np.complex128)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        worst = np.abs(m - m.conj().T).max()
+    if not np.isfinite(worst):
+        return "non-finite", None
+    if worst > 1e-12:
+        return "not Hermitian", None
+    magnitudes = np.abs(m)
+    np.fill_diagonal(magnitudes, 0.0)
+    return "ok", bool(magnitudes.max() > 1e-12)
+
+
+def _term_check(matrix):
+    """The same verdict and flag from make_term."""
+    try:
+        term = make_term("t", matrix)
+    except ValueError as err:
+        return ("non-finite" if "non-finite" in str(err) else "not Hermitian"), None
+    return "ok", term.is_quantum
+
+
+def _with_entries(dim, entries, dtype=np.complex128):
+    matrix = np.zeros((dim, dim), dtype=dtype)
+    for (r, c), value in entries.items():
+        matrix[r, c] = value
+    return matrix
+
+
+_JUST_ABOVE = np.nextafter(1e-12, 1.0)
+
+# name -> (matrix, expected verdict and flag); the dense reference must agree
+TERM_CHECK_CASES = {
+    "mirror_zero": (_with_entries(3, {(0, 2): 1e-3}), ("not Hermitian", None)),
+    "mirror_zero_below_tol": (_with_entries(3, {(0, 2): 1e-13}), ("ok", False)),
+    "defect_at_tol": (_with_entries(3, {(1, 0): 1e-12, (2, 2): 1.0}), ("ok", False)),
+    "defect_above_tol": (_with_entries(3, {(1, 0): _JUST_ABOVE}), ("not Hermitian", None)),
+    "conjugate_pair_defect_at_tol": (
+        _with_entries(2, {(0, 1): 1.0 + 0.5e-12j, (1, 0): 1.0 + 0.5e-12j}), ("ok", True)),
+    "imaginary_diagonal_at_tol": (_with_entries(2, {(1, 1): 0.5e-12j}), ("ok", False)),
+    "imaginary_diagonal": (_with_entries(2, {(0, 0): 1.0, (1, 1): 1.0 + 1e-3j}),
+                           ("not Hermitian", None)),
+    "nan_mirror_zero": (_with_entries(3, {(0, 2): np.nan}), ("non-finite", None)),
+    "inf_mirror_zero": (_with_entries(3, {(2, 0): np.inf}), ("non-finite", None)),
+    "imaginary_inf_mirror_zero": (_with_entries(3, {(0, 1): complex(0.0, np.inf)}),
+                                  ("non-finite", None)),
+    "inf_on_both_sides": (_with_entries(2, {(0, 1): np.inf, (1, 0): np.inf}),
+                          ("non-finite", None)),
+    "inf_diagonal": (_with_entries(2, {(1, 1): np.inf}), ("non-finite", None)),
+    "negative_zeros": (_with_entries(3, {(0, 1): -0.0, (1, 0): 0.0, (2, 2): -0.0,
+                                         (1, 2): complex(-0.0, -0.0)}), ("ok", False)),
+    "negative_zero_mirror": (_with_entries(2, {(0, 1): 2.0, (1, 0): -0.0}),
+                             ("not Hermitian", None)),
+    "real_symmetric": (_with_entries(3, {(0, 1): 0.5, (1, 0): 0.5, (2, 2): -1.0}, np.float64),
+                       ("ok", True)),
+    "real_not_symmetric": (_with_entries(3, {(0, 1): 0.5, (1, 0): 0.25}, np.float64),
+                           ("not Hermitian", None)),
+    "fortran_hermitian": (np.asfortranarray(pauli_matrix("YX")), ("ok", True)),
+    "fortran_not_hermitian": (np.asfortranarray(_with_entries(4, {(3, 0): 1j, (0, 3): 1j})),
+                              ("not Hermitian", None)),
+    "fortran_real": (np.asfortranarray(_with_entries(2, {(0, 1): 1.0, (1, 0): 1.0}, np.float64)),
+                     ("ok", True)),
+    "all_zero": (np.zeros((4, 4)), ("ok", False)),
+    "diagonal": (np.diag([1.0, -2.0, 0.0, 3.0]), ("ok", False)),
+}
+
+
+class TestTermCheck:
+    """The one-pass check over the nonzeros against the dense reference."""
+
+    @pytest.mark.parametrize("name", TERM_CHECK_CASES)
+    def test_matches_dense_reference(self, name):
+        matrix, expected = TERM_CHECK_CASES[name]
+        assert _dense_reference(matrix) == expected
+        assert _term_check(matrix) == expected
+
+    def test_random_sparse_near_hermitian(self, rng):
+        # sparse patterns with unmatched mirrors and defects around 1e-12
+        for _ in range(300):
+            dim = int(rng.integers(1, 6))
+            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            matrix = np.where(rng.random((dim, dim)) < 0.4, a + a.conj().T, 0.0)
+            scale = 10.0 ** rng.integers(-14, -10)
+            noise = scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            matrix = matrix + np.where(rng.random((dim, dim)) < 0.3, noise, 0.0)
+            assert _term_check(matrix) == _dense_reference(matrix)
+
+    def test_rejects_empty_and_non_square(self):
+        for matrix in (np.zeros((0, 0)), np.zeros((2, 3)), np.zeros(4)):
+            with pytest.raises(ValueError, match="square"):
+                make_term("bad", matrix)
+
+    def test_no_runtime_warning_on_inf(self):
+        with np.errstate(all="raise"):
+            for name in ("inf_on_both_sides", "inf_diagonal"):
+                with pytest.raises(ValueError, match="non-finite"):
+                    make_term("bad", TERM_CHECK_CASES[name][0])
+
+    def test_one_scan_per_term_and_one_for_the_entries(self, monkeypatch):
+        import qbmlab.operators as operators
+
+        scans = []
+        real = operators._nonzeros
+        monkeypatch.setattr(operators, "_nonzeros", lambda m: scans.append(m.shape) or real(m))
+        model = build_model("fermionic", 3, 1)
+        assert len(scans) == model.n_terms
+        model.entries
+        model.entries
+        assert len(scans) == 2 * model.n_terms
 
 
 class TestClassicalBm:
@@ -428,6 +546,7 @@ class TestTermOracles:
             assert np.array_equal(term.matrix, matrix), label
             off_diagonal = matrix - np.diag(np.diag(matrix))
             assert term.is_quantum == bool(np.any(off_diagonal != 0)), label
+            assert _dense_reference(matrix) == ("ok", term.is_quantum), label
         assert np.array_equal(model.matrix_stack, np.stack([m for _, m in expected]))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -461,3 +580,34 @@ class TestEntryList:
         model = HamiltonianModel("custom", 1, 0, (make_term("zz", pauli_matrix("ZZ")),))
         with pytest.raises(ValueError, match="2 x 2"):
             assemble_hamiltonian(model, np.ones(1))
+
+
+# Terms of each family on n qubits (classical_bm on the complete graph).
+TERM_COUNTS = {
+    "classical_bm": lambda n: n + math.comb(n, 2),
+    "ti_complete": lambda n: n * (n + 3) // 2,
+    "pauli_complete": lambda n: 4**n - 1,
+    "mean_field": lambda n: 3 * n,
+    "fermionic": lambda n: n + n * (n + 1) // 2 + math.comb(math.comb(n, 2) + 1, 2),
+}
+
+# Dense term storage a model may need at its family's cap.
+TERM_BYTES_BUDGET = 2 * 2**30
+
+
+class TestQubitCaps:
+    def test_every_family_has_a_cap(self):
+        assert set(QUBIT_CAPS) == set(ALL_FAMILIES) == set(TERM_COUNTS)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_term_count_formula(self, family):
+        for n in (2, 3, 4):
+            assert _build(family, n).n_terms == TERM_COUNTS[family](n)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_dense_terms_fit_the_budget_at_the_cap(self, family):
+        n = QUBIT_CAPS[family]
+        term_bytes = TERM_COUNTS[family](n) * 4**n * 16
+        assert term_bytes <= TERM_BYTES_BUDGET, f"{family} at {n} qubits: {term_bytes / 2**30:.2f} GiB"
+        with pytest.raises(ValueError, match="cap"):
+            build_model(family, n + 1)

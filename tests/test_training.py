@@ -410,6 +410,24 @@ class TestTrainLoop:
         c = train(m, np.zeros(3), data, cfg, rng_seed=8)
         assert not np.array_equal(a.final_theta, c.final_theta)
 
+    @pytest.mark.parametrize("kind", ["relent", "relent_sampled"])
+    def test_state_training_records_the_overlap_of_each_epoch(self, kind, rng):
+        # with a hidden unit the target is embedded as rho (x) I/2
+        m = build_classical_bm(2, 1, complete_graph_edges(3))
+        data = random_mixed(2, rng)
+        cfg = OptimizerConfig(gradient_kind=kind, learning_rate=0.5, epochs=3, n_samples=64)
+        tr = train(m, rng.normal(size=m.n_terms), data, cfg)
+        target = embed_target_state(data.rho, 1)
+        for record in tr.records:
+            sigma = gibbs_state(assemble_hamiltonian(m, record.theta))[0]
+            assert record.overlap == linalg.expectation_value(target, sigma)
+
+    def test_povm_training_records_no_overlap(self):
+        _, povm, _ = step_function_state(2, 0.1)
+        m = build_fermionic_model(2)
+        tr = train(m, np.zeros(m.n_terms), povm, OptimizerConfig("gt", epochs=2))
+        assert [r.overlap for r in tr.records] == [None] * 3
+
     def test_theta_length_mismatch(self, rng):
         m = build_mean_field(1)
         data = random_mixed(1, rng)
