@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import _gibbs_from_eigensystem, hermitian_eigendecompose, validate_density_matrix
+from .linalg import _gibbs_from_eigensystem, hermitian_eigendecompose
 from .operators import (
     HamiltonianModel,
     assemble_hamiltonian,
@@ -119,9 +119,7 @@ def random_mixed(n: int, rng: np.random.Generator) -> StateTrainingSet:
     u = haar_unitary(dim, rng)
     w = rng.uniform(size=dim)
     w /= w.sum()
-    rho = (u * w) @ u.conj().T
-    validate_density_matrix(rho)
-    return StateTrainingSet(rho=rho)
+    return StateTrainingSet(rho=(u * w) @ u.conj().T)
 
 
 def random_ti_teacher(

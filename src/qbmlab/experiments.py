@@ -197,6 +197,11 @@ class EnsembleSummary:
                 raise ValueError("percentile curves are not pointwise ordered")
 
 
+def _summary(config: ExperimentConfig, metric: str, stacked: np.ndarray, **extras) -> EnsembleSummary:
+    """The summary of per-instance curves of one metric, stacked as rows."""
+    return EnsembleSummary(config.experiment, metric, percentile_curves(stacked), stacked[:, -1], extras)
+
+
 def percentile_curves(values: np.ndarray) -> dict:
     """Pointwise percentile curves over instances (rows)."""
     values = np.asarray(values, dtype=float)
@@ -204,13 +209,14 @@ def percentile_curves(values: np.ndarray) -> dict:
     return {label: levels[i] for i, label in enumerate(PERCENTILE_LABELS)}
 
 
-def _percentile_rows(curves_by_key: dict, epochs) -> list:
-    """CSV rows key + (epoch, p2_5, ..., p97_5) for each key, epoch by epoch."""
-    return [
+def _percentile_csv(key_names: tuple, curves_by_key: dict, epochs: int) -> tuple:
+    """(header, rows) of a curves.csv: key + (epoch, p2_5, ..., p97_5) per key and epoch."""
+    rows = [
         key + (e,) + tuple(curves[label][e] for label in PERCENTILE_LABELS)
         for key, curves in curves_by_key.items()
-        for e in epochs
+        for e in range(epochs + 1)
     ]
+    return key_names + ("epoch",) + PERCENTILE_LABELS, rows
 
 
 def _map_instances(fn, items, jobs: int) -> list:
@@ -354,17 +360,12 @@ def run_povm_experiment(config: PovmTrainConfig):
                 rows.append((nv, nh, label, e, curve[e], o_max - curve[e]))
 
     quantum_curves = np.asarray(quantum_curves)
-    summary = EnsembleSummary(
-        experiment=config.experiment,
-        metric="delta_objective",
-        curves=percentile_curves(quantum_curves),
-        finals=quantum_curves[:, -1],
-        extras=dict(
-            grid=points,
-            quantum_beats_classical=all(
-                p["final_quantum"] >= p["final_classical"] for p in points
-            ),
-        ),
+    summary = _summary(
+        config,
+        "delta_objective",
+        quantum_curves,
+        grid=points,
+        quantum_beats_classical=all(p["final_quantum"] >= p["final_classical"] for p in points),
     )
     files = {
         "curves.csv": (
@@ -377,33 +378,69 @@ def run_povm_experiment(config: PovmTrainConfig):
 
 
 # ---------------------------------------------------------------------------
-# Tomography ensemble (relative-entropy training of random states)
+# Relative-entropy ensembles (tomography, hamlearn, meanfield)
 
 
 @dataclass
-class TomographyConfig(ExperimentConfig):
-    ensemble: int = 100
+class RelentEnsembleConfig(ExperimentConfig):
+    """Keys every relative-entropy ensemble reads: its size, workers and ascent steps."""
+
+    ensemble: int = 50
     jobs: int = 1
-    n_visible: int = 2
-    target_kind: str = "mixed"
     learning_rate: float = 1.0
     momentum: float = 0.0
     epochs: int = 100
+
+
+def _relent_instance(args):
+    """Train one instance of ``setup(rng, *fixed) -> (model, theta0, target, theta_true)``.
+
+    Returns the padded curves by name (``s`` = S(rho || sigma), ``overlap`` =
+    Tr(rho sigma), and ``dh`` = ||H - H_true||_F if there is a teacher theta_true),
+    the (target, final state) pair if keep_states, and the diverged flag.
+    """
+    setup, fixed, seed_seq, opt, keep_states = args
+    model, theta0, target, theta_true = setup(np.random.default_rng(seed_seq), *fixed)
+    trace = train(model, theta0, target, opt)
+    curves = dict(s=-trace.objectives, overlap=[r.overlap for r in trace.records])
+    if theta_true is not None:
+        # H is linear in theta: H(th) - H(theta_true) = H(th - theta_true)
+        curves["dh"] = [float(np.linalg.norm(assemble_hamiltonian(model, th - theta_true)))
+                        for th in trace.thetas]
+    curves = {name: _pad_curve(values, opt.epochs + 1) for name, values in curves.items()}
+    # train's last epoch evaluated final_theta unless the run diverged
+    states = (target.rho, _evaluate(model, trace.final_theta).rho) if keep_states else None
+    return curves, states, bool(trace.diverged)
+
+
+def _relent_ensemble(config: RelentEnsembleConfig, setup, *fixed, keep_states: bool = True):
+    """Run config.ensemble seeded instances of ``setup(rng, *fixed)`` (see _relent_instance).
+
+    Returns the curves stacked by name, one row per instance, the list of
+    per-instance (target, final state) pairs (None each unless keep_states)
+    and the number of diverged runs.
+    """
+    opt = config.optimizer(gradient_kind="relent")
+    args = [(setup, fixed, child, opt, keep_states) for child in split_seeds(config.seed, config.ensemble)]
+    results = _map_instances(_relent_instance, args, config.jobs)
+    curves = {name: np.asarray([r[0][name] for r in results]) for name in results[0][0]}
+    return curves, [r[1] for r in results], sum(r[2] for r in results)
+
+
+@dataclass
+class TomographyConfig(RelentEnsembleConfig):
+    ensemble: int = 100
+    n_visible: int = 2
+    target_kind: str = "mixed"
 
     def models(self) -> list:
         return [("pauli_complete", self.n_visible, 0)]
 
 
-def _tomography_instance(args):
-    n, target_kind, seed_seq, opt = args
-    rng = np.random.default_rng(seed_seq)
-    target = random_mixed(n, rng) if target_kind == "mixed" else haar_random_pure(n, rng)
-    model = build_model("pauli_complete", n)
-    trace = train(model, np.zeros(model.n_terms), target, opt)
-    s_curve = _pad_curve(-trace.objectives, opt.epochs + 1)
-    # train's last epoch evaluated final_theta unless the run diverged
-    sigma = _evaluate(model, trace.final_theta).rho
-    return s_curve, target.rho, sigma, bool(trace.diverged)
+def _tomography_setup(rng, n_visible: int, target_kind: str):
+    target = random_mixed(n_visible, rng) if target_kind == "mixed" else haar_random_pure(n_visible, rng)
+    model = build_model("pauli_complete", n_visible)
+    return model, np.zeros(model.n_terms), target, None
 
 
 def run_tomography_ensemble(config: TomographyConfig):
@@ -414,39 +451,24 @@ def run_tomography_ensemble(config: TomographyConfig):
     per epoch; the divergence equals minus the monitored objective at
     lam = 0.
     """
-    opt = config.optimizer(gradient_kind="relent")
-    args = [
-        (config.n_visible, config.target_kind, child, opt)
-        for child in split_seeds(config.seed, config.ensemble)
-    ]
-    results = _map_instances(_tomography_instance, args, config.jobs)
-    s_curves = np.asarray([r[0] for r in results])
-    finals = s_curves[:, -1]
-    summary = EnsembleSummary(
-        experiment=config.experiment,
-        metric="relative_entropy",
-        curves=percentile_curves(s_curves),
-        finals=finals,
-        extras=dict(
-            target_kind=config.target_kind,
-            median_final=float(np.median(finals)),
-            finals=[float(v) for v in finals],
-            n_diverged=sum(r[3] for r in results),
-        ),
+    curves, states, n_diverged = _relent_ensemble(
+        config, _tomography_setup, config.n_visible, config.target_kind)
+    finals = curves["s"][:, -1]
+    summary = _summary(
+        config,
+        "relative_entropy",
+        curves["s"],
+        target_kind=config.target_kind,
+        median_final=float(np.median(finals)),
+        finals=[float(v) for v in finals],
+        n_diverged=n_diverged,
     )
     reconstructions = [
-        dict(
-            instance=i,
-            target=matrix_to_pairs(results[i][1]),
-            reconstruction=matrix_to_pairs(results[i][2]),
-        )
-        for i in range(len(results))
+        dict(instance=i, target=matrix_to_pairs(rho), reconstruction=matrix_to_pairs(sigma))
+        for i, (rho, sigma) in enumerate(states)
     ]
     files = {
-        "curves.csv": (
-            ("epoch",) + PERCENTILE_LABELS,
-            _percentile_rows({(): summary.curves}, range(opt.epochs + 1)),
-        ),
+        "curves.csv": _percentile_csv((), {(): summary.curves}, config.epochs),
         "summary.json": dict(experiment=config.experiment, metric=summary.metric, **summary.extras),
         "reconstructions.json": reconstructions,
     }
@@ -458,32 +480,18 @@ def run_tomography_ensemble(config: TomographyConfig):
 
 
 @dataclass
-class HamlearnConfig(ExperimentConfig):
-    ensemble: int = 50
-    jobs: int = 1
+class HamlearnConfig(RelentEnsembleConfig):
     n_visible: int = 2
     theta0_scale: float = 0.01
-    learning_rate: float = 1.0
-    momentum: float = 0.0
-    epochs: int = 100
 
     def models(self) -> list:
         return [("ti_complete", self.n_visible, 0)]
 
 
-def _hamlearn_instance(args):
-    n, normalize, seed_seq, theta0_scale, opt = args
-    rng = np.random.default_rng(seed_seq)
-    model, theta_true, target = random_ti_teacher(n, normalize, rng)
+def _hamlearn_setup(rng, n_visible: int, normalize: bool, theta0_scale: float):
+    model, theta_true, target = random_ti_teacher(n_visible, normalize, rng)
     theta0 = theta0_scale * rng.standard_normal(model.n_terms)
-    trace = train(model, theta0, target, opt)
-    s_curve = _pad_curve(-trace.objectives, opt.epochs + 1)
-    # H is linear in theta: H(th) - H(theta_true) = H(th - theta_true)
-    dh = [
-        float(np.linalg.norm(assemble_hamiltonian(model, th - theta_true)))
-        for th in trace.thetas
-    ]
-    return s_curve, _pad_curve(np.asarray(dh), opt.epochs + 1)
+    return model, theta0, target, theta_true
 
 
 def run_hamlearn(config: HamlearnConfig):
@@ -494,22 +502,18 @@ def run_hamlearn(config: HamlearnConfig):
     S(rho || sigma) and the Frobenius distance between the true and
     estimated Hamiltonians.
     """
-    opt = config.optimizer(gradient_kind="relent")
     variants = {}
     for normalize, name in ((True, "normalized"), (False, "unnormalized")):
-        args = [
-            (config.n_visible, normalize, child, config.theta0_scale, opt)
-            for child in split_seeds(config.seed, config.ensemble)
-        ]
-        results = _map_instances(_hamlearn_instance, args, config.jobs)
-        s_curves = np.asarray([r[0] for r in results])
-        dh_curves = np.asarray([r[1] for r in results])
+        curves, _, n_diverged = _relent_ensemble(
+            config, _hamlearn_setup, config.n_visible, normalize, config.theta0_scale,
+            keep_states=False)
         variants[name] = dict(
-            s=percentile_curves(s_curves),
-            dh=percentile_curves(dh_curves),
-            s_finals=s_curves[:, -1],
-            median_final_s=float(np.median(s_curves[:, -1])),
-            median_final_dh=float(np.median(dh_curves[:, -1])),
+            s=percentile_curves(curves["s"]),
+            dh=percentile_curves(curves["dh"]),
+            s_finals=curves["s"][:, -1],
+            median_final_s=float(np.median(curves["s"][:, -1])),
+            median_final_dh=float(np.median(curves["dh"][:, -1])),
+            n_diverged=n_diverged,
         )
 
     summary = EnsembleSummary(
@@ -528,10 +532,7 @@ def run_hamlearn(config: HamlearnConfig):
         for metric in ("s", "dh")
     }
     files = {
-        "curves.csv": (
-            ("variant", "metric", "epoch") + PERCENTILE_LABELS,
-            _percentile_rows(curves_by_key, range(opt.epochs + 1)),
-        ),
+        "curves.csv": _percentile_csv(("variant", "metric"), curves_by_key, config.epochs),
         "summary.json": dict(experiment=config.experiment, n_visible=config.n_visible, **medians),
     }
     return summary, files
@@ -542,28 +543,18 @@ def run_hamlearn(config: HamlearnConfig):
 
 
 @dataclass
-class MeanfieldConfig(ExperimentConfig):
-    ensemble: int = 50
-    jobs: int = 1
+class MeanfieldConfig(RelentEnsembleConfig):
     n_visible: int = 5
-    learning_rate: float = 1.0
     momentum: float = 0.3
-    epochs: int = 100
 
     def models(self) -> list:
         return [("ti_complete", self.n_visible, 0), ("mean_field", self.n_visible, 0)]
 
 
-def _meanfield_instance(args):
-    n, seed_seq, opt = args
-    rng = np.random.default_rng(seed_seq)
-    _, _, target = random_ti_teacher(n, False, rng)
-    student = build_model("mean_field", n)
-    trace = train(student, np.zeros(student.n_terms), target, opt)
-    s_curve = _pad_curve(-trace.objectives, opt.epochs + 1)
-    overlaps = _pad_curve([r.overlap for r in trace.records], opt.epochs + 1)
-    # train's last epoch evaluated final_theta unless the run diverged
-    return s_curve, overlaps, target.rho, _evaluate(student, trace.final_theta).rho
+def _meanfield_setup(rng, n_visible: int):
+    _, _, target = random_ti_teacher(n_visible, False, rng)
+    student = build_model("mean_field", n_visible)
+    return student, np.zeros(student.n_terms), target, None
 
 
 def run_meanfield(config: MeanfieldConfig):
@@ -581,33 +572,21 @@ def run_meanfield(config: MeanfieldConfig):
     rather than how mixed the teacher is. It stays out of the output
     files.
     """
-    opt = config.optimizer(gradient_kind="relent")
-    args = [
-        (config.n_visible, child, opt) for child in split_seeds(config.seed, config.ensemble)
-    ]
-    results = _map_instances(_meanfield_instance, args, config.jobs)
-    s_curves = np.asarray([r[0] for r in results])
-    overlap_curves = np.asarray([r[1] for r in results])
-    overlap_pct = percentile_curves(overlap_curves)
-    summary = EnsembleSummary(
-        experiment=config.experiment,
-        metric="relative_entropy",
-        curves=percentile_curves(s_curves),
-        finals=s_curves[:, -1],
-        extras=dict(
-            overlap=overlap_pct,
-            median_final_overlap=float(np.median(overlap_curves[:, -1])),
-            median_final_fidelity=float(np.median([fidelity(r[2], r[3]) for r in results])),
-            median_final_s=float(np.median(s_curves[:, -1])),
-        ),
+    curves, states, n_diverged = _relent_ensemble(config, _meanfield_setup, config.n_visible)
+    overlap_pct = percentile_curves(curves["overlap"])
+    summary = _summary(
+        config,
+        "relative_entropy",
+        curves["s"],
+        overlap=overlap_pct,
+        median_final_overlap=float(np.median(curves["overlap"][:, -1])),
+        median_final_fidelity=float(np.median([fidelity(rho, sigma) for rho, sigma in states])),
+        median_final_s=float(np.median(curves["s"][:, -1])),
+        n_diverged=n_diverged,
     )
     files = {
-        "curves.csv": (
-            ("metric", "epoch") + PERCENTILE_LABELS,
-            _percentile_rows(
-                {("s",): summary.curves, ("overlap",): overlap_pct}, range(opt.epochs + 1)
-            ),
-        ),
+        "curves.csv": _percentile_csv(
+            ("metric",), {("s",): summary.curves, ("overlap",): overlap_pct}, config.epochs),
         "summary.json": dict(
             experiment=config.experiment,
             n_visible=config.n_visible,
@@ -615,8 +594,8 @@ def run_meanfield(config: MeanfieldConfig):
             median_final_overlap=summary.extras["median_final_overlap"],
         ),
         "instance_matrices.json": dict(
-            target=matrix_to_pairs(results[0][2]),
-            model_state=matrix_to_pairs(results[0][3]),
+            target=matrix_to_pairs(states[0][0]),
+            model_state=matrix_to_pairs(states[0][1]),
         ),
     }
     return summary, files
@@ -702,21 +681,17 @@ def run_commutator_compare(config: CommutatorCompareConfig):
     best_eta, best_mu, curve_c = max(runs, key=lambda run: run[2][-1])
     grid_rows = [(eta, mu, float(curve[-1])) for eta, mu, curve in runs]
 
-    stacked = np.asarray([curve_a, curve_b, curve_c])
-    summary = EnsembleSummary(
-        experiment=config.experiment,
-        metric="objective_exact",
-        curves=percentile_curves(stacked),
-        finals=stacked[:, -1],
-        extras=dict(
-            final_a=float(curve_a[-1]),
-            final_b=float(curve_b[-1]),
-            final_c=float(curve_c[-1]),
-            switch_epoch=first,
-            best_eta=best_eta,
-            best_momentum=best_mu,
-            diverged_b=bool(trace_b2.diverged),
-        ),
+    summary = _summary(
+        config,
+        "objective_exact",
+        np.asarray([curve_a, curve_b, curve_c]),
+        final_a=float(curve_a[-1]),
+        final_b=float(curve_b[-1]),
+        final_c=float(curve_c[-1]),
+        switch_epoch=first,
+        best_eta=best_eta,
+        best_momentum=best_mu,
+        diverged_b=bool(trace_b2.diverged),
     )
     rows = [(e, curve_a[e], curve_b[e], curve_c[e]) for e in range(total + 1)]
     files = {

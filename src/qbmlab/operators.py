@@ -129,7 +129,7 @@ def _nonzeros(m: np.ndarray) -> np.ndarray:
     return (m != 0).ravel().nonzero()[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Term:
     """One Hermitian summand of a model Hamiltonian."""
 
@@ -185,13 +185,14 @@ class TermEntries(NamedTuple):
     values: np.ndarray  # H_j[r, c]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HamiltonianModel:
     """Immutable parameterized Hamiltonian family.
 
     The weight vector theta lives outside the model (one real entry per
     term, passed to every operation that needs it), so instances can be
-    shared freely across ensemble workers.
+    shared freely across ensemble workers. Models, like their terms, compare
+    and hash by identity: they hold arrays and cache their last evaluation.
     """
 
     family: str

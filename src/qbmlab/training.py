@@ -63,7 +63,7 @@ MAX_COMMUTATOR_ORDER = 12
 GT_CLIP = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PovmTrainingSet:
     """Measurement operators on the visible units with outcome frequencies.
 
@@ -115,7 +115,7 @@ class PovmTrainingSet:
         return self.elements[0].shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateTrainingSet:
     """Full target density matrix on the visible units."""
 
@@ -168,7 +168,7 @@ class OptimizerConfig:
             raise ValueError("n_samples must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceRecord:
     epoch: int
     theta: np.ndarray

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+import qbmlab.datasets as datasets
+import qbmlab.linalg as linalg
+import qbmlab.training as training
 from qbmlab.datasets import (
     haar_random_pure,
     haar_unitary,
@@ -97,6 +100,17 @@ class TestRandomMixed:
         w = shadow.uniform(size=4)
         w /= w.sum()
         assert np.allclose(np.linalg.eigvalsh(s.rho), np.sort(w), atol=1e-10)
+
+    def test_state_validated_once(self, rng, monkeypatch):
+        # StateTrainingSet checks the state; random_mixed adds no second check
+        checks = []
+        check = linalg.validate_density_matrix
+        for module in (datasets, training, linalg):
+            monkeypatch.setattr(module, "validate_density_matrix",
+                                lambda *args: checks.append(args) or check(*args), raising=False)
+        for n in (1, 2, 3):
+            random_mixed(n, rng)
+            assert len(checks) == n
 
     def test_mean_purity_single_qubit(self, rng):
         # E[Tr rho^2] = E[(u^2+v^2)/(u+v)^2] = 2 - 2 ln 2 for two iid uniforms

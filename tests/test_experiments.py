@@ -171,14 +171,61 @@ class TestParallelism:
             assert np.array_equal(s1.curves[k], s2.curves[k])
         assert np.array_equal(s1.finals, s2.finals)
 
-    def test_povm_train_job_count_does_not_change_outputs(self, tmp_path):
-        base = {"n_visible_grid": "2,3", "n_hidden_grid": "0,1", "epochs": "3"}
+    # every experiment that dispatches to a process pool, at small settings
+    POOLED = {
+        "povm-train": {"n_visible_grid": "2,3", "n_hidden_grid": "0,1", "epochs": "3"},
+        "tomography": {"ensemble": "4", "epochs": "3"},
+        "hamlearn": {"ensemble": "3", "epochs": "3"},
+        "meanfield": {"ensemble": "3", "epochs": "3", "n_visible": "3"},
+    }
+
+    @pytest.mark.parametrize("experiment", list(POOLED))
+    def test_job_count_does_not_change_output_files(self, tmp_path, experiment):
         outputs = []
         for jobs in (1, 2):
             out = tmp_path / f"jobs{jobs}"
-            run_experiment(make_config("povm-train", base, {"jobs": jobs, "out": str(out)}))
+            run_experiment(make_config(experiment, self.POOLED[experiment], {"jobs": jobs, "out": str(out)}))
             outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"})
+        assert len(outputs[0]) >= 2
         assert outputs[0] == outputs[1]
+
+
+class TestDivergence:
+    KEPT = 2  # records the diverged instance keeps
+
+    @pytest.mark.parametrize("experiment, variants", [
+        ("tomography", [None]),
+        ("meanfield", [None]),
+        ("hamlearn", ["normalized", "unnormalized"]),
+    ])
+    def test_diverged_instance_is_counted_and_padded(self, tmp_path, monkeypatch, experiment, variants):
+        ensemble = 3
+        calls, stacks = [], []
+
+        def diverge_second(*args, **kw):
+            trace = train(*args, **kw)
+            if len(calls) % ensemble == 1:
+                trace.records, trace.diverged = trace.records[: self.KEPT], True
+            calls.append(trace)
+            return trace
+
+        ensemble_run = experiments._relent_ensemble
+        monkeypatch.setattr(experiments, "train", diverge_second)
+        monkeypatch.setattr(experiments, "_relent_ensemble",
+                            lambda *args, **kw: stacks.append(ensemble_run(*args, **kw)) or stacks[-1])
+        settings = dict(OUTPUT_LAYOUTS[experiment][0], ensemble=str(ensemble), epochs="4")
+        out = tmp_path / experiment
+        summary = run_experiment(make_config(experiment, settings, {"out": str(out)}))
+        assert len(calls) == ensemble * len(variants)
+        for variant, (curves, _, n_diverged) in zip(variants, stacks):
+            extras = summary.extras if variant is None else summary.extras[variant]
+            assert n_diverged == extras["n_diverged"] == 1
+            for name, stack in curves.items():
+                # the diverged instance holds its last recorded value to the end
+                assert np.all(stack[1, self.KEPT:] == stack[1, self.KEPT - 1]), name
+            # the others trained on
+            assert np.all(curves["s"][[0, 2], -1] != curves["s"][[0, 2], self.KEPT - 1])
+        assert set(json.loads((out / "summary.json").read_text())) == OUTPUT_LAYOUTS[experiment][2]
 
 
 class TestPovmData:
@@ -341,7 +388,8 @@ class TestOutputs:
         cfg = make_config("tomography", {"epochs": "3"})
         seed_seq = split_seeds(cfg.seed, 1)[0]
         opt = cfg.optimizer(gradient_kind="relent")
-        _, _, sigma, _ = experiments._tomography_instance((cfg.n_visible, "mixed", seed_seq, opt))
+        _, (_, sigma), _ = experiments._relent_instance(
+            (experiments._tomography_setup, (cfg.n_visible, "mixed"), seed_seq, opt, True))
         assert calls == []
         # bit for bit what diagonalizing the final theta afresh gives
         target = random_mixed(cfg.n_visible, np.random.default_rng(seed_seq))
@@ -358,7 +406,9 @@ class TestOutputs:
         cfg = make_config("meanfield", {"epochs": "4", "n_visible": "3"})
         seed_seq = split_seeds(cfg.seed, 1)[0]
         opt = cfg.optimizer(gradient_kind="relent")
-        _, overlaps, rho, sigma = experiments._meanfield_instance((cfg.n_visible, seed_seq, opt))
+        curves, (rho, sigma), _ = experiments._relent_instance(
+            (experiments._meanfield_setup, (cfg.n_visible,), seed_seq, opt, True))
+        overlaps = curves["overlap"]
         # one eigh per epoch, none after training
         assert len(calls) == opt.epochs + 1
         # bit for bit what diagonalizing every recorded theta afresh gives

@@ -1,5 +1,6 @@
 """Hamiltonian family builders: term structure, algebra, the sparse entry list."""
 
+import copy
 import itertools
 import math
 
@@ -611,3 +612,15 @@ class TestQubitCaps:
         assert term_bytes <= TERM_BYTES_BUDGET, f"{family} at {n} qubits: {term_bytes / 2**30:.2f} GiB"
         with pytest.raises(ValueError, match="cap"):
             build_model(family, n + 1)
+
+
+class TestIdentity:
+    @pytest.mark.parametrize("family", ["ti_complete", "fermionic"])
+    def test_models_and_terms_compare_and_hash_by_identity(self, family):
+        model, again = build_model(family, 2), build_model(family, 2)
+        assert model == model and model != again
+        assert model != copy.copy(model)  # not even a copy sharing its terms
+        assert {model: 1, again: 2}[model] == 1
+        term = model.terms[0]
+        assert term == term and term != again.terms[0]
+        assert {term: 1}[term] == 1

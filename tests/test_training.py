@@ -23,6 +23,7 @@ from qbmlab.training import (
     OptimizerConfig,
     PovmTrainingSet,
     StateTrainingSet,
+    TraceRecord,
     embed_target_state,
     grad_povm_commutator,
     grad_povm_exact,
@@ -90,6 +91,18 @@ class TestTrainingSets:
             PovmTrainingSet(elements=(half, half), probabilities=[np.nan, np.nan])
         with pytest.raises(ValueError, match="non-finite"):
             PovmTrainingSet(elements=(np.full((2, 2), np.nan), half), probabilities=[0.5, 0.5])
+
+    def test_records_compare_and_hash_by_identity(self, rng):
+        rho = random_mixed(1, rng).rho
+        povm = random_full_rank_povm(2, rng)
+        records = [
+            (StateTrainingSet(rho=rho), StateTrainingSet(rho=rho)),
+            (povm, PovmTrainingSet(elements=povm.elements, probabilities=povm.probabilities)),
+            (TraceRecord(0, np.zeros(2), 0.0, 0.0), TraceRecord(0, np.zeros(2), 0.0, 0.0)),
+        ]
+        for record, twin in records:
+            assert record == record and record != twin
+            assert {record: 1, twin: 2}[record] == 1
 
     def test_state_set_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
