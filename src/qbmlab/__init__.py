@@ -45,6 +45,7 @@ from .training import (
     StateTrainingSet,
     TraceRecord,
     TrainingTrace,
+    child_seed,
     grad_povm_commutator,
     grad_povm_exact,
     grad_povm_gt,
@@ -61,7 +62,6 @@ from .datasets import (
     haar_unitary,
     random_mixed,
     random_ti_teacher,
-    split_seeds,
     step_distribution,
     step_function_state,
 )

@@ -5,9 +5,10 @@ noisy step-function distribution encoded as a pure state, Haar-random pure
 states, random full-rank mixed states, and random transverse-field Ising
 teacher Hamiltonians whose Gibbs states serve as reconstruction targets.
 
-The random generators are pure functions of a ``numpy.random.Generator``; ensemble
-code derives per-instance generators with :func:`split_seeds` so instances
-can run in any order (or in parallel) without changing results.
+The random generators are pure functions of a ``numpy.random.Generator``.
+Callers seed each from :func:`qbmlab.training.child_seed` (ensemble instance
+``i`` at key ``(i,)`` below the root seed), so instances can run in any order
+(or in parallel) without changing results.
 """
 
 from __future__ import annotations
@@ -27,19 +28,9 @@ __all__ = [
     "haar_unitary",
     "random_mixed",
     "random_ti_teacher",
-    "split_seeds",
     "step_distribution",
     "step_function_state",
 ]
-
-def split_seeds(seed: int, n: int) -> list:
-    """Derive ``n`` independent child seed sequences from one root seed.
-
-    Child ``i`` depends only on ``(seed, i)``, never on how many siblings
-    exist or in which order they are consumed, so ensemble instances can be
-    dispatched to worker processes in any order.
-    """
-    return [np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(n)]
 
 
 def step_distribution(n_visible: int, noise_p: float = 0.1) -> np.ndarray:

@@ -22,7 +22,6 @@ from .datasets import (
     haar_random_pure,
     random_mixed,
     random_ti_teacher,
-    split_seeds,
     step_distribution,
     step_function_state,
 )
@@ -41,6 +40,7 @@ from .training import (
     PovmTrainingSet,
     StateTrainingSet,
     _evaluate,
+    child_seed,
     grad_povm_commutator,
     grad_povm_exact,
     grad_povm_gt,
@@ -301,12 +301,9 @@ def _max_objective(povm: PovmTrainingSet) -> float:
 
 
 def _povm_branch(args):
-    (data, n_visible, n_hidden, family, seed, point_index, branch, theta0_scale, opt) = args
+    data, n_visible, n_hidden, family, seed_seq, theta0_scale, opt = args
     model = build_model(family, n_visible, n_hidden)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(point_index, branch))
-    )
-    theta0 = theta0_scale * rng.standard_normal(model.n_terms)
+    theta0 = theta0_scale * np.random.default_rng(seed_seq).standard_normal(model.n_terms)
     trace = train(model, theta0, data, opt)
     curve = _pad_curve(trace.objectives, opt.epochs + 1)
     return curve, bool(trace.diverged)
@@ -327,7 +324,7 @@ def run_povm_experiment(config: PovmTrainConfig):
     povms = {nv: _step_povm(nv, config.noise_p, config.povm_kind)
              for nv in set(config.grid("n_visible_grid"))}
     jobs_args = [
-        (povms[nv], nv, nh, family, config.seed, point_index, branch, config.theta0_scale, opt)
+        (povms[nv], nv, nh, family, child_seed(config.seed, point_index, branch), config.theta0_scale, opt)
         for point_index, (nv, nh) in enumerate(grid)
         for branch, family in enumerate(POVM_FAMILIES)
     ]
@@ -421,7 +418,7 @@ def _relent_ensemble(config: RelentEnsembleConfig, setup, *fixed, keep_states: b
     and the number of diverged runs.
     """
     opt = config.optimizer(gradient_kind="relent")
-    args = [(setup, fixed, child, opt, keep_states) for child in split_seeds(config.seed, config.ensemble)]
+    args = [(setup, fixed, child_seed(config.seed, i), opt, keep_states) for i in range(config.ensemble)]
     results = _map_instances(_relent_instance, args, config.jobs)
     curves = {name: np.asarray([r[0][name] for r in results]) for name in results[0][0]}
     return curves, [r[1] for r in results], sum(r[2] for r in results)
@@ -650,7 +647,7 @@ def run_commutator_compare(config: CommutatorCompareConfig):
     """
     data = _step_povm(config.n_visible, config.noise_p, config.povm_kind)
     model = build_model(config.family, config.n_visible, config.n_hidden)
-    rng = np.random.default_rng(split_seeds(config.seed, 1)[0])
+    rng = np.random.default_rng(child_seed(config.seed, 0))
     theta0 = config.theta0_scale * rng.standard_normal(model.n_terms)
 
     total = config.epochs
@@ -718,6 +715,10 @@ GRADCHECK_SIZES = {
     "fermionic": (3, 0),
 }
 
+# Random instances per family and kept orders of the commutator order sweep.
+KSWEEP_INSTANCES = 5
+KSWEEP_ORDERS = tuple(range(1, 9))
+
 
 def _random_full_rank_povm(dim: int, rng: np.random.Generator) -> PovmTrainingSet:
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -762,27 +763,27 @@ def gradcheck(config: GradcheckConfig):
     all_ok = True
     for family, (nv, nh) in GRADCHECK_SIZES.items():
         model = build_model(family, nv, nh)
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(_family_key(family),)))
+        rng = np.random.default_rng(child_seed(config.seed, _family_key(family)))
         worst = {kind: 0.0 for kind in GRADCHECK_TOLERANCES}
         for _ in range(config.ensemble):
             theta = _scaled_theta(model, rng)
             povm = _random_full_rank_povm(2**nv, rng)
             state = random_mixed(nv, rng)
 
-            pairs = [
-                ("gt", grad_povm_gt(model, theta, povm, lam),
-                 lambda t: objective_povm_gt(model, t, povm, lam)),
-                ("exact", grad_povm_exact(model, theta, povm, lam),
-                 lambda t: objective_povm_exact(model, t, povm, lam)),
-                ("commutator",
-                 grad_povm_commutator(model, theta, povm, lam, order=MAX_COMMUTATOR_ORDER),
-                 lambda t: objective_povm_exact(model, t, povm, lam)),
-                ("relent", grad_relent(model, theta, state, lam),
-                 lambda t: objective_relent(model, t, state, lam)),
-            ]
-            for kind, analytic, objective in pairs:
-                fd = finite_difference_gradient(objective, theta)
-                rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-300)
+            analytic = dict(
+                gt=grad_povm_gt(model, theta, povm, lam),
+                exact=grad_povm_exact(model, theta, povm, lam),
+                commutator=grad_povm_commutator(model, theta, povm, lam, order=MAX_COMMUTATOR_ORDER),
+                relent=grad_relent(model, theta, state, lam),
+            )
+            fd = dict(
+                gt=finite_difference_gradient(lambda t: objective_povm_gt(model, t, povm, lam), theta),
+                exact=finite_difference_gradient(lambda t: objective_povm_exact(model, t, povm, lam), theta),
+                relent=finite_difference_gradient(lambda t: objective_relent(model, t, state, lam), theta),
+            )
+            fd["commutator"] = fd["exact"]  # the same objective, differenced once
+            for kind in GRADCHECK_TOLERANCES:
+                rel = np.linalg.norm(analytic[kind] - fd[kind]) / max(np.linalg.norm(fd[kind]), 1e-300)
                 worst[kind] = max(worst[kind], float(rel))
         for kind, tolerance in GRADCHECK_TOLERANCES.items():
             ok = worst[kind] <= tolerance
@@ -797,7 +798,7 @@ def gradcheck(config: GradcheckConfig):
                 )
             )
 
-    ksweep = commutator_order_sweep(config.seed, n_instances=5)
+    ksweep = commutator_order_sweep(config.seed)
     report = dict(table=table, ksweep=ksweep, ok=bool(all_ok))
     rows = [
         (r["family"], r["kind"], r["max_rel_error"], r["tolerance"], r["ok"])
@@ -810,21 +811,21 @@ def gradcheck(config: GradcheckConfig):
     return report, files
 
 
-def commutator_order_sweep(seed: int, n_instances: int = 5, orders=range(1, 9)) -> dict:
+def commutator_order_sweep(seed: int) -> dict:
     """Truncation error of the commutator series against the exact gradient.
 
-    Sweeps the kept order on random unit-spectral-norm instances of three
-    non-commuting families. The first step (order 1 to 2) systematically
-    worsens the real-projected estimate by a factor approaching 2: the
-    dropped first-order term cancels half of the second-order term in the
-    small-field limit, so only orders >= 2 decrease monotonically.
+    Sweeps the kept order over KSWEEP_ORDERS on KSWEEP_INSTANCES random
+    unit-spectral-norm instances of each of three non-commuting families.
+    The first step (order 1 to 2) systematically worsens the real-projected
+    estimate by a factor approaching 2: the dropped first-order term cancels
+    half of the second-order term in the small-field limit, so only orders
+    >= 2 decrease monotonically.
     """
-    orders = list(orders)
     per_instance = []
     for fi, (family, nv) in enumerate((("ti_complete", 3), ("pauli_complete", 2), ("fermionic", 3))):
         model = build_model(family, nv, 0)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1000 + fi,)))
-        for _ in range(n_instances):
+        rng = np.random.default_rng(child_seed(seed, 1000 + fi))
+        for _ in range(KSWEEP_INSTANCES):
             theta = _scaled_theta(model, rng)
             povm = _random_full_rank_povm(2**nv, rng)
             exact = grad_povm_exact(model, theta, povm)
@@ -833,14 +834,14 @@ def commutator_order_sweep(seed: int, n_instances: int = 5, orders=range(1, 9)) 
                 float(np.linalg.norm(
                     grad_povm_commutator(model, theta, povm, order=k) - exact
                 ) / norm)
-                for k in orders
+                for k in KSWEEP_ORDERS
             ]
             per_instance.append(errs)
     per_instance = np.asarray(per_instance)
     mean_errors = per_instance.mean(axis=0)
     monotone = bool(np.all(per_instance[:, 2:] < per_instance[:, 1:-1]))
     return dict(
-        orders=[int(k) for k in orders],
+        orders=list(KSWEEP_ORDERS),
         mean_errors=[float(v) for v in mean_errors],
         monotone_from_2=monotone,
         first_step_ratio=float(np.mean(per_instance[:, 1] / per_instance[:, 0])),
@@ -876,7 +877,7 @@ def run_variance_sweep(config: VarianceSweepConfig):
     proportional to the number of terms at fixed sample count.
     """
     n = config.n_visible
-    rng = np.random.default_rng(split_seeds(config.seed, 1)[0])
+    rng = np.random.default_rng(child_seed(config.seed, 0))
     small = build_model("mean_field", n)
     big = build_model("mean_field", 2 * n)
     theta_small = 0.3 * rng.standard_normal(small.n_terms)
@@ -898,12 +899,8 @@ def run_variance_sweep(config: VarianceSweepConfig):
         )):
             errors = []
             for r in range(config.n_repeats):
-                seed_seq = np.random.SeedSequence(
-                    config.seed, spawn_key=(2, mi, gi, r)
-                )
-                sampled = grad_relent_sampled(
-                    model, theta, state, n_samples=n_samples, rng_seed=seed_seq
-                )
+                seed_seq = child_seed(config.seed, 2, mi, gi, r)
+                sampled = grad_relent_sampled(model, theta, state, n_samples=n_samples, rng_seed=seed_seq)
                 errors.append(float(np.sum((sampled - true) ** 2)))
             mse[label].append(float(np.mean(errors)))
 

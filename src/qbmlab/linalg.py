@@ -10,6 +10,7 @@ from overflow. This module is the only caller of numpy's eigensolvers.
 """
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -61,9 +62,12 @@ def hermitize(A: np.ndarray) -> np.ndarray:
 
 
 def _require_hermitian(A, name: str = "matrix", rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """Check A is Hermitian up to rtol * ||A||_F, then symmetrize it."""
+    """Check A is finite and Hermitian up to rtol * ||A||_F, then symmetrize it."""
     A = _as_square_matrix(A, name)
     scale = np.linalg.norm(A)
+    # a finite norm proves finite entries; finite entries whose norm overflows pass
+    if not math.isfinite(scale) and not np.isfinite(A).all():
+        raise ValueError(f"{name} has non-finite entries")
     defect = np.linalg.norm(A - A.conj().T)
     if defect > rtol * scale:
         raise ValueError(
@@ -270,7 +274,10 @@ def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def expectation_value(state: np.ndarray, observable: np.ndarray) -> float:
-    """Re Tr[state @ observable] for a Hermitian observable."""
+    """Re Tr[state @ observable] for a Hermitian observable of matching shape."""
+    state, observable = np.asarray(state), np.asarray(observable)
+    if state.ndim != 2 or state.shape != observable.shape[::-1]:
+        raise ValueError(f"state shape {state.shape} does not match observable shape {observable.shape}")
     return float(np.sum(state * observable.T).real)
 
 

@@ -47,6 +47,7 @@ __all__ = [
     "grad_povm_commutator",
     "grad_relent",
     "grad_relent_sampled",
+    "child_seed",
     "sampled_expectation",
     "train",
 ]
@@ -498,11 +499,14 @@ def grad_relent(
     return term_expectations(model, ev.rho - rho) - _reg_grad(model, theta, lam)
 
 
-def _seed_sequence(rng_seed) -> np.random.SeedSequence:
-    """rng_seed itself if it is a SeedSequence, else a SeedSequence seeded by it."""
-    if isinstance(rng_seed, np.random.SeedSequence):
-        return rng_seed
-    return np.random.SeedSequence(rng_seed)
+def child_seed(root, *key: int) -> np.random.SeedSequence:
+    """The stream at key path `key` below root, an int or a SeedSequence, which is never changed.
+
+    It equals the matching child of root.spawn(): child_seed(root, i) is child i of a fresh root.
+    """
+    if isinstance(root, np.random.SeedSequence):
+        return np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + key, pool_size=root.pool_size)
+    return np.random.SeedSequence(root, spawn_key=key)
 
 
 def sampled_expectation(state: np.ndarray, term: np.ndarray, n_samples: int, rng_seed) -> float:
@@ -553,18 +557,18 @@ def grad_relent_sampled(
     """Unbiased sampled version of grad_relent.
 
     Each of the two expectations per component uses n_samples fresh
-    eigenvalue measurements on independent sub-streams split from
-    rng_seed, so the mean squared error scales like
-    (number of terms) / n_samples.
+    eigenvalue measurements on independent sub-streams of rng_seed
+    (child_seed(rng_seed, 2j) for the target, 2j + 1 for the Gibbs state),
+    so the mean squared error scales like (number of terms) / n_samples.
+    Deterministic given rng_seed, which is never changed.
     """
     theta, ev, rho = _relent_setup(model, theta, data)
-    children = _seed_sequence(rng_seed).spawn(2 * model.n_terms)
     grad = np.empty(model.n_terms)
     for j, term in enumerate(model.terms):
         # one eigendecomposition per term serves both expectations
         basis = _measurement_basis(term.matrix)
-        target_part = _sample_mean(rho, basis, n_samples, children[2 * j])
-        gibbs_part = _sample_mean(ev.rho, basis, n_samples, children[2 * j + 1])
+        target_part = _sample_mean(rho, basis, n_samples, child_seed(rng_seed, 2 * j))
+        gibbs_part = _sample_mean(ev.rho, basis, n_samples, child_seed(rng_seed, 2 * j + 1))
         grad[j] = gibbs_part - target_part
     return grad - _reg_grad(model, theta, lam)
 
@@ -605,7 +609,7 @@ def train(
     objective, relative-entropy runs monitor objective_relent. A
     non-finite objective or gradient aborts the run, keeps every valid
     record and sets trace.diverged (expected for unstable commutator
-    settings).
+    settings). Epoch e's gradient draws from child_seed(rng_seed, e).
     """
     theta = _check_theta(model, theta0).copy()
     data_type, gradient = _GRADIENTS[config.gradient_kind]
@@ -614,7 +618,6 @@ def train(
             f"gradient kind {config.gradient_kind!r} trains on a {data_type.__name__}"
         )
     monitor = objective_povm_exact if data_type is PovmTrainingSet else objective_relent
-    epoch_seeds = _seed_sequence(rng_seed).spawn(config.epochs + 1)
     target = _embedded_target(data, model.n_hidden) if data_type is StateTrainingSet else None
 
     trace = TrainingTrace()
@@ -624,7 +627,7 @@ def train(
         # which is handled; the numpy warning would just be noise
         with np.errstate(over="ignore", invalid="ignore"):
             objective = monitor(model, theta, data, config.lam)
-            grad = gradient(model, theta, data, config, epoch_seeds[epoch])
+            grad = gradient(model, theta, data, config, child_seed(rng_seed, epoch))
         if not (np.isfinite(objective) and np.all(np.isfinite(grad))):
             trace.diverged = True
             trace.note = f"non-finite objective or gradient at epoch {epoch}"

@@ -11,13 +11,12 @@ from qbmlab.datasets import (
     haar_unitary,
     random_mixed,
     random_ti_teacher,
-    split_seeds,
     step_distribution,
     step_function_state,
 )
 from qbmlab.linalg import gibbs_state
 from qbmlab.operators import assemble_hamiltonian
-from qbmlab.training import PovmTrainingSet, StateTrainingSet
+from qbmlab.training import PovmTrainingSet, StateTrainingSet, child_seed
 
 
 class TestStepDistribution:
@@ -143,10 +142,10 @@ class TestTiTeacher:
         assert np.abs(target.rho - rho).max() <= 1e-12
 
 
-class TestSplitSeeds:
+class TestChildSeed:
     def test_deterministic_and_distinct(self):
-        a = split_seeds(3, 4)
-        b = split_seeds(3, 4)
+        a = [child_seed(3, i) for i in range(4)]
+        b = [child_seed(3, i) for i in range(4)]
         states = [np.random.default_rng(s).normal(size=3) for s in a]
         again = [np.random.default_rng(s).normal(size=3) for s in b]
         for x, y in zip(states, again):

@@ -14,7 +14,7 @@ import qbmlab.experiments as experiments
 import qbmlab.linalg as linalg
 import qbmlab.training as training
 from qbmlab.cli import build_parser, main
-from qbmlab.datasets import random_mixed, random_ti_teacher, split_seeds
+from qbmlab.datasets import random_mixed, random_ti_teacher
 from qbmlab.experiments import (
     EXPERIMENTS,
     EnsembleSummary,
@@ -26,7 +26,7 @@ from qbmlab.experiments import (
 )
 from qbmlab.operators import QUBIT_CAPS, assemble_hamiltonian, build_model
 from qbmlab.serialize import format_cell, write_csv, write_json
-from qbmlab.training import PovmTrainingSet, train
+from qbmlab.training import PovmTrainingSet, child_seed, train
 
 
 def _keys(experiment) -> set:
@@ -386,7 +386,7 @@ class TestOutputs:
             monkeypatch.setattr(module, "gibbs_state", lambda H: calls.append(H) or fresh_gibbs(H),
                                 raising=False)
         cfg = make_config("tomography", {"epochs": "3"})
-        seed_seq = split_seeds(cfg.seed, 1)[0]
+        seed_seq = child_seed(cfg.seed, 0)
         opt = cfg.optimizer(gradient_kind="relent")
         _, (_, sigma), _ = experiments._relent_instance(
             (experiments._tomography_setup, (cfg.n_visible, "mixed"), seed_seq, opt, True))
@@ -404,7 +404,7 @@ class TestOutputs:
             monkeypatch.setattr(module, "hermitian_eigendecompose",
                                 lambda H: calls.append(H) or decompose(H))
         cfg = make_config("meanfield", {"epochs": "4", "n_visible": "3"})
-        seed_seq = split_seeds(cfg.seed, 1)[0]
+        seed_seq = child_seed(cfg.seed, 0)
         opt = cfg.optimizer(gradient_kind="relent")
         curves, (rho, sigma), _ = experiments._relent_instance(
             (experiments._meanfield_setup, (cfg.n_visible,), seed_seq, opt, True))
@@ -432,7 +432,7 @@ class TestOutputs:
         # every curve and grid value is what training each schedule afresh gives
         data = experiments._step_povm(config.n_visible, config.noise_p, config.povm_kind)
         model = build_model(config.family, config.n_visible)
-        rng = np.random.default_rng(split_seeds(config.seed, 1)[0])
+        rng = np.random.default_rng(child_seed(config.seed, 0))
         theta0 = config.theta0_scale * rng.standard_normal(model.n_terms)
         first = 3
         b1 = train(model, theta0, data, config.optimizer(gradient_kind="gt", epochs=first))

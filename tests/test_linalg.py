@@ -66,6 +66,22 @@ class TestEigendecompose:
         with pytest.raises(ValueError):
             hermitian_eigendecompose(np.zeros((2, 3), dtype=complex))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize(
+        "solve", [hermitian_eigendecompose, gibbs_state, log_partition, matrix_log_psd,
+                  von_neumann_entropy])
+    def test_public_entry_points_reject_non_finite(self, solve, entry):
+        m = np.eye(2, dtype=complex)
+        m[1, 1] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(m)
+
+    def test_accepts_finite_entries_whose_norm_overflows(self):
+        # ||A||_F overflows to inf, but every entry is finite
+        with np.errstate(over="ignore"):
+            evals, _ = hermitian_eigendecompose(np.diag([1e160, -1e160]))
+        assert np.array_equal(evals, [-1e160, 1e160])
+
     def test_rejects_non_hermitian(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError):
@@ -378,3 +394,13 @@ class TestDensityValidation:
 
     def test_expectation_value(self):
         assert abs(expectation_value(P0, pauli_matrix("Z")) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("state, observable", [
+        (np.eye(2), [[3.0]]),  # broadcasting made this 6.0
+        (np.eye(2), np.eye(4)),
+        (np.eye(2), np.ones(2)),
+        (np.ones(2), np.ones(2)),
+    ])
+    def test_expectation_value_rejects_a_shape_mismatch(self, state, observable):
+        with pytest.raises(ValueError, match="shape"):
+            expectation_value(state, observable)

@@ -1,10 +1,14 @@
 """Objectives, gradients and the optimizer loop."""
 
+import ast
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qbmlab
 import qbmlab.linalg as linalg
 import qbmlab.training as training
 from qbmlab.linalg import frechet_exp_neg, gibbs_state, relative_entropy
@@ -24,6 +28,7 @@ from qbmlab.training import (
     PovmTrainingSet,
     StateTrainingSet,
     TraceRecord,
+    child_seed,
     embed_target_state,
     grad_povm_commutator,
     grad_povm_exact,
@@ -360,6 +365,50 @@ class TestSampledGradient:
             err[i] = sq / 40
         # 32x more samples should cut the MSE by well over 4x
         assert err[1] < err[0] / 4
+
+
+class TestChildSeed:
+    def test_equals_the_spawned_child_and_leaves_the_root_alone(self):
+        stream = lambda s: (s.entropy, s.spawn_key, s.pool_size, list(s.generate_state(4)))
+        for spawn_key, pool_size in (((), 4), ((3,), 8)):
+            root = np.random.SeedSequence(7, spawn_key=spawn_key, pool_size=pool_size)
+            twin = np.random.SeedSequence(7, spawn_key=spawn_key, pool_size=pool_size)
+            for i, child in enumerate(twin.spawn(3)):
+                assert stream(child_seed(root, i)) == stream(child)
+                assert stream(child_seed(root, i, 5)) == stream(child.spawn(6)[5])
+            assert root.n_children_spawned == 0
+        # an int root stands for SeedSequence(root)
+        assert stream(child_seed(7, 2)) == stream(np.random.SeedSequence(7).spawn(3)[2])
+
+    def test_a_reused_seed_sequence_gives_the_same_draws(self, rng):
+        # spawn() advances its SeedSequence, so a second call drew new streams
+        m = build_mean_field(1)
+        data = random_mixed(1, rng)
+        theta = rng.normal(size=3)
+        seed = np.random.SeedSequence(5)
+        first = grad_relent_sampled(m, theta, data, n_samples=16, rng_seed=seed)
+        assert np.array_equal(grad_relent_sampled(m, theta, data, n_samples=16, rng_seed=seed), first)
+        cfg = OptimizerConfig(gradient_kind="relent_sampled", learning_rate=0.5, epochs=3, n_samples=16)
+        a = train(m, np.zeros(3), data, cfg, rng_seed=seed)
+        b = train(m, np.zeros(3), data, cfg, rng_seed=seed)
+        assert np.array_equal(a.thetas, b.thetas)
+        # an int root names the same streams
+        assert np.array_equal(train(m, np.zeros(3), data, cfg, rng_seed=5).thetas, a.thetas)
+
+    def test_only_child_seed_makes_seed_sequences(self):
+        # every stream is a key path below a root; spawn() would consume its root
+        pattern = re.compile(r"SeedSequence\(|\.spawn\(")
+        package = Path(qbmlab.__file__).parent
+        helper = next(node for node in ast.parse((package / "training.py").read_text()).body
+                      if isinstance(node, ast.FunctionDef) and node.name == "child_seed")
+        offenders = [
+            f"{path.name}:{number}: {line.strip()}"
+            for path in sorted(package.glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)
+            and not (path.name == "training.py" and helper.lineno <= number <= helper.end_lineno)
+        ]
+        assert offenders == []
 
 
 class TestTrainLoop:
