@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import _gibbs_from_eigensystem, hermitian_eigendecompose
+from .linalg import _eigh, _gibbs_from_eigensystem
 from .operators import (
     HamiltonianModel,
     assemble_hamiltonian,
@@ -133,7 +133,7 @@ def random_ti_teacher(
     """
     model = build_transverse_ising_complete(int(n))
     theta = rng.standard_normal(model.n_terms)
-    evals, V = hermitian_eigendecompose(assemble_hamiltonian(model, theta))
+    evals, V = _eigh(assemble_hamiltonian(model, theta))  # Hermitian bit for bit: unchecked
     if normalize:
         norm = np.abs(evals).max()
         theta = theta / norm

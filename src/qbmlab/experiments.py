@@ -25,7 +25,7 @@ from .datasets import (
     step_distribution,
     step_function_state,
 )
-from .linalg import _hermitian_eigenvalues, fidelity
+from .linalg import _eigh, _require_hermitian, fidelity
 from .operators import (
     HamiltonianModel,
     assemble_hamiltonian,
@@ -723,7 +723,7 @@ KSWEEP_ORDERS = tuple(range(1, 9))
 def _random_full_rank_povm(dim: int, rng: np.random.Generator) -> PovmTrainingSet:
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     bulk = raw @ raw.conj().T
-    bulk /= _hermitian_eigenvalues(bulk)[-1]
+    bulk /= _eigh(_require_hermitian(bulk), vectors=False)[-1]
     first = 0.1 * np.eye(dim) + 0.8 * bulk
     p = rng.uniform(0.2, 0.8)
     return PovmTrainingSet(

@@ -6,7 +6,8 @@ exception is inside the eigensolver: a Hermitian matrix with no imaginary
 part is real symmetric and goes to numpy's real solver, so its
 eigenvectors are float64. Gibbs weights are always computed in the
 eigenbasis with a max-shift so that matrix norms up to ~50 stay far away
-from overflow. This module is the only caller of numpy's eigensolvers.
+from overflow. The public entry points check and symmetrize their input;
+_eigh, the one caller of numpy's eigensolvers, trusts it.
 """
 from __future__ import annotations
 
@@ -61,42 +62,40 @@ def hermitize(A: np.ndarray) -> np.ndarray:
     return (A + A.conj().T) / 2.0
 
 
-def _require_hermitian(A, name: str = "matrix", rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """Check A is finite and Hermitian up to rtol * ||A||_F, then symmetrize it."""
+def _require_hermitian(A, name: str = "matrix") -> np.ndarray:
+    """Check A is finite and Hermitian up to 1e-8 * ||A||_F, then symmetrize it."""
     A = _as_square_matrix(A, name)
-    scale = np.linalg.norm(A)
-    # a finite norm proves finite entries; finite entries whose norm overflows pass
-    if not math.isfinite(scale) and not np.isfinite(A).all():
-        raise ValueError(f"{name} has non-finite entries")
-    defect = np.linalg.norm(A - A.conj().T)
-    if defect > rtol * scale:
-        raise ValueError(
-            f"{name} is not Hermitian: defect {defect:.3e} exceeds "
-            f"{rtol:.1e} * norm {scale:.3e}"
-        )
+    B, scale = A, np.linalg.norm(A)
+    if not 1e-100 < scale < 1e100:  # non-finite, zero, or squares that may over- or underflow
+        if not np.isfinite(A).all():
+            raise ValueError(f"{name} has non-finite entries")
+        # multiplied exactly by a power of two that brings the largest part near 1
+        largest = np.abs(np.ascontiguousarray(A).view(np.float64)).max(initial=0.0)
+        B = A * math.ldexp(1.0, min(1 - math.frexp(largest)[1], 1023))
+        scale = np.linalg.norm(B)
+    defect = np.linalg.norm(B - B.conj().T)
+    if defect > HERMITICITY_RTOL * scale:
+        raise ValueError(f"{name} is not Hermitian: defect/norm {defect / scale:.3e} > {HERMITICITY_RTOL}")
     return hermitize(A)
 
 
-def _real_if_symmetric(H: np.ndarray) -> np.ndarray:
-    """H.real for a Hermitian H without imaginary part, else H itself.
+def _eigh(H: np.ndarray, vectors: bool = True):
+    """EigenSystem of H, or its ascending eigenvalues alone without vectors; H is not checked.
 
-    The real-symmetric solver does about a quarter of the complex one's
-    arithmetic on the same matrix.
+    H must be Hermitian bit for bit. With no imaginary part it goes to the
+    real-symmetric solver, about a quarter of the complex one's arithmetic.
     """
-    return H if np.count_nonzero(H.imag) else H.real
+    H = H if np.count_nonzero(H.imag) else H.real
+    return EigenSystem(*np.linalg.eigh(H)) if vectors else np.linalg.eigvalsh(H)
 
 
 def hermitian_eigendecompose(A: np.ndarray) -> EigenSystem:
-    """Eigendecompose a Hermitian matrix.
+    """Eigendecompose a Hermitian matrix, symmetrized first.
 
-    The input may be non-Hermitian at the rounding level (it is
-    symmetrized first); a defect beyond 1e-8 * ||A||_F is an error. If the
-    symmetrized matrix has no imaginary part, the real-symmetric solver
-    runs and the eigenvectors are float64; otherwise they are complex128.
+    A Hermiticity defect beyond 1e-8 * ||A||_F is an error. The eigenvectors
+    are float64 if the symmetrized matrix is real, complex128 otherwise.
     """
-    H = _require_hermitian(A, "operator")
-    evals, evecs = np.linalg.eigh(_real_if_symmetric(H))
-    return EigenSystem(evals, evecs)
+    return _eigh(_require_hermitian(A, "operator"))
 
 
 def _shifted_weights(evals: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -109,15 +108,6 @@ def _shifted_weights(evals: np.ndarray) -> tuple[np.ndarray, float, float]:
     weights = np.exp(-(evals - shift))
     total = weights.sum()
     return weights, total, float(np.log(total) - shift)
-
-
-def _hermitian_eigenvalues(A: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, without eigenvectors.
-
-    The input is checked, symmetrized and solved in real arithmetic when
-    it can be, as in hermitian_eigendecompose.
-    """
-    return np.linalg.eigvalsh(_real_if_symmetric(_require_hermitian(A, "operator")))
 
 
 def _gibbs_from_eigensystem(
@@ -149,7 +139,7 @@ def log_partition(H: np.ndarray) -> float:
     The same shifted log-sum-exp as gibbs_state's logZ, for callers that
     need only the normalization.
     """
-    return _shifted_weights(_hermitian_eigenvalues(H))[2]
+    return _shifted_weights(_eigh(_require_hermitian(H, "operator"), vectors=False))[2]
 
 
 def matrix_log_psd(A: np.ndarray, clip: float = 1e-10) -> np.ndarray:
@@ -203,7 +193,7 @@ def frechet_exp_neg(H: np.ndarray, E: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy -Tr[rho log rho] in nats, with 0 log 0 = 0 (spectrum only)."""
-    evals = _hermitian_eigenvalues(rho)
+    evals = _eigh(_require_hermitian(rho, "operator"), vectors=False)
     p = evals[evals > 1e-18]
     return float(-np.sum(p * np.log(p)))
 
@@ -295,7 +285,8 @@ def validate_density_matrix(rho: np.ndarray, name: str = "state") -> np.ndarray:
     trace = complex(np.trace(rho))
     if abs(trace - 1.0) > 1e-10:
         raise ValueError(f"{name} trace {trace} differs from 1 beyond 1e-10")
-    evals = _hermitian_eigenvalues(rho)
+    # ||rho||_F >= 1/sqrt(dim) at unit trace: up to dim 1e4 this implies the entry points' test
+    evals = _eigh(hermitize(rho), vectors=False)
     if evals[0] < -1e-10:
         raise ValueError(f"{name} has eigenvalue {evals[0]:.3e} below -1e-10")
     return rho

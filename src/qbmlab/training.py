@@ -17,9 +17,10 @@ import numpy as np
 
 from .linalg import (
     EigenSystem,
+    _eigh,
     _exp_neg_divided_differences,
     _gibbs_from_eigensystem,
-    _hermitian_eigenvalues,
+    _require_hermitian,
     expectation_value,
     gibbs_state,
     hermitian_eigendecompose,
@@ -95,11 +96,10 @@ class PovmTrainingSet:
         for e in elements:
             if e.shape != (dim, dim):
                 raise ValueError("POVM elements must share one square shape")
-            if not np.all(np.isfinite(e)):
-                raise ValueError("POVM element has non-finite entries")
+            symmetrized = _require_hermitian(e, "POVM element")  # rejects non-finite entries
             if np.abs(e - e.conj().T).max() > 1e-10:
                 raise ValueError("POVM element is not Hermitian within 1e-10")
-            if _hermitian_eigenvalues(e)[0] < -1e-10:
+            if _eigh(symmetrized, vectors=False)[0] < -1e-10:
                 raise ValueError("POVM element has eigenvalue below -1e-10")
             total += e
         if np.abs(total - np.eye(dim)).max() > 1e-9:
@@ -184,7 +184,7 @@ class TrainingTrace:
 
     Record 0 holds the initial parameters; record e holds the state after
     e updates. diverged marks an abort on a non-finite objective or
-    gradient, with the last valid record retained.
+    gradient or a failed solve, with the last valid record retained.
     """
 
     records: list[TraceRecord] = field(default_factory=list)
@@ -246,7 +246,10 @@ def _evaluate(model: HamiltonianModel, theta: np.ndarray) -> _Evaluation:
     if record is not None and record.key == key:
         return record
     H = assemble_hamiltonian(model, theta)
-    eigen = hermitian_eigendecompose(H)
+    if not np.isfinite(H).all():
+        raise np.linalg.LinAlgError("H(theta) has non-finite entries")
+    # unchecked: the scatter makes H[r, c] and H[c, r] exact conjugates
+    eigen = _eigh(H)
     rho, weights, log_z = _gibbs_from_eigensystem(*eigen)
     for array in (H, *eigen, weights, rho):
         array.flags.writeable = False
@@ -607,9 +610,9 @@ def train(
     The trace stores one record per visited parameter vector (epochs
     0..config.epochs); GT and commutator runs monitor the exact POVM
     objective, relative-entropy runs monitor objective_relent. A
-    non-finite objective or gradient aborts the run, keeps every valid
-    record and sets trace.diverged (expected for unstable commutator
-    settings). Epoch e's gradient draws from child_seed(rng_seed, e).
+    non-finite objective or gradient, or a failed solve (LinAlgError), aborts
+    the run, keeps every valid record and sets trace.diverged (expected for
+    unstable commutator settings). Epoch e's gradient draws from child_seed(rng_seed, e).
     """
     theta = _check_theta(model, theta0).copy()
     data_type, gradient = _GRADIENTS[config.gradient_kind]
@@ -623,14 +626,19 @@ def train(
     trace = TrainingTrace()
     velocity = np.zeros_like(theta)
     for epoch in range(config.epochs + 1):
-        # overflow in an unstable run shows up as a non-finite value below,
-        # which is handled; the numpy warning would just be noise
+        # overflow in an unstable run shows up as a non-finite value or a failed
+        # solve below, which is handled; the numpy warning would just be noise
         with np.errstate(over="ignore", invalid="ignore"):
-            objective = monitor(model, theta, data, config.lam)
-            grad = gradient(model, theta, data, config, child_seed(rng_seed, epoch))
+            try:
+                objective = monitor(model, theta, data, config.lam)
+                grad = gradient(model, theta, data, config, child_seed(rng_seed, epoch))
+            except np.linalg.LinAlgError as error:  # a solve of a huge or non-finite H
+                objective, grad, reason = math.nan, math.nan, str(error)
+            else:
+                reason = "non-finite objective or gradient"
         if not (np.isfinite(objective) and np.all(np.isfinite(grad))):
             trace.diverged = True
-            trace.note = f"non-finite objective or gradient at epoch {epoch}"
+            trace.note = f"{reason} at epoch {epoch}"
             break
         trace.records.append(
             TraceRecord(

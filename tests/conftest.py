@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import qbmlab.linalg as linalg
 from qbmlab.operators import HamiltonianModel, build_model, make_term
 from qbmlab.training import PovmTrainingSet
 
@@ -57,3 +58,20 @@ def entry_list_model(name, rng):
     terms = [make_term(f"h{k}", random_hermitian(8, rng)) for k in range(3)]
     terms.insert(1, make_term("zero", np.zeros((8, 8))))
     return HamiltonianModel("hand_built", 3, 0, tuple(terms))
+
+
+def spy_on_solves(monkeypatch, calls, *modules, values_too=False):
+    """Wrap linalg._eigh as the given modules see it, appending each input to calls.
+
+    Only eigendecompositions (with eigenvectors) are recorded unless
+    values_too is set.
+    """
+    solve = linalg._eigh
+
+    def spy(H, vectors=True):
+        if vectors or values_too:
+            calls.append(H)
+        return solve(H, vectors)
+
+    for module in modules:
+        monkeypatch.setattr(module, "_eigh", spy)

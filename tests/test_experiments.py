@@ -28,6 +28,8 @@ from qbmlab.operators import QUBIT_CAPS, assemble_hamiltonian, build_model
 from qbmlab.serialize import format_cell, write_csv, write_json
 from qbmlab.training import PovmTrainingSet, child_seed, train
 
+from conftest import spy_on_solves
+
 
 def _keys(experiment) -> set:
     return {f.name for f in dataclasses.fields(EXPERIMENTS[experiment][0])}
@@ -398,11 +400,8 @@ class TestOutputs:
         assert np.array_equal(sigma, fresh_gibbs(assemble_hamiltonian(model, trace.final_theta))[0])
 
     def test_meanfield_overlaps_come_from_the_training_epochs(self, monkeypatch):
-        decompose = linalg.hermitian_eigendecompose
         calls = []
-        for module in (training, linalg):
-            monkeypatch.setattr(module, "hermitian_eigendecompose",
-                                lambda H: calls.append(H) or decompose(H))
+        spy_on_solves(monkeypatch, calls, training, linalg)
         cfg = make_config("meanfield", {"epochs": "4", "n_visible": "3"})
         seed_seq = child_seed(cfg.seed, 0)
         opt = cfg.optimizer(gradient_kind="relent")

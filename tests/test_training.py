@@ -24,6 +24,7 @@ from qbmlab.operators import (
 from qbmlab.training import (
     GRADIENT_KINDS,
     MAX_COMMUTATOR_ORDER,
+    POVM_GRADIENT_KINDS,
     OptimizerConfig,
     PovmTrainingSet,
     StateTrainingSet,
@@ -42,9 +43,9 @@ from qbmlab.training import (
     term_expectations,
     train,
 )
-from qbmlab.datasets import random_mixed, random_ti_teacher, step_function_state
+from qbmlab.datasets import random_mixed, random_ti_teacher, step_distribution, step_function_state
 
-from conftest import ENTRY_LIST_MODELS, entry_list_model, random_full_rank_povm
+from conftest import ENTRY_LIST_MODELS, entry_list_model, random_full_rank_povm, spy_on_solves
 
 
 def central_difference(fun, theta, step=1e-6):
@@ -462,6 +463,32 @@ class TestTrainLoop:
         for r in tr.records:
             assert np.isfinite(r.objective)
 
+    @pytest.mark.parametrize("kind", ["exact", "commutator", "gt", "relent"])
+    def test_failed_solve_ends_the_run_diverged(self, kind):
+        # a learning rate of 1e308 makes H(theta) too large for the eigensolver
+        if kind == "relent":
+            m, data = build_complete_pauli_set(2), random_mixed(2, np.random.default_rng(0))
+        else:
+            m, data = build_fermionic_model(2), step_function_state(2, 0.1)[1]
+        cfg = OptimizerConfig(gradient_kind=kind, learning_rate=1e308, epochs=4)
+        tr = train(m, np.zeros(m.n_terms), data, cfg)
+        assert tr.diverged
+        assert 0 < len(tr.records) <= cfg.epochs
+        assert tr.note.endswith(f"at epoch {len(tr.records)}")
+        assert all(np.isfinite(r.objective) and np.isfinite(r.grad_norm) for r in tr.records)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_hamiltonian_ends_the_run_diverged(self, monkeypatch):
+        # momentum carries an infinite step into theta; H(theta) is then non-finite
+        _, povm, _ = step_function_state(2, 0.1)
+        m = build_fermionic_model(2)
+        grad = training._GRADIENTS["exact"]
+        monkeypatch.setitem(training._GRADIENTS, "exact", (grad[0], lambda *args: np.full(m.n_terms, 1e308)))
+        tr = train(m, np.zeros(m.n_terms), povm, OptimizerConfig("exact", learning_rate=10.0, epochs=4))
+        assert tr.diverged
+        assert tr.note == "H(theta) has non-finite entries at epoch 1"
+        assert len(tr.records) == 1
+
     def test_sampled_training_reproducible(self, rng):
         m = build_mean_field(1)
         data = random_mixed(1, rng)
@@ -609,7 +636,7 @@ class TestEvaluationRecord:
     def test_one_eigh_for_every_gradient_at_one_theta(self, problem, monkeypatch):
         theta, _, povm, state = problem
         calls = []
-        _counting(monkeypatch, training, "hermitian_eigendecompose", calls)
+        spy_on_solves(monkeypatch, calls, training)
         m = build_fermionic_model(2, 1)
         grad_povm_gt(m, theta, povm)
         grad_povm_exact(m, theta, povm)
@@ -623,8 +650,7 @@ class TestEvaluationRecord:
         _, _, povm, state = problem
         calls = []
         # every eigh of the training loop, in training and in linalg's own helpers
-        _counting(monkeypatch, training, "hermitian_eigendecompose", calls)
-        _counting(monkeypatch, linalg, "hermitian_eigendecompose", calls)
+        spy_on_solves(monkeypatch, calls, training, linalg)
         logs = []
         _counting(monkeypatch, training, "matrix_log_psd", logs)
         m = build_fermionic_model(2, 1)
@@ -668,6 +694,42 @@ class TestEvaluationRecord:
         train(m, 0.1 * rng.normal(size=m.n_terms), data, cfg)
         assert len(dtypes) >= 4
         assert set(dtypes) == {np.dtype(np.float64 if real else np.complex128)}
+
+    @pytest.mark.parametrize("family, n_visible, n_hidden", [
+        ("classical_bm", 2, 1),
+        ("fermionic", 2, 1),
+        ("ti_complete", 3, 0),
+        ("mean_field", 3, 0),
+        ("pauli_complete", 2, 0),
+    ])
+    @pytest.mark.parametrize("data_kind", ["projector", "basis", "full_rank", "state"])
+    def test_train_solves_only_bitwise_hermitian_matrices(
+        self, family, n_visible, n_hidden, data_kind, rng, monkeypatch
+    ):
+        # numpy reads one triangle, and train hands H(theta) to the solver
+        # unchecked: assemble_hamiltonian must make it Hermitian bit for bit
+        dim = 2**n_visible
+        data = {
+            "projector": lambda: step_function_state(n_visible)[1],
+            "basis": lambda: PovmTrainingSet(
+                tuple(np.diag(row).astype(complex) for row in np.eye(dim)),
+                step_distribution(n_visible)),
+            "full_rank": lambda: random_full_rank_povm(dim, rng),
+            "state": lambda: random_mixed(n_visible, rng),
+        }[data_kind]()
+        kinds = ("relent", "relent_sampled") if data_kind == "state" else POVM_GRADIENT_KINDS
+        unchecked, checked = [], []
+        spy_on_solves(monkeypatch, unchecked, training, values_too=True)
+        spy_on_solves(monkeypatch, checked, linalg, values_too=True)
+        epochs = 3
+        for kind in kinds:
+            m = build_model(family, n_visible, n_hidden)
+            theta = rng.normal(size=m.n_terms)
+            train(m, theta, data, OptimizerConfig(gradient_kind=kind, learning_rate=0.1, epochs=epochs))
+        # one H(theta) per epoch, plus every solve of the public entry points
+        assert len(unchecked) == len(kinds) * (epochs + 1)
+        for H in unchecked + checked:
+            assert np.array_equal(H, H.conj().T)
 
     def test_logarithms_once_per_set_and_hidden_count(self, rng, monkeypatch):
         logs = []
