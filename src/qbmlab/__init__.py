@@ -16,7 +16,6 @@ from .linalg import (
     gibbs_state,
     hermitian_eigendecompose,
     hermitize,
-    kron,
     log_partition,
     matrix_log_psd,
     relative_entropy,
@@ -33,9 +32,7 @@ from .operators import (
     build_mean_field,
     build_model,
     build_transverse_ising_complete,
-    complete_graph_edges,
     jordan_wigner_annihilator,
-    make_term,
     pauli_matrix,
 )
 from .training import (

@@ -32,7 +32,6 @@ __all__ = [
     "relative_entropy",
     "distance",
     "fidelity",
-    "kron",
     "expectation_value",
     "validate_density_matrix",
 ]
@@ -62,21 +61,30 @@ def hermitize(A: np.ndarray) -> np.ndarray:
     return (A + A.conj().T) / 2.0
 
 
-def _require_hermitian(A, name: str = "matrix") -> np.ndarray:
-    """Check A is finite and Hermitian up to 1e-8 * ||A||_F, then symmetrize it."""
+def _require_hermitian(
+    A, name: str = "matrix", rtol: float = HERMITICITY_RTOL, floor: float = 0.0
+) -> np.ndarray:
+    """Check A is finite and ||A - A^*||_F <= rtol * max(floor, ||A||_F), then symmetrize it.
+
+    A norm far from 1 is retaken after an exact power-of-two rescaling, so
+    huge or tiny entries cannot hide a defect.
+    """
     A = _as_square_matrix(A, name)
-    B, scale = A, np.linalg.norm(A)
+    B, scale, unit = A, np.linalg.norm(A), 1.0
     if not 1e-100 < scale < 1e100:  # non-finite, zero, or squares that may over- or underflow
         if not np.isfinite(A).all():
             raise ValueError(f"{name} has non-finite entries")
         # multiplied exactly by a power of two that brings the largest part near 1
         largest = np.abs(np.ascontiguousarray(A).view(np.float64)).max(initial=0.0)
-        B = A * math.ldexp(1.0, min(1 - math.frexp(largest)[1], 1023))
+        unit = math.ldexp(1.0, min(1 - math.frexp(largest)[1], 1023))
+        B = A * unit
         scale = np.linalg.norm(B)
+    scale = max(floor * unit, scale)
     defect = np.linalg.norm(B - B.conj().T)
-    if defect > HERMITICITY_RTOL * scale:
-        raise ValueError(f"{name} is not Hermitian: defect/norm {defect / scale:.3e} > {HERMITICITY_RTOL}")
-    return hermitize(A)
+    if defect > rtol * scale:
+        raise ValueError(f"{name} is not Hermitian: defect/norm {defect / scale:.3e} > {rtol}")
+    # entries above about 9e307, which only a scaled-down A has, would overflow A + A^*
+    return A / 2 + A.conj().T / 2 if unit < 1 else hermitize(A)
 
 
 def _eigh(H: np.ndarray, vectors: bool = True):
@@ -254,15 +262,6 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.sum(np.sqrt(np.maximum(q, 0.0))) ** 2)
 
 
-def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kronecker product with the first factor on the leftmost (slowest) index."""
-    A = np.asarray(A, dtype=np.complex128)
-    B = np.asarray(B, dtype=np.complex128)
-    if A.ndim != 2 or B.ndim != 2:
-        raise ValueError("kron expects two matrices")
-    return np.kron(A, B)
-
-
 def expectation_value(state: np.ndarray, observable: np.ndarray) -> float:
     """Re Tr[state @ observable] for a Hermitian observable of matching shape."""
     state, observable = np.asarray(state), np.asarray(observable)
@@ -277,16 +276,11 @@ def validate_density_matrix(rho: np.ndarray, name: str = "state") -> np.ndarray:
     Hermiticity and trace hold within 1e-10; eigenvalues must be >= -1e-10.
     """
     rho = _as_square_matrix(rho, name)
-    if not np.all(np.isfinite(rho)):
-        raise ValueError(f"{name} has non-finite entries")
-    scale = max(1.0, float(np.linalg.norm(rho)))
-    if np.linalg.norm(rho - rho.conj().T) > 1e-10 * scale:
-        raise ValueError(f"{name} is not Hermitian within 1e-10")
+    hermitian = _require_hermitian(rho, name, rtol=1e-10, floor=1.0)
     trace = complex(np.trace(rho))
     if abs(trace - 1.0) > 1e-10:
         raise ValueError(f"{name} trace {trace} differs from 1 beyond 1e-10")
-    # ||rho||_F >= 1/sqrt(dim) at unit trace: up to dim 1e4 this implies the entry points' test
-    evals = _eigh(hermitize(rho), vectors=False)
+    evals = _eigh(hermitian, vectors=False)
     if evals[0] < -1e-10:
         raise ValueError(f"{name} has eigenvalue {evals[0]:.3e} below -1e-10")
     return rho

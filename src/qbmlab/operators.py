@@ -18,7 +18,6 @@ __all__ = [
     "Term",
     "HamiltonianModel",
     "pauli_matrix",
-    "complete_graph_edges",
     "build_classical_bm",
     "build_transverse_ising_complete",
     "build_complete_pauli_set",
@@ -161,15 +160,10 @@ class Term:
         object.__setattr__(self, "is_quantum", bool(offdiagonal > QUANTUM_OFFDIAG_TOL))
 
 
-def make_term(label: str, matrix: np.ndarray) -> Term:
-    """Build a Term, flagging it quantum iff any off-diagonal entry exceeds 1e-12."""
-    return Term(label, matrix)
-
-
 def _owned_term(label: str, matrix: np.ndarray) -> Term:
-    """make_term for a fresh array the builder hands over (frozen, not copied)."""
+    """Term for a fresh array the builder hands over (frozen, not copied)."""
     matrix.flags.writeable = False
-    return make_term(label, matrix)
+    return Term(label, matrix)
 
 
 class TermEntries(NamedTuple):
@@ -199,7 +193,6 @@ class HamiltonianModel:
     n_visible: int
     n_hidden: int
     terms: tuple[Term, ...]
-    edges: tuple[tuple[int, int], ...] | None = field(default=None)
 
     @property
     def n_qubits(self) -> int:
@@ -277,43 +270,23 @@ def check_model_size(family: str, n_visible: int, n_hidden: int = 0) -> int:
     return n
 
 
-def build_classical_bm(
-    n_visible: int, n_hidden: int = 0, edges=()
-) -> HamiltonianModel:
-    """Classical Boltzmann machine: bias terms n_j plus coupling terms n_i n_j.
+def build_classical_bm(n_visible: int, n_hidden: int = 0) -> HamiltonianModel:
+    """Classical Boltzmann machine on the complete graph: biases n_j, then couplings n_i n_j.
 
-    All terms are diagonal. Edges connect distinct vertices (visible
-    units first, hidden after); duplicates are rejected.
+    All terms are diagonal. Units are numbered visible first, hidden after,
+    and the pairs i < j come lexicographically.
     """
     n = check_model_size("classical_bm", n_visible, n_hidden)
-    canon = []
-    seen = set()
-    for e in edges:
-        if len(e) != 2:
-            raise ValueError(f"edge {e!r} must have two endpoints")
-        i, j = int(e[0]), int(e[1])
-        if i == j:
-            raise ValueError(f"edge ({i},{j}) is a self-loop")
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i},{j}) out of range for {n} vertices")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise ValueError(f"duplicate edge {key}")
-        seen.add(key)
-        canon.append(key)
     terms = [_owned_term(f"n{j}", _number_term([j], n)) for j in range(n)]
-    terms += [_owned_term(f"n{i}n{j}", _number_term([i, j], n)) for i, j in canon]
-    return HamiltonianModel("classical_bm", n_visible, n_hidden, tuple(terms), tuple(canon))
+    pairs = itertools.combinations(range(n), 2)
+    terms += [_owned_term(f"n{i}n{j}", _number_term([i, j], n)) for i, j in pairs]
+    return HamiltonianModel("classical_bm", n_visible, n_hidden, tuple(terms))
 
 
 def _site_term(letters: dict, n: int) -> Term:
     """Pauli term with letters[site] on the given sites, labelled like "Z0Z3"."""
     label = "".join(f"{op}{site}" for site, op in letters.items())
     return _owned_term(label, pauli_matrix("".join(letters.get(k, "I") for k in range(n))))
-
-
-def complete_graph_edges(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple(itertools.combinations(range(n), 2))
 
 
 def build_transverse_ising_complete(n: int) -> HamiltonianModel:
@@ -394,18 +367,11 @@ def build_fermionic_model(n_visible: int, n_hidden: int = 0) -> HamiltonianModel
     return HamiltonianModel("fermionic", n_visible, n_hidden, tuple(terms))
 
 
-def build_model(
-    family: str,
-    n_visible: int,
-    n_hidden: int = 0,
-    edges=None,
-) -> HamiltonianModel:
+def build_model(family: str, n_visible: int, n_hidden: int = 0) -> HamiltonianModel:
     """Construct a model family by name (used by the experiments)."""
     check_model_size(family, n_visible, n_hidden)
     if family == "classical_bm":
-        if edges is None:
-            edges = complete_graph_edges(n_visible + n_hidden)
-        return build_classical_bm(n_visible, n_hidden, edges)
+        return build_classical_bm(n_visible, n_hidden)
     if family == "fermionic":
         return build_fermionic_model(n_visible, n_hidden)
     if family == "ti_complete":

@@ -24,7 +24,6 @@ from .linalg import (
     expectation_value,
     gibbs_state,
     hermitian_eigendecompose,
-    kron,
     log_partition,
     matrix_log_psd,
     validate_density_matrix,
@@ -280,7 +279,7 @@ def pad_to_hidden(operator: np.ndarray, n_hidden: int) -> np.ndarray:
     """Extend a visible-space operator by identity on the hidden units."""
     if n_hidden == 0:
         return np.asarray(operator, dtype=np.complex128)
-    return kron(operator, np.eye(2**n_hidden, dtype=np.complex128))
+    return np.kron(operator, np.eye(2**n_hidden, dtype=np.complex128))
 
 
 def embed_target_state(rho: np.ndarray, n_hidden: int) -> np.ndarray:
@@ -625,10 +624,11 @@ def train(
 
     trace = TrainingTrace()
     velocity = np.zeros_like(theta)
-    for epoch in range(config.epochs + 1):
-        # overflow in an unstable run shows up as a non-finite value or a failed
-        # solve below, which is handled; the numpy warning would just be noise
-        with np.errstate(over="ignore", invalid="ignore"):
+    # overflow in an unstable run shows up as a non-finite value or a failed
+    # solve below, which is handled; the numpy warnings (from the evaluation,
+    # the record's gradient norm or the update) would just be noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs + 1):
             try:
                 objective = monitor(model, theta, data, config.lam)
                 grad = gradient(model, theta, data, config, child_seed(rng_seed, epoch))
@@ -636,24 +636,25 @@ def train(
                 objective, grad, reason = math.nan, math.nan, str(error)
             else:
                 reason = "non-finite objective or gradient"
-        if not (np.isfinite(objective) and np.all(np.isfinite(grad))):
-            trace.diverged = True
-            trace.note = f"{reason} at epoch {epoch}"
-            break
-        trace.records.append(
-            TraceRecord(
-                epoch=epoch,
-                theta=theta.copy(),
-                objective=float(objective),
-                grad_norm=float(np.linalg.norm(grad)),
-                # from the Gibbs state this epoch's evaluation record holds
-                overlap=None if target is None else expectation_value(target, _evaluate(model, theta).rho),
+            if not (np.isfinite(objective) and np.all(np.isfinite(grad))):
+                trace.diverged = True
+                trace.note = f"{reason} at epoch {epoch}"
+                break
+            # from the Gibbs state this epoch's evaluation record holds
+            overlap = None if target is None else expectation_value(target, _evaluate(model, theta).rho)
+            trace.records.append(
+                TraceRecord(
+                    epoch=epoch,
+                    theta=theta.copy(),
+                    objective=float(objective),
+                    grad_norm=float(np.linalg.norm(grad)),
+                    overlap=overlap,
+                )
             )
-        )
-        if epoch == config.epochs:
-            break
-        velocity = config.momentum * velocity + config.learning_rate * grad
-        theta = theta + velocity
+            if epoch == config.epochs:
+                break
+            velocity = config.momentum * velocity + config.learning_rate * grad
+            theta = theta + velocity
     if not trace.records:
         raise ValueError("training diverged before the first epoch completed")
     return trace

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qbmlab.linalg as linalg
-from qbmlab.operators import HamiltonianModel, build_model, make_term
+from qbmlab.operators import HamiltonianModel, Term, build_model
 from qbmlab.training import PovmTrainingSet
 
 
@@ -55,8 +55,8 @@ ENTRY_LIST_MODELS = {
 def entry_list_model(name, rng):
     if ENTRY_LIST_MODELS[name] is not None:
         return build_model(*ENTRY_LIST_MODELS[name])
-    terms = [make_term(f"h{k}", random_hermitian(8, rng)) for k in range(3)]
-    terms.insert(1, make_term("zero", np.zeros((8, 8))))
+    terms = [Term(f"h{k}", random_hermitian(8, rng)) for k in range(3)]
+    terms.insert(1, Term("zero", np.zeros((8, 8))))
     return HamiltonianModel("hand_built", 3, 0, tuple(terms))
 
 

@@ -20,7 +20,6 @@ from qbmlab.operators import (
     build_fermionic_model,
     build_mean_field,
     build_transverse_ising_complete,
-    complete_graph_edges,
 )
 from qbmlab.training import (
     PovmTrainingSet,
@@ -72,7 +71,7 @@ def test_criterion_02_golden_thompson_bound():
         build_transverse_ising_complete(3),
         build_complete_pauli_set(2),
         build_mean_field(3),
-        build_classical_bm(3, edges=complete_graph_edges(3)),
+        build_classical_bm(3),
     ]
     min_gap = np.inf
     for i in range(500):
@@ -91,7 +90,7 @@ def test_criterion_02_golden_thompson_bound():
         assert gap >= -1e-9
     # commuting full-rank instances: the bound is tight
     worst_equality = 0.0
-    m = build_classical_bm(2, edges=((0, 1),))
+    m = build_classical_bm(2)
     for _ in range(100):
         theta = rng.normal(size=3)
         u = rng.uniform(0.2, 0.8, size=4)

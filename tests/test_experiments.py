@@ -571,12 +571,17 @@ class TestCli:
         assert "monotone from order 2: True" in out
 
 
-def _readme_cli_examples():
-    """(argv lists, (experiment, config-file text)) from README's CLI section."""
+def _readme_section(start, end):
+    """README.md from the heading `start` up to the heading `end`."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
         text = fh.read()
-    section = text[text.index("## CLI"):text.index("## Library use")]
+    return text[text.index(start):text.index(end)]
+
+
+def _readme_cli_examples():
+    """(argv lists, (experiment, config-file text)) from README's CLI section."""
+    section = _readme_section("## CLI", "## Library use")
     commands = [
         shlex.split(line.split("&&")[0])[1:]
         for block in re.findall(r"```sh\n(.*?)```", section, re.S)
@@ -616,3 +621,12 @@ class TestReadme:
         path.write_text(config_text)
         assert main([experiment, "--config", str(path)]) == 0, capsys.readouterr().err
         assert stub_runs[0].experiment == experiment
+
+    def test_library_use_example_runs(self, capsys):
+        section = _readme_section("## Library use", "## Reproducibility")
+        code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        namespace = {}
+        exec(compile(code, "README.md", "exec"), namespace)
+        objective, diverged = capsys.readouterr().out.split()
+        assert diverged == "False" and float(objective) == namespace["trace"].objectives[-1]
+        assert np.isclose(np.trace(namespace["rho"]), 1.0)

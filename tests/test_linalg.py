@@ -16,7 +16,6 @@ from qbmlab.linalg import (
     gibbs_state,
     hermitian_eigendecompose,
     hermitize,
-    kron,
     log_partition,
     matrix_log_psd,
     relative_entropy,
@@ -82,6 +81,12 @@ class TestEigendecompose:
         with np.errstate(over="ignore"):
             evals, _ = hermitian_eigendecompose(np.diag([1e160, -1e160]))
         assert np.array_equal(evals, [-1e160, 1e160])
+
+    def test_symmetrizes_entries_near_the_float_maximum(self):
+        # A + A^* would overflow to inf here; the Hermitian part is formed as A/2 + A^*/2
+        with np.errstate(over="ignore"):
+            evals, _ = hermitian_eigendecompose(np.diag([1.7e308, -1.7e308]))
+        assert np.array_equal(evals, [-1.7e308, 1.7e308])
 
     def test_rejects_non_hermitian(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -373,18 +378,10 @@ class TestFidelity:
 
 
 class TestKron:
-    def test_identity(self):
-        assert np.allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-
     def test_commuting_factors(self):
         z = pauli_matrix("Z")
         i2 = np.eye(2, dtype=complex)
-        assert np.allclose(kron(z, i2) @ kron(i2, z), pauli_matrix("ZZ"))
-
-    def test_entry_check(self):
-        m = kron(pauli_matrix("X"), pauli_matrix("Z"))
-        assert m[0, 2] == 1.0
-        assert m[1, 3] == -1.0
+        assert np.allclose(np.kron(z, i2) @ np.kron(i2, z), pauli_matrix("ZZ"))
 
 
 class TestDensityValidation:
@@ -398,6 +395,16 @@ class TestDensityValidation:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             validate_density_matrix(np.diag([1.5, -0.5]).astype(complex))
+
+    def test_rejects_non_hermitian_whose_norm_overflows(self):
+        # both Frobenius norms overflow to inf unless the entries are scaled
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="not Hermitian"):
+            validate_density_matrix(np.array([[0.5, 1e160], [-1e160, 0.5]]))
+
+    def test_rejects_hermitian_entries_near_the_float_maximum(self):
+        # Hermitian with unit trace, but its eigenvalues are 0.5 +- 1.7e308
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="eigenvalue"):
+            validate_density_matrix(np.array([[0.5, 1.7e308], [1.7e308, 0.5]]))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):

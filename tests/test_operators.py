@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qbmlab.linalg import gibbs_state, kron
+from qbmlab.linalg import gibbs_state
 from qbmlab.operators import (
     PAULI,
     QUBIT_CAPS,
@@ -21,21 +21,13 @@ from qbmlab.operators import (
     build_mean_field,
     build_model,
     build_transverse_ising_complete,
-    complete_graph_edges,
     jordan_wigner_annihilator,
-    make_term,
     pauli_matrix,
 )
 
 from conftest import ENTRY_LIST_MODELS, entry_list_model, random_hermitian
 
 ALL_FAMILIES = ("classical_bm", "ti_complete", "pauli_complete", "mean_field", "fermionic")
-
-
-def _build(family, n_visible, n_hidden=0):
-    if family == "classical_bm":
-        return build_model(family, n_visible, n_hidden, edges=complete_graph_edges(n_visible + n_hidden))
-    return build_model(family, n_visible, n_hidden)
 
 
 class TestPauliMatrix:
@@ -50,7 +42,7 @@ class TestPauliMatrix:
         assert np.allclose(m @ m, np.eye(4))
 
     def test_qubit_zero_leftmost(self):
-        assert np.allclose(pauli_matrix("XI"), kron(pauli_matrix("X"), np.eye(2)))
+        assert np.allclose(pauli_matrix("XI"), np.kron(pauli_matrix("X"), np.eye(2)))
 
     def test_rejects_bad_letter(self):
         with pytest.raises(ValueError):
@@ -81,20 +73,20 @@ class TestTerm:
         base = raw + raw.T
         source = base.T
         snapshot = source.copy()
-        term = make_term("s", source)
+        term = Term("s", source)
         assert np.array_equal(term.matrix, snapshot)
         assert term.is_quantum
         assert np.array_equal(source, snapshot)
         assert np.array_equal(base, snapshot.T)
 
     def test_transpose_of_read_only_term_matrix(self):
-        first = make_term("y", pauli_matrix("Y"))
-        second = make_term("yT", first.matrix.T)
+        first = Term("y", pauli_matrix("Y"))
+        second = Term("yT", first.matrix.T)
         assert np.array_equal(second.matrix, pauli_matrix("Y").T)
         assert np.array_equal(first.matrix, pauli_matrix("Y"))
 
     def test_leaves_caller_array_writeable(self, rng):
-        make_term("z", PAULI["Z"])
+        Term("z", PAULI["Z"])
         assert PAULI["Z"].flags.writeable
         # complex128 already, so np.asarray hands back the caller's own array
         source = random_hermitian(4, rng)
@@ -108,7 +100,7 @@ class TestTerm:
         matrix = np.eye(2, dtype=np.complex128)
         matrix[0, 0] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            make_term("bad", matrix)
+            Term("bad", matrix)
         matrix = np.full((2, 2), bad)
         with pytest.raises(ValueError, match="non-finite"):
             Term("bad", matrix)
@@ -133,9 +125,9 @@ def _dense_reference(matrix):
 
 
 def _term_check(matrix):
-    """The same verdict and flag from make_term."""
+    """The same verdict and flag from Term."""
     try:
-        term = make_term("t", matrix)
+        term = Term("t", matrix)
     except ValueError as err:
         return ("non-finite" if "non-finite" in str(err) else "not Hermitian"), None
     return "ok", term.is_quantum
@@ -209,13 +201,13 @@ class TestTermCheck:
     def test_rejects_empty_and_non_square(self):
         for matrix in (np.zeros((0, 0)), np.zeros((2, 3)), np.zeros(4)):
             with pytest.raises(ValueError, match="square"):
-                make_term("bad", matrix)
+                Term("bad", matrix)
 
     def test_no_runtime_warning_on_inf(self):
         with np.errstate(all="raise"):
             for name in ("inf_on_both_sides", "inf_diagonal"):
                 with pytest.raises(ValueError, match="non-finite"):
-                    make_term("bad", TERM_CHECK_CASES[name][0])
+                    Term("bad", TERM_CHECK_CASES[name][0])
 
     def test_one_scan_per_term_and_one_for_the_entries(self, monkeypatch):
         import qbmlab.operators as operators
@@ -237,31 +229,23 @@ class TestClassicalBm:
         assert np.allclose(m.terms[0].matrix, np.diag([0.0, 1.0]))
 
     def test_edge_coupling_matrix(self):
-        m = build_classical_bm(2, edges=((0, 1),))
+        m = build_classical_bm(2)
         coupling = m.terms[-1].matrix
         assert np.allclose(coupling, np.diag([0.0, 0.0, 0.0, 1.0]))
 
     def test_zero_theta_zero_hamiltonian(self):
-        m = build_classical_bm(2, edges=((0, 1),))
+        m = build_classical_bm(2)
         assert np.allclose(assemble_hamiltonian(m, np.zeros(3)), np.zeros((4, 4)))
 
     def test_frozen_two_site_assembly(self):
         # b = (1, 1), w = 1 over basis 00,01,10,11
-        m = build_classical_bm(2, edges=((0, 1),))
+        m = build_classical_bm(2)
         h = assemble_hamiltonian(m, np.array([1.0, 1.0, 1.0]))
         assert np.allclose(h, np.diag([0.0, 1.0, 1.0, 3.0]))
 
     def test_all_terms_classical(self):
-        m = build_classical_bm(3, edges=complete_graph_edges(3))
+        m = build_classical_bm(3)
         assert all(not t.is_quantum for t in m.terms)
-
-    def test_duplicate_edge_rejected(self):
-        with pytest.raises(ValueError):
-            build_classical_bm(2, edges=((0, 1), (1, 0)))
-
-    def test_self_edge_rejected(self):
-        with pytest.raises(ValueError):
-            build_classical_bm(2, edges=((1, 1),))
 
 
 class TestTransverseIsing:
@@ -326,7 +310,7 @@ class TestMeanField:
             rho, _ = gibbs_state(assemble_hamiltonian(m, theta))
             h0 = theta[0] * pauli_matrix("X") + theta[1] * pauli_matrix("Y") + theta[2] * pauli_matrix("Z")
             h1 = theta[3] * pauli_matrix("X") + theta[4] * pauli_matrix("Y") + theta[5] * pauli_matrix("Z")
-            prod = kron(gibbs_state(h0)[0], gibbs_state(h1)[0])
+            prod = np.kron(gibbs_state(h0)[0], gibbs_state(h1)[0])
             assert np.linalg.norm(rho - prod) < 1e-10
 
 
@@ -367,7 +351,7 @@ class TestFermionicModel:
     def test_diagonal_reduction_matches_classical_bm(self):
         # zeroing every off-diagonal term leaves the number-operator sub-family
         m = build_fermionic_model(3)
-        classical = build_classical_bm(3, edges=complete_graph_edges(3))
+        classical = build_classical_bm(3)
         by_label = {t.label: i for i, t in enumerate(m.terms)}
         theta = np.zeros(len(m.terms))
         diag_labels = [t.label for t in m.terms if not t.is_quantum]
@@ -403,7 +387,7 @@ class TestFermionicModel:
 class TestEveryBuilder:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_terms_hermitian_and_flagged(self, family):
-        m = _build(family, 2, 1 if family in ("classical_bm", "fermionic") else 0)
+        m = build_model(family, 2, 1 if family in ("classical_bm", "fermionic") else 0)
         for t in m.terms:
             assert np.allclose(t.matrix, t.matrix.conj().T, atol=1e-12)
             off = t.matrix - np.diag(np.diag(t.matrix))
@@ -411,7 +395,7 @@ class TestEveryBuilder:
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_assemble_unit_vector_and_linearity(self, family, rng):
-        m = _build(family, 2)
+        m = build_model(family, 2)
         k = len(m.terms) // 2
         e_k = np.zeros(len(m.terms))
         e_k[k] = 1.0
@@ -578,7 +562,7 @@ class TestEntryList:
         assert np.array_equal(transposed[entries.index, entries.flat_t], entries.values)
 
     def test_term_size_must_match_qubit_count(self):
-        model = HamiltonianModel("custom", 1, 0, (make_term("zz", pauli_matrix("ZZ")),))
+        model = HamiltonianModel("custom", 1, 0, (Term("zz", pauli_matrix("ZZ")),))
         with pytest.raises(ValueError, match="2 x 2"):
             assemble_hamiltonian(model, np.ones(1))
 
@@ -603,7 +587,7 @@ class TestQubitCaps:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_term_count_formula(self, family):
         for n in (2, 3, 4):
-            assert _build(family, n).n_terms == TERM_COUNTS[family](n)
+            assert build_model(family, n).n_terms == TERM_COUNTS[family](n)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_dense_terms_fit_the_budget_at_the_cap(self, family):
