@@ -95,6 +95,8 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be finite, got {value}")
             if key in ("ensemble", "jobs", "n_repeats") and value < 1:
                 raise ValueError(f"{key} must be >= 1, got {value}")
+            if key == "seed" and value < 0:
+                raise ValueError(f"seed must be >= 0, got {value}")
         if "noise_p" in keys and not 0.0 <= self.noise_p < 0.5:
             raise ValueError(f"noise_p must lie in [0, 0.5), got {self.noise_p}")
         for key, allowed in (("povm_kind", ("projector", "basis")), ("target_kind", ("mixed", "pure"))):
@@ -222,7 +224,8 @@ def _percentile_csv(key_names: tuple, curves_by_key: dict, epochs: int) -> tuple
 def _map_instances(fn, items, jobs: int) -> list:
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork pool starts all its workers at the first submit
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))
 
 

@@ -154,15 +154,18 @@ def matrix_log_psd(A: np.ndarray, clip: float = 1e-10) -> np.ndarray:
     """Matrix logarithm of a positive semidefinite operator.
 
     Eigenvalues below `clip` are raised to `clip` before taking logs,
-    which keeps logs of rank-deficient operators finite. Eigenvalues
-    below -1e-8 mean the input was not PSD and are rejected.
+    which keeps logs of rank-deficient operators finite. Eigenvalues at or
+    below rounding level (eps * dim * lambda_max) count as zero, so any clip
+    decides the logs of a null space. Eigenvalues below -1e-8 mean
+    the input was not PSD and are rejected.
     """
     if clip <= 0:
         raise ValueError(f"clip must be positive, got {clip}")
     evals, V = hermitian_eigendecompose(A)
     if evals[0] < -1e-8:
         raise ValueError(f"matrix has negative eigenvalue {evals[0]:.3e}, not PSD")
-    logs = np.log(np.maximum(evals, clip))
+    rounding = np.finfo(np.float64).eps * evals.size * evals[-1]
+    logs = np.log(np.maximum(np.where(evals > rounding, evals, 0.0), clip))
     return hermitize((V * logs) @ V.conj().T).astype(np.complex128, copy=False)
 
 

@@ -71,8 +71,7 @@ class PovmTrainingSet:
     Validation checks every entry is finite, each element is PSD
     (eigenvalues >= -1e-10), the elements sum to the identity within 1e-9,
     and the probabilities are nonnegative and sum to 1 within 1e-12. The
-    elements padded to a model's hidden units, and their logarithms, are
-    built on first use and kept on the set (see _padded_pairs).
+    view on a model's hidden units is built on first use (see lifted).
     """
 
     elements: tuple[np.ndarray, ...]
@@ -86,6 +85,7 @@ class PovmTrainingSet:
         probs.flags.writeable = False
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "_lifts", {})
         if not elements:
             raise ValueError("POVM needs at least one element")
         dim = elements[0].shape[0]
@@ -114,6 +114,28 @@ class PovmTrainingSet:
     def dim(self) -> int:
         return self.elements[0].shape[0]
 
+    def lifted(self, n_hidden: int) -> tuple:
+        """(P_v, Lambda_v (x) I, log Lambda_v (x) I) for each P_v > 0, with I on n_hidden units.
+
+        Built on first use and kept on the set, read-only. Each logarithm clips
+        the eigenvalues of Lambda_v at GT_CLIP and is taken once, at n_hidden 0.
+        """
+        if n_hidden not in self._lifts:
+            if n_hidden == 0:
+                lifted = tuple(
+                    (p, element, matrix_log_psd(element, GT_CLIP))
+                    for p, element in zip(self.probabilities, self.elements)
+                    if p > 0.0
+                )
+            else:
+                eye = np.eye(2**n_hidden, dtype=np.complex128)
+                lifted = tuple((p, np.kron(el, eye), np.kron(log_el, eye)) for p, el, log_el in self.lifted(0))
+            for _, *ops in lifted:
+                for op in ops:
+                    op.flags.writeable = False
+            self._lifts[n_hidden] = lifted
+        return self._lifts[n_hidden]
+
 
 @dataclass(frozen=True, eq=False)
 class StateTrainingSet:
@@ -126,10 +148,19 @@ class StateTrainingSet:
         rho = rho.copy()
         rho.flags.writeable = False
         object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "_lifts", {0: rho})
 
     @property
     def dim(self) -> int:
         return self.rho.shape[0]
+
+    def lifted(self, n_hidden: int) -> np.ndarray:
+        """rho (x) I / 2^{n_hidden}, built on first use and kept on the set, read-only (rho itself at 0)."""
+        if n_hidden not in self._lifts:
+            lifted = np.kron(self.rho, np.eye(2**n_hidden, dtype=np.complex128)) / 2**n_hidden
+            lifted.flags.writeable = False
+            self._lifts[n_hidden] = lifted
+        return self._lifts[n_hidden]
 
     @cached_property
     def entropy(self) -> float:
@@ -259,72 +290,14 @@ def _evaluate(model: HamiltonianModel, theta: np.ndarray) -> _Evaluation:
 
 
 def _setup(model: HamiltonianModel, theta, data):
-    """Checked theta and the model's evaluation at theta, for data on the visible units."""
+    """Checked theta, the model's evaluation at theta and the data lifted onto its hidden units."""
     theta = _check_theta(model, theta)
     if data.dim != 2**model.n_visible:
         raise ValueError(
             f"training data dimension {data.dim} does not match "
             f"2^{model.n_visible} visible units"
         )
-    return theta, _evaluate(model, theta)
-
-
-def _relent_setup(model: HamiltonianModel, theta, data: StateTrainingSet):
-    """Checked theta, the evaluation at theta and the target embedded on the hidden units."""
-    theta, ev = _setup(model, theta, data)
-    return theta, ev, _embedded_target(data, model.n_hidden)
-
-
-def pad_to_hidden(operator: np.ndarray, n_hidden: int) -> np.ndarray:
-    """Extend a visible-space operator by identity on the hidden units."""
-    if n_hidden == 0:
-        return np.asarray(operator, dtype=np.complex128)
-    return np.kron(operator, np.eye(2**n_hidden, dtype=np.complex128))
-
-
-def embed_target_state(rho: np.ndarray, n_hidden: int) -> np.ndarray:
-    """Target for hidden-unit models: rho (x) I / 2^{n_hidden}."""
-    return pad_to_hidden(rho, n_hidden) / 2**n_hidden
-
-
-def _embedded_target(data: StateTrainingSet, n_hidden: int) -> np.ndarray:
-    """rho (x) I / 2^{n_hidden}, read-only, kept on the set once per n_hidden (rho itself at 0)."""
-    cache = data.__dict__.setdefault("_embedded", {0: data.rho})
-    if n_hidden not in cache:
-        cache[n_hidden] = embed_target_state(data.rho, n_hidden)
-        cache[n_hidden].flags.writeable = False
-    return cache[n_hidden]
-
-
-def _padded_pairs(data: PovmTrainingSet, n_hidden: int, log: bool = False) -> tuple:
-    """(P_v, Lambda_v (x) I), or (P_v, log Lambda_v (x) I) with log, for each P_v > 0.
-
-    Built on first use and kept on the training set, once per (log, n_hidden).
-    The logarithm clips the eigenvalues of Lambda_v at GT_CLIP. The padded
-    operators are read-only.
-    """
-    cache = data.__dict__.setdefault("_padded", {})
-    if (log, n_hidden) not in cache:
-        pairs = []
-        for p, element in zip(data.probabilities, data.elements):
-            if p > 0.0:
-                op = pad_to_hidden(matrix_log_psd(element, GT_CLIP) if log else element, n_hidden)
-                op.flags.writeable = False
-                pairs.append((p, op))
-        cache[log, n_hidden] = tuple(pairs)
-    return cache[log, n_hidden]
-
-
-def _padded_likelihoods(model: HamiltonianModel, rho: np.ndarray, data: PovmTrainingSet):
-    """Yield (P_v, Lambda_v (x) I, Tr[rho (Lambda_v (x) I)]) for each P_v > 0."""
-    for p, padded in _padded_pairs(data, model.n_hidden):
-        yield p, padded, expectation_value(rho, padded)
-
-
-def _gt_hamiltonians(model: HamiltonianModel, H: np.ndarray, data: PovmTrainingSet):
-    """Yield (P_v, H - log Lambda_v) for each P_v > 0, the Golden-Thompson Hamiltonians."""
-    for p, padded_log in _padded_pairs(data, model.n_hidden, log=True):
-        yield p, H - padded_log
+    return theta, _evaluate(model, theta), data.lifted(model.n_hidden)
 
 
 def _reg_value(model: HamiltonianModel, theta: np.ndarray, lam: float) -> float:
@@ -369,8 +342,8 @@ def objective_povm_exact(
     sum_v P_v log( Tr[Lambda_v e^{-H}] / Tr[e^{-H}] ) - (lam/2)||theta_Q||^2,
     in nats. Vanishing likelihoods clamp their log at -700.
     """
-    theta, ev = _setup(model, theta, data)
-    value = sum(p * _clamped_log(L) for p, _, L in _padded_likelihoods(model, ev.rho, data))
+    theta, ev, lifted = _setup(model, theta, data)
+    value = sum(p * _clamped_log(expectation_value(ev.rho, el)) for p, el, _ in lifted)
     return value - _reg_value(model, theta, lam)
 
 
@@ -383,10 +356,8 @@ def objective_povm_gt(
     with rank-deficient elements made full rank by eigenvalue clipping.
     The bound is tight whenever Lambda_v commutes with H.
     """
-    theta, ev = _setup(model, theta, data)
-    value = sum(
-        p * (log_partition(H_v) - ev.log_z) for p, H_v in _gt_hamiltonians(model, ev.H, data)
-    )
+    theta, ev, lifted = _setup(model, theta, data)
+    value = sum(p * (log_partition(ev.H - log_el) - ev.log_z) for p, _, log_el in lifted)
     return value - _reg_value(model, theta, lam)
 
 
@@ -399,10 +370,10 @@ def grad_povm_gt(
     where H_v = H - log Lambda_v uses the clipped logarithm. As the outcome
     probabilities sum to 1, this is Tr[H_j (rho - sum_v P_v rho_v)].
     """
-    theta, ev = _setup(model, theta, data)
+    theta, ev, lifted = _setup(model, theta, data)
     X = ev.rho.copy()
-    for p, H_v in _gt_hamiltonians(model, ev.H, data):
-        X -= p * gibbs_state(H_v)[0]
+    for p, _, log_el in lifted:
+        X -= p * gibbs_state(ev.H - log_el)[0]
     return term_expectations(model, X) - _reg_grad(model, theta, lam)
 
 
@@ -419,12 +390,12 @@ def grad_povm_exact(
     eigenvalues shifted by the minimum, so large ||H|| stays finite; the
     shift cancels in the likelihood ratios.
     """
-    theta, ev = _setup(model, theta, data)
+    theta, ev, lifted = _setup(model, theta, data)
     evals, V = ev.eigen
     # sum_v (P_v / L_v) V^+ Lambda_v V, with L_v = Tr[Lambda_v e^{-(H - evals[0])}]
     weighted = np.zeros(V.shape, dtype=np.complex128)  # V is real for real-symmetric H
-    for p, padded in _padded_pairs(data, model.n_hidden):
-        el_rot = V.conj().T @ padded @ V
+    for p, el, _ in lifted:
+        el_rot = V.conj().T @ el @ V
         likelihood = max(float(el_rot.diagonal().real @ ev.weights), LIKELIHOOD_FLOOR)
         weighted += (p / likelihood) * el_rot
     X = ev.rho + V @ (weighted * _exp_neg_divided_differences(evals - evals[0])) @ V.conj().T
@@ -465,11 +436,11 @@ def grad_povm_commutator(
     moderate; orders above 12 are rejected as numerically useless.
     """
     _check_commutator_order(order)
-    theta, ev = _setup(model, theta, data)
+    theta, ev, lifted = _setup(model, theta, data)
     rho = ev.rho
     weighted = np.zeros_like(rho)
-    for p, el, likelihood in _padded_likelihoods(model, rho, data):
-        weighted += (p / max(likelihood, LIKELIHOOD_FLOOR)) * el
+    for p, el, _ in lifted:
+        weighted += (p / max(expectation_value(rho, el), LIKELIHOOD_FLOOR)) * el
     X = rho - _hadamard_series(ev.H, rho @ weighted, order)
     return term_expectations(model, X) - _reg_grad(model, theta, lam)
 
@@ -484,7 +455,7 @@ def objective_relent(
     Written with log Gibbs(H) = -H - logZ so arbitrarily large ||H|| stays
     finite; ascending this objective drives the Gibbs state toward rho.
     """
-    theta, ev, rho = _relent_setup(model, theta, data)
+    theta, ev, rho = _setup(model, theta, data)
     entropy = data.entropy + model.n_hidden * math.log(2.0)
     relent = -entropy + expectation_value(rho, ev.H) + ev.log_z
     return -relent - _reg_value(model, theta, lam)
@@ -497,7 +468,7 @@ def grad_relent(
 
     sigma is the Gibbs state of H, rho the (embedded) target.
     """
-    theta, ev, rho = _relent_setup(model, theta, data)
+    theta, ev, rho = _setup(model, theta, data)
     return term_expectations(model, ev.rho - rho) - _reg_grad(model, theta, lam)
 
 
@@ -564,7 +535,7 @@ def grad_relent_sampled(
     so the mean squared error scales like (number of terms) / n_samples.
     Deterministic given rng_seed, which is never changed.
     """
-    theta, ev, rho = _relent_setup(model, theta, data)
+    theta, ev, rho = _setup(model, theta, data)
     grad = np.empty(model.n_terms)
     for j, term in enumerate(model.terms):
         # one eigendecomposition per term serves both expectations
@@ -620,13 +591,13 @@ def train(
             f"gradient kind {config.gradient_kind!r} trains on a {data_type.__name__}"
         )
     monitor = objective_povm_exact if data_type is PovmTrainingSet else objective_relent
-    target = _embedded_target(data, model.n_hidden) if data_type is StateTrainingSet else None
+    target = data.lifted(model.n_hidden) if data_type is StateTrainingSet else None
 
     trace = TrainingTrace()
     velocity = np.zeros_like(theta)
     # overflow in an unstable run shows up as a non-finite value or a failed
-    # solve below, which is handled; the numpy warnings (from the evaluation,
-    # the record's gradient norm or the update) would just be noise
+    # solve below, which is handled; the numpy warnings (from the evaluation
+    # or the update) would just be noise
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs + 1):
             try:
@@ -647,7 +618,7 @@ def train(
                     epoch=epoch,
                     theta=theta.copy(),
                     objective=float(objective),
-                    grad_norm=float(np.linalg.norm(grad)),
+                    grad_norm=math.hypot(*grad),  # scaled, so finite whenever the norm itself is
                     overlap=overlap,
                 )
             )

@@ -191,6 +191,31 @@ class TestParallelism:
         assert len(outputs[0]) >= 2
         assert outputs[0] == outputs[1]
 
+    def test_pool_forks_no_more_workers_than_instances(self, monkeypatch):
+        # a fork pool starts max_workers processes at its first submit; this one maps serially
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        want = run_experiment(make_config("tomography", {"ensemble": "3", "epochs": "2"}))
+        got = run_experiment(make_config("tomography", {"ensemble": "3", "epochs": "2", "jobs": "64"}))
+        assert sizes == [3]
+        assert np.array_equal(got.finals, want.finals)
+        assert experiments._map_instances(abs, [-1, -2, -3], jobs=2) == [1, 2, 3]
+        assert sizes == [3, 2]
+
 
 class TestDivergence:
     KEPT = 2  # records the diverged instance keeps
@@ -242,8 +267,8 @@ class TestPovmData:
         run_experiment(make_config("povm-train", settings))
         # both branches of every grid point and the maximum share one set per n_visible
         assert sorted(built) == [4, 8]
-        # the GT logarithm of the one projector with P_v > 0, once per (n_visible, n_hidden)
-        assert len(logs) == 4
+        # the GT logarithm of the one projector with P_v > 0, once per n_visible
+        assert len(logs) == 2
 
 
 class TestSerializeHelpers:
@@ -539,6 +564,7 @@ class TestCli:
         ["variance-sweep", "--set", "n_visible=7"],
         ["hamlearn", "--set", "n_visible=20", "--ensemble", "1", "--set", "epochs=1"],
         ["tomography", "--set", "n_visible=7", "--ensemble", "1"],
+        ["tomography", "--seed", "-1", "--ensemble", "1"],
         ["meanfield", "--jobs", "0"],
         ["gradcheck", "--set", "lam=-1"],
         ["meanfield", "--set", "learning_rate=-1"],

@@ -22,6 +22,7 @@ from qbmlab.linalg import (
     validate_density_matrix,
     von_neumann_entropy,
 )
+from qbmlab.datasets import step_function_state
 from qbmlab.operators import pauli_matrix
 
 from conftest import random_density, random_hermitian
@@ -240,6 +241,15 @@ class TestMatrixLogPsd:
     def test_rejects_negative_eigenvalues(self):
         with pytest.raises(ValueError):
             matrix_log_psd(np.diag([1.0, -0.5]).astype(complex))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_clip_sets_the_null_space_of_a_projector(self, n):
+        # rounding-level eigenvalues of the projector count as zero, so a clip
+        # below them still decides the log: ln(1e-20) = -46.05, not about -37
+        projector = step_function_state(n)[1].elements[0]
+        out = matrix_log_psd(projector, clip=1e-20)
+        expected = np.log(1e-20) * (np.eye(2**n) - projector)
+        assert np.allclose(out, expected, rtol=0.0, atol=1e-12)
 
 
 class TestFrechetExpNeg:

@@ -29,7 +29,6 @@ from qbmlab.training import (
     StateTrainingSet,
     TraceRecord,
     child_seed,
-    embed_target_state,
     grad_povm_commutator,
     grad_povm_exact,
     grad_povm_gt,
@@ -153,6 +152,23 @@ class TestObjectives:
             data = random_full_rank_povm(4, rng)
             assert objective_povm_gt(m, theta, data) <= objective_povm_exact(m, theta, data) + 1e-9
 
+    @pytest.mark.parametrize("family", ["fermionic", "classical_bm"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gt_bound_on_projector_data(self, family, seed):
+        # Lambda_v = P (x) I with P a rank-1 projector: the clipped bound adds
+        # -ln(GT_CLIP) (I - P (x) I) to H, so it lies below the exact objective
+        # and above its clamped limit, the partition function on the range of P (x) I
+        psi, povm, _ = step_function_state(4)
+        m = build_model(family, 4, 2)
+        theta = 0.3 * np.random.default_rng(seed).standard_normal(m.n_terms)
+        exact = objective_povm_exact(m, theta, povm)
+        clipped = objective_povm_gt(m, theta, povm)
+        H = assemble_hamiltonian(m, theta)
+        support = np.kron(psi[:, None], np.eye(4))  # orthonormal columns spanning the range
+        levels = np.linalg.eigvalsh(support.conj().T @ H @ support)
+        clamped = -levels[0] + np.log(np.exp(-(levels - levels[0])).sum()) - gibbs_state(H)[1]
+        assert exact >= clipped >= clamped
+
     def test_gt_equals_exact_when_commuting(self, rng):
         m = build_classical_bm(2)
         for _ in range(20):
@@ -189,7 +205,8 @@ class TestObjectives:
         for _ in range(5):
             theta = rng.normal(size=m.n_terms)
             sigma, _ = gibbs_state(assemble_hamiltonian(m, theta))
-            expected = -relative_entropy(embed_target_state(data.rho, n_hidden), sigma)
+            target = np.kron(data.rho, np.eye(2**n_hidden)) / 2**n_hidden
+            expected = -relative_entropy(target, sigma)
             value = objective_relent(m, theta, data)
             assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
 
@@ -503,6 +520,16 @@ class TestTrainLoop:
         assert tr.note == "H(theta) has non-finite entries at epoch 1"
         assert len(tr.records) == 1
 
+    def test_grad_norm_of_a_huge_finite_gradient_is_finite(self, monkeypatch):
+        # 1e200 squared overflows; the norm itself is 1e200 * sqrt(n_terms)
+        m = build_mean_field(2)
+        monkeypatch.setattr(training, "grad_relent", lambda *args: np.full(m.n_terms, 1e200))
+        data = random_mixed(2, np.random.default_rng(0))
+        tr = train(m, np.zeros(m.n_terms), data, OptimizerConfig("relent", learning_rate=0.0, epochs=2))
+        assert not tr.diverged
+        for record in tr.records:
+            assert math.isclose(record.grad_norm, 1e200 * math.sqrt(m.n_terms), rel_tol=1e-15)
+
     def test_sampled_training_reproducible(self, rng):
         m = build_mean_field(1)
         data = random_mixed(1, rng)
@@ -520,7 +547,7 @@ class TestTrainLoop:
         data = random_mixed(2, rng)
         cfg = OptimizerConfig(gradient_kind=kind, learning_rate=0.5, epochs=3, n_samples=64)
         tr = train(m, rng.normal(size=m.n_terms), data, cfg)
-        target = embed_target_state(data.rho, 1)
+        target = np.kron(data.rho, np.eye(2)) / 2
         for record in tr.records:
             sigma = gibbs_state(assemble_hamiltonian(m, record.theta))[0]
             assert record.overlap == linalg.expectation_value(target, sigma)
@@ -643,9 +670,9 @@ class TestEvaluationRecord:
             assert not array.flags.writeable
         with pytest.raises(ValueError):
             record.rho[0, 0] = 0.0
-        for log in (False, True):
-            for _, padded in training._padded_pairs(povm, m.n_hidden, log):
-                assert not padded.flags.writeable
+        for _, *ops in povm.lifted(m.n_hidden):
+            for op in ops:
+                assert not op.flags.writeable
 
     def test_one_eigh_for_every_gradient_at_one_theta(self, problem, monkeypatch):
         theta, _, povm, state = problem
@@ -673,15 +700,18 @@ class TestEvaluationRecord:
         cfg = OptimizerConfig(gradient_kind=kind, learning_rate=0.1, epochs=epochs)
         trace = train(m, np.zeros(m.n_terms), data, cfg)
         assert len(trace.records) == epochs + 1
+        # lifting the POVM takes one logarithm per element, once per training set
+        n_elements = len(povm.elements)
         if kind == "gt":
-            # one eigh of H and one per H_v each epoch, plus one per element's
-            # logarithm, taken once per training set
-            n_elements = len(povm.elements)
+            # one eigh of H and one per H_v each epoch, plus the logarithms
             assert len(logs) == n_elements
             assert len(calls) == (epochs + 1) * (1 + n_elements) + n_elements
-        else:
+        elif kind == "relent":
             assert logs == []
             assert len(calls) == epochs + 1
+        else:
+            assert len(logs) == n_elements
+            assert len(calls) == epochs + 1 + n_elements
 
     @pytest.mark.parametrize("family, n_visible, n_hidden, kind, real", [
         ("fermionic", 3, 1, "gt", True),
@@ -745,7 +775,7 @@ class TestEvaluationRecord:
         for H in unchecked + checked:
             assert np.array_equal(H, H.conj().T)
 
-    def test_logarithms_once_per_set_and_hidden_count(self, rng, monkeypatch):
+    def test_logarithms_once_per_set(self, rng, monkeypatch):
         logs = []
         _counting(monkeypatch, training, "matrix_log_psd", logs)
         first, second = random_full_rank_povm(4, rng), random_full_rank_povm(4, rng)
@@ -755,21 +785,23 @@ class TestEvaluationRecord:
             for data in (first, second):
                 train(m, np.zeros(m.n_terms), data, cfg)
                 objective_povm_gt(m, np.zeros(m.n_terms), data)
-        # two elements per set, two sets, two hidden counts
-        assert len(logs) == 2 * 2 * 2
+        # two elements per set, two sets, whatever the hidden count
+        assert len(logs) == 2 * 2
 
     def test_target_embedded_once_per_set_and_hidden_count(self, rng, monkeypatch):
-        calls = []
-        _counting(monkeypatch, training, "embed_target_state", calls)
         data = random_mixed(2, rng)
         cfg = OptimizerConfig(gradient_kind="relent", learning_rate=0.1, epochs=3)
-        for n_hidden in (0, 1, 2, 1, 2, 0):
-            m = build_fermionic_model(2, n_hidden)
+        hidden_counts = (0, 1, 2, 1, 2, 0)
+        # built before krons are counted: building the terms takes krons too
+        models = [build_fermionic_model(2, n_hidden) for n_hidden in hidden_counts]
+        kron = np.kron
+        calls = []
+        _counting(monkeypatch, np, "kron", calls)
+        for n_hidden, m in zip(hidden_counts, models):
             train(m, 0.1 * rng.normal(size=m.n_terms), data, cfg)
-            target = training._embedded_target(data, n_hidden)
+            target = data.lifted(n_hidden)
             assert not target.flags.writeable
-            # the module's own name, not the counting wrapper
-            assert np.array_equal(target, embed_target_state(data.rho, n_hidden))
+            assert np.array_equal(target, kron(data.rho, np.eye(2**n_hidden)) / 2**n_hidden)
         # n_hidden 1 and 2; at n_hidden 0 the target is the set's rho itself
         assert len(calls) == 2
-        assert training._embedded_target(data, 0) is data.rho
+        assert data.lifted(0) is data.rho
