@@ -9,16 +9,13 @@ CSV/JSON data.
 
 from .linalg import (
     EigenSystem,
-    distance,
     expectation_value,
     fidelity,
-    frechet_exp_neg,
     gibbs_state,
     hermitian_eigendecompose,
     hermitize,
     log_partition,
     matrix_log_psd,
-    relative_entropy,
     validate_density_matrix,
     von_neumann_entropy,
 )
@@ -32,7 +29,6 @@ from .operators import (
     build_mean_field,
     build_model,
     build_transverse_ising_complete,
-    jordan_wigner_annihilator,
     pauli_matrix,
 )
 from .training import (
@@ -51,7 +47,6 @@ from .training import (
     objective_povm_exact,
     objective_povm_gt,
     objective_relent,
-    sampled_expectation,
     train,
 )
 from .datasets import (

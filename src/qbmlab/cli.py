@@ -51,7 +51,7 @@ def _override_mapping(pairs) -> dict:
     mapping = {}
     for pair in pairs:
         if "=" not in pair:
-            raise SystemExit(f"--set expects KEY=VALUE, got {pair!r}")
+            raise ValueError(f"--set expects KEY=VALUE, got {pair!r}")
         key, _, value = pair.partition("=")
         mapping[key.strip()] = value.strip()
     return mapping

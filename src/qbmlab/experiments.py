@@ -2,10 +2,10 @@
 
 Each experiment reproduces one figure or check as plain data: percentile
 curves as CSV, a JSON summary, and a manifest echoing the resolved
-configuration. Runs are deterministic: the same config and seed produce
-byte-identical output files. Ensemble instances derive their generators
-from per-instance seed splits, so results do not depend on dispatch order
-and instance-level parallelism (``jobs > 1``) changes nothing but wall time.
+configuration. Runs are deterministic within one commit, numpy/BLAS build
+and BLAS thread count: the same config and seed produce byte-identical
+output files. Instances draw from per-instance seed splits, so neither
+dispatch order nor parallelism (``jobs > 1``) changes more than wall time.
 """
 
 from __future__ import annotations
@@ -131,11 +131,14 @@ def _fields(config) -> set:
     return {f.name for f in dataclasses.fields(config)}
 
 
-def _coerce(key: str, raw: str):
+def _coerce(key: str, raw: str, where: str = ""):
     text, kind = raw.strip(), _KEY_TYPES[key]
     if kind == "Optional[str]":
         return text or None
-    return {"int": int, "float": float}.get(kind, str)(text)
+    try:
+        return {"int": int, "float": float}.get(kind, str)(text)
+    except ValueError:
+        raise ValueError(f"{where}{key} must be {'an' if kind == 'int' else 'a'} {kind}, got {text!r}") from None
 
 
 def parse_config_file(path) -> dict:
@@ -143,7 +146,7 @@ def parse_config_file(path) -> dict:
 
     Blank lines and ``#`` comments are ignored. Values are coerced to the
     declared type of the key in the experiment configs; a key that no
-    experiment reads is a KeyError.
+    experiment reads is a KeyError. Every error begins with ``path:line:``.
     """
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -155,8 +158,8 @@ def parse_config_file(path) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = (part.strip() for part in stripped.partition("="))
             if key not in _KEY_TYPES:
-                raise KeyError(f"unknown config key {key!r}")
-            out[key] = _coerce(key, value)
+                raise KeyError(f"{path}:{lineno}: unknown config key {key!r}")
+            out[key] = _coerce(key, value, f"{path}:{lineno}: ")
     return out
 
 

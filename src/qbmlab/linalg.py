@@ -27,10 +27,7 @@ __all__ = [
     "gibbs_state",
     "log_partition",
     "matrix_log_psd",
-    "frechet_exp_neg",
     "von_neumann_entropy",
-    "relative_entropy",
-    "distance",
     "fidelity",
     "expectation_value",
     "validate_density_matrix",
@@ -187,63 +184,11 @@ def _exp_neg_divided_differences(evals: np.ndarray) -> np.ndarray:
     )
 
 
-def frechet_exp_neg(H: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """Directional derivative of H -> e^{-H} along E.
-
-    Computed in the eigenbasis of H (Daleckii-Krein): entry (i, j) of the
-    rotated E is scaled by the divided difference of x -> e^{-x} at the
-    eigenvalue pair (i, j).
-    """
-    evals, V = hermitian_eigendecompose(H)
-    E = _require_hermitian(E, "direction")
-    if E.shape != V.shape:
-        raise ValueError(f"direction shape {E.shape} does not match {V.shape}")
-    rotated = V.conj().T @ E @ V
-    return V @ (rotated * _exp_neg_divided_differences(evals)) @ V.conj().T
-
-
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy -Tr[rho log rho] in nats, with 0 log 0 = 0 (spectrum only)."""
     evals = _eigh(_require_hermitian(rho, "operator"), vectors=False)
     p = evals[evals > 1e-18]
     return float(-np.sum(p * np.log(p)))
-
-
-def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Quantum relative entropy S(rho || sigma) = Tr[rho (log rho - log sigma)].
-
-    Uses the convention 0 log 0 = 0 on rho's null space. sigma must be
-    full rank: any eigenvalue below 1e-14 is a hard error, since the
-    divergence is infinite (or numerically meaningless) there.
-    """
-    p, U = hermitian_eigendecompose(rho)
-    q, W = hermitian_eigendecompose(sigma)
-    if rho.shape != sigma.shape:
-        raise ValueError(f"shape mismatch {rho.shape} vs {sigma.shape}")
-    if q[0] < 1e-14:
-        raise ValueError(f"sigma eigenvalue {q[0]:.3e} below 1e-14; S(rho||sigma) diverges")
-    p = np.maximum(p, 0.0)
-    support = p > 1e-18
-    plogp = float(np.sum(p[support] * np.log(p[support])))
-    # Tr[rho log sigma] = sum_j <w_j|rho|w_j> log q_j expanded over rho's eigenbasis
-    overlap = np.abs(U.conj().T @ W) ** 2
-    cross = float((p @ overlap) @ np.log(q))
-    return plogp - cross
-
-
-def distance(rho: np.ndarray, sigma: np.ndarray, kind: str = "trace") -> float:
-    """Trace distance (half the trace norm of the difference) or Frobenius distance."""
-    rho = _as_square_matrix(rho, "rho")
-    sigma = _as_square_matrix(sigma, "sigma")
-    if rho.shape != sigma.shape:
-        raise ValueError(f"shape mismatch {rho.shape} vs {sigma.shape}")
-    delta = rho - sigma
-    if kind == "trace":
-        evals, _ = hermitian_eigendecompose(delta)
-        return float(np.abs(evals).sum() / 2.0)
-    if kind == "frobenius":
-        return float(np.linalg.norm(delta))
-    raise ValueError(f"unknown distance kind {kind!r}; use 'trace' or 'frobenius'")
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:

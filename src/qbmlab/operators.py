@@ -25,7 +25,6 @@ __all__ = [
     "build_fermionic_model",
     "build_model",
     "check_model_size",
-    "jordan_wigner_annihilator",
     "assemble_hamiltonian",
 ]
 
@@ -323,17 +322,6 @@ def build_mean_field(n: int) -> HamiltonianModel:
     check_model_size("mean_field", n)
     terms = [_site_term({j: op}, n) for j in range(n) for op in "XYZ"]
     return HamiltonianModel("mean_field", n, 0, tuple(terms))
-
-
-def jordan_wigner_annihilator(p: int, n: int) -> np.ndarray:
-    """Fermionic annihilator a_p on n modes under the Jordan-Wigner encoding.
-
-    a_p = Z^{(x)p} (x) (X + iY)/2 (x) I^{(x)(n-p-1)}, so a_p|1>_p = |0>_p
-    with the parity string on the lower-indexed modes.
-    """
-    if not 0 <= p < n:
-        raise ValueError(f"mode index {p} out of range for {n} modes")
-    return _scatter(n, *_ladder_product([(p, False)], n))
 
 
 def build_fermionic_model(n_visible: int, n_hidden: int = 0) -> HamiltonianModel:

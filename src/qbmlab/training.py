@@ -48,7 +48,6 @@ __all__ = [
     "grad_relent",
     "grad_relent_sampled",
     "child_seed",
-    "sampled_expectation",
     "train",
 ]
 
@@ -386,7 +385,7 @@ def grad_povm_exact(
     the trace, Tr[Lambda D(H, H_j)] = Tr[H_j D(H, Lambda)], so component j
     is Re Tr[H_j (rho + sum_v P_v D(H, Lambda_v) / Tr[Lambda_v e^{-H}])].
     The D(H, Lambda_v) are summed in the eigenbasis of H and scaled once by
-    the divided differences of e^{-x} (the kernel of frechet_exp_neg) at
+    the divided differences of e^{-x} (_exp_neg_divided_differences) at
     eigenvalues shifted by the minimum, so large ||H|| stays finite; the
     shift cancels in the likelihood ratios.
     """
@@ -482,18 +481,6 @@ def child_seed(root, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(root, spawn_key=key)
 
 
-def sampled_expectation(state: np.ndarray, term: np.ndarray, n_samples: int, rng_seed) -> float:
-    """Sample mean estimate of Tr[state term] from eigenvalue measurements.
-
-    The term is eigendecomposed (its spectral norm must not exceed 1, the
-    normalization under which the variance bound Var <= 1/n_samples
-    holds), outcome i is drawn with probability <v_i|state|v_i> clamped
-    to [0, 1] and renormalized, and the sampled
-    eigenvalues are averaged. Deterministic given rng_seed.
-    """
-    return _sample_mean(state, _measurement_basis(term), n_samples, rng_seed)
-
-
 def _measurement_basis(term: np.ndarray) -> EigenSystem:
     """Eigensystem of a term whose spectral norm must not exceed 1."""
     basis = hermitian_eigendecompose(term)
@@ -504,7 +491,12 @@ def _measurement_basis(term: np.ndarray) -> EigenSystem:
 
 
 def _sample_mean(state: np.ndarray, basis: EigenSystem, n_samples: int, rng_seed) -> float:
-    """sampled_expectation for a term given by its _measurement_basis."""
+    """Sample mean estimate of Tr[state term] for a term given by its _measurement_basis.
+
+    Outcome i is drawn with probability <v_i|state|v_i> clamped to [0, 1]
+    and renormalized, and the sampled eigenvalues are averaged, so the
+    variance is at most 1/n_samples. Deterministic given rng_seed.
+    """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     evals, V = basis

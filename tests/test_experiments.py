@@ -137,10 +137,12 @@ class TestConfig:
         assert mapping == {"epochs": 12, "family": "pauli_complete", "learning_rate": 0.25}
 
     def test_parse_config_rejects_garbage(self, tmp_path):
+        # every error names the file and line
         path = tmp_path / "bad.cfg"
-        path.write_text("epochs 12\n")
-        with pytest.raises(ValueError):
-            parse_config_file(path)
+        for line, error in (("epochs 12", ValueError), ("nope = 1", KeyError), ("epochs = 1.5", ValueError)):
+            path.write_text(f"# header\n{line}\n")
+            with pytest.raises(error, match=re.escape(f"{path}:2: ")):
+                parse_config_file(path)
 
 
 class TestEnsembleSummary:
@@ -573,6 +575,7 @@ class TestCli:
         ["tomography", "--set", "learning_rate=nan", "--ensemble", "1"],
         ["hamlearn", "--set", "theta0_scale=inf", "--ensemble", "1"],
         ["commutator-compare", "--set", "eta_grid=0.1,nan"],
+        ["tomography", "--set", "epochs"],
     ])
     def test_invalid_value_exits_2_with_one_line(self, tmp_path, capsys, argv):
         out = tmp_path / "never"
@@ -581,9 +584,15 @@ class TestCli:
         assert captured.err.startswith("qbmlab: ") and captured.err.count("\n") == 1
         assert not out.exists()
 
-    def test_bad_value_exit_code(self, capsys):
+    def test_bad_value_exit_code(self, tmp_path, capsys):
         assert main(["tomography", "--set", "epochs=ten"]) == 2
-        capsys.readouterr()
+        assert capsys.readouterr().err == "qbmlab: epochs must be an int, got 'ten'\n"
+        assert main(["tomography", "--set", "learning_rate=fast"]) == 2
+        assert capsys.readouterr().err == "qbmlab: learning_rate must be a float, got 'fast'\n"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# header\nepochs = ten\n")
+        assert main(["tomography", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"qbmlab: {cfg}:2: epochs must be an int, got 'ten'\n"
 
     def test_missing_config_file_exit_code(self, capsys):
         assert main(["tomography", "--config", "/no/such/file.cfg"]) == 2

@@ -1,0 +1,28 @@
+"""The public surface: each submodule's __all__ and the package's re-exports."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import qbmlab
+
+PACKAGE = Path(qbmlab.__file__).parent
+SUBMODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_every_name_in_all_exists(name):
+    # a stale entry makes `from qbmlab.<name> import *` raise AttributeError
+    module = importlib.import_module(f"qbmlab.{name}")
+    assert [entry for entry in module.__all__ if not hasattr(module, entry)] == []
+
+
+def test_package_imports_only_names_in_all():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        public = importlib.import_module(f"qbmlab.{node.module}").__all__
+        assert [alias.name for alias in node.names if alias.name not in public] == [], node.module

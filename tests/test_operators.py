@@ -11,7 +11,9 @@ from qbmlab.linalg import gibbs_state
 from qbmlab.operators import (
     PAULI,
     QUBIT_CAPS,
+    _ladder_product,
     _masked_parity,
+    _scatter,
     HamiltonianModel,
     Term,
     assemble_hamiltonian,
@@ -21,7 +23,6 @@ from qbmlab.operators import (
     build_mean_field,
     build_model,
     build_transverse_ising_complete,
-    jordan_wigner_annihilator,
     pauli_matrix,
 )
 
@@ -315,32 +316,30 @@ class TestMeanField:
 
 
 class TestJordanWigner:
+    """Canonical anticommutation of _kron_annihilator, the oracle of every fermionic term."""
+
     def test_single_mode_ladder(self):
-        a = jordan_wigner_annihilator(0, 1)
+        a = _kron_annihilator(0, 1)
         ket0, ket1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         assert np.allclose(a @ ket1, ket0)
         assert np.allclose(a @ ket0, 0.0)
         assert np.allclose(a.conj().T @ ket0, ket1)
 
     def test_cross_mode_anticommutator_vanishes(self):
-        a0 = jordan_wigner_annihilator(0, 2)
-        a1 = jordan_wigner_annihilator(1, 2)
+        a0 = _kron_annihilator(0, 2)
+        a1 = _kron_annihilator(1, 2)
         anti = a0 @ a1.conj().T + a1.conj().T @ a0
         assert np.allclose(anti, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_canonical_anticommutation(self, n):
-        ops = [jordan_wigner_annihilator(p, n) for p in range(n)]
+        ops = [_kron_annihilator(p, n) for p in range(n)]
         eye = np.eye(2**n)
         for p, q in itertools.product(range(n), repeat=2):
             aa = ops[p] @ ops[q] + ops[q] @ ops[p]
             assert np.allclose(aa, 0.0, atol=1e-12)
             ad = ops[p] @ ops[q].conj().T + ops[q].conj().T @ ops[p]
             assert np.allclose(ad, (1.0 if p == q else 0.0) * eye, atol=1e-12)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            jordan_wigner_annihilator(2, 2)
 
 
 class TestFermionicModel:
@@ -439,6 +438,7 @@ def _site_word(n, letters):
 
 
 def _kron_annihilator(p, n):
+    """a_p = Z^{(x)p} (x) (X + iY)/2 (x) I^{(x)(n-p-1)}, so a_p|1>_p = |0>_p."""
     lower = (PAULI["X"] + 1j * PAULI["Y"]) / 2.0
     factors = [PAULI["Z"]] * p + [lower] + [PAULI["I"]] * (n - p - 1)
     out = np.ones((1, 1), dtype=np.complex128)
@@ -537,7 +537,7 @@ class TestTermOracles:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_annihilator_matches_kron_chain(self, n):
         for p in range(n):
-            assert np.array_equal(jordan_wigner_annihilator(p, n), _kron_annihilator(p, n))
+            assert np.array_equal(_scatter(n, *_ladder_product([(p, False)], n)), _kron_annihilator(p, n))
 
 
 class TestEntryList:

@@ -11,7 +11,7 @@ import pytest
 import qbmlab
 import qbmlab.linalg as linalg
 import qbmlab.training as training
-from qbmlab.linalg import frechet_exp_neg, gibbs_state, relative_entropy
+from qbmlab.linalg import gibbs_state
 from qbmlab.operators import (
     assemble_hamiltonian,
     build_classical_bm,
@@ -37,7 +37,6 @@ from qbmlab.training import (
     objective_povm_exact,
     objective_povm_gt,
     objective_relent,
-    sampled_expectation,
     term_expectations,
     train,
 )
@@ -197,18 +196,31 @@ class TestObjectives:
         assert objective_relent(m, theta + 0.5, data) < 0
 
     @pytest.mark.parametrize("n_hidden", [0, 1])
+    def test_relent_pure_target_against_maximally_mixed(self, n_hidden):
+        # theta = 0 gives sigma = I/2^n; S(|0><0| (x) I/2^h || I/2^(1+h)) = log 2,
+        # with 0 log 0 = 0 on the pure target's null space
+        m = build_classical_bm(1, n_hidden)
+        data = StateTrainingSet(rho=np.diag([1.0, 0.0]).astype(complex))
+        assert abs(objective_relent(m, np.zeros(m.n_terms), data) + np.log(2)) < 1e-12
+
+    @pytest.mark.parametrize("n_hidden", [0, 1])
     def test_relent_equals_negative_relative_entropy(self, rng, n_hidden):
-        # spectrum-only logZ and the cached target entropy against the
-        # two-eigendecomposition relative_entropy
+        # spectrum-only logZ and the cached target entropy against
+        # Tr rho (log rho - log sigma) from scipy's logm, with sigma from expm
+        from scipy.linalg import expm, logm
+
         m = build_fermionic_model(2, n_hidden)
         data = random_mixed(2, rng)
         for _ in range(5):
             theta = rng.normal(size=m.n_terms)
-            sigma, _ = gibbs_state(assemble_hamiltonian(m, theta))
+            exp_neg_h = expm(-assemble_hamiltonian(m, theta))
+            sigma = exp_neg_h / np.trace(exp_neg_h).real
             target = np.kron(data.rho, np.eye(2**n_hidden)) / 2**n_hidden
-            expected = -relative_entropy(target, sigma)
+            expected = -np.trace(target @ (logm(target) - logm(sigma))).real
             value = objective_relent(m, theta, data)
             assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+            # Pinsker: S(rho || sigma) >= ||rho - sigma||_1^2 / 2 >= ||rho - sigma||_F^2 / 2
+            assert value <= -np.linalg.norm(target - sigma) ** 2 / 2
 
     def test_target_entropy_computed_once_per_set(self, rng, monkeypatch):
         calls = []
@@ -308,13 +320,17 @@ class TestPerTermOracles:
 
     @staticmethod
     def exact_oracle(m, H, padded, probabilities):
-        evals, V = np.linalg.eigh(H)
-        exp_neg_h = (V * np.exp(-evals)) @ V.conj().T
+        # each term's derivative of e^{-H} is scipy's Frechet derivative of
+        # expm (Al-Mohy & Higham 2009) at -H along -H_j, which shares no code
+        # with the divided-difference kernel under test
+        from scipy.linalg import expm, expm_frechet
+
+        exp_neg_h = expm(-H)
         rho = exp_neg_h / np.trace(exp_neg_h).real
         return np.array([
             np.trace(rho @ t.matrix).real
             + sum(
-                p * np.trace(el @ frechet_exp_neg(H, t.matrix)).real
+                p * np.trace(el @ expm_frechet(-H, -t.matrix, compute_expm=False)).real
                 / np.trace(el @ exp_neg_h).real
                 for el, p in zip(padded, probabilities)
             )
@@ -325,6 +341,13 @@ class TestPerTermOracles:
         m, theta, data, H, padded = problem
         want = self.exact_oracle(m, H, padded, data.probabilities)
         got = grad_povm_exact(m, theta, data)
+        assert np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want)
+
+    def test_exact_at_zero_theta(self, problem):
+        # H = 0 is degenerate: every eigenvalue pair takes the kernel's confluent branch
+        m, _, data, H, padded = problem
+        want = self.exact_oracle(m, np.zeros_like(H), padded, data.probabilities)
+        got = grad_povm_exact(m, np.zeros(m.n_terms), data)
         assert np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want)
 
     def test_exact_with_real_eigenvectors_and_real_data(self, problem):
@@ -359,17 +382,17 @@ class TestPerTermOracles:
 
 
 class TestSampledGradient:
-    def test_sampled_expectation_deterministic_eigenstate(self):
+    def test_sample_mean_deterministic_eigenstate(self):
         # measuring Z on |0> always returns +1, whatever the sample count
-        z = np.diag([1.0, -1.0]).astype(complex)
+        z = training._measurement_basis(np.diag([1.0, -1.0]).astype(complex))
         rho = np.diag([1.0, 0.0]).astype(complex)
-        assert sampled_expectation(rho, z, 64, 0) == 1.0
+        assert training._sample_mean(rho, z, 64, 0) == 1.0
 
-    def test_sampled_expectation_reproducible(self, rng):
+    def test_sample_mean_reproducible(self, rng):
         rho = random_mixed(1, rng).rho
-        z = np.diag([1.0, -1.0]).astype(complex)
-        a = sampled_expectation(rho, z, 512, 42)
-        b = sampled_expectation(rho, z, 512, 42)
+        z = training._measurement_basis(np.diag([1.0, -1.0]).astype(complex))
+        a = training._sample_mean(rho, z, 512, 42)
+        b = training._sample_mean(rho, z, 512, 42)
         assert a == b
 
     def test_sampled_gradient_concentrates(self, rng):
