@@ -16,11 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import _eigh, _gibbs_from_eigensystem
-from .operators import (
-    HamiltonianModel,
-    assemble_hamiltonian,
-    build_transverse_ising_complete,
-)
+from .operators import HamiltonianModel, assemble_hamiltonian
 from .training import PovmTrainingSet, StateTrainingSet
 
 __all__ = [
@@ -113,25 +109,23 @@ def random_mixed(n: int, rng: np.random.Generator) -> StateTrainingSet:
     return StateTrainingSet(rho=(u * w) @ u.conj().T)
 
 
-def random_ti_teacher(
-    n: int,
-    normalize: bool,
-    rng: np.random.Generator,
-):
-    """Random transverse-field Ising teacher and its Gibbs-state target.
+def random_ti_teacher(model: HamiltonianModel, normalize: bool, rng: np.random.Generator):
+    """Random teacher of a built transverse-field Ising family and its Gibbs-state target.
 
-    Teacher parameters are i.i.d. standard Gaussians over the complete-graph
-    transverse-field Ising terms; with ``normalize`` they are rescaled so the
-    assembled Hamiltonian has unit spectral norm. One eigendecomposition of
-    the raw Hamiltonian gives both: its spectral norm is the largest
-    ``|lambda|``, and the rescaled Hamiltonian has eigenvalues ``lambda / norm``
-    with the same eigenvectors.
+    model must come from build_transverse_ising_complete (family
+    ``ti_complete``); callers build it once for any number of teachers.
+    Teacher parameters are i.i.d. standard Gaussians over its terms; with
+    ``normalize`` they are rescaled so the assembled Hamiltonian has unit
+    spectral norm. One eigendecomposition of the raw Hamiltonian gives both:
+    its spectral norm is the largest ``|lambda|``, and the rescaled
+    Hamiltonian has eigenvalues ``lambda / norm`` with the same eigenvectors.
 
     Returns
     -------
-    (HamiltonianModel, theta_true, StateTrainingSet)
+    (theta_true, StateTrainingSet)
     """
-    model = build_transverse_ising_complete(int(n))
+    if model.family != "ti_complete":
+        raise ValueError(f"teachers come from the ti_complete family, not {model.family!r}")
     theta = rng.standard_normal(model.n_terms)
     evals, V = _eigh(assemble_hamiltonian(model, theta))  # Hermitian bit for bit: unchecked
     if normalize:
@@ -139,4 +133,4 @@ def random_ti_teacher(
         theta = theta / norm
         evals = evals / norm
     rho, _, _ = _gibbs_from_eigensystem(evals, V)
-    return model, theta, StateTrainingSet(rho=rho)
+    return theta, StateTrainingSet(rho=rho)

@@ -5,7 +5,8 @@ curves as CSV, a JSON summary, and a manifest echoing the resolved
 configuration. Runs are deterministic within one commit, numpy/BLAS build
 and BLAS thread count: the same config and seed produce byte-identical
 output files. Instances draw from per-instance seed splits, so neither
-dispatch order nor parallelism (``jobs > 1``) changes more than wall time.
+dispatch order, the split of an ensemble into lockstep chunks nor
+parallelism (``jobs > 1``) changes more than wall time.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .training import (
     OptimizerConfig,
     PovmTrainingSet,
     StateTrainingSet,
-    _evaluate,
+    _train_lockstep,
     child_seed,
     grad_povm_commutator,
     grad_povm_exact,
@@ -395,37 +396,51 @@ class RelentEnsembleConfig(ExperimentConfig):
     epochs: int = 100
 
 
-def _relent_instance(args):
-    """Train one instance of ``setup(rng, *fixed) -> (model, theta0, target, theta_true)``.
+# Complex entries a lockstep chunk's stacked arrays hold at most: instances per chunk times dim^2.
+CHUNK_ENTRIES = 2**14
 
-    Returns the padded curves by name (``s`` = S(rho || sigma), ``overlap`` =
-    Tr(rho sigma), and ``dh`` = ||H - H_true||_F if there is a teacher theta_true),
-    the (target, final state) pair if keep_states, and the diverged flag.
+
+def _relent_chunk(args):
+    """Train instances ``indices`` of an ensemble in lockstep, on one model.
+
+    ``setup(*fixed)`` returns ``(model, draw)``, the models built once per
+    chunk; ``draw(rng) -> (theta0, target, theta_true)`` draws one instance
+    from its stream child_seed(root, i). Returns per instance the padded
+    curves by name (``s`` = S(rho || sigma), ``overlap`` = Tr(rho sigma), and
+    ``dh`` = ||H - H_true||_F if there is a teacher theta_true), the (target,
+    final state) pair and the diverged flag.
     """
-    setup, fixed, seed_seq, opt, keep_states = args
-    model, theta0, target, theta_true = setup(np.random.default_rng(seed_seq), *fixed)
-    trace = train(model, theta0, target, opt)
-    curves = dict(s=-trace.objectives, overlap=[r.overlap for r in trace.records])
-    if theta_true is not None:
-        # H is linear in theta: H(th) - H(theta_true) = H(th - theta_true)
-        curves["dh"] = [float(np.linalg.norm(assemble_hamiltonian(model, th - theta_true)))
-                        for th in trace.thetas]
-    curves = {name: _pad_curve(values, opt.epochs + 1) for name, values in curves.items()}
-    # train's last epoch evaluated final_theta unless the run diverged
-    states = (target.rho, _evaluate(model, trace.final_theta).rho) if keep_states else None
-    return curves, states, bool(trace.diverged)
+    setup, fixed, root, indices, opt = args
+    model, draw = setup(*fixed)
+    theta0, targets, theta_trues = zip(*(draw(np.random.default_rng(child_seed(root, i))) for i in indices))
+    traces, states = _train_lockstep(model, theta0, targets, opt)
+    results = []
+    for trace, target, state, theta_true in zip(traces, targets, states, theta_trues):
+        curves = dict(s=-trace.objectives, overlap=[r.overlap for r in trace.records])
+        if theta_true is not None:
+            # H is linear in theta: H(th) - H(theta_true) = H(th - theta_true)
+            curves["dh"] = [float(np.linalg.norm(assemble_hamiltonian(model, th - theta_true)))
+                            for th in trace.thetas]
+        curves = {name: _pad_curve(values, opt.epochs + 1) for name, values in curves.items()}
+        results.append((curves, (target.rho, state), bool(trace.diverged)))
+    return results
 
 
-def _relent_ensemble(config: RelentEnsembleConfig, setup, *fixed, keep_states: bool = True):
-    """Run config.ensemble seeded instances of ``setup(rng, *fixed)`` (see _relent_instance).
+def _relent_ensemble(config: RelentEnsembleConfig, setup, *fixed):
+    """Run config.ensemble seeded instances of ``setup(*fixed)`` in lockstep chunks (see _relent_chunk).
 
-    Returns the curves stacked by name, one row per instance, the list of
-    per-instance (target, final state) pairs (None each unless keep_states)
-    and the number of diverged runs.
+    The instances split into contiguous chunks of at most CHUNK_ENTRIES // dim^2
+    instances, and into at least min(jobs, ensemble) chunks, which the pool
+    runs. Returns the curves stacked by name, one row per instance, the list
+    of per-instance (target, final state) pairs and the number of diverged runs.
     """
     opt = config.optimizer(gradient_kind="relent")
-    args = [(setup, fixed, child_seed(config.seed, i), opt, keep_states) for i in range(config.ensemble)]
-    results = _map_instances(_relent_instance, args, config.jobs)
+    dim = max(2 ** (nv + nh) for _, nv, nh in config.models())
+    per_chunk = max(1, CHUNK_ENTRIES // dim**2)
+    n_chunks = max(-(-config.ensemble // per_chunk), min(config.jobs, config.ensemble))
+    args = [(setup, fixed, config.seed, chunk.tolist(), opt)
+            for chunk in np.array_split(np.arange(config.ensemble), n_chunks)]
+    results = [r for chunk in _map_instances(_relent_chunk, args, config.jobs) for r in chunk]
     curves = {name: np.asarray([r[0][name] for r in results]) for name in results[0][0]}
     return curves, [r[1] for r in results], sum(r[2] for r in results)
 
@@ -440,10 +455,10 @@ class TomographyConfig(RelentEnsembleConfig):
         return [("pauli_complete", self.n_visible, 0)]
 
 
-def _tomography_setup(rng, n_visible: int, target_kind: str):
-    target = random_mixed(n_visible, rng) if target_kind == "mixed" else haar_random_pure(n_visible, rng)
+def _tomography_setup(n_visible: int, target_kind: str):
     model = build_model("pauli_complete", n_visible)
-    return model, np.zeros(model.n_terms), target, None
+    draw_target = random_mixed if target_kind == "mixed" else haar_random_pure
+    return model, lambda rng: (np.zeros(model.n_terms), draw_target(n_visible, rng), None)
 
 
 def run_tomography_ensemble(config: TomographyConfig):
@@ -491,10 +506,14 @@ class HamlearnConfig(RelentEnsembleConfig):
         return [("ti_complete", self.n_visible, 0)]
 
 
-def _hamlearn_setup(rng, n_visible: int, normalize: bool, theta0_scale: float):
-    model, theta_true, target = random_ti_teacher(n_visible, normalize, rng)
-    theta0 = theta0_scale * rng.standard_normal(model.n_terms)
-    return model, theta0, target, theta_true
+def _hamlearn_setup(n_visible: int, normalize: bool, theta0_scale: float):
+    model = build_model("ti_complete", n_visible)  # the teachers' family is the student's
+
+    def draw(rng):
+        theta_true, target = random_ti_teacher(model, normalize, rng)
+        return theta0_scale * rng.standard_normal(model.n_terms), target, theta_true
+
+    return model, draw
 
 
 def run_hamlearn(config: HamlearnConfig):
@@ -508,8 +527,7 @@ def run_hamlearn(config: HamlearnConfig):
     variants = {}
     for normalize, name in ((True, "normalized"), (False, "unnormalized")):
         curves, _, n_diverged = _relent_ensemble(
-            config, _hamlearn_setup, config.n_visible, normalize, config.theta0_scale,
-            keep_states=False)
+            config, _hamlearn_setup, config.n_visible, normalize, config.theta0_scale)
         variants[name] = dict(
             s=percentile_curves(curves["s"]),
             dh=percentile_curves(curves["dh"]),
@@ -554,10 +572,10 @@ class MeanfieldConfig(RelentEnsembleConfig):
         return [("ti_complete", self.n_visible, 0), ("mean_field", self.n_visible, 0)]
 
 
-def _meanfield_setup(rng, n_visible: int):
-    _, _, target = random_ti_teacher(n_visible, False, rng)
+def _meanfield_setup(n_visible: int):
+    teachers = build_model("ti_complete", n_visible)
     student = build_model("mean_field", n_visible)
-    return student, np.zeros(student.n_terms), target, None
+    return student, lambda rng: (np.zeros(student.n_terms), random_ti_teacher(teachers, False, rng)[1], None)
 
 
 def run_meanfield(config: MeanfieldConfig):

@@ -54,8 +54,8 @@ def _as_square_matrix(A, name: str = "matrix") -> np.ndarray:
 
 
 def hermitize(A: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (A + A^*) / 2."""
-    return (A + A.conj().T) / 2.0
+    """Return the Hermitian part (A + A^*) / 2 of a matrix, or of each matrix of a stack."""
+    return (A + A.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _require_hermitian(
@@ -124,8 +124,16 @@ def _gibbs_from_eigensystem(
     returned as complex128.
     """
     weights, total, log_z = _shifted_weights(evals)
-    rho = (V * (weights / total)) @ V.conj().T
-    return hermitize(rho).astype(np.complex128, copy=False), weights, log_z
+    return _spectral_sum(V, weights / total), weights, log_z
+
+
+def _spectral_sum(V: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_i values_i v_i v_i^+ over the columns v_i of V, Hermitian and complex128.
+
+    Formed in V's arithmetic. A (B, d, d) stack of V with (B, 1, d) values
+    gives the stack of sums, each bit for bit what its matrix alone gives.
+    """
+    return hermitize((V * values) @ V.conj().swapaxes(-1, -2)).astype(np.complex128, copy=False)
 
 
 def gibbs_state(H: np.ndarray) -> tuple[np.ndarray, float]:
@@ -163,7 +171,7 @@ def matrix_log_psd(A: np.ndarray, clip: float = 1e-10) -> np.ndarray:
         raise ValueError(f"matrix has negative eigenvalue {evals[0]:.3e}, not PSD")
     rounding = np.finfo(np.float64).eps * evals.size * evals[-1]
     logs = np.log(np.maximum(np.where(evals > rounding, evals, 0.0), clip))
-    return hermitize((V * logs) @ V.conj().T).astype(np.complex128, copy=False)
+    return _spectral_sum(V, logs)
 
 
 def _exp_neg_divided_differences(evals: np.ndarray) -> np.ndarray:

@@ -370,9 +370,12 @@ def build_model(family: str, n_visible: int, n_hidden: int = 0) -> HamiltonianMo
 
 
 def assemble_hamiltonian(model: HamiltonianModel, theta) -> np.ndarray:
-    """H(theta) = sum_j theta_j H_j."""
+    """H(theta) = sum_j theta_j H_j; a (B, n_terms) stack of thetas gives the (B, dim, dim) stack.
+
+    Each matrix of a stack is bit for bit the one its row alone gives.
+    """
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (model.n_terms,):
+    if theta.ndim not in (1, 2) or theta.shape[-1] != model.n_terms:
         raise ValueError(
             f"theta has shape {theta.shape}, model needs ({model.n_terms},)"
         )
@@ -380,9 +383,17 @@ def assemble_hamiltonian(model: HamiltonianModel, theta) -> np.ndarray:
     # so mirrored entries H[r, c] and H[c, r] come out exact conjugates.
     entries = model.entries
     size = model.dim**2
-    weights = theta[entries.index]
+    positions, values = entries.flat, entries.values
+    if theta.ndim == 1:
+        weights = theta[entries.index]
+    else:
+        # row b scatters to positions offset by b * dim^2, in the same order
+        positions = (size * np.arange(len(theta))[:, None] + positions).ravel()
+        weights = theta[:, entries.index].ravel()
+        values = np.tile(values, len(theta))
+        size *= len(theta)
     H = np.empty(size, dtype=np.complex128)
-    H.real = np.bincount(entries.flat, weights * entries.values.real, size)
-    H.imag = np.bincount(entries.flat, weights * entries.values.imag, size)
-    return H.reshape(model.dim, model.dim)
+    H.real = np.bincount(positions, weights * values.real, size)
+    H.imag = np.bincount(positions, weights * values.imag, size)
+    return H.reshape(theta.shape[:-1] + (model.dim, model.dim))
 

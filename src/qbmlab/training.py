@@ -21,6 +21,8 @@ from .linalg import (
     _exp_neg_divided_differences,
     _gibbs_from_eigensystem,
     _require_hermitian,
+    _shifted_weights,
+    _spectral_sum,
     expectation_value,
     gibbs_state,
     hermitian_eigendecompose,
@@ -288,6 +290,47 @@ def _evaluate(model: HamiltonianModel, theta: np.ndarray) -> _Evaluation:
     return record
 
 
+def _evaluate_stack(model: HamiltonianModel, thetas: np.ndarray):
+    """(H, rho, log_z, failed): _evaluate at each row of a (B, n_terms) theta stack, from stacked solves.
+
+    Row b of H, rho and log_z is bit for bit what _evaluate(model, thetas[b])
+    gives. The matrices with no imaginary part take one real solve together
+    and the others one complex solve, the choice _eigh makes for each
+    matrix. A stacked solve that fails is retried row by row, so only the
+    rows that fail alone fail. failed maps each of those, and each row with
+    a non-finite H, to the reason; their states and log Z are NaN.
+    """
+    H = assemble_hamiltonian(model, thetas)
+    log_z = np.full(len(H), np.nan)
+    states = []  # (rows, their Gibbs states) of each solve
+    finite = np.isfinite(H).all(axis=(1, 2))
+    failed = {int(b): "H(theta) has non-finite entries" for b in np.flatnonzero(~finite)}
+    real = ~H.imag.any(axis=(1, 2))
+    for group in (finite & real, finite & ~real):
+        rows = np.flatnonzero(group)
+        try:
+            solves = [(rows, _eigh(H if rows.size == len(H) else H[rows]))] if rows.size else []
+        except np.linalg.LinAlgError:
+            solves = []
+            for b in rows:
+                try:
+                    solves.append(([b], _eigh(H[[b]])))
+                except np.linalg.LinAlgError as error:
+                    failed[int(b)] = str(error)
+        for solved, (evals, V) in solves:
+            # log Z and the weights row by row, as _evaluate forms them
+            shifted = [_shifted_weights(row) for row in evals]
+            probs = np.stack([weights / total for weights, total, _ in shifted])
+            states.append((solved, _spectral_sum(V, probs[:, None, :])))
+            log_z[solved] = [row_log_z for *_, row_log_z in shifted]
+    if len(states) == 1 and len(states[0][0]) == len(H):
+        return H, states[0][1], log_z, failed  # one solve of every row, as at dim 512: no copy
+    rho = np.full(H.shape, np.nan, dtype=np.complex128)
+    for solved, group_states in states:
+        rho[solved] = group_states
+    return H, rho, log_z, failed
+
+
 def _setup(model: HamiltonianModel, theta, data):
     """Checked theta, the model's evaluation at theta and the data lifted onto its hidden units."""
     theta = _check_theta(model, theta)
@@ -309,22 +352,28 @@ def _reg_value(model: HamiltonianModel, theta: np.ndarray, lam: float) -> float:
 def _reg_grad(model: HamiltonianModel, theta: np.ndarray, lam: float) -> np.ndarray:
     grad = np.zeros_like(theta)
     if lam != 0.0:
-        grad[model.quantum_mask] = lam * theta[model.quantum_mask]
+        grad[..., model.quantum_mask] = lam * theta[..., model.quantum_mask]
     return grad
 
 
 def term_expectations(model: HamiltonianModel, state: np.ndarray) -> np.ndarray:
-    """Vector of Re Tr[state H_j] over the model terms.
+    """Vector of Re Tr[state H_j] over the model terms; a (B, dim, dim) stack gives (B, n_terms).
 
     Tr[state H_j] = sum over the entries H_j[r, c] of H_j[r, c] state[c, r]:
-    a gather at the transposed positions and a per-term sum.
+    a gather at the transposed positions and a per-term sum. Each row of a
+    stack is bit for bit what its state alone gives.
     """
     state = np.asarray(state)
-    if state.shape != (model.dim, model.dim):
+    if state.ndim not in (2, 3) or state.shape[-2:] != (model.dim, model.dim):
         raise ValueError(f"state shape {state.shape} does not match dimension {model.dim}")
     entries = model.entries
-    picked = state.ravel()[entries.flat_t]
-    return np.bincount(entries.index, (entries.values * picked).real, model.n_terms)
+    if state.ndim == 2:
+        picked = state.ravel()[entries.flat_t]
+        return np.bincount(entries.index, (entries.values * picked).real, model.n_terms)
+    # row b's sums go to bins offset by b * n_terms, in the same order
+    products = (entries.values * state.reshape(len(state), -1)[:, entries.flat_t]).real
+    index = (model.n_terms * np.arange(len(state))[:, None] + entries.index).ravel()
+    return np.bincount(index, products.ravel(), len(state) * model.n_terms).reshape(len(state), -1)
 
 
 def _clamped_log(value: float) -> float:
@@ -454,9 +503,15 @@ def objective_relent(
     Written with log Gibbs(H) = -H - logZ so arbitrarily large ||H|| stays
     finite; ascending this objective drives the Gibbs state toward rho.
     """
-    theta, ev, rho = _setup(model, theta, data)
+    theta, ev, _ = _setup(model, theta, data)
+    return _relent_value(model, theta, data, ev.H, ev.log_z, lam)
+
+
+def _relent_value(model: HamiltonianModel, theta: np.ndarray, data: StateTrainingSet,
+                  H: np.ndarray, log_z: float, lam: float) -> float:
+    """objective_relent at theta from H(theta) and its log Z."""
     entropy = data.entropy + model.n_hidden * math.log(2.0)
-    relent = -entropy + expectation_value(rho, ev.H) + ev.log_z
+    relent = -entropy + expectation_value(data.lifted(model.n_hidden), H) + log_z
     return -relent - _reg_value(model, theta, lam)
 
 
@@ -621,3 +676,63 @@ def train(
     if not trace.records:
         raise ValueError("training diverged before the first epoch completed")
     return trace
+
+
+def _train_lockstep(model: HamiltonianModel, theta0, targets, config: OptimizerConfig):
+    """train on (theta0[b], targets[b]) for every b at once: relative-entropy ascent in lockstep.
+
+    Returns (traces, states): per instance the TrainingTrace that
+    train(model, theta0[b], targets[b], config) returns, bit for bit, and the
+    Gibbs state at its final theta. All instances step together on one
+    (B, n_terms) theta array with one stacked evaluation per epoch (see
+    _evaluate_stack). An instance that diverges freezes with train's note and
+    keeps its valid records, and the others train on.
+    """
+    if config.gradient_kind != "relent":
+        raise ValueError(f"lockstep training ascends the relent gradient, not {config.gradient_kind!r}")
+    theta = np.array(theta0, dtype=np.float64)
+    if theta.shape != (len(targets), model.n_terms):
+        raise ValueError(f"theta0 shape {theta.shape} does not match {len(targets)} targets "
+                         f"and {model.n_terms} terms")
+    for data in targets:
+        if not isinstance(data, StateTrainingSet) or data.dim != 2**model.n_visible:
+            raise ValueError(f"lockstep targets must be StateTrainingSets on {model.n_visible} visible units")
+    lifted = np.stack([data.lifted(model.n_hidden) for data in targets])
+    traces = [TrainingTrace() for _ in targets]
+    states = [None] * len(targets)
+    live = np.arange(len(targets))  # instance of each row of theta
+    velocity = np.zeros_like(theta)
+    # as in train: overflow shows up as a non-finite value or a failed solve
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs + 1):
+            H, rho, log_z, failed = _evaluate_stack(model, theta)
+            grad = term_expectations(model, rho - lifted) - _reg_grad(model, theta, config.lam)
+            finite_grad = np.isfinite(grad).all(axis=1)
+            kept = []
+            for i, b in enumerate(live):
+                objective = math.nan if i in failed else _relent_value(
+                    model, theta[i], targets[b], H[i], log_z[i], config.lam)
+                if not (math.isfinite(objective) and finite_grad[i]):
+                    traces[b].diverged = True
+                    traces[b].note = f"{failed.get(i, 'non-finite objective or gradient')} at epoch {epoch}"
+                    continue
+                traces[b].records.append(
+                    TraceRecord(
+                        epoch=epoch,
+                        theta=theta[i].copy(),
+                        objective=float(objective),
+                        grad_norm=math.hypot(*grad[i]),
+                        overlap=expectation_value(lifted[i], rho[i]),
+                    )
+                )
+                states[b] = rho[i]
+                kept.append(i)
+            if epoch == config.epochs or not kept:
+                break
+            if len(kept) < len(live):
+                live, theta, velocity, grad, lifted = (a[kept] for a in (live, theta, velocity, grad, lifted))
+            velocity = config.momentum * velocity + config.learning_rate * grad
+            theta = theta + velocity
+    if not all(trace.records for trace in traces):
+        raise ValueError("training diverged before the first epoch completed")
+    return traces, states

@@ -75,3 +75,18 @@ def spy_on_solves(monkeypatch, calls, *modules, values_too=False):
 
     for module in modules:
         monkeypatch.setattr(module, "_eigh", spy)
+
+
+def assert_lockstep_matches_train(model, theta0, targets, config, traces, states):
+    """Each lockstep instance is train on its theta0 and target, bit for bit, final state included."""
+    import qbmlab.training as training
+
+    assert len(traces) == len(states) == len(targets)
+    for start, data, got, state in zip(theta0, targets, traces, states):
+        want = training.train(model, start, data, config)
+        assert (got.diverged, got.note) == (want.diverged, want.note)
+        assert [r.epoch for r in got.records] == [r.epoch for r in want.records]
+        assert np.array_equal(got.thetas, want.thetas)
+        for a, b in zip(got.records, want.records):
+            assert (a.objective, a.grad_norm, a.overlap) == (b.objective, b.grad_norm, b.overlap)
+        assert np.array_equal(state, training._evaluate(model, want.final_theta).rho)

@@ -159,10 +159,11 @@ def test_criterion_05_meanfield_overlap():
     # Relative entropy over all product states is minimized by matching every
     # single-qubit marginal, so the trained overlap must match the closed form.
     config = make_config("meanfield")
+    teachers = build_transverse_ising_complete(config.n_visible)
     optimum = []
     for i in range(config.ensemble):
         rng = np.random.default_rng(child_seed(config.seed, i))
-        _, _, target = random_ti_teacher(config.n_visible, False, rng)
+        _, target = random_ti_teacher(teachers, False, rng)
         sigma = _product_of_marginals(target.rho, config.n_visible)
         optimum.append(expectation_value(target.rho, sigma))
     closed_form = float(np.median(optimum))

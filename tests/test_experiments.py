@@ -28,7 +28,7 @@ from qbmlab.operators import QUBIT_CAPS, assemble_hamiltonian, build_model
 from qbmlab.serialize import format_cell, write_csv, write_json
 from qbmlab.training import PovmTrainingSet, child_seed, train
 
-from conftest import spy_on_solves
+from conftest import assert_lockstep_matches_train, spy_on_solves
 
 
 def _keys(experiment) -> set:
@@ -230,16 +230,18 @@ class TestDivergence:
     def test_diverged_instance_is_counted_and_padded(self, tmp_path, monkeypatch, experiment, variants):
         ensemble = 3
         calls, stacks = [], []
+        lockstep = experiments._train_lockstep
 
         def diverge_second(*args, **kw):
-            trace = train(*args, **kw)
-            if len(calls) % ensemble == 1:
-                trace.records, trace.diverged = trace.records[: self.KEPT], True
-            calls.append(trace)
-            return trace
+            traces, states = lockstep(*args, **kw)
+            for trace in traces:
+                if len(calls) % ensemble == 1:
+                    trace.records, trace.diverged = trace.records[: self.KEPT], True
+                calls.append(trace)
+            return traces, states
 
         ensemble_run = experiments._relent_ensemble
-        monkeypatch.setattr(experiments, "train", diverge_second)
+        monkeypatch.setattr(experiments, "_train_lockstep", diverge_second)
         monkeypatch.setattr(experiments, "_relent_ensemble",
                             lambda *args, **kw: stacks.append(ensemble_run(*args, **kw)) or stacks[-1])
         settings = dict(OUTPUT_LAYOUTS[experiment][0], ensemble=str(ensemble), epochs="4")
@@ -255,6 +257,33 @@ class TestDivergence:
             # the others trained on
             assert np.all(curves["s"][[0, 2], -1] != curves["s"][[0, 2], self.KEPT - 1])
         assert set(json.loads((out / "summary.json").read_text())) == OUTPUT_LAYOUTS[experiment][2]
+
+
+class TestLockstep:
+    # each relent ensemble at small sizes; hamlearn runs normalized and unnormalized teachers
+    CASES = {
+        "tomography-mixed": ("tomography", {"target_kind": "mixed"}),
+        "tomography-pure": ("tomography", {"target_kind": "pure"}),
+        "meanfield": ("meanfield", {"n_visible": "3"}),
+        "hamlearn": ("hamlearn", {}),
+    }
+
+    @pytest.mark.parametrize("budget", ["default", "one instance"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_instance_is_train_bit_for_bit(self, monkeypatch, case, budget):
+        experiment, settings = self.CASES[case]
+        runs = []
+        lockstep = experiments._train_lockstep
+        monkeypatch.setattr(experiments, "_train_lockstep",
+                            lambda *args: runs.append((args, lockstep(*args))) or runs[-1][1])
+        if budget == "one instance":
+            monkeypatch.setattr(experiments, "CHUNK_ENTRIES", 1)
+        config = make_config(experiment, settings, {"ensemble": "3", "epochs": "6"})
+        run_experiment(config)
+        chunks = config.ensemble if budget == "one instance" else 1
+        assert len(runs) == chunks * (2 if experiment == "hamlearn" else 1)
+        for (model, theta0, targets, opt), (traces, states) in runs:
+            assert_lockstep_matches_train(model, theta0, targets, opt, traces, states)
 
 
 class TestPovmData:
@@ -415,35 +444,38 @@ class TestOutputs:
             monkeypatch.setattr(module, "gibbs_state", lambda H: calls.append(H) or fresh_gibbs(H),
                                 raising=False)
         cfg = make_config("tomography", {"epochs": "3"})
-        seed_seq = child_seed(cfg.seed, 0)
         opt = cfg.optimizer(gradient_kind="relent")
-        _, (_, sigma), _ = experiments._relent_instance(
-            (experiments._tomography_setup, (cfg.n_visible, "mixed"), seed_seq, opt, True))
+        results = experiments._relent_chunk(
+            (experiments._tomography_setup, (cfg.n_visible, "mixed"), cfg.seed, [0, 1], opt))
         assert calls == []
-        # bit for bit what diagonalizing the final theta afresh gives
-        target = random_mixed(cfg.n_visible, np.random.default_rng(seed_seq))
         model = build_model("pauli_complete", cfg.n_visible)
-        trace = train(model, np.zeros(model.n_terms), target, opt)
-        assert np.array_equal(sigma, fresh_gibbs(assemble_hamiltonian(model, trace.final_theta))[0])
+        for i, (_, (_, sigma), _) in enumerate(results):
+            # bit for bit what diagonalizing the final theta afresh gives
+            target = random_mixed(cfg.n_visible, np.random.default_rng(child_seed(cfg.seed, i)))
+            trace = train(model, np.zeros(model.n_terms), target, opt)
+            assert np.array_equal(sigma, fresh_gibbs(assemble_hamiltonian(model, trace.final_theta))[0])
 
     def test_meanfield_overlaps_come_from_the_training_epochs(self, monkeypatch):
         calls = []
         spy_on_solves(monkeypatch, calls, training, linalg)
         cfg = make_config("meanfield", {"epochs": "4", "n_visible": "3"})
-        seed_seq = child_seed(cfg.seed, 0)
         opt = cfg.optimizer(gradient_kind="relent")
-        curves, (rho, sigma), _ = experiments._relent_instance(
-            (experiments._meanfield_setup, (cfg.n_visible,), seed_seq, opt, True))
-        overlaps = curves["overlap"]
-        # one eigh per epoch, none after training
+        indices = [0, 1, 2]
+        results = experiments._relent_chunk(
+            (experiments._meanfield_setup, (cfg.n_visible,), cfg.seed, indices, opt))
+        # one stacked solve of the chunk per epoch, none after training: theta0 = 0 makes
+        # every H real at epoch 0, and the Y terms make every later H complex
         assert len(calls) == opt.epochs + 1
-        # bit for bit what diagonalizing every recorded theta afresh gives
-        _, _, target = random_ti_teacher(cfg.n_visible, False, np.random.default_rng(seed_seq))
+        assert all(H.shape[0] == len(indices) for H in calls)
+        teachers = build_model("ti_complete", cfg.n_visible)
         student = build_model("mean_field", cfg.n_visible)
-        trace = train(student, np.zeros(student.n_terms), target, opt)
-        fresh = [linalg.gibbs_state(assemble_hamiltonian(student, th))[0] for th in trace.thetas]
-        assert np.array_equal(overlaps, [linalg.expectation_value(rho, s) for s in fresh])
-        assert np.array_equal(sigma, fresh[-1])
+        for i, (curves, (rho, sigma), _) in zip(indices, results):
+            # bit for bit what diagonalizing every recorded theta afresh gives
+            _, target = random_ti_teacher(teachers, False, np.random.default_rng(child_seed(cfg.seed, i)))
+            trace = train(student, np.zeros(student.n_terms), target, opt)
+            fresh = [linalg.gibbs_state(assemble_hamiltonian(student, th))[0] for th in trace.thetas]
+            assert np.array_equal(curves["overlap"], [linalg.expectation_value(rho, s) for s in fresh])
+            assert np.array_equal(sigma, fresh[-1])
 
     def test_commutator_compare_reuses_schedule_a(self, monkeypatch):
         settings = {"n_visible": "2", "epochs": "6", "eta_grid": "0.05,0.1", "momentum_grid": "0,0.5"}

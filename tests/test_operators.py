@@ -551,6 +551,19 @@ class TestEntryList:
         assert np.array_equal(got, got.conj().T)
 
     @pytest.mark.parametrize("name", ENTRY_LIST_MODELS)
+    def test_stacked_assembly_is_each_row_alone(self, name, rng):
+        model = entry_list_model(name, rng)
+        thetas = rng.normal(size=(4, model.n_terms))
+        thetas[1] = 0.0
+        stack = assemble_hamiltonian(model, thetas)
+        assert stack.shape == (4, model.dim, model.dim)
+        for theta, H in zip(thetas, stack):
+            assert np.array_equal(H, assemble_hamiltonian(model, theta))
+        for bad in (np.zeros((2, model.n_terms + 1)), np.zeros((1, 2, model.n_terms))):
+            with pytest.raises(ValueError, match="theta has shape"):
+                assemble_hamiltonian(model, bad)
+
+    @pytest.mark.parametrize("name", ENTRY_LIST_MODELS)
     def test_entries_are_the_nonzeros_in_term_order(self, name, rng):
         model = entry_list_model(name, rng)
         entries = model.entries

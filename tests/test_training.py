@@ -42,7 +42,13 @@ from qbmlab.training import (
 )
 from qbmlab.datasets import random_mixed, random_ti_teacher, step_distribution, step_function_state
 
-from conftest import ENTRY_LIST_MODELS, entry_list_model, random_full_rank_povm, spy_on_solves
+from conftest import (
+    ENTRY_LIST_MODELS,
+    assert_lockstep_matches_train,
+    entry_list_model,
+    random_full_rank_povm,
+    spy_on_solves,
+)
 
 
 def central_difference(fun, theta, step=1e-6):
@@ -594,6 +600,68 @@ class TestTrainLoop:
             train(m, np.zeros(3), data, OptimizerConfig(gradient_kind="gt"))
 
 
+class TestLockstep:
+    """training._train_lockstep against train, instance by instance."""
+
+    @pytest.fixture
+    def problem(self, rng):
+        model = build_complete_pauli_set(2)
+        targets = [random_mixed(2, rng) for _ in range(5)]
+        theta0 = 0.3 * rng.normal(size=(5, model.n_terms))
+        theta0[0] = 0.0  # a real H beside complex ones at epoch 0
+        config = OptimizerConfig("relent", learning_rate=0.5, momentum=0.5, lam=0.3, epochs=6)
+        return model, theta0, targets, config
+
+    def test_matches_train_with_momentum_and_penalty(self, problem):
+        traces, states = training._train_lockstep(*problem)
+        assert_lockstep_matches_train(*problem, traces, states)
+        assert not any(trace.diverged for trace in traces)
+
+    def test_diverged_instances_freeze_alone(self, problem, monkeypatch):
+        # instance 1 meets a non-finite H at epoch 2, and instance 3 an H whose solve fails at epoch 4
+        model, theta0, targets, config = problem
+        clean = [train(model, start, data, config) for start, data in zip(theta0, targets)]
+        poisoned = assemble_hamiltonian(model, clean[1].records[2].theta)
+        unsolvable = assemble_hamiltonian(model, clean[3].records[4].theta)
+        assemble, eigh, solved = training.assemble_hamiltonian, np.linalg.eigh, []
+
+        def assemble_poisoned(m, theta):
+            H = assemble(m, theta)
+            for matrix in H.reshape(-1, m.dim, m.dim):
+                if np.array_equal(matrix, poisoned):
+                    matrix[0, 0] = np.inf
+            return H
+
+        def eigh_failing(a):
+            solved.append(len(a) if a.ndim == 3 else None)
+            if any(np.array_equal(matrix, unsolvable) for matrix in a.reshape(-1, *a.shape[-2:])):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a)
+
+        monkeypatch.setattr(training, "assemble_hamiltonian", assemble_poisoned)
+        monkeypatch.setattr(np.linalg, "eigh", eigh_failing)
+        traces, states = training._train_lockstep(model, theta0, targets, config)
+        # one stacked solve per realness group per epoch (two at epoch 0); epoch 4's failed
+        # and went row by row over its 4 live rows
+        assert solved == [1, 4, 5, 4, 4, 4, 1, 1, 1, 1, 3, 3]
+        assert [trace.note for trace in traces] == [
+            "", "H(theta) has non-finite entries at epoch 2", "", "Eigenvalues did not converge at epoch 4", ""]
+        assert [len(trace.records) for trace in traces] == [7, 2, 7, 4, 7]
+        # train under the same faults, bit for bit; the frozen keep the clean run's records up to the fault
+        assert_lockstep_matches_train(model, theta0, targets, config, traces, states)
+        for trace, reference in zip(traces, clean):
+            assert np.array_equal(trace.thetas, reference.thetas[: len(trace.records)])
+
+    def test_rejects_other_gradients_and_shapes(self, problem):
+        model, theta0, targets, config = problem
+        with pytest.raises(ValueError, match="relent"):
+            training._train_lockstep(model, theta0, targets, OptimizerConfig("relent_sampled"))
+        with pytest.raises(ValueError, match="shape"):
+            training._train_lockstep(model, theta0[:4], targets, config)
+        with pytest.raises(ValueError, match="StateTrainingSet"):
+            training._train_lockstep(build_mean_field(3), np.zeros((5, 9)), targets, config)
+
+
 class TestTermExpectations:
     @pytest.mark.parametrize("name", ENTRY_LIST_MODELS)
     def test_matches_dense_stack(self, name, rng):
@@ -603,9 +671,20 @@ class TestTermExpectations:
         want = np.tensordot(model.matrix_stack, X, axes=([1, 2], [1, 0])).real
         assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
+    @pytest.mark.parametrize("name", ENTRY_LIST_MODELS)
+    def test_stack_rows_are_each_state_alone(self, name, rng):
+        model = entry_list_model(name, rng)
+        X = rng.normal(size=(3, model.dim, model.dim)) + 1j * rng.normal(size=(3, model.dim, model.dim))
+        got = term_expectations(model, X)
+        assert got.shape == (3, model.n_terms)
+        for row, state in zip(got, X):
+            assert np.array_equal(row, term_expectations(model, state))
+
     def test_state_shape_checked(self):
         with pytest.raises(ValueError):
             term_expectations(build_mean_field(2), np.eye(2))
+        with pytest.raises(ValueError):
+            term_expectations(build_mean_field(1), np.zeros((1, 1, 2, 2)))
 
     def test_training_never_builds_the_dense_stack(self, rng):
         m = build_fermionic_model(2, 1)
@@ -750,7 +829,7 @@ class TestEvaluationRecord:
         if kind != "relent":
             data = step_function_state(n_visible)[1]
         elif real:
-            data = random_ti_teacher(n_visible, True, rng)[2]
+            data = random_ti_teacher(build_model("ti_complete", n_visible), True, rng)[1]
         else:
             data = random_mixed(n_visible, rng)
         m = build_model(family, n_visible, n_hidden)
