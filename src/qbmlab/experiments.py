@@ -246,14 +246,18 @@ def _pad_curve(values: np.ndarray, length: int) -> np.ndarray:
 
 
 def finite_difference_gradient(objective, theta: np.ndarray, step: float = 1e-6):
-    """Central-difference gradient of a scalar objective."""
+    """Central-difference gradient of an objective that takes a (B, n) theta stack.
+
+    objective is called once, on the 2n points theta + step e_j and then
+    theta - step e_j, and must return their (2n,) values, as the training
+    objectives do for a stack. Each point is formed as theta plus or minus
+    the bump vector step e_j, so the gradient is bit for bit the loop of 2n
+    single calls.
+    """
     theta = np.asarray(theta, dtype=float)
-    grad = np.empty_like(theta)
-    for j in range(theta.size):
-        bump = np.zeros_like(theta)
-        bump[j] = step
-        grad[j] = (objective(theta + bump) - objective(theta - bump)) / (2 * step)
-    return grad
+    bumps = step * np.eye(theta.size)
+    values = objective(np.concatenate([theta + bumps, theta - bumps]))
+    return (values[: theta.size] - values[theta.size :]) / (2 * step)
 
 
 # ---------------------------------------------------------------------------

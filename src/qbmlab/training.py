@@ -246,9 +246,10 @@ def _check_commutator_order(order: int) -> None:
         )
 
 
-def _check_theta(model: HamiltonianModel, theta) -> np.ndarray:
+def _check_theta(model: HamiltonianModel, theta, stacked: bool = False) -> np.ndarray:
+    """theta as float64, one weight per term; with stacked, a (B, n_terms) stack is accepted too."""
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (model.n_terms,):
+    if theta.shape[-1:] != (model.n_terms,) or theta.ndim > 1 + stacked:
         raise ValueError(f"theta shape {theta.shape} does not match {model.n_terms} terms")
     return theta
 
@@ -290,39 +291,52 @@ def _evaluate(model: HamiltonianModel, theta: np.ndarray) -> _Evaluation:
     return record
 
 
+def _solve_stack(H: np.ndarray, vectors: bool = True):
+    """(solves, failed): _eigh of each matrix of a (B, d, d) stack of bitwise Hermitian matrices.
+
+    The finite matrices with no imaginary part take one real solve together
+    and the others one complex solve, the choice _eigh makes for each
+    matrix, so each matrix's result is bit for bit what it gives alone.
+    solves lists (rows, result) per solve; a group that holds every matrix
+    is solved without a copy. A stacked solve that fails is retried row by
+    row, so only the matrices that fail alone fail. failed maps each of
+    those, and each non-finite matrix, to the reason.
+    """
+    finite = np.isfinite(H).all(axis=(1, 2))
+    failed = {int(b): "H(theta) has non-finite entries" for b in np.flatnonzero(~finite)}
+    real = ~H.imag.any(axis=(1, 2))
+    solves = []
+    for group in (finite & real, finite & ~real):
+        rows = np.flatnonzero(group)
+        try:
+            if rows.size:
+                solves.append((rows, _eigh(H if rows.size == len(H) else H[rows], vectors)))
+        except np.linalg.LinAlgError:
+            for b in rows:
+                try:
+                    solves.append(([b], _eigh(H[[b]], vectors)))
+                except np.linalg.LinAlgError as error:
+                    failed[int(b)] = str(error)
+    return solves, failed
+
+
 def _evaluate_stack(model: HamiltonianModel, thetas: np.ndarray):
     """(H, rho, log_z, failed): _evaluate at each row of a (B, n_terms) theta stack, from stacked solves.
 
     Row b of H, rho and log_z is bit for bit what _evaluate(model, thetas[b])
-    gives. The matrices with no imaginary part take one real solve together
-    and the others one complex solve, the choice _eigh makes for each
-    matrix. A stacked solve that fails is retried row by row, so only the
-    rows that fail alone fail. failed maps each of those, and each row with
-    a non-finite H, to the reason; their states and log Z are NaN.
+    gives (see _solve_stack). failed maps each row whose H is non-finite or
+    whose solve fails to the reason; their states and log Z are NaN.
     """
     H = assemble_hamiltonian(model, thetas)
     log_z = np.full(len(H), np.nan)
     states = []  # (rows, their Gibbs states) of each solve
-    finite = np.isfinite(H).all(axis=(1, 2))
-    failed = {int(b): "H(theta) has non-finite entries" for b in np.flatnonzero(~finite)}
-    real = ~H.imag.any(axis=(1, 2))
-    for group in (finite & real, finite & ~real):
-        rows = np.flatnonzero(group)
-        try:
-            solves = [(rows, _eigh(H if rows.size == len(H) else H[rows]))] if rows.size else []
-        except np.linalg.LinAlgError:
-            solves = []
-            for b in rows:
-                try:
-                    solves.append(([b], _eigh(H[[b]])))
-                except np.linalg.LinAlgError as error:
-                    failed[int(b)] = str(error)
-        for solved, (evals, V) in solves:
-            # log Z and the weights row by row, as _evaluate forms them
-            shifted = [_shifted_weights(row) for row in evals]
-            probs = np.stack([weights / total for weights, total, _ in shifted])
-            states.append((solved, _spectral_sum(V, probs[:, None, :])))
-            log_z[solved] = [row_log_z for *_, row_log_z in shifted]
+    solves, failed = _solve_stack(H)
+    for solved, (evals, V) in solves:
+        # log Z and the weights row by row, as _evaluate forms them
+        shifted = [_shifted_weights(row) for row in evals]
+        probs = np.stack([weights / total for weights, total, _ in shifted])
+        states.append((solved, _spectral_sum(V, probs[:, None, :])))
+        log_z[solved] = [row_log_z for *_, row_log_z in shifted]
     if len(states) == 1 and len(states[0][0]) == len(H):
         return H, states[0][1], log_z, failed  # one solve of every row, as at dim 512: no copy
     rho = np.full(H.shape, np.nan, dtype=np.complex128)
@@ -331,15 +345,24 @@ def _evaluate_stack(model: HamiltonianModel, thetas: np.ndarray):
     return H, rho, log_z, failed
 
 
-def _setup(model: HamiltonianModel, theta, data):
-    """Checked theta, the model's evaluation at theta and the data lifted onto its hidden units."""
-    theta = _check_theta(model, theta)
+def _setup(model: HamiltonianModel, theta, data, stacked: bool = False):
+    """Checked theta, the model's evaluation at theta and the data lifted onto its hidden units.
+
+    With stacked, a (B, n_terms) theta stack is accepted and evaluated by _evaluate_stack.
+    """
+    theta = _check_theta(model, theta, stacked)
     if data.dim != 2**model.n_visible:
         raise ValueError(
             f"training data dimension {data.dim} does not match "
             f"2^{model.n_visible} visible units"
         )
-    return theta, _evaluate(model, theta), data.lifted(model.n_hidden)
+    evaluate = _evaluate if theta.ndim == 1 else _evaluate_stack
+    return theta, evaluate(model, theta), data.lifted(model.n_hidden)
+
+
+def _rowwise(value, theta: np.ndarray, failed: dict) -> np.ndarray:
+    """value(b) at each row b of a theta stack, NaN at the rows in failed."""
+    return np.array([math.nan if b in failed else value(b) for b in range(len(theta))])
 
 
 def _reg_value(model: HamiltonianModel, theta: np.ndarray, lam: float) -> float:
@@ -389,9 +412,24 @@ def objective_povm_exact(
 
     sum_v P_v log( Tr[Lambda_v e^{-H}] / Tr[e^{-H}] ) - (lam/2)||theta_Q||^2,
     in nats. Vanishing likelihoods clamp their log at -700.
+
+    A (B, n_terms) theta stack gives the (B,) values from one stacked
+    evaluation (_evaluate_stack), each bit for bit the value at its row
+    alone. A row whose H(theta) is non-finite or whose solve fails reads
+    NaN, where a single theta raises LinAlgError. The same holds for
+    objective_povm_gt and objective_relent.
     """
-    theta, ev, lifted = _setup(model, theta, data)
-    value = sum(p * _clamped_log(expectation_value(ev.rho, el)) for p, el, _ in lifted)
+    theta, ev, lifted = _setup(model, theta, data, stacked=True)
+    if theta.ndim == 1:
+        return _povm_exact_value(model, theta, lifted, ev.rho, lam)
+    _, rho, _, failed = ev
+    return _rowwise(lambda b: _povm_exact_value(model, theta[b], lifted, rho[b], lam), theta, failed)
+
+
+def _povm_exact_value(model: HamiltonianModel, theta: np.ndarray, lifted: tuple,
+                      rho: np.ndarray, lam: float) -> float:
+    """objective_povm_exact at theta from its Gibbs state rho."""
+    value = sum(p * _clamped_log(expectation_value(rho, el)) for p, el, _ in lifted)
     return value - _reg_value(model, theta, lam)
 
 
@@ -402,10 +440,29 @@ def objective_povm_gt(
 
     Each likelihood is replaced by Tr[e^{-(H - log Lambda_v)}] / Tr[e^{-H}]
     with rank-deficient elements made full rank by eigenvalue clipping.
-    The bound is tight whenever Lambda_v commutes with H.
+    The bound is tight whenever Lambda_v commutes with H. A theta stack
+    (see objective_povm_exact) solves every H_b - log Lambda_v in one
+    stacked eigvalsh per realness group (_solve_stack).
     """
-    theta, ev, lifted = _setup(model, theta, data)
-    value = sum(p * (log_partition(ev.H - log_el) - ev.log_z) for p, _, log_el in lifted)
+    theta, ev, lifted = _setup(model, theta, data, stacked=True)
+    if theta.ndim == 1:
+        log_partitions = [log_partition(ev.H - log_el) for *_, log_el in lifted]
+        return _povm_gt_value(model, theta, lifted, log_partitions, ev.log_z, lam)
+    H, _, log_z, failed = ev
+    # H_b - log Lambda_v is bitwise Hermitian, as both terms are: no check or symmetrization
+    shifted = H[:, None] - np.stack([log_el for *_, log_el in lifted])
+    log_partitions = np.full(shifted.shape[:2], np.nan)
+    solves, _ = _solve_stack(shifted.reshape(-1, model.dim, model.dim), vectors=False)
+    for rows, evals in solves:
+        log_partitions.flat[rows] = [_shifted_weights(row)[2] for row in evals]
+    return _rowwise(
+        lambda b: _povm_gt_value(model, theta[b], lifted, log_partitions[b], log_z[b], lam), theta, failed)
+
+
+def _povm_gt_value(model: HamiltonianModel, theta: np.ndarray, lifted: tuple,
+                   log_partitions, log_z: float, lam: float) -> float:
+    """objective_povm_gt at theta from log Z and the log partition function of each H - log Lambda_v."""
+    value = sum(p * (log_zv - log_z) for (p, *_), log_zv in zip(lifted, log_partitions))
     return value - _reg_value(model, theta, lam)
 
 
@@ -502,9 +559,13 @@ def objective_relent(
     entropy is S(rho) + n_hidden ln 2 with S(rho) cached on the data.
     Written with log Gibbs(H) = -H - logZ so arbitrarily large ||H|| stays
     finite; ascending this objective drives the Gibbs state toward rho.
+    A theta stack gives one value per row (see objective_povm_exact).
     """
-    theta, ev, _ = _setup(model, theta, data)
-    return _relent_value(model, theta, data, ev.H, ev.log_z, lam)
+    theta, ev, _ = _setup(model, theta, data, stacked=True)
+    if theta.ndim == 1:
+        return _relent_value(model, theta, data, ev.H, ev.log_z, lam)
+    H, _, log_z, failed = ev
+    return _rowwise(lambda b: _relent_value(model, theta[b], data, H[b], log_z[b], lam), theta, failed)
 
 
 def _relent_value(model: HamiltonianModel, theta: np.ndarray, data: StateTrainingSet,
@@ -545,6 +606,23 @@ def _measurement_basis(term: np.ndarray) -> EigenSystem:
     return basis
 
 
+def _measurement_bases(model: HamiltonianModel) -> tuple[EigenSystem, ...]:
+    """_measurement_basis of each term, taken on first use and kept on the model, read-only.
+
+    Like the terms themselves they depend on neither theta nor the data.
+    Nothing is kept when a term fails the norm check, so it fails every call.
+    """
+    bases = model.__dict__.get("_measurement_bases")
+    if bases is None:
+        bases = tuple(_measurement_basis(term.matrix) for term in model.terms)
+        for basis in bases:
+            for array in basis:
+                array.flags.writeable = False
+        # stored like _evaluate's record: the frozen model's __dict__, dropped with it
+        model.__dict__["_measurement_bases"] = bases
+    return bases
+
+
 def _sample_mean(state: np.ndarray, basis: EigenSystem, n_samples: int, rng_seed) -> float:
     """Sample mean estimate of Tr[state term] for a term given by its _measurement_basis.
 
@@ -580,13 +658,13 @@ def grad_relent_sampled(
     eigenvalue measurements on independent sub-streams of rng_seed
     (child_seed(rng_seed, 2j) for the target, 2j + 1 for the Gibbs state),
     so the mean squared error scales like (number of terms) / n_samples.
-    Deterministic given rng_seed, which is never changed.
+    Deterministic given rng_seed, which is never changed. The term
+    eigenbases are taken once per model and kept on it (_measurement_bases).
     """
     theta, ev, rho = _setup(model, theta, data)
     grad = np.empty(model.n_terms)
-    for j, term in enumerate(model.terms):
-        # one eigendecomposition per term serves both expectations
-        basis = _measurement_basis(term.matrix)
+    # one eigendecomposition per term and model serves both expectations of every call
+    for j, basis in enumerate(_measurement_bases(model)):
         target_part = _sample_mean(rho, basis, n_samples, child_seed(rng_seed, 2 * j))
         gibbs_part = _sample_mean(ev.rho, basis, n_samples, child_seed(rng_seed, 2 * j + 1))
         grad[j] = gibbs_part - target_part

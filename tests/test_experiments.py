@@ -697,3 +697,4 @@ class TestReadme:
         objective, diverged = capsys.readouterr().out.split()
         assert diverged == "False" and float(objective) == namespace["trace"].objectives[-1]
         assert np.isclose(np.trace(namespace["rho"]), 1.0)
+        assert namespace["bounds"].shape == (3,)

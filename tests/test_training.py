@@ -41,6 +41,8 @@ from qbmlab.training import (
     train,
 )
 from qbmlab.datasets import random_mixed, random_ti_teacher, step_distribution, step_function_state
+from qbmlab.experiments import GRADCHECK_SIZES, finite_difference_gradient
+from qbmlab.operators import HamiltonianModel, Term
 
 from conftest import (
     ENTRY_LIST_MODELS,
@@ -874,8 +876,17 @@ class TestEvaluationRecord:
             train(m, theta, data, OptimizerConfig(gradient_kind=kind, learning_rate=0.1, epochs=epochs))
         # one H(theta) per epoch, plus every solve of the public entry points
         assert len(unchecked) == len(kinds) * (epochs + 1)
+        if data_kind != "state":
+            # the GT objective on a stack solves H(theta_b), then every H_b - log Lambda_v, unchecked,
+            # one stack per realness group; a zero row gives a real H beside complex ones
+            thetas = rng.normal(size=(4, m.n_terms))
+            thetas[0] = 0.0
+            objective_povm_gt(m, thetas, data)
+            stacks = unchecked[len(kinds) * (epochs + 1):]
+            assert all(H.ndim == 3 for H in stacks)
+            assert sum(map(len, stacks)) == len(thetas) * (1 + len(data.lifted(n_hidden)))
         for H in unchecked + checked:
-            assert np.array_equal(H, H.conj().T)
+            assert np.array_equal(H, H.conj().swapaxes(-1, -2))
 
     def test_logarithms_once_per_set(self, rng, monkeypatch):
         logs = []
@@ -907,3 +918,131 @@ class TestEvaluationRecord:
         # n_hidden 1 and 2; at n_hidden 0 the target is the set's rho itself
         assert len(calls) == 2
         assert data.lifted(0) is data.rho
+
+
+# The three objectives at (model, theta or theta stack, POVM data, state data, lam).
+OBJECTIVES = {
+    "povm_exact": lambda m, t, povm, state, lam: objective_povm_exact(m, t, povm, lam),
+    "povm_gt": lambda m, t, povm, state, lam: objective_povm_gt(m, t, povm, lam),
+    "relent": lambda m, t, povm, state, lam: objective_relent(m, t, state, lam),
+}
+
+
+class TestStackedObjectives:
+    """Each objective on a (B, n_terms) theta stack against its calls at each row alone."""
+
+    @staticmethod
+    def problem(family, povm_kind, rng):
+        n_visible, n_hidden = GRADCHECK_SIZES[family]
+        model = build_model(family, n_visible, n_hidden)
+        thetas = 0.5 * rng.normal(size=(5, model.n_terms))
+        thetas[1] *= [not term.matrix.imag.any() for term in model.terms]  # a real H beside complex ones
+        # with real POVM elements the H_b - log Lambda_v of a real H_b are real too
+        povm = (diagonal_povm if povm_kind == "real" else random_full_rank_povm)(2**n_visible, rng)
+        return model, thetas, povm, random_mixed(n_visible, rng)
+
+    @pytest.mark.parametrize("family", GRADCHECK_SIZES)
+    @pytest.mark.parametrize("povm_kind", ["real", "complex"])
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_each_row_is_the_single_call(self, family, povm_kind, lam, rng):
+        model, thetas, povm, state = self.problem(family, povm_kind, rng)
+        real = ~assemble_hamiltonian(model, thetas).imag.any(axis=(1, 2))
+        assert thetas[1].any() and real[1] and (real.all() or not real[[0, 2, 3, 4]].any())
+        for name, objective in OBJECTIVES.items():
+            got = objective(model, thetas, povm, state, lam)
+            assert got.shape == (len(thetas),)
+            want = [objective(build_model(family, *GRADCHECK_SIZES[family]), theta, povm, state, lam)
+                    for theta in thetas]
+            assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("name", OBJECTIVES)
+    def test_a_non_finite_or_unsolvable_row_reads_nan_alone(self, name, rng, monkeypatch):
+        model, thetas, povm, state = self.problem("pauli_complete", "complex", rng)
+        objective = OBJECTIVES[name]
+        want = [objective(model, theta, povm, state, 0.3) for theta in thetas]
+        thetas[2, 0] = np.nan
+        unsolvable = assemble_hamiltonian(model, thetas[4])
+        eigh = np.linalg.eigh
+
+        def eigh_failing(a):
+            if any(np.array_equal(matrix, unsolvable) for matrix in a.reshape(-1, *a.shape[-2:])):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_failing)
+        got = objective(model, thetas, povm, state, 0.3)
+        # the stacked solve failed and went row by row: only the rows that fail alone read NaN
+        assert np.isnan(got[[2, 4]]).all()
+        assert np.array_equal(got[[0, 1, 3]], [want[b] for b in (0, 1, 3)])
+        # one theta raises instead (on a new model: this one keeps the record of thetas[4])
+        for b, reason in ((2, "non-finite"), (4, "converge")):
+            with pytest.raises(np.linalg.LinAlgError, match=reason):
+                objective(build_model("pauli_complete", 2), thetas[b], povm, state, 0.3)
+
+    def test_theta_shape_checked(self, rng):
+        model, thetas, povm, state = self.problem("mean_field", "complex", rng)
+        for objective in OBJECTIVES.values():
+            with pytest.raises(ValueError, match="theta shape"):
+                objective(model, thetas[:, :-1], povm, state, 0.0)
+            with pytest.raises(ValueError, match="theta shape"):
+                objective(model, thetas[None], povm, state, 0.0)
+        with pytest.raises(ValueError, match="theta shape"):
+            grad_relent(model, thetas, state)
+
+    @pytest.mark.parametrize("family", GRADCHECK_SIZES)
+    def test_finite_difference_gradient_is_the_loop_of_single_calls(self, family, rng):
+        def loop(objective, theta, step=1e-6):
+            grad = np.empty_like(theta)
+            for j in range(theta.size):
+                bump = np.zeros_like(theta)
+                bump[j] = step
+                grad[j] = (objective(theta + bump) - objective(theta - bump)) / (2 * step)
+            return grad
+
+        model, thetas, povm, state = self.problem(family, "complex", rng)
+        theta = thetas[0]
+        theta[0] = -0.0  # theta_j + 0.0 is +0.0, as the loop forms it
+        for name, objective in OBJECTIVES.items():
+            stacks = []
+
+            def fun(t):
+                stacks.append(t.shape)
+                return objective(model, t, povm, state, 0.3)
+
+            got = finite_difference_gradient(fun, theta)
+            assert stacks == [(2 * model.n_terms, model.n_terms)]
+            assert np.array_equal(got, loop(fun, theta)), name
+
+
+class TestMeasurementBases:
+    """grad_relent_sampled takes each term's eigenbasis once per model."""
+
+    def test_each_term_solved_once_per_model(self, rng, monkeypatch):
+        model, data = build_mean_field(2), random_mixed(2, rng)
+        thetas = 0.3 * rng.normal(size=(3, model.n_terms))
+        calls = []
+        spy_on_solves(monkeypatch, calls, linalg)
+        grads = [grad_relent_sampled(model, theta, data, 0.3, 64, seed) for seed, theta in enumerate(thetas)]
+        grads.append(grad_relent_sampled(model, thetas[0], data, 0.3, 64, 7))
+        assert len(calls) == model.n_terms
+        for H, term in zip(calls, model.terms):
+            assert np.array_equal(H, term.matrix)
+        # as from bases taken afresh on a new model
+        for seed, theta, grad in zip((0, 1, 2, 7), (*thetas, thetas[0]), grads):
+            assert np.array_equal(grad, grad_relent_sampled(build_mean_field(2), theta, data, 0.3, 64, seed))
+        bases = vars(model)["_measurement_bases"]
+        assert len(bases) == model.n_terms
+        for basis in bases:
+            for array in basis:
+                assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            bases[0].eigenvectors[0, 0] = 0.0
+
+    def test_a_term_above_unit_norm_fails_every_call(self, rng):
+        z = np.diag([1.0, -1.0]).astype(complex)
+        model = HamiltonianModel("hand_built", 1, 0, (Term("Z", z), Term("2Z", 2 * z)))
+        data = random_mixed(1, rng)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="exceeds 1"):
+                grad_relent_sampled(model, np.zeros(2), data)
+            assert "_measurement_bases" not in vars(model)
