@@ -606,42 +606,22 @@ def _measurement_basis(term: np.ndarray) -> EigenSystem:
     return basis
 
 
-def _measurement_bases(model: HamiltonianModel) -> tuple[EigenSystem, ...]:
-    """_measurement_basis of each term, taken on first use and kept on the model, read-only.
+def _measurement_bases(model: HamiltonianModel) -> EigenSystem:
+    """_measurement_basis of every term, stacked: eigenvalues (n_terms, dim), eigenvectors (n_terms, dim, dim).
 
+    Taken on first use, one solve per term, and kept on the model, read-only.
     Like the terms themselves they depend on neither theta nor the data.
     Nothing is kept when a term fails the norm check, so it fails every call.
     """
     bases = model.__dict__.get("_measurement_bases")
     if bases is None:
-        bases = tuple(_measurement_basis(term.matrix) for term in model.terms)
-        for basis in bases:
-            for array in basis:
-                array.flags.writeable = False
+        solved = [_measurement_basis(term.matrix) for term in model.terms]
+        bases = EigenSystem(*(np.stack(arrays) for arrays in zip(*solved)))
+        for array in bases:
+            array.flags.writeable = False
         # stored like _evaluate's record: the frozen model's __dict__, dropped with it
         model.__dict__["_measurement_bases"] = bases
     return bases
-
-
-def _sample_mean(state: np.ndarray, basis: EigenSystem, n_samples: int, rng_seed) -> float:
-    """Sample mean estimate of Tr[state term] for a term given by its _measurement_basis.
-
-    Outcome i is drawn with probability <v_i|state|v_i> clamped to [0, 1]
-    and renormalized, and the sampled eigenvalues are averaged, so the
-    variance is at most 1/n_samples. Deterministic given rng_seed.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    evals, V = basis
-    probs = np.einsum("ia,ab,bi->i", V.conj().T, state, V).real
-    probs = np.clip(probs, 0.0, 1.0)
-    total = probs.sum()
-    if total <= 0.0:
-        raise ValueError("state has no weight on the term eigenbasis")
-    probs = probs / total
-    rng = np.random.default_rng(rng_seed)
-    picks = rng.choice(evals.size, size=n_samples, p=probs)
-    return float(evals[picks].mean())
 
 
 def grad_relent_sampled(
@@ -654,21 +634,36 @@ def grad_relent_sampled(
 ) -> np.ndarray:
     """Unbiased sampled version of grad_relent.
 
-    Each of the two expectations per component uses n_samples fresh
-    eigenvalue measurements on independent sub-streams of rng_seed
+    Each of the two expectations per component averages n_samples fresh
+    eigenvalue measurements of the term on its own sub-stream of rng_seed
     (child_seed(rng_seed, 2j) for the target, 2j + 1 for the Gibbs state),
     so the mean squared error scales like (number of terms) / n_samples.
-    Deterministic given rng_seed, which is never changed. The term
-    eigenbases are taken once per model and kept on it (_measurement_bases).
+    Outcome i is drawn with probability <v_i|state|v_i> clamped to [0, 1]
+    and renormalized: the stream's random(n_samples) located in that
+    distribution's CDF, the draw Generator.choice(p=...) makes. Deterministic
+    given rng_seed, which is never changed. The term eigenbases are taken
+    once per model and kept on it (_measurement_bases).
     """
     theta, ev, rho = _setup(model, theta, data)
-    grad = np.empty(model.n_terms)
-    # one eigendecomposition per term and model serves both expectations of every call
-    for j, basis in enumerate(_measurement_bases(model)):
-        target_part = _sample_mean(rho, basis, n_samples, child_seed(rng_seed, 2 * j))
-        gibbs_part = _sample_mean(ev.rho, basis, n_samples, child_seed(rng_seed, 2 * j + 1))
-        grad[j] = gibbs_part - target_part
-    return grad - _reg_grad(model, theta, lam)
+    evals, V = _measurement_bases(model)
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    # row 2j + s: the diagonal of V_j^dag S V_j, S the target (s = 0) or the Gibbs state (s = 1)
+    probs = np.stack([(V.conj() * (state @ V)).sum(axis=1).real for state in (rho, ev.rho)], axis=1)
+    probs = np.clip(probs.reshape(2 * model.n_terms, -1), 0.0, 1.0)
+    totals = probs.sum(axis=1)
+    if np.isnan(totals).any():
+        raise ValueError("state probabilities on the term eigenbasis contain NaN")
+    if (totals <= 0.0).any():
+        raise ValueError("state has no weight on the term eigenbasis")
+    cdf = np.cumsum(probs / totals[:, None], axis=1)
+    cdf /= cdf[:, -1:]
+    picks = np.empty((len(cdf), n_samples), dtype=np.intp)
+    for k, row in enumerate(cdf):
+        uniforms = np.random.default_rng(child_seed(rng_seed, k)).random(n_samples)
+        picks[k] = row.searchsorted(uniforms, side="right")
+    means = np.take_along_axis(np.repeat(evals, 2, axis=0), picks, axis=1).mean(axis=1)
+    return means[1::2] - means[::2] - _reg_grad(model, theta, lam)
 
 
 # Gradient kind -> (training-set type, gradient at (model, theta, data, config,

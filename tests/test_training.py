@@ -389,19 +389,82 @@ class TestPerTermOracles:
         assert np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want)
 
 
-class TestSampledGradient:
-    def test_sample_mean_deterministic_eigenstate(self):
-        # measuring Z on |0> always returns +1, whatever the sample count
-        z = training._measurement_basis(np.diag([1.0, -1.0]).astype(complex))
-        rho = np.diag([1.0, 0.0]).astype(complex)
-        assert training._sample_mean(rho, z, 64, 0) == 1.0
+def sampled_oracle(model, theta, data, lam, n_samples, rng_seed):
+    """grad_relent_sampled term by term and stream by stream, each stream a Generator.choice."""
+    theta, ev, rho = training._setup(model, theta, data)
+    grad = []
+    for j, term in enumerate(model.terms):
+        evals, V = training._measurement_basis(term.matrix)
+        means = []
+        for k, state in ((2 * j, rho), (2 * j + 1, ev.rho)):
+            probs = np.clip(np.einsum("ia,ab,bi->i", V.conj().T, state, V).real, 0.0, 1.0)
+            rng = np.random.default_rng(child_seed(rng_seed, k))
+            means.append(float(evals[rng.choice(evals.size, size=n_samples, p=probs / probs.sum())].mean()))
+        grad.append(means[1] - means[0])
+    return np.array(grad) - training._reg_grad(model, theta, lam)
 
-    def test_sample_mean_reproducible(self, rng):
-        rho = random_mixed(1, rng).rho
-        z = training._measurement_basis(np.diag([1.0, -1.0]).astype(complex))
-        a = training._sample_mean(rho, z, 512, 42)
-        b = training._sample_mean(rho, z, 512, 42)
-        assert a == b
+
+# (family, n_visible, n_hidden): real and complex eigenvectors, and a lifted target
+SAMPLED_ORACLE_MODELS = [
+    ("mean_field", 1, 0),
+    ("mean_field", 2, 0),
+    ("mean_field", 4, 0),
+    ("pauli_complete", 2, 0),
+    ("ti_complete", 3, 0),
+    ("fermionic", 2, 1),
+]
+
+
+class TestSampledGradient:
+    @pytest.mark.parametrize("family,nv,nh", SAMPLED_ORACLE_MODELS, ids=lambda v: str(v))
+    def test_matches_the_per_stream_choice_oracle(self, family, nv, nh, rng):
+        model = build_model(family, nv, nh)
+        data = random_mixed(nv, rng)
+        theta = 0.5 * rng.normal(size=model.n_terms)
+        for n_samples in (1, 7, 512, 1024):
+            for lam in (0.0, 0.3):
+                seed = int(rng.integers(2**31))
+                got = grad_relent_sampled(model, theta, data, lam, n_samples, seed)
+                assert np.array_equal(got, sampled_oracle(model, theta, data, lam, n_samples, seed))
+
+    def test_training_matches_the_oracle_gradient(self, rng, monkeypatch):
+        model, data = build_fermionic_model(2, 1), random_mixed(2, rng)
+        theta0 = 0.3 * rng.normal(size=model.n_terms)
+        cfg = OptimizerConfig(gradient_kind="relent_sampled", learning_rate=0.5, momentum=0.5, lam=0.3,
+                              epochs=3, n_samples=64)
+        got = train(model, theta0, data, cfg, rng_seed=11)
+        monkeypatch.setattr(training, "grad_relent_sampled", sampled_oracle)
+        want = train(model, theta0, data, cfg, rng_seed=11)
+        assert np.array_equal(got.thetas, want.thetas)
+        assert [r.grad_norm for r in got.records] == [r.grad_norm for r in want.records]
+
+    def test_deterministic_eigenstates(self):
+        # measuring Z on |0> always returns +1 and on the Gibbs state |1><1| of H = 400 Z always -1
+        z = np.diag([1.0, -1.0]).astype(complex)
+        model = HamiltonianModel("hand_built", 1, 0, (Term("Z", z),))
+        data = StateTrainingSet(rho=np.diag([1.0, 0.0]).astype(complex))
+        for n_samples in (1, 64):
+            assert grad_relent_sampled(model, np.array([400.0]), data, n_samples=n_samples).tolist() == [-2.0]
+
+    def test_reproducible(self, rng):
+        m = build_mean_field(1)
+        theta, data = rng.normal(size=3), random_mixed(1, rng)
+        a = grad_relent_sampled(m, theta, data, n_samples=512, rng_seed=42)
+        assert np.array_equal(grad_relent_sampled(m, theta, data, n_samples=512, rng_seed=42), a)
+        assert not np.array_equal(grad_relent_sampled(m, theta, data, n_samples=512, rng_seed=43), a)
+
+    def test_sample_count_checked(self, rng):
+        for n_samples in (0, -1):
+            with pytest.raises(ValueError, match="n_samples"):
+                grad_relent_sampled(build_mean_field(1), np.zeros(3), random_mixed(1, rng), n_samples=n_samples)
+
+    @pytest.mark.parametrize("fill,message", [(0.0, "no weight"), (np.nan, "NaN")])
+    def test_gibbs_state_without_a_distribution(self, fill, message, rng, monkeypatch):
+        evaluate = training._evaluate
+        monkeypatch.setattr(training, "_evaluate", lambda m, t: evaluate(m, t)._replace(
+            rho=np.full((m.dim, m.dim), fill, dtype=complex)))
+        with pytest.raises(ValueError, match=message):
+            grad_relent_sampled(build_mean_field(1), np.zeros(3), random_mixed(1, rng))
 
     def test_sampled_gradient_concentrates(self, rng):
         m = build_mean_field(1)
@@ -618,6 +681,21 @@ class TestLockstep:
         traces, states = training._train_lockstep(*problem)
         assert_lockstep_matches_train(*problem, traces, states)
         assert not any(trace.diverged for trace in traces)
+
+    def test_a_nonzero_real_hamiltonian_beside_complex_ones(self, problem):
+        # a real target and no weight on the imaginary (Y-odd) terms keep instance 0's H real
+        # and nonzero at every epoch, so each stacked evaluation solves it apart from the rest
+        model, theta0, targets, config = problem
+        imaginary = np.array([term.matrix.imag.any() for term in model.terms])
+        theta0 = theta0.copy()
+        theta0[0] = np.where(imaginary, 0.0, theta0[1])
+        targets = [StateTrainingSet(rho=targets[0].rho.real), *targets[1:]]
+        traces, states = training._train_lockstep(model, theta0, targets, config)
+        assert_lockstep_matches_train(model, theta0, targets, config, traces, states)
+        real_row = traces[0].thetas
+        assert len(real_row) == config.epochs + 1
+        assert not real_row[:, imaginary].any() and real_row[:, ~imaginary].any(axis=1).all()
+        assert all(trace.thetas[:, imaginary].any(axis=1).all() for trace in traces[1:])
 
     def test_diverged_instances_freeze_alone(self, problem, monkeypatch):
         # instance 1 meets a non-finite H at epoch 2, and instance 3 an H whose solve fails at epoch 4
@@ -1030,13 +1108,15 @@ class TestMeasurementBases:
         # as from bases taken afresh on a new model
         for seed, theta, grad in zip((0, 1, 2, 7), (*thetas, thetas[0]), grads):
             assert np.array_equal(grad, grad_relent_sampled(build_mean_field(2), theta, data, 0.3, 64, seed))
-        bases = vars(model)["_measurement_bases"]
-        assert len(bases) == model.n_terms
-        for basis in bases:
-            for array in basis:
-                assert not array.flags.writeable
+        # stacked, one row per term as each term's own solve gives it, read-only
+        evals, V = vars(model)["_measurement_bases"]
+        assert evals.shape == (model.n_terms, model.dim) and V.shape == (model.n_terms, model.dim, model.dim)
+        for j, term in enumerate(model.terms):
+            basis = training._measurement_basis(term.matrix)
+            assert np.array_equal(evals[j], basis.eigenvalues) and np.array_equal(V[j], basis.eigenvectors)
+        assert not evals.flags.writeable and not V.flags.writeable
         with pytest.raises(ValueError):
-            bases[0].eigenvectors[0, 0] = 0.0
+            V[0, 0, 0] = 0.0
 
     def test_a_term_above_unit_norm_fails_every_call(self, rng):
         z = np.diag([1.0, -1.0]).astype(complex)
