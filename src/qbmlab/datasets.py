@@ -109,28 +109,27 @@ def random_mixed(n: int, rng: np.random.Generator) -> StateTrainingSet:
     return StateTrainingSet(rho=(u * w) @ u.conj().T)
 
 
-def random_ti_teacher(model: HamiltonianModel, normalize: bool, rng: np.random.Generator):
-    """Random teacher of a built transverse-field Ising family and its Gibbs-state target.
+def random_ti_teacher(model: HamiltonianModel, normalize, rng: np.random.Generator) -> list:
+    """Random teacher of a built transverse-field Ising family, in variants, with Gibbs-state targets.
 
     model must come from build_transverse_ising_complete (family
     ``ti_complete``); callers build it once for any number of teachers.
-    Teacher parameters are i.i.d. standard Gaussians over its terms; with
-    ``normalize`` they are rescaled so the assembled Hamiltonian has unit
-    spectral norm. One eigendecomposition of the raw Hamiltonian gives both:
-    its spectral norm is the largest ``|lambda|``, and the rescaled
-    Hamiltonian has eigenvalues ``lambda / norm`` with the same eigenvectors.
+    Teacher parameters are i.i.d. standard Gaussians over its terms, drawn
+    once. ``normalize`` holds one flag per variant: a True variant is
+    rescaled so the assembled Hamiltonian has unit spectral norm, a False one
+    is the raw draw. One eigendecomposition of the raw Hamiltonian serves
+    every variant: its spectral norm is the largest ``|lambda|``, and the
+    rescaled Hamiltonian has eigenvalues ``lambda / norm`` with the same
+    eigenvectors.
 
     Returns
     -------
-    (theta_true, StateTrainingSet)
+    [(theta_true, StateTrainingSet)], one per flag of normalize, in order
     """
     if model.family != "ti_complete":
         raise ValueError(f"teachers come from the ti_complete family, not {model.family!r}")
     theta = rng.standard_normal(model.n_terms)
     evals, V = _eigh(assemble_hamiltonian(model, theta))  # Hermitian bit for bit: unchecked
-    if normalize:
-        norm = np.abs(evals).max()
-        theta = theta / norm
-        evals = evals / norm
-    rho, _, _ = _gibbs_from_eigensystem(evals, V)
-    return theta, StateTrainingSet(rho=rho)
+    norm = np.abs(evals).max()
+    scales = [norm if flag else 1.0 for flag in normalize]  # x / 1.0 is x, bit for bit
+    return [(theta / s, StateTrainingSet(rho=_gibbs_from_eigensystem(evals / s, V)[0])) for s in scales]

@@ -12,6 +12,7 @@ parallelism (``jobs > 1``) changes more than wall time.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -35,6 +36,7 @@ from .operators import (
 )
 from .serialize import matrix_to_pairs, write_csv, write_json
 from .training import (
+    CHUNK_ENTRIES,
     MAX_COMMUTATOR_ORDER,
     POVM_GRADIENT_KINDS,
     OptimizerConfig,
@@ -400,25 +402,33 @@ class RelentEnsembleConfig(ExperimentConfig):
     epochs: int = 100
 
 
-# Complex entries a lockstep chunk's stacked arrays hold at most: instances per chunk times dim^2.
-CHUNK_ENTRIES = 2**14
+def _relent_task(args):
+    """Train instances ``indices`` of an ensemble on models built once, in lockstep chunks.
 
-
-def _relent_chunk(args):
-    """Train instances ``indices`` of an ensemble in lockstep, on one model.
-
-    ``setup(*fixed)`` returns ``(model, draw)``, the models built once per
-    chunk; ``draw(rng) -> (theta0, target, theta_true)`` draws one instance
-    from its stream child_seed(root, i). Returns per instance the padded
-    curves by name (``s`` = S(rho || sigma), ``overlap`` = Tr(rho sigma), and
-    ``dh`` = ||H - H_true||_F if there is a teacher theta_true), the (target,
-    final state) pair and the diverged flag.
+    ``setup(*fixed)`` returns ``(model, draw)``; ``draw(rng)`` draws the
+    ``(theta0, target, theta_true)`` rows of instance i from its stream
+    child_seed(root, i). The instances split evenly into chunks of at most
+    CHUNK_ENTRIES // dim^2 rows, or of one instance. Returns per row, in
+    instance order, the padded curves by name (``s`` = S(rho || sigma),
+    ``overlap`` = Tr(rho sigma), and ``dh`` = ||H - H_true||_F if there is a
+    teacher theta_true), the (target, final state) pair and the diverged flag.
     """
     setup, fixed, root, indices, opt = args
     model, draw = setup(*fixed)
-    theta0, targets, theta_trues = zip(*(draw(np.random.default_rng(child_seed(root, i))) for i in indices))
+    draws = (draw(np.random.default_rng(child_seed(root, i))) for i in indices)
+    first = next(draws)  # every instance draws the same number of rows
+    per_chunk = max(1, CHUNK_ENTRIES // model.dim**2 // len(first))  # instances
+    draws, results = itertools.chain([first], draws), []
+    for chunk in np.array_split(indices, -(-len(indices) // per_chunk)):
+        rows = [row for drawn in itertools.islice(draws, len(chunk)) for row in drawn]
+        results += _relent_chunk(model, rows, opt)
+    return results
+
+
+def _relent_chunk(model: HamiltonianModel, rows: list, opt: OptimizerConfig):
+    """Train ``(theta0, target, theta_true)`` rows in lockstep; yields per row what _relent_task returns."""
+    theta0, targets, theta_trues = zip(*rows)
     traces, states = _train_lockstep(model, theta0, targets, opt)
-    results = []
     for trace, target, state, theta_true in zip(traces, targets, states, theta_trues):
         curves = dict(s=-trace.objectives, overlap=[r.overlap for r in trace.records])
         if theta_true is not None:
@@ -426,27 +436,22 @@ def _relent_chunk(args):
             curves["dh"] = [float(np.linalg.norm(assemble_hamiltonian(model, th - theta_true)))
                             for th in trace.thetas]
         curves = {name: _pad_curve(values, opt.epochs + 1) for name, values in curves.items()}
-        results.append((curves, (target.rho, state), bool(trace.diverged)))
-    return results
+        yield curves, (target.rho, state), bool(trace.diverged)
 
 
 def _relent_ensemble(config: RelentEnsembleConfig, setup, *fixed):
-    """Run config.ensemble seeded instances of ``setup(*fixed)`` in lockstep chunks (see _relent_chunk).
+    """Run config.ensemble seeded instances of ``setup(*fixed)`` (see _relent_task).
 
-    The instances split into contiguous chunks of at most CHUNK_ENTRIES // dim^2
-    instances, and into at least min(jobs, ensemble) chunks, which the pool
-    runs. Returns the curves stacked by name, one row per instance, the list
-    of per-instance (target, final state) pairs and the number of diverged runs.
+    The instances split into min(jobs, ensemble) contiguous tasks, which the
+    pool runs. Returns the curves stacked by name and the lists of (target,
+    final state) pairs and diverged flags, one row each per drawn row.
     """
     opt = config.optimizer(gradient_kind="relent")
-    dim = max(2 ** (nv + nh) for _, nv, nh in config.models())
-    per_chunk = max(1, CHUNK_ENTRIES // dim**2)
-    n_chunks = max(-(-config.ensemble // per_chunk), min(config.jobs, config.ensemble))
-    args = [(setup, fixed, config.seed, chunk.tolist(), opt)
-            for chunk in np.array_split(np.arange(config.ensemble), n_chunks)]
-    results = [r for chunk in _map_instances(_relent_chunk, args, config.jobs) for r in chunk]
+    args = [(setup, fixed, config.seed, task.tolist(), opt)
+            for task in np.array_split(np.arange(config.ensemble), min(config.jobs, config.ensemble))]
+    results = [r for task in _map_instances(_relent_task, args, config.jobs) for r in task]
     curves = {name: np.asarray([r[0][name] for r in results]) for name in results[0][0]}
-    return curves, [r[1] for r in results], sum(r[2] for r in results)
+    return curves, [r[1] for r in results], [r[2] for r in results]
 
 
 @dataclass
@@ -462,7 +467,7 @@ class TomographyConfig(RelentEnsembleConfig):
 def _tomography_setup(n_visible: int, target_kind: str):
     model = build_model("pauli_complete", n_visible)
     draw_target = random_mixed if target_kind == "mixed" else haar_random_pure
-    return model, lambda rng: (np.zeros(model.n_terms), draw_target(n_visible, rng), None)
+    return model, lambda rng: [(np.zeros(model.n_terms), draw_target(n_visible, rng), None)]
 
 
 def run_tomography_ensemble(config: TomographyConfig):
@@ -473,7 +478,7 @@ def run_tomography_ensemble(config: TomographyConfig):
     per epoch; the divergence equals minus the monitored objective at
     lam = 0.
     """
-    curves, states, n_diverged = _relent_ensemble(
+    curves, states, diverged = _relent_ensemble(
         config, _tomography_setup, config.n_visible, config.target_kind)
     finals = curves["s"][:, -1]
     summary = _summary(
@@ -483,7 +488,7 @@ def run_tomography_ensemble(config: TomographyConfig):
         target_kind=config.target_kind,
         median_final=float(np.median(finals)),
         finals=[float(v) for v in finals],
-        n_diverged=n_diverged,
+        n_diverged=sum(diverged),
     )
     reconstructions = [
         dict(instance=i, target=matrix_to_pairs(rho), reconstruction=matrix_to_pairs(sigma))
@@ -510,12 +515,14 @@ class HamlearnConfig(RelentEnsembleConfig):
         return [("ti_complete", self.n_visible, 0)]
 
 
-def _hamlearn_setup(n_visible: int, normalize: bool, theta0_scale: float):
+def _hamlearn_setup(n_visible: int, theta0_scale: float):
     model = build_model("ti_complete", n_visible)  # the teachers' family is the student's
 
     def draw(rng):
-        theta_true, target = random_ti_teacher(model, normalize, rng)
-        return theta0_scale * rng.standard_normal(model.n_terms), target, theta_true
+        # one teacher draw and solve gives both rows, normalized then raw, and one theta0
+        teachers = random_ti_teacher(model, (True, False), rng)
+        theta0 = theta0_scale * rng.standard_normal(model.n_terms)
+        return [(theta0, target, theta_true) for theta_true, target in teachers]
 
     return model, draw
 
@@ -523,22 +530,22 @@ def _hamlearn_setup(n_visible: int, normalize: bool, theta0_scale: float):
 def run_hamlearn(config: HamlearnConfig):
     """Learn random transverse-field Ising teachers from their Gibbs states.
 
-    Runs the same ensemble twice: teachers rescaled to unit spectral norm,
-    and raw unit-variance Gaussian teachers. Tracks the divergence
-    S(rho || sigma) and the Frobenius distance between the true and
-    estimated Hamiltonians.
+    Each instance draws one raw unit-variance Gaussian teacher and learns
+    it twice, as two rows of one lockstep run from one start: rescaled to
+    unit spectral norm, and raw. Tracks the divergence S(rho || sigma) and
+    the Frobenius distance between the true and estimated Hamiltonians.
     """
+    curves, _, diverged = _relent_ensemble(config, _hamlearn_setup, config.n_visible, config.theta0_scale)
     variants = {}
-    for normalize, name in ((True, "normalized"), (False, "unnormalized")):
-        curves, _, n_diverged = _relent_ensemble(
-            config, _hamlearn_setup, config.n_visible, normalize, config.theta0_scale)
+    for v, name in enumerate(("normalized", "unnormalized")):  # the rows of an instance
+        s, dh = curves["s"][v::2], curves["dh"][v::2]
         variants[name] = dict(
-            s=percentile_curves(curves["s"]),
-            dh=percentile_curves(curves["dh"]),
-            s_finals=curves["s"][:, -1],
-            median_final_s=float(np.median(curves["s"][:, -1])),
-            median_final_dh=float(np.median(curves["dh"][:, -1])),
-            n_diverged=n_diverged,
+            s=percentile_curves(s),
+            dh=percentile_curves(dh),
+            s_finals=s[:, -1],
+            median_final_s=float(np.median(s[:, -1])),
+            median_final_dh=float(np.median(dh[:, -1])),
+            n_diverged=sum(diverged[v::2]),
         )
 
     summary = EnsembleSummary(
@@ -578,8 +585,8 @@ class MeanfieldConfig(RelentEnsembleConfig):
 
 def _meanfield_setup(n_visible: int):
     teachers = build_model("ti_complete", n_visible)
-    student = build_model("mean_field", n_visible)
-    return student, lambda rng: (np.zeros(student.n_terms), random_ti_teacher(teachers, False, rng)[1], None)
+    model = build_model("mean_field", n_visible)  # the student
+    return model, lambda rng: [(np.zeros(model.n_terms), random_ti_teacher(teachers, (False,), rng)[0][1], None)]
 
 
 def run_meanfield(config: MeanfieldConfig):
@@ -597,7 +604,7 @@ def run_meanfield(config: MeanfieldConfig):
     rather than how mixed the teacher is. It stays out of the output
     files.
     """
-    curves, states, n_diverged = _relent_ensemble(config, _meanfield_setup, config.n_visible)
+    curves, states, diverged = _relent_ensemble(config, _meanfield_setup, config.n_visible)
     overlap_pct = percentile_curves(curves["overlap"])
     summary = _summary(
         config,
@@ -607,7 +614,7 @@ def run_meanfield(config: MeanfieldConfig):
         median_final_overlap=float(np.median(curves["overlap"][:, -1])),
         median_final_fidelity=float(np.median([fidelity(rho, sigma) for rho, sigma in states])),
         median_final_s=float(np.median(curves["s"][:, -1])),
-        n_diverged=n_diverged,
+        n_diverged=sum(diverged),
     )
     files = {
         "curves.csv": _percentile_csv(

@@ -64,6 +64,9 @@ MAX_COMMUTATOR_ORDER = 12
 # bound, which makes rank-deficient elements full rank.
 GT_CLIP = 1e-10
 
+# Complex entries a stacked (block, dim, dim) temporary holds at most: lockstep rows or sampled terms.
+CHUNK_ENTRIES = 2**14
+
 
 @dataclass(frozen=True, eq=False)
 class PovmTrainingSet:
@@ -642,14 +645,17 @@ def grad_relent_sampled(
     and renormalized: the stream's random(n_samples) located in that
     distribution's CDF, the draw Generator.choice(p=...) makes. Deterministic
     given rng_seed, which is never changed. The term eigenbases are taken
-    once per model and kept on it (_measurement_bases).
+    once per model and kept on it (_measurement_bases); the products run over
+    blocks of terms with at most CHUNK_ENTRIES entries each.
     """
     theta, ev, rho = _setup(model, theta, data)
     evals, V = _measurement_bases(model)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     # row 2j + s: the diagonal of V_j^dag S V_j, S the target (s = 0) or the Gibbs state (s = 1)
-    probs = np.stack([(V.conj() * (state @ V)).sum(axis=1).real for state in (rho, ev.rho)], axis=1)
+    block = max(1, CHUNK_ENTRIES // rho.size)  # terms per product
+    probs = np.concatenate([np.stack([(Vb.conj() * (S @ Vb)).sum(axis=1).real for S in (rho, ev.rho)], axis=1)
+                            for Vb in (V[j : j + block] for j in range(0, model.n_terms, block))])
     probs = np.clip(probs.reshape(2 * model.n_terms, -1), 0.0, 1.0)
     totals = probs.sum(axis=1)
     if np.isnan(totals).any():

@@ -163,7 +163,7 @@ def test_criterion_05_meanfield_overlap():
     optimum = []
     for i in range(config.ensemble):
         rng = np.random.default_rng(child_seed(config.seed, i))
-        _, target = random_ti_teacher(teachers, False, rng)
+        [(_, target)] = random_ti_teacher(teachers, (False,), rng)
         sigma = _product_of_marginals(target.rho, config.n_visible)
         optimum.append(expectation_value(target.rho, sigma))
     closed_form = float(np.median(optimum))

@@ -123,16 +123,16 @@ class TestRandomMixed:
 class TestTiTeacher:
     def test_normalized_unit_spectral_norm(self, rng):
         model = build_transverse_ising_complete(3)
-        theta, _ = random_ti_teacher(model, True, rng)
+        [(theta, _)] = random_ti_teacher(model, (True,), rng)
         assert abs(np.linalg.norm(assemble_hamiltonian(model, theta), 2) - 1.0) < 1e-10
 
     def test_parameter_count(self, rng):
-        theta, _ = random_ti_teacher(build_transverse_ising_complete(2), False, rng)
+        [(theta, _)] = random_ti_teacher(build_transverse_ising_complete(2), (False,), rng)
         assert theta.size == 5
 
     def test_target_is_teacher_gibbs(self, rng):
         model = build_transverse_ising_complete(2)
-        theta, target = random_ti_teacher(model, False, rng)
+        [(theta, target)] = random_ti_teacher(model, (False,), rng)
         rho, _ = gibbs_state(assemble_hamiltonian(model, theta))
         assert np.allclose(target.rho, rho, atol=1e-12)
 
@@ -140,13 +140,31 @@ class TestTiTeacher:
     def test_normalized_target_is_teacher_gibbs(self, rng, n):
         # built from the raw spectrum rescaled, not a second eigendecomposition
         model = build_transverse_ising_complete(n)
-        theta, target = random_ti_teacher(model, True, rng)
+        [(theta, target)] = random_ti_teacher(model, (True,), rng)
         rho, _ = gibbs_state(assemble_hamiltonian(model, theta))
         assert np.abs(target.rho - rho).max() <= 1e-12
 
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_variants_share_one_draw_and_one_solve(self, n, monkeypatch):
+        model = build_transverse_ising_complete(n)
+        single = [random_ti_teacher(model, (flag,), np.random.default_rng(7))[0] for flag in (True, False)]
+        solves = []
+        eigh = datasets._eigh
+        monkeypatch.setattr(datasets, "_eigh", lambda H: solves.append(H) or eigh(H))
+        rng = np.random.default_rng(7)
+        both = random_ti_teacher(model, (True, False), rng)
+        assert len(solves) == 1
+        # bit for bit what a draw per variant from the same stream gives, and the stream
+        # is left where one such draw leaves it
+        for (theta, target), (want_theta, want_target) in zip(both, single):
+            assert np.array_equal(theta, want_theta) and np.array_equal(target.rho, want_target.rho)
+        after_one = np.random.default_rng(7)
+        after_one.standard_normal(model.n_terms)
+        assert rng.random() == after_one.random()
+
     def test_other_families_rejected(self, rng):
         with pytest.raises(ValueError, match="ti_complete"):
-            random_ti_teacher(build_model("mean_field", 2), False, rng)
+            random_ti_teacher(build_model("mean_field", 2), (False,), rng)
 
 
 class TestChildSeed:

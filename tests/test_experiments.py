@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import qbmlab.cli
+import qbmlab.datasets as datasets
 import qbmlab.experiments as experiments
 import qbmlab.linalg as linalg
 import qbmlab.training as training
@@ -175,20 +176,23 @@ class TestParallelism:
             assert np.array_equal(s1.curves[k], s2.curves[k])
         assert np.array_equal(s1.finals, s2.finals)
 
-    # every experiment that dispatches to a process pool, at small settings
+    # every experiment that dispatches to a process pool, at small settings; at dim 128
+    # (hamlearn-n7) each lockstep chunk holds one instance and a task trains several
     POOLED = {
-        "povm-train": {"n_visible_grid": "2,3", "n_hidden_grid": "0,1", "epochs": "3"},
-        "tomography": {"ensemble": "4", "epochs": "3"},
-        "hamlearn": {"ensemble": "3", "epochs": "3"},
-        "meanfield": {"ensemble": "3", "epochs": "3", "n_visible": "3"},
+        "povm-train": ("povm-train", {"n_visible_grid": "2,3", "n_hidden_grid": "0,1", "epochs": "3"}),
+        "tomography": ("tomography", {"ensemble": "4", "epochs": "3"}),
+        "hamlearn": ("hamlearn", {"ensemble": "3", "epochs": "3"}),
+        "hamlearn-n7": ("hamlearn", {"ensemble": "3", "epochs": "3", "n_visible": "7"}),
+        "meanfield": ("meanfield", {"ensemble": "3", "epochs": "3", "n_visible": "3"}),
     }
 
-    @pytest.mark.parametrize("experiment", list(POOLED))
-    def test_job_count_does_not_change_output_files(self, tmp_path, experiment):
+    @pytest.mark.parametrize("case", list(POOLED))
+    def test_job_count_does_not_change_output_files(self, tmp_path, case):
+        experiment, settings = self.POOLED[case]
         outputs = []
         for jobs in (1, 2):
             out = tmp_path / f"jobs{jobs}"
-            run_experiment(make_config(experiment, self.POOLED[experiment], {"jobs": jobs, "out": str(out)}))
+            run_experiment(make_config(experiment, settings, {"jobs": jobs, "out": str(out)}))
             outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"})
         assert len(outputs[0]) >= 2
         assert outputs[0] == outputs[1]
@@ -233,9 +237,10 @@ class TestDivergence:
         lockstep = experiments._train_lockstep
 
         def diverge_second(*args, **kw):
+            # every row of instance 1 diverges: each hamlearn variant once
             traces, states = lockstep(*args, **kw)
             for trace in traces:
-                if len(calls) % ensemble == 1:
+                if len(calls) // len(variants) == 1:
                     trace.records, trace.diverged = trace.records[: self.KEPT], True
                 calls.append(trace)
             return traces, states
@@ -248,14 +253,18 @@ class TestDivergence:
         out = tmp_path / experiment
         summary = run_experiment(make_config(experiment, settings, {"out": str(out)}))
         assert len(calls) == ensemble * len(variants)
-        for variant, (curves, _, n_diverged) in zip(variants, stacks):
+        # one ensemble run; hamlearn's variants are its alternate rows
+        [(curves, _, diverged)] = stacks
+        for v, variant in enumerate(variants):
             extras = summary.extras if variant is None else summary.extras[variant]
-            assert n_diverged == extras["n_diverged"] == 1
+            assert sum(diverged[v :: len(variants)]) == extras["n_diverged"] == 1
             for name, stack in curves.items():
+                stack = stack[v :: len(variants)]
                 # the diverged instance holds its last recorded value to the end
                 assert np.all(stack[1, self.KEPT:] == stack[1, self.KEPT - 1]), name
             # the others trained on
-            assert np.all(curves["s"][[0, 2], -1] != curves["s"][[0, 2], self.KEPT - 1])
+            s = curves["s"][v :: len(variants)]
+            assert np.all(s[[0, 2], -1] != s[[0, 2], self.KEPT - 1])
         assert set(json.loads((out / "summary.json").read_text())) == OUTPUT_LAYOUTS[experiment][2]
 
 
@@ -280,10 +289,55 @@ class TestLockstep:
             monkeypatch.setattr(experiments, "CHUNK_ENTRIES", 1)
         config = make_config(experiment, settings, {"ensemble": "3", "epochs": "6"})
         run_experiment(config)
-        chunks = config.ensemble if budget == "one instance" else 1
-        assert len(runs) == chunks * (2 if experiment == "hamlearn" else 1)
+        # one lockstep run per chunk; hamlearn's two rows of an instance share its chunk
+        rows = 2 if experiment == "hamlearn" else 1
+        assert [len(args[2]) for args, _ in runs] == (
+            [rows] * config.ensemble if budget == "one instance" else [rows * config.ensemble])
         for (model, theta0, targets, opt), (traces, states) in runs:
             assert_lockstep_matches_train(model, theta0, targets, opt, traces, states)
+
+    # n=2: every instance in one chunk; n=7 (dim 128): one instance, two rows, per chunk
+    @pytest.mark.parametrize("n_visible, ensemble", [(2, 4), (7, 2)])
+    def test_hamlearn_rows_are_a_run_per_variant_bit_for_bit(self, n_visible, ensemble):
+        config = make_config("hamlearn", {"n_visible": n_visible, "ensemble": ensemble, "epochs": "3"})
+        opt = config.optimizer(gradient_kind="relent")
+        curves, pairs, diverged = experiments._relent_ensemble(
+            config, experiments._hamlearn_setup, config.n_visible, config.theta0_scale)
+        summary = run_experiment(config)
+        model = build_model("ti_complete", n_visible)
+        for v, (name, normalize) in enumerate((("normalized", True), ("unnormalized", False))):
+            finals = []
+            for i in range(ensemble):
+                # a draw of this variant alone, then train: what a run per variant gives
+                rng = np.random.default_rng(child_seed(config.seed, i))
+                [(theta_true, target)] = random_ti_teacher(model, (normalize,), rng)
+                trace = train(model, config.theta0_scale * rng.standard_normal(model.n_terms), target, opt)
+                row = 2 * i + v
+                assert np.array_equal(curves["s"][row], -trace.objectives)
+                assert np.array_equal(curves["dh"][row], [np.linalg.norm(assemble_hamiltonian(
+                    model, th - theta_true)) for th in trace.thetas])
+                assert np.array_equal(pairs[row][0], target.rho) and diverged[row] is False
+                finals.append(-trace.objectives[-1])
+            assert np.array_equal(summary.extras[name]["s_finals"], finals)
+
+    def test_each_task_builds_its_models_once(self, monkeypatch):
+        built, solves = [], []
+        build = experiments.build_model
+        monkeypatch.setattr(experiments, "build_model", lambda *args: built.append(args) or build(*args))
+        eigh = datasets._eigh
+        monkeypatch.setattr(datasets, "_eigh", lambda H: solves.append(H) or eigh(H))
+        run_experiment(make_config("hamlearn", {"ensemble": "3", "n_visible": "7", "epochs": "1"}))
+        # three chunks of one instance each, one model, one teacher solve per instance
+        assert built == [("ti_complete", 7)] and len(solves) == 3
+        built.clear()
+        sizes = []
+        lockstep = experiments._train_lockstep
+        monkeypatch.setattr(experiments, "_train_lockstep",
+                            lambda model, theta0, *args: sizes.append(len(theta0)) or lockstep(model, theta0, *args))
+        run_experiment(make_config("meanfield", {"ensemble": "50", "n_visible": "5", "epochs": "1"}))
+        assert built == [("ti_complete", 5), ("mean_field", 5)]
+        # at most 16 rows of dim 32 per chunk, split evenly
+        assert sizes == [13, 13, 12, 12]
 
 
 class TestPovmData:
@@ -445,7 +499,7 @@ class TestOutputs:
                                 raising=False)
         cfg = make_config("tomography", {"epochs": "3"})
         opt = cfg.optimizer(gradient_kind="relent")
-        results = experiments._relent_chunk(
+        results = experiments._relent_task(
             (experiments._tomography_setup, (cfg.n_visible, "mixed"), cfg.seed, [0, 1], opt))
         assert calls == []
         model = build_model("pauli_complete", cfg.n_visible)
@@ -461,7 +515,7 @@ class TestOutputs:
         cfg = make_config("meanfield", {"epochs": "4", "n_visible": "3"})
         opt = cfg.optimizer(gradient_kind="relent")
         indices = [0, 1, 2]
-        results = experiments._relent_chunk(
+        results = experiments._relent_task(
             (experiments._meanfield_setup, (cfg.n_visible,), cfg.seed, indices, opt))
         # one stacked solve of the chunk per epoch, none after training: theta0 = 0 makes
         # every H real at epoch 0, and the Y terms make every later H complex
@@ -471,7 +525,7 @@ class TestOutputs:
         student = build_model("mean_field", cfg.n_visible)
         for i, (curves, (rho, sigma), _) in zip(indices, results):
             # bit for bit what diagonalizing every recorded theta afresh gives
-            _, target = random_ti_teacher(teachers, False, np.random.default_rng(child_seed(cfg.seed, i)))
+            [(_, target)] = random_ti_teacher(teachers, (False,), np.random.default_rng(child_seed(cfg.seed, i)))
             trace = train(student, np.zeros(student.n_terms), target, opt)
             fresh = [linalg.gibbs_state(assemble_hamiltonian(student, th))[0] for th in trace.thetas]
             assert np.array_equal(curves["overlap"], [linalg.expectation_value(rho, s) for s in fresh])

@@ -3,6 +3,7 @@
 import ast
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -909,7 +910,7 @@ class TestEvaluationRecord:
         if kind != "relent":
             data = step_function_state(n_visible)[1]
         elif real:
-            data = random_ti_teacher(build_model("ti_complete", n_visible), True, rng)[1]
+            data = random_ti_teacher(build_model("ti_complete", n_visible), (True,), rng)[0][1]
         else:
             data = random_mixed(n_visible, rng)
         m = build_model(family, n_visible, n_hidden)
@@ -1117,6 +1118,35 @@ class TestMeasurementBases:
         assert not evals.flags.writeable and not V.flags.writeable
         with pytest.raises(ValueError):
             V[0, 0, 0] = 0.0
+
+    @pytest.mark.parametrize("family,nv,nh", [("fermionic", 3, 1), ("mean_field", 4, 0),
+                                              ("pauli_complete", 2, 0), ("ti_complete", 3, 0)])
+    def test_blocks_of_terms_change_no_bit(self, family, nv, nh, rng, monkeypatch):
+        model, data = build_model(family, nv, nh), random_mixed(nv, rng)
+        theta = 0.5 * rng.normal(size=model.n_terms)
+        want = grad_relent_sampled(model, theta, data, 0.3, 64, 5)
+        assert model.n_terms * model.dim**2 <= training.CHUNK_ENTRIES  # the default is one block
+        for block in (1, 3, 7):
+            monkeypatch.setattr(training, "CHUNK_ENTRIES", block * model.dim**2)
+            assert np.array_equal(grad_relent_sampled(model, theta, data, 0.3, 64, 5), want)
+        monkeypatch.setattr(training, "CHUNK_ENTRIES", 1)  # below one term: blocks of one
+        assert np.array_equal(grad_relent_sampled(model, theta, data, 0.3, 64, 5), want)
+
+    def test_temporaries_bounded_by_the_chunk_budget(self, rng):
+        model, data = build_model("ti_complete", 6), random_mixed(6, rng)  # 27 terms, dim 64
+        theta = 0.3 * rng.normal(size=model.n_terms)
+        grad_relent_sampled(model, theta, data, n_samples=8)  # takes the bases and the evaluation
+        held = sum(array.nbytes for array in vars(model)["_measurement_bases"])
+        tracemalloc.start()
+        try:
+            grad_relent_sampled(model, theta, data, n_samples=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # three (block, dim, dim) complex temporaries at most, where one product over
+        # every term at once holds two or three copies of the bases at a time
+        bound = 3 * training.CHUNK_ENTRIES * 16 + 64 * 1024
+        assert peak <= bound < 2 * held
 
     def test_a_term_above_unit_norm_fails_every_call(self, rng):
         z = np.diag([1.0, -1.0]).astype(complex)
