@@ -428,7 +428,7 @@ def _relent_task(args):
 def _relent_chunk(model: HamiltonianModel, rows: list, opt: OptimizerConfig):
     """Train ``(theta0, target, theta_true)`` rows in lockstep; yields per row what _relent_task returns."""
     theta0, targets, theta_trues = zip(*rows)
-    traces, states = _train_lockstep(model, theta0, targets, opt)
+    traces, states = _train_lockstep(model, theta0, targets, [opt] * len(rows))
     for trace, target, state, theta_true in zip(traces, targets, states, theta_trues):
         curves = dict(s=-trace.objectives, overlap=[r.overlap for r in trace.records])
         if theta_true is not None:
@@ -689,9 +689,14 @@ def run_commutator_compare(config: CommutatorCompareConfig):
     first = max(1, int(round(config.switch_fraction * total)))
     second = max(1, total - first)
 
+    # A and every distinct (eta, mu) of C's grid are rows of one GT run; A is the row with A's settings
     opt_a = config.optimizer(gradient_kind="gt", epochs=total)
-    trace_a = train(model, theta0, data, opt_a)
-    curve_a = _pad_curve(trace_a.objectives, total + 1)
+    grid = [(eta, mu, config.optimizer(gradient_kind="gt", learning_rate=eta, momentum=mu, epochs=total))
+            for eta in config.grid("eta_grid", float) for mu in config.grid("momentum_grid", float)]
+    opts = list(dict.fromkeys([opt_a] + [opt for *_, opt in grid]))
+    traces, _ = _train_lockstep(model, np.tile(theta0, (len(opts), 1)), data, opts)
+    curves = {opt: _pad_curve(trace.objectives, total + 1) for opt, trace in zip(opts, traces)}
+    trace_a, curve_a = traces[0], curves[opt_a]
 
     # B's first phase is A's run up to epoch `first`, record for record
     opt_b2 = config.optimizer(gradient_kind="commutator", epochs=second)
@@ -700,15 +705,7 @@ def run_commutator_compare(config: CommutatorCompareConfig):
         np.concatenate([trace_a.objectives[: first + 1], trace_b2.objectives[1:]]), total + 1
     )
 
-    # C's curves by settings: the grid point with A's settings is A's run
-    curves = {opt_a: curve_a}
-    runs = []
-    for eta in config.grid("eta_grid", float):
-        for mu in config.grid("momentum_grid", float):
-            opt_c = config.optimizer(gradient_kind="gt", learning_rate=eta, momentum=mu, epochs=total)
-            if opt_c not in curves:
-                curves[opt_c] = _pad_curve(train(model, theta0, data, opt_c).objectives, total + 1)
-            runs.append((eta, mu, curves[opt_c]))
+    runs = [(eta, mu, curves[opt]) for eta, mu, opt in grid]
     # the first run with the best final objective
     best_eta, best_mu, curve_c = max(runs, key=lambda run: run[2][-1])
     grid_rows = [(eta, mu, float(curve[-1])) for eta, mu, curve in runs]

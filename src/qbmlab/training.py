@@ -9,7 +9,7 @@ terms. Inverse temperature is fixed at 1 throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -19,14 +19,12 @@ from .linalg import (
     EigenSystem,
     _eigh,
     _exp_neg_divided_differences,
-    _gibbs_from_eigensystem,
     _require_hermitian,
     _shifted_weights,
     _spectral_sum,
     expectation_value,
     gibbs_state,
     hermitian_eigendecompose,
-    log_partition,
     matrix_log_psd,
     validate_density_matrix,
     von_neumann_entropy,
@@ -249,51 +247,6 @@ def _check_commutator_order(order: int) -> None:
         )
 
 
-def _check_theta(model: HamiltonianModel, theta, stacked: bool = False) -> np.ndarray:
-    """theta as float64, one weight per term; with stacked, a (B, n_terms) stack is accepted too."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape[-1:] != (model.n_terms,) or theta.ndim > 1 + stacked:
-        raise ValueError(f"theta shape {theta.shape} does not match {model.n_terms} terms")
-    return theta
-
-
-class _Evaluation(NamedTuple):
-    """A model's Hamiltonian and Gibbs state at one theta (see _evaluate)."""
-
-    key: bytes  # the bytes of theta
-    H: np.ndarray
-    eigen: EigenSystem
-    weights: np.ndarray  # Gibbs weights e^{-(lambda_i - lambda_min)}
-    rho: np.ndarray  # e^{-H} / Tr[e^{-H}]
-    log_z: float
-
-
-def _evaluate(model: HamiltonianModel, theta: np.ndarray) -> _Evaluation:
-    """H(theta), its eigensystem, Gibbs state and log Z, from one eigh.
-
-    The model keeps the record of the last theta it was evaluated at, so the
-    monitor and gradient of an epoch share one assembly and one eigh. Only
-    the exact bytes of theta match, and a hit returns what a miss computes.
-    The record's arrays are read-only.
-    """
-    key = theta.tobytes()
-    record = model.__dict__.get("_evaluation")
-    if record is not None and record.key == key:
-        return record
-    H = assemble_hamiltonian(model, theta)
-    if not np.isfinite(H).all():
-        raise np.linalg.LinAlgError("H(theta) has non-finite entries")
-    # unchecked: the scatter makes H[r, c] and H[c, r] exact conjugates
-    eigen = _eigh(H)
-    rho, weights, log_z = _gibbs_from_eigensystem(*eigen)
-    for array in (H, *eigen, weights, rho):
-        array.flags.writeable = False
-    record = _Evaluation(key, H, eigen, weights, rho, log_z)
-    # stored like a cached_property: the frozen model's __dict__, dropped with it
-    model.__dict__["_evaluation"] = record
-    return record
-
-
 def _solve_stack(H: np.ndarray, vectors: bool = True):
     """(solves, failed): _eigh of each matrix of a (B, d, d) stack of bitwise Hermitian matrices.
 
@@ -306,11 +259,11 @@ def _solve_stack(H: np.ndarray, vectors: bool = True):
     those, and each non-finite matrix, to the reason.
     """
     finite = np.isfinite(H).all(axis=(1, 2))
-    failed = {int(b): "H(theta) has non-finite entries" for b in np.flatnonzero(~finite)}
+    failed = {int(b): "H(theta) has non-finite entries" for b in (~finite).nonzero()[0]}
     real = ~H.imag.any(axis=(1, 2))
     solves = []
     for group in (finite & real, finite & ~real):
-        rows = np.flatnonzero(group)
+        rows = group.nonzero()[0]
         try:
             if rows.size:
                 solves.append((rows, _eigh(H if rows.size == len(H) else H[rows], vectors)))
@@ -323,49 +276,96 @@ def _solve_stack(H: np.ndarray, vectors: bool = True):
     return solves, failed
 
 
-def _evaluate_stack(model: HamiltonianModel, thetas: np.ndarray):
-    """(H, rho, log_z, failed): _evaluate at each row of a (B, n_terms) theta stack, from stacked solves.
+class _Evaluation(NamedTuple):
+    """A model's Hamiltonians and Gibbs states at each row of a theta stack (see _evaluate)."""
 
-    Row b of H, rho and log_z is bit for bit what _evaluate(model, thetas[b])
-    gives (see _solve_stack). failed maps each row whose H is non-finite or
-    whose solve fails to the reason; their states and log Z are NaN.
+    key: bytes  # the bytes of the stack, whose shape they fix: n_terms weights per row
+    H: np.ndarray  # (B, dim, dim)
+    solves: list  # (rows, EigenSystem) of each realness group's solve (see _solve_stack)
+    weights: np.ndarray  # (B, dim) Gibbs weights e^{-(lambda_i - lambda_min)}
+    rho: np.ndarray  # (B, dim, dim) e^{-H} / Tr[e^{-H}]
+    log_z: np.ndarray  # (B,)
+    failed: dict  # row -> why its H is non-finite or its solve failed; its weights, rho and log Z are NaN
+
+
+def _evaluate(model: HamiltonianModel, thetas: np.ndarray) -> _Evaluation:
+    """H(theta_b), its eigensystem, Gibbs state and log Z at each row of a (B, n_terms) stack.
+
+    One stacked assembly and one stacked eigh per realness group
+    (_solve_stack), so each row is bit for bit what its one-row stack gives.
+    The model keeps the record of the last stack it was evaluated at, so the
+    monitor and gradient of an epoch share one assembly and one solve per
+    realness group. Only the exact bytes of the stack match, and a hit
+    returns what a miss computes. The record's arrays are read-only.
     """
+    key = thetas.tobytes()
+    record = model.__dict__.get("_evaluation")
+    if record is not None and record.key == key:
+        return record
+    # unchecked: the scatter makes H[r, c] and H[c, r] exact conjugates
     H = assemble_hamiltonian(model, thetas)
-    log_z = np.full(len(H), np.nan)
-    states = []  # (rows, their Gibbs states) of each solve
     solves, failed = _solve_stack(H)
-    for solved, (evals, V) in solves:
-        # log Z and the weights row by row, as _evaluate forms them
-        shifted = [_shifted_weights(row) for row in evals]
-        probs = np.stack([weights / total for weights, total, _ in shifted])
-        states.append((solved, _spectral_sum(V, probs[:, None, :])))
-        log_z[solved] = [row_log_z for *_, row_log_z in shifted]
-    if len(states) == 1 and len(states[0][0]) == len(H):
-        return H, states[0][1], log_z, failed  # one solve of every row, as at dim 512: no copy
-    rho = np.full(H.shape, np.nan, dtype=np.complex128)
-    for solved, group_states in states:
-        rho[solved] = group_states
-    return H, rho, log_z, failed
+    parts = []  # (rows, weights, rho, log Z) of each solve, as _shifted_weights forms them row by row
+    for rows, (evals, V) in solves:
+        shift = evals[:, :1]
+        weights = np.exp(-(evals - shift))
+        total = weights.sum(axis=1, keepdims=True)
+        parts.append((rows, weights, _spectral_sum(V, (weights / total)[:, None]), (np.log(total) - shift)[:, 0]))
+    if len(parts) == 1 and len(parts[0][0]) == len(H):
+        _, weights, rho, log_z = parts[0]  # one solve of every row, as at dim 512: no copy
+    else:
+        weights, rho, log_z = np.full(H.shape[:2], np.nan), np.full(H.shape, np.nan, complex), np.full(len(H), np.nan)
+        for rows, *arrays in parts:
+            for whole, part in zip((weights, rho, log_z), arrays):
+                whole[rows] = part
+    for array in (H, *(a for _, eigen in solves for a in eigen), weights, rho, log_z):
+        array.flags.writeable = False
+    record = _Evaluation(key, H, solves, weights, rho, log_z, failed)
+    # stored like a cached_property: the frozen model's __dict__, dropped with it
+    model.__dict__["_evaluation"] = record
+    return record
 
 
-def _setup(model: HamiltonianModel, theta, data, stacked: bool = False):
-    """Checked theta, the model's evaluation at theta and the data lifted onto its hidden units.
+def _setup(model: HamiltonianModel, theta, data):
+    """(thetas, evaluation, sets): theta as a (B, n_terms) stack, the model's evaluation there and one set per row.
 
-    With stacked, a (B, n_terms) theta stack is accepted and evaluated by _evaluate_stack.
+    theta is one weight per term or a (B, n_terms) stack of them. A single
+    theta is the one-row stack theta[None] and raises LinAlgError if its
+    evaluation failed. data is one training set for every row, or a sequence
+    with one set per row; each set lifts itself onto the model's hidden units
+    (lifted).
     """
-    theta = _check_theta(model, theta, stacked)
-    if data.dim != 2**model.n_visible:
-        raise ValueError(
-            f"training data dimension {data.dim} does not match "
-            f"2^{model.n_visible} visible units"
-        )
-    evaluate = _evaluate if theta.ndim == 1 else _evaluate_stack
-    return theta, evaluate(model, theta), data.lifted(model.n_hidden)
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape[-1:] != (model.n_terms,) or theta.ndim > 2:
+        raise ValueError(f"theta shape {theta.shape} does not match {model.n_terms} terms")
+    thetas = np.atleast_2d(theta)
+    sets = [data] * len(thetas) if isinstance(data, (PovmTrainingSet, StateTrainingSet)) else list(data)
+    if len(sets) != len(thetas):
+        raise ValueError(f"{len(sets)} training sets for {len(thetas)} theta rows")
+    for data in sets:
+        if data.dim != 2**model.n_visible:
+            raise ValueError(f"training data dimension {data.dim} does not match 2^{model.n_visible} visible units")
+    ev = _evaluate(model, thetas)
+    if theta.ndim == 1 and ev.failed:
+        raise np.linalg.LinAlgError(ev.failed[0])
+    return thetas, ev, sets
 
 
-def _rowwise(value, theta: np.ndarray, failed: dict) -> np.ndarray:
+def _rowwise(value, thetas: np.ndarray, failed: dict) -> np.ndarray:
     """value(b) at each row b of a theta stack, NaN at the rows in failed."""
-    return np.array([math.nan if b in failed else value(b) for b in range(len(theta))])
+    return np.array([math.nan if b in failed else value(b) for b in range(len(thetas))])
+
+
+def _result(theta, values: np.ndarray, failed: dict | None = None):
+    """values at a theta stack, or at a single theta its one row: a float for an objective.
+
+    A single theta whose row failed raises LinAlgError with the reason instead.
+    """
+    if np.ndim(theta) == 2:
+        return values
+    if failed:
+        raise np.linalg.LinAlgError(failed[0])
+    return float(values[0]) if values.ndim == 1 else values[0]
 
 
 def _reg_value(model: HamiltonianModel, theta: np.ndarray, lam: float) -> float:
@@ -416,17 +416,17 @@ def objective_povm_exact(
     sum_v P_v log( Tr[Lambda_v e^{-H}] / Tr[e^{-H}] ) - (lam/2)||theta_Q||^2,
     in nats. Vanishing likelihoods clamp their log at -700.
 
-    A (B, n_terms) theta stack gives the (B,) values from one stacked
-    evaluation (_evaluate_stack), each bit for bit the value at its row
-    alone. A row whose H(theta) is non-finite or whose solve fails reads
-    NaN, where a single theta raises LinAlgError. The same holds for
-    objective_povm_gt and objective_relent.
+    Every objective and analytic gradient also takes a (B, n_terms) theta
+    stack, with data one training set or a sequence of one per row, and
+    returns one value per row from the model's one stacked evaluation
+    (_evaluate), each bit for bit the call at its row alone. A row whose
+    H(theta) is non-finite or whose solve fails reads NaN, where a single
+    theta raises LinAlgError.
     """
-    theta, ev, lifted = _setup(model, theta, data, stacked=True)
-    if theta.ndim == 1:
-        return _povm_exact_value(model, theta, lifted, ev.rho, lam)
-    _, rho, _, failed = ev
-    return _rowwise(lambda b: _povm_exact_value(model, theta[b], lifted, rho[b], lam), theta, failed)
+    thetas, ev, sets = _setup(model, theta, data)
+    lifted = [data.lifted(model.n_hidden) for data in sets]
+    return _result(theta, _rowwise(
+        lambda b: _povm_exact_value(model, thetas[b], lifted[b], ev.rho[b], lam), thetas, ev.failed))
 
 
 def _povm_exact_value(model: HamiltonianModel, theta: np.ndarray, lifted: tuple,
@@ -443,23 +443,24 @@ def objective_povm_gt(
 
     Each likelihood is replaced by Tr[e^{-(H - log Lambda_v)}] / Tr[e^{-H}]
     with rank-deficient elements made full rank by eigenvalue clipping.
-    The bound is tight whenever Lambda_v commutes with H. A theta stack
-    (see objective_povm_exact) solves every H_b - log Lambda_v in one
-    stacked eigvalsh per realness group (_solve_stack).
+    The bound is tight whenever Lambda_v commutes with H. Every
+    H_b - log Lambda_v of a stack is solved in one stacked eigvalsh per
+    realness group (_solve_stack); a row whose solve fails reads NaN.
     """
-    theta, ev, lifted = _setup(model, theta, data, stacked=True)
-    if theta.ndim == 1:
-        log_partitions = [log_partition(ev.H - log_el) for *_, log_el in lifted]
-        return _povm_gt_value(model, theta, lifted, log_partitions, ev.log_z, lam)
-    H, _, log_z, failed = ev
+    thetas, ev, sets = _setup(model, theta, data)
+    lifted = [data.lifted(model.n_hidden) for data in sets]
     # H_b - log Lambda_v is bitwise Hermitian, as both terms are: no check or symmetrization
-    shifted = H[:, None] - np.stack([log_el for *_, log_el in lifted])
-    log_partitions = np.full(shifted.shape[:2], np.nan)
-    solves, _ = _solve_stack(shifted.reshape(-1, model.dim, model.dim), vectors=False)
+    shifted = np.concatenate([H - np.stack([log_el for *_, log_el in ops]) for H, ops in zip(ev.H, lifted)])
+    counts = [len(ops) for ops in lifted]
+    row_of = np.repeat(np.arange(len(thetas)), counts)  # the row of each matrix of shifted
+    log_partitions = np.full(len(shifted), np.nan)
+    solves, failed = _solve_stack(shifted, vectors=False)
     for rows, evals in solves:
-        log_partitions.flat[rows] = [_shifted_weights(row)[2] for row in evals]
-    return _rowwise(
-        lambda b: _povm_gt_value(model, theta[b], lifted, log_partitions[b], log_z[b], lam), theta, failed)
+        log_partitions[rows] = [_shifted_weights(row)[2] for row in evals]
+    failed = {**{int(row_of[k]): reason for k, reason in failed.items()}, **ev.failed}
+    per_row = np.split(log_partitions, np.cumsum(counts)[:-1])
+    return _result(theta, _rowwise(lambda b: _povm_gt_value(
+        model, thetas[b], lifted[b], per_row[b], ev.log_z[b], lam), thetas, failed), failed)
 
 
 def _povm_gt_value(model: HamiltonianModel, theta: np.ndarray, lifted: tuple,
@@ -476,13 +477,22 @@ def grad_povm_gt(
 
     Component j:  sum_v P_v ( -<H_j>_{H_v} + <H_j>_H ) - lam theta_j [quantum],
     where H_v = H - log Lambda_v uses the clipped logarithm. As the outcome
-    probabilities sum to 1, this is Tr[H_j (rho - sum_v P_v rho_v)].
+    probabilities sum to 1, this is Tr[H_j (rho - sum_v P_v rho_v)]. Each
+    rho_v is one gibbs_state call per row and element; a row of a stack
+    whose solve fails reads NaN.
     """
-    theta, ev, lifted = _setup(model, theta, data)
+    thetas, ev, sets = _setup(model, theta, data)
     X = ev.rho.copy()
-    for p, _, log_el in lifted:
-        X -= p * gibbs_state(ev.H - log_el)[0]
-    return term_expectations(model, X) - _reg_grad(model, theta, lam)
+    failed = dict(ev.failed)
+    for b, data in enumerate(sets):
+        if b in failed:
+            continue
+        try:
+            for p, _, log_el in data.lifted(model.n_hidden):
+                X[b] -= p * gibbs_state(ev.H[b] - log_el)[0]
+        except np.linalg.LinAlgError as error:
+            X[b], failed[b] = np.nan, str(error)
+    return _result(theta, term_expectations(model, X) - _reg_grad(model, thetas, lam), failed)
 
 
 def grad_povm_exact(
@@ -498,16 +508,18 @@ def grad_povm_exact(
     eigenvalues shifted by the minimum, so large ||H|| stays finite; the
     shift cancels in the likelihood ratios.
     """
-    theta, ev, lifted = _setup(model, theta, data)
-    evals, V = ev.eigen
-    # sum_v (P_v / L_v) V^+ Lambda_v V, with L_v = Tr[Lambda_v e^{-(H - evals[0])}]
-    weighted = np.zeros(V.shape, dtype=np.complex128)  # V is real for real-symmetric H
-    for p, el, _ in lifted:
-        el_rot = V.conj().T @ el @ V
-        likelihood = max(float(el_rot.diagonal().real @ ev.weights), LIKELIHOOD_FLOOR)
-        weighted += (p / likelihood) * el_rot
-    X = ev.rho + V @ (weighted * _exp_neg_divided_differences(evals - evals[0])) @ V.conj().T
-    return term_expectations(model, X) - _reg_grad(model, theta, lam)
+    thetas, ev, sets = _setup(model, theta, data)
+    X = ev.rho.copy()
+    for rows, (evals_rows, V_rows) in ev.solves:
+        for b, evals, V in zip(rows, evals_rows, V_rows):
+            # sum_v (P_v / L_v) V^+ Lambda_v V, with L_v = Tr[Lambda_v e^{-(H - evals[0])}]
+            weighted = np.zeros(V.shape, dtype=np.complex128)  # V is real for real-symmetric H
+            for p, el, _ in sets[b].lifted(model.n_hidden):
+                el_rot = V.conj().T @ el @ V
+                likelihood = max(float(el_rot.diagonal().real @ ev.weights[b]), LIKELIHOOD_FLOOR)
+                weighted += (p / likelihood) * el_rot
+            X[b] += V @ (weighted * _exp_neg_divided_differences(evals - evals[0])) @ V.conj().T
+    return _result(theta, term_expectations(model, X) - _reg_grad(model, thetas, lam))
 
 
 def _hadamard_series(H: np.ndarray, direction: np.ndarray, order: int) -> np.ndarray:
@@ -544,13 +556,17 @@ def grad_povm_commutator(
     moderate; orders above 12 are rejected as numerically useless.
     """
     _check_commutator_order(order)
-    theta, ev, lifted = _setup(model, theta, data)
-    rho = ev.rho
-    weighted = np.zeros_like(rho)
-    for p, el, _ in lifted:
-        weighted += (p / max(expectation_value(rho, el), LIKELIHOOD_FLOOR)) * el
-    X = rho - _hadamard_series(ev.H, rho @ weighted, order)
-    return term_expectations(model, X) - _reg_grad(model, theta, lam)
+    thetas, ev, sets = _setup(model, theta, data)
+    X = ev.rho.copy()
+    for b, data in enumerate(sets):
+        if b in ev.failed:
+            continue
+        rho = ev.rho[b]
+        weighted = np.zeros_like(rho)
+        for p, el, _ in data.lifted(model.n_hidden):
+            weighted += (p / max(expectation_value(rho, el), LIKELIHOOD_FLOOR)) * el
+        X[b] -= _hadamard_series(ev.H[b], rho @ weighted, order)
+    return _result(theta, term_expectations(model, X) - _reg_grad(model, thetas, lam))
 
 
 def objective_relent(
@@ -564,11 +580,9 @@ def objective_relent(
     finite; ascending this objective drives the Gibbs state toward rho.
     A theta stack gives one value per row (see objective_povm_exact).
     """
-    theta, ev, _ = _setup(model, theta, data, stacked=True)
-    if theta.ndim == 1:
-        return _relent_value(model, theta, data, ev.H, ev.log_z, lam)
-    H, _, log_z, failed = ev
-    return _rowwise(lambda b: _relent_value(model, theta[b], data, H[b], log_z[b], lam), theta, failed)
+    thetas, ev, sets = _setup(model, theta, data)
+    return _result(theta, _rowwise(
+        lambda b: _relent_value(model, thetas[b], sets[b], ev.H[b], ev.log_z[b], lam), thetas, ev.failed))
 
 
 def _relent_value(model: HamiltonianModel, theta: np.ndarray, data: StateTrainingSet,
@@ -586,8 +600,10 @@ def grad_relent(
 
     sigma is the Gibbs state of H, rho the (embedded) target.
     """
-    theta, ev, rho = _setup(model, theta, data)
-    return term_expectations(model, ev.rho - rho) - _reg_grad(model, theta, lam)
+    thetas, ev, sets = _setup(model, theta, data)
+    targets = np.array([data.lifted(model.n_hidden) for data in sets])
+    np.subtract(ev.rho, targets, out=targets)  # sigma - rho, in the stacked targets' buffer
+    return _result(theta, term_expectations(model, targets) - _reg_grad(model, thetas, lam))
 
 
 def child_seed(root, *key: int) -> np.random.SeedSequence:
@@ -635,7 +651,7 @@ def grad_relent_sampled(
     n_samples: int = 512,
     rng_seed=0,
 ) -> np.ndarray:
-    """Unbiased sampled version of grad_relent.
+    """Unbiased sampled version of grad_relent, at one theta.
 
     Each of the two expectations per component averages n_samples fresh
     eigenvalue measurements of the term on its own sub-stream of rng_seed
@@ -648,13 +664,16 @@ def grad_relent_sampled(
     once per model and kept on it (_measurement_bases); the products run over
     blocks of terms with at most CHUNK_ENTRIES entries each.
     """
-    theta, ev, rho = _setup(model, theta, data)
-    evals, V = _measurement_bases(model)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if np.ndim(theta) != 1:
+        raise ValueError(f"the sampled gradient takes one theta, not a stack of shape {np.shape(theta)}")
+    [theta], ev, [data] = _setup(model, theta, data)
+    rho, sigma = data.lifted(model.n_hidden), ev.rho[0]
+    evals, V = _measurement_bases(model)
     # row 2j + s: the diagonal of V_j^dag S V_j, S the target (s = 0) or the Gibbs state (s = 1)
     block = max(1, CHUNK_ENTRIES // rho.size)  # terms per product
-    probs = np.concatenate([np.stack([(Vb.conj() * (S @ Vb)).sum(axis=1).real for S in (rho, ev.rho)], axis=1)
+    probs = np.concatenate([np.stack([(Vb.conj() * (S @ Vb)).sum(axis=1).real for S in (rho, sigma)], axis=1)
                             for Vb in (V[j : j + block] for j in range(0, model.n_terms, block))])
     probs = np.clip(probs.reshape(2 * model.n_terms, -1), 0.0, 1.0)
     totals = probs.sum(axis=1)
@@ -672,20 +691,21 @@ def grad_relent_sampled(
     return means[1::2] - means[::2] - _reg_grad(model, theta, lam)
 
 
-# Gradient kind -> (training-set type, gradient at (model, theta, data, config,
-# epoch seed)). The gradients are looked up by their module names at call
-# time, so a wrapper installed on a public name sees every call.
+# Gradient kind -> (training-set type, gradient at (model, theta stack, one set per row,
+# config)); the sampled gradient trains one row and takes the epoch's seed too. The
+# gradients are looked up by their module names at call time, so a wrapper installed on
+# a public name sees every call.
 _GRADIENTS = {
-    "gt": (PovmTrainingSet, lambda m, t, d, c, s: grad_povm_gt(m, t, d, c.lam)),
-    "exact": (PovmTrainingSet, lambda m, t, d, c, s: grad_povm_exact(m, t, d, c.lam)),
+    "gt": (PovmTrainingSet, lambda m, t, d, c: grad_povm_gt(m, t, d, c.lam)),
+    "exact": (PovmTrainingSet, lambda m, t, d, c: grad_povm_exact(m, t, d, c.lam)),
     "commutator": (
         PovmTrainingSet,
-        lambda m, t, d, c, s: grad_povm_commutator(m, t, d, c.lam, c.commutator_order),
+        lambda m, t, d, c: grad_povm_commutator(m, t, d, c.lam, c.commutator_order),
     ),
-    "relent": (StateTrainingSet, lambda m, t, d, c, s: grad_relent(m, t, d, c.lam)),
+    "relent": (StateTrainingSet, lambda m, t, d, c: grad_relent(m, t, d, c.lam)),
     "relent_sampled": (
         StateTrainingSet,
-        lambda m, t, d, c, s: grad_relent_sampled(m, t, d, c.lam, c.n_samples, s),
+        lambda m, t, d, c, seed: grad_relent_sampled(m, t[0], d[0], c.lam, c.n_samples, seed)[None],
     ),
 }
 GRADIENT_KINDS = tuple(_GRADIENTS)
@@ -701,116 +721,92 @@ def train(
     config: OptimizerConfig,
     rng_seed=0,
 ) -> TrainingTrace:
-    """Heavy-ball gradient ascent: v <- mu v + eta G; theta <- theta + v.
+    """Heavy-ball gradient ascent of one theta: v <- mu v + eta G; theta <- theta + v.
 
-    The trace stores one record per visited parameter vector (epochs
-    0..config.epochs); GT and commutator runs monitor the exact POVM
-    objective, relative-entropy runs monitor objective_relent. A
-    non-finite objective or gradient, or a failed solve (LinAlgError), aborts
-    the run, keeps every valid record and sets trace.diverged (expected for
-    unstable commutator settings). Epoch e's gradient draws from child_seed(rng_seed, e).
+    The one-row call of the lockstep loop (_train_lockstep). The trace stores
+    one record per visited parameter vector (epochs 0..config.epochs); GT and
+    commutator runs monitor the exact POVM objective, relative-entropy runs
+    monitor objective_relent. A non-finite objective or gradient, or a failed
+    solve, aborts the run, keeps every valid record and sets trace.diverged
+    (expected for unstable commutator settings). Epoch e's sampled gradient
+    draws from child_seed(rng_seed, e).
     """
-    theta = _check_theta(model, theta0).copy()
-    data_type, gradient = _GRADIENTS[config.gradient_kind]
-    if not isinstance(data, data_type):
-        raise ValueError(
-            f"gradient kind {config.gradient_kind!r} trains on a {data_type.__name__}"
-        )
-    monitor = objective_povm_exact if data_type is PovmTrainingSet else objective_relent
-    target = data.lifted(model.n_hidden) if data_type is StateTrainingSet else None
+    if np.ndim(theta0) != 1:
+        raise ValueError(f"train takes one theta0, not a stack of shape {np.shape(theta0)}")
+    [trace], _ = _train_lockstep(model, np.asarray(theta0)[None], data, [config], rng_seed)
+    return trace
 
-    trace = TrainingTrace()
+
+def _train_lockstep(model: HamiltonianModel, theta0, data, configs, rng_seed=0):
+    """Heavy-ball ascent of every row of a (B, n_terms) theta0 at once, row b with configs[b].
+
+    data is one training set for every row or a sequence of one per row. The
+    rows share the model and every setting but learning_rate and momentum.
+    Each epoch calls the monitor (objective_povm_exact on POVM data,
+    objective_relent on a target state) and the gradient once on the live
+    stack, and both read its one evaluation (_evaluate). Returns (traces,
+    states): per row its TrainingTrace, which is train's on that row alone
+    bit for bit, and the Gibbs state at its last recorded theta. A row whose
+    objective or gradient is non-finite, or whose solve fails, freezes with
+    the reason and epoch in its note and keeps its valid records; the others
+    train on. relent_sampled trains one row, as each epoch draws its own
+    streams.
+    """
+    config = configs[0]
+    if any(replace(c, learning_rate=config.learning_rate, momentum=config.momentum) != config
+           for c in configs):
+        raise ValueError("lockstep rows may differ in learning_rate and momentum only")
+    theta = np.array(theta0, dtype=np.float64)
+    if theta.shape != (len(configs), model.n_terms):
+        raise ValueError(f"theta0 shape {theta.shape} does not match {len(configs)} rows "
+                         f"and {model.n_terms} terms")
+    data_type, gradient = _GRADIENTS[config.gradient_kind]
+    sets = [data] * len(theta) if isinstance(data, (PovmTrainingSet, StateTrainingSet)) else list(data)
+    if not all(isinstance(data, data_type) for data in sets):
+        raise ValueError(f"gradient kind {config.gradient_kind!r} trains on a {data_type.__name__}")
+    sampled = config.gradient_kind == "relent_sampled"
+    if sampled and len(theta) > 1:
+        raise ValueError("relent_sampled trains one row: each epoch draws its own streams")
+    monitor = objective_povm_exact if data_type is PovmTrainingSet else objective_relent
+
+    traces = [TrainingTrace() for _ in theta]
+    states = [None] * len(theta)
+    live = np.arange(len(theta))  # the trace of each row of theta
+    rate = np.array([[c.learning_rate] for c in configs])
+    momentum = np.array([[c.momentum] for c in configs])
     velocity = np.zeros_like(theta)
     # overflow in an unstable run shows up as a non-finite value or a failed
     # solve below, which is handled; the numpy warnings (from the evaluation
     # or the update) would just be noise
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs + 1):
+            objective = monitor(model, theta, sets, config.lam)
             try:
-                objective = monitor(model, theta, data, config.lam)
-                grad = gradient(model, theta, data, config, child_seed(rng_seed, epoch))
-            except np.linalg.LinAlgError as error:  # a solve of a huge or non-finite H
-                objective, grad, reason = math.nan, math.nan, str(error)
-            else:
-                reason = "non-finite objective or gradient"
-            if not (np.isfinite(objective) and np.all(np.isfinite(grad))):
-                trace.diverged = True
-                trace.note = f"{reason} at epoch {epoch}"
-                break
-            # from the Gibbs state this epoch's evaluation record holds
-            overlap = None if target is None else expectation_value(target, _evaluate(model, theta).rho)
-            trace.records.append(
-                TraceRecord(
-                    epoch=epoch,
-                    theta=theta.copy(),
-                    objective=float(objective),
-                    grad_norm=math.hypot(*grad),  # scaled, so finite whenever the norm itself is
-                    overlap=overlap,
-                )
-            )
-            if epoch == config.epochs:
-                break
-            velocity = config.momentum * velocity + config.learning_rate * grad
-            theta = theta + velocity
-    if not trace.records:
-        raise ValueError("training diverged before the first epoch completed")
-    return trace
-
-
-def _train_lockstep(model: HamiltonianModel, theta0, targets, config: OptimizerConfig):
-    """train on (theta0[b], targets[b]) for every b at once: relative-entropy ascent in lockstep.
-
-    Returns (traces, states): per instance the TrainingTrace that
-    train(model, theta0[b], targets[b], config) returns, bit for bit, and the
-    Gibbs state at its final theta. All instances step together on one
-    (B, n_terms) theta array with one stacked evaluation per epoch (see
-    _evaluate_stack). An instance that diverges freezes with train's note and
-    keeps its valid records, and the others train on.
-    """
-    if config.gradient_kind != "relent":
-        raise ValueError(f"lockstep training ascends the relent gradient, not {config.gradient_kind!r}")
-    theta = np.array(theta0, dtype=np.float64)
-    if theta.shape != (len(targets), model.n_terms):
-        raise ValueError(f"theta0 shape {theta.shape} does not match {len(targets)} targets "
-                         f"and {model.n_terms} terms")
-    for data in targets:
-        if not isinstance(data, StateTrainingSet) or data.dim != 2**model.n_visible:
-            raise ValueError(f"lockstep targets must be StateTrainingSets on {model.n_visible} visible units")
-    lifted = np.stack([data.lifted(model.n_hidden) for data in targets])
-    traces = [TrainingTrace() for _ in targets]
-    states = [None] * len(targets)
-    live = np.arange(len(targets))  # instance of each row of theta
-    velocity = np.zeros_like(theta)
-    # as in train: overflow shows up as a non-finite value or a failed solve
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(config.epochs + 1):
-            H, rho, log_z, failed = _evaluate_stack(model, theta)
-            grad = term_expectations(model, rho - lifted) - _reg_grad(model, theta, config.lam)
-            finite_grad = np.isfinite(grad).all(axis=1)
+                grad = gradient(model, theta, sets, config, *((child_seed(rng_seed, epoch),) if sampled else ()))
+            except np.linalg.LinAlgError:  # the sampled gradient's one theta, whose solve failed
+                grad = np.full(theta.shape, np.nan)
+            ev = _evaluate(model, theta)  # the record both calls read
+            finite = np.isfinite(objective) & np.isfinite(grad).all(axis=1)
             kept = []
             for i, b in enumerate(live):
-                objective = math.nan if i in failed else _relent_value(
-                    model, theta[i], targets[b], H[i], log_z[i], config.lam)
-                if not (math.isfinite(objective) and finite_grad[i]):
+                if not finite[i]:
                     traces[b].diverged = True
-                    traces[b].note = f"{failed.get(i, 'non-finite objective or gradient')} at epoch {epoch}"
+                    traces[b].note = f"{ev.failed.get(i, 'non-finite objective or gradient')} at epoch {epoch}"
                     continue
-                traces[b].records.append(
-                    TraceRecord(
-                        epoch=epoch,
-                        theta=theta[i].copy(),
-                        objective=float(objective),
-                        grad_norm=math.hypot(*grad[i]),
-                        overlap=expectation_value(lifted[i], rho[i]),
-                    )
-                )
-                states[b] = rho[i]
+                overlap = None if data_type is PovmTrainingSet else expectation_value(
+                    sets[i].lifted(model.n_hidden), ev.rho[i])
+                # hypot is scaled, so finite whenever the norm itself is
+                traces[b].records.append(TraceRecord(
+                    epoch, theta[i].copy(), float(objective[i]), math.hypot(*grad[i]), overlap))
+                states[b] = ev.rho[i]
                 kept.append(i)
             if epoch == config.epochs or not kept:
                 break
             if len(kept) < len(live):
-                live, theta, velocity, grad, lifted = (a[kept] for a in (live, theta, velocity, grad, lifted))
-            velocity = config.momentum * velocity + config.learning_rate * grad
+                live, theta, velocity, grad, rate, momentum = (
+                    a[kept] for a in (live, theta, velocity, grad, rate, momentum))
+                sets = [sets[i] for i in kept]
+            velocity = momentum * velocity + rate * grad
             theta = theta + velocity
     if not all(trace.records for trace in traces):
         raise ValueError("training diverged before the first epoch completed")

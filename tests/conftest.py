@@ -77,16 +77,17 @@ def spy_on_solves(monkeypatch, calls, *modules, values_too=False):
         monkeypatch.setattr(module, "_eigh", spy)
 
 
-def assert_lockstep_matches_train(model, theta0, targets, config, traces, states):
-    """Each lockstep instance is train on its theta0 and target, bit for bit, final state included."""
+def assert_lockstep_matches_train(model, theta0, data, configs, traces, states):
+    """Each lockstep row is train on its theta0, training set and config, bit for bit, final state included."""
     import qbmlab.training as training
 
-    assert len(traces) == len(states) == len(targets)
-    for start, data, got, state in zip(theta0, targets, traces, states):
+    sets = [data] * len(theta0) if hasattr(data, "lifted") else data
+    assert len(traces) == len(states) == len(sets) == len(configs)
+    for start, data, config, got, state in zip(theta0, sets, configs, traces, states):
         want = training.train(model, start, data, config)
         assert (got.diverged, got.note) == (want.diverged, want.note)
         assert [r.epoch for r in got.records] == [r.epoch for r in want.records]
         assert np.array_equal(got.thetas, want.thetas)
         for a, b in zip(got.records, want.records):
             assert (a.objective, a.grad_norm, a.overlap) == (b.objective, b.grad_norm, b.overlap)
-        assert np.array_equal(state, training._evaluate(model, want.final_theta).rho)
+        assert np.array_equal(state, training._evaluate(model, want.final_theta[None]).rho[0])

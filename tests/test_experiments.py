@@ -532,30 +532,34 @@ class TestOutputs:
             assert np.array_equal(sigma, fresh[-1])
 
     def test_commutator_compare_reuses_schedule_a(self, monkeypatch):
-        settings = {"n_visible": "2", "epochs": "6", "eta_grid": "0.05,0.1", "momentum_grid": "0,0.5"}
-        runs = []
+        runs, stacks = [], []
         monkeypatch.setattr(experiments, "train",
                             lambda *args, **kw: runs.append(args[3]) or train(*args, **kw))
-        config = make_config("commutator-compare", settings)
+        lockstep = experiments._train_lockstep
+        monkeypatch.setattr(experiments, "_train_lockstep", lambda *args: stacks.append(args[3]) or lockstep(*args))
+        config = make_config("commutator-compare", {"n_visible": "3", "epochs": "8"})
         _, files = experiments.run_commutator_compare(config)
-        # A, B's commutator phase and the three grid points other than A's own
-        assert [opt.gradient_kind for opt in runs] == ["gt", "commutator", "gt", "gt", "gt"]
-        assert len(set(runs)) == 5
-        # every curve and grid value is what training each schedule afresh gives
+        # one GT stack: A's row, then the 14 grid points other than A's own; B's commutator phase is one train
+        assert [opt.gradient_kind for opt in runs] == ["commutator"]
+        [opts] = stacks
+        assert len(opts) == len(set(opts)) == 15 and opts[0] == config.optimizer(gradient_kind="gt")
+        # every curve and grid value is what training each schedule and grid point alone gives
         data = experiments._step_povm(config.n_visible, config.noise_p, config.povm_kind)
         model = build_model(config.family, config.n_visible)
         rng = np.random.default_rng(child_seed(config.seed, 0))
         theta0 = config.theta0_scale * rng.standard_normal(model.n_terms)
-        first = 3
+        first = 4
         b1 = train(model, theta0, data, config.optimizer(gradient_kind="gt", epochs=first))
         b2 = train(model, b1.final_theta, data,
-                   config.optimizer(gradient_kind="commutator", epochs=6 - first))
-        grid = {(eta, mu): train(model, theta0, data, config.optimizer(
-                    gradient_kind="gt", learning_rate=eta, momentum=mu)).objectives
-                for eta in (0.05, 0.1) for mu in (0.0, 0.5)}
+                   config.optimizer(gradient_kind="commutator", epochs=8 - first))
+        grid = {(eta, mu): experiments._pad_curve(train(model, theta0, data, config.optimizer(
+                    gradient_kind="gt", learning_rate=eta, momentum=mu)).objectives, 9)
+                for eta in config.grid("eta_grid", float) for mu in config.grid("momentum_grid", float)}
+        best = max(grid.values(), key=lambda curve: curve[-1])
         rows = files["curves.csv"][1]
-        assert [row[1] for row in rows] == list(grid[0.1, 0.0])
+        assert [row[1] for row in rows] == list(grid[config.learning_rate, config.momentum])
         assert [row[2] for row in rows] == list(b1.objectives) + list(b2.objectives[1:])
+        assert [row[3] for row in rows] == list(best)
         assert files["grid.csv"][1] == [(eta, mu, float(curve[-1])) for (eta, mu), curve in grid.items()]
 
     def test_curves_csv_shape(self, tmp_path):

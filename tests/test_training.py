@@ -4,6 +4,7 @@ import ast
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -365,7 +366,8 @@ class TestPerTermOracles:
         _, data, _ = step_function_state(3)
         padded = [np.kron(el, np.eye(2)) for el in data.elements]
         got = grad_povm_exact(m, theta, data)
-        assert training._evaluate(m, theta).eigen.eigenvectors.dtype == np.float64
+        [(_, (_, V))] = training._evaluate(m, theta[None]).solves
+        assert V.dtype == np.float64
         want = self.exact_oracle(m, H, padded, data.probabilities)
         assert np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want)
 
@@ -392,12 +394,12 @@ class TestPerTermOracles:
 
 def sampled_oracle(model, theta, data, lam, n_samples, rng_seed):
     """grad_relent_sampled term by term and stream by stream, each stream a Generator.choice."""
-    theta, ev, rho = training._setup(model, theta, data)
+    [theta], ev, [data] = training._setup(model, theta, data)
     grad = []
     for j, term in enumerate(model.terms):
         evals, V = training._measurement_basis(term.matrix)
         means = []
-        for k, state in ((2 * j, rho), (2 * j + 1, ev.rho)):
+        for k, state in ((2 * j, data.lifted(model.n_hidden)), (2 * j + 1, ev.rho[0])):
             probs = np.clip(np.einsum("ia,ab,bi->i", V.conj().T, state, V).real, 0.0, 1.0)
             rng = np.random.default_rng(child_seed(rng_seed, k))
             means.append(float(evals[rng.choice(evals.size, size=n_samples, p=probs / probs.sum())].mean()))
@@ -459,11 +461,19 @@ class TestSampledGradient:
             with pytest.raises(ValueError, match="n_samples"):
                 grad_relent_sampled(build_mean_field(1), np.zeros(3), random_mixed(1, rng), n_samples=n_samples)
 
+    def test_sample_count_checked_before_any_solve(self, rng, monkeypatch):
+        model, data = build_mean_field(1), random_mixed(1, rng)
+        calls = []
+        spy_on_solves(monkeypatch, calls, training, linalg, values_too=True)
+        with pytest.raises(ValueError, match="n_samples"):
+            grad_relent_sampled(model, np.zeros(3), data, n_samples=0)
+        assert calls == [] and "_evaluation" not in vars(model) and "_measurement_bases" not in vars(model)
+
     @pytest.mark.parametrize("fill,message", [(0.0, "no weight"), (np.nan, "NaN")])
     def test_gibbs_state_without_a_distribution(self, fill, message, rng, monkeypatch):
         evaluate = training._evaluate
         monkeypatch.setattr(training, "_evaluate", lambda m, t: evaluate(m, t)._replace(
-            rho=np.full((m.dim, m.dim), fill, dtype=complex)))
+            rho=np.full((len(t), m.dim, m.dim), fill, dtype=complex)))
         with pytest.raises(ValueError, match=message):
             grad_relent_sampled(build_mean_field(1), np.zeros(3), random_mixed(1, rng))
 
@@ -609,7 +619,7 @@ class TestTrainLoop:
         _, povm, _ = step_function_state(2, 0.1)
         m = build_fermionic_model(2)
         grad = training._GRADIENTS["exact"]
-        monkeypatch.setitem(training._GRADIENTS, "exact", (grad[0], lambda *args: np.full(m.n_terms, 1e308)))
+        monkeypatch.setitem(training._GRADIENTS, "exact", (grad[0], lambda m, t, *args: np.full(t.shape, 1e308)))
         tr = train(m, np.zeros(m.n_terms), povm, OptimizerConfig("exact", learning_rate=10.0, epochs=4))
         assert tr.diverged
         assert tr.note == "H(theta) has non-finite entries at epoch 1"
@@ -618,7 +628,7 @@ class TestTrainLoop:
     def test_grad_norm_of_a_huge_finite_gradient_is_finite(self, monkeypatch):
         # 1e200 squared overflows; the norm itself is 1e200 * sqrt(n_terms)
         m = build_mean_field(2)
-        monkeypatch.setattr(training, "grad_relent", lambda *args: np.full(m.n_terms, 1e200))
+        monkeypatch.setattr(training, "grad_relent", lambda m, t, *args: np.full(t.shape, 1e200))
         data = random_mixed(2, np.random.default_rng(0))
         tr = train(m, np.zeros(m.n_terms), data, OptimizerConfig("relent", learning_rate=0.0, epochs=2))
         assert not tr.diverged
@@ -667,7 +677,7 @@ class TestTrainLoop:
 
 
 class TestLockstep:
-    """training._train_lockstep against train, instance by instance."""
+    """training._train_lockstep against train, row by row."""
 
     @pytest.fixture
     def problem(self, rng):
@@ -676,32 +686,40 @@ class TestLockstep:
         theta0 = 0.3 * rng.normal(size=(5, model.n_terms))
         theta0[0] = 0.0  # a real H beside complex ones at epoch 0
         config = OptimizerConfig("relent", learning_rate=0.5, momentum=0.5, lam=0.3, epochs=6)
-        return model, theta0, targets, config
+        return model, theta0, targets, [config] * 5
 
     def test_matches_train_with_momentum_and_penalty(self, problem):
         traces, states = training._train_lockstep(*problem)
         assert_lockstep_matches_train(*problem, traces, states)
         assert not any(trace.diverged for trace in traces)
 
+    def test_each_row_takes_its_own_learning_rate_and_momentum(self, problem):
+        model, theta0, targets, configs = problem
+        configs = [replace(config, learning_rate=eta, momentum=mu)
+                   for config, eta, mu in zip(configs, (0.1, 0.5, 1.0, 0.5, 0.0), (0.0, 0.5, 0.9, 0.0, 0.3))]
+        traces, states = training._train_lockstep(model, theta0, targets, configs)
+        assert_lockstep_matches_train(model, theta0, targets, configs, traces, states)
+        assert len({trace.thetas[-1].tobytes() for trace in traces}) == 5
+
     def test_a_nonzero_real_hamiltonian_beside_complex_ones(self, problem):
         # a real target and no weight on the imaginary (Y-odd) terms keep instance 0's H real
         # and nonzero at every epoch, so each stacked evaluation solves it apart from the rest
-        model, theta0, targets, config = problem
+        model, theta0, targets, configs = problem
         imaginary = np.array([term.matrix.imag.any() for term in model.terms])
         theta0 = theta0.copy()
         theta0[0] = np.where(imaginary, 0.0, theta0[1])
         targets = [StateTrainingSet(rho=targets[0].rho.real), *targets[1:]]
-        traces, states = training._train_lockstep(model, theta0, targets, config)
-        assert_lockstep_matches_train(model, theta0, targets, config, traces, states)
+        traces, states = training._train_lockstep(model, theta0, targets, configs)
+        assert_lockstep_matches_train(model, theta0, targets, configs, traces, states)
         real_row = traces[0].thetas
-        assert len(real_row) == config.epochs + 1
+        assert len(real_row) == configs[0].epochs + 1
         assert not real_row[:, imaginary].any() and real_row[:, ~imaginary].any(axis=1).all()
         assert all(trace.thetas[:, imaginary].any(axis=1).all() for trace in traces[1:])
 
     def test_diverged_instances_freeze_alone(self, problem, monkeypatch):
         # instance 1 meets a non-finite H at epoch 2, and instance 3 an H whose solve fails at epoch 4
-        model, theta0, targets, config = problem
-        clean = [train(model, start, data, config) for start, data in zip(theta0, targets)]
+        model, theta0, targets, configs = problem
+        clean = [train(model, start, data, config) for start, data, config in zip(theta0, targets, configs)]
         poisoned = assemble_hamiltonian(model, clean[1].records[2].theta)
         unsolvable = assemble_hamiltonian(model, clean[3].records[4].theta)
         assemble, eigh, solved = training.assemble_hamiltonian, np.linalg.eigh, []
@@ -721,7 +739,7 @@ class TestLockstep:
 
         monkeypatch.setattr(training, "assemble_hamiltonian", assemble_poisoned)
         monkeypatch.setattr(np.linalg, "eigh", eigh_failing)
-        traces, states = training._train_lockstep(model, theta0, targets, config)
+        traces, states = training._train_lockstep(model, theta0, targets, configs)
         # one stacked solve per realness group per epoch (two at epoch 0); epoch 4's failed
         # and went row by row over its 4 live rows
         assert solved == [1, 4, 5, 4, 4, 4, 1, 1, 1, 1, 3, 3]
@@ -729,18 +747,48 @@ class TestLockstep:
             "", "H(theta) has non-finite entries at epoch 2", "", "Eigenvalues did not converge at epoch 4", ""]
         assert [len(trace.records) for trace in traces] == [7, 2, 7, 4, 7]
         # train under the same faults, bit for bit; the frozen keep the clean run's records up to the fault
-        assert_lockstep_matches_train(model, theta0, targets, config, traces, states)
+        assert_lockstep_matches_train(model, theta0, targets, configs, traces, states)
         for trace, reference in zip(traces, clean):
             assert np.array_equal(trace.thetas, reference.thetas[: len(trace.records)])
 
-    def test_rejects_other_gradients_and_shapes(self, problem):
-        model, theta0, targets, config = problem
-        with pytest.raises(ValueError, match="relent"):
-            training._train_lockstep(model, theta0, targets, OptimizerConfig("relent_sampled"))
+    def test_a_gt_grid_with_a_diverging_row_is_train_row_by_row(self, rng):
+        # commutator-compare's schedule C: one model, one data set and one theta0 under several (eta, mu)
+        model, povm = build_fermionic_model(2, 1), step_function_state(2, 0.1)[1]
+        base = OptimizerConfig("gt", lam=0.2, epochs=8)
+        settings = [(0.1, 0.0), (0.5, 0.9), (1e308, 0.0), (1.0, 0.5), (0.1, 0.0)]
+        configs = [replace(base, learning_rate=eta, momentum=mu) for eta, mu in settings]
+        theta0 = np.tile(0.01 * rng.normal(size=model.n_terms), (len(configs), 1))
+        traces, states = training._train_lockstep(model, theta0, povm, configs)
+        assert [trace.diverged for trace in traces] == [False, False, True, False, False]
+        assert len(traces[2].records) == 1 and traces[2].note.endswith("at epoch 1")
+        assert_lockstep_matches_train(model, theta0, povm, configs, traces, states)
+        assert np.array_equal(traces[0].thetas, traces[4].thetas)
+
+    @pytest.mark.parametrize("kind", ["exact", "commutator"])
+    def test_povm_rows_on_their_own_data(self, kind, rng):
+        model = build_classical_bm(2, 1)
+        sets = [random_full_rank_povm(4, rng) for _ in range(3)]
+        theta0 = 0.3 * rng.normal(size=(3, model.n_terms))
+        configs = [OptimizerConfig(kind, learning_rate=0.3, momentum=0.5, epochs=4)] * 3
+        traces, states = training._train_lockstep(model, theta0, sets, configs)
+        assert_lockstep_matches_train(model, theta0, sets, configs, traces, states)
+
+    def test_rejects_other_gradients_and_shapes(self, problem, rng):
+        model, theta0, targets, configs = problem
+        with pytest.raises(ValueError, match="relent_sampled trains one row"):
+            training._train_lockstep(model, theta0, targets, [OptimizerConfig("relent_sampled")] * 5)
+        with pytest.raises(ValueError, match="learning_rate and momentum only"):
+            training._train_lockstep(model, theta0, targets, [*configs[:4], replace(configs[0], lam=0.0)])
         with pytest.raises(ValueError, match="shape"):
-            training._train_lockstep(model, theta0[:4], targets, config)
+            training._train_lockstep(model, theta0[:4], targets, configs)
         with pytest.raises(ValueError, match="StateTrainingSet"):
-            training._train_lockstep(build_mean_field(3), np.zeros((5, 9)), targets, config)
+            training._train_lockstep(model, theta0, [*targets[:4], random_full_rank_povm(4, rng)], configs)
+        with pytest.raises(ValueError, match="4 training sets for 5 theta rows"):
+            training._train_lockstep(model, theta0, targets[:4], configs)
+        with pytest.raises(ValueError, match="dimension"):
+            training._train_lockstep(build_mean_field(3), np.zeros((5, 9)), targets, configs)
+        with pytest.raises(ValueError, match="one theta0"):
+            train(model, theta0, targets[0], configs[0])
 
 
 class TestTermExpectations:
@@ -791,6 +839,11 @@ EVALUATIONS = {
 }
 
 
+def record_arrays(record):
+    """Every array of an evaluation record: H, each solve's eigensystem, weights, rho and log Z."""
+    return (record.H, *(a for _, eigen in record.solves for a in eigen), record.weights, record.rho, record.log_z)
+
+
 def _counting(monkeypatch, module, name, calls):
     original = getattr(module, name)
 
@@ -827,7 +880,14 @@ class TestEvaluationRecord:
             evaluate(moved, other, povm, state)
         after_other = EVALUATIONS[name](moved, theta, povm, state)
 
-        for value in (after_same, after_other):
+        # the record of a stack holding theta is no record of theta: shapes differ
+        stacked = build_fermionic_model(2, 1)
+        for key, evaluate in EVALUATIONS.items():
+            if key != "grad_relent_sampled":  # one theta only
+                evaluate(stacked, np.stack([other, theta]), povm, state)
+        after_stack = EVALUATIONS[name](stacked, theta, povm, state)
+
+        for value in (after_same, after_other, after_stack):
             assert np.array_equal(value, fresh)
 
     def test_models_share_nothing(self, rng):
@@ -839,20 +899,21 @@ class TestEvaluationRecord:
         want = grad_relent(type(first)("mean_field", 2, 0, first.terms[::-1]), theta, data)
         grad_relent(first, theta, data)
         assert np.array_equal(grad_relent(second, theta, data), want)
-        a, b = training._evaluate(first, theta), training._evaluate(second, theta)
-        for x, y in zip((a.H, *a.eigen, a.rho), (b.H, *b.eigen, b.rho)):
+        a, b = training._evaluate(first, theta[None]), training._evaluate(second, theta[None])
+        for x, y in zip(record_arrays(a), record_arrays(b)):
             assert not np.shares_memory(x, y)
         assert not np.array_equal(a.H, b.H)
 
     def test_cached_arrays_read_only(self, problem):
         theta, _, povm, _ = problem
         m = build_fermionic_model(2, 1)
-        grad_povm_gt(m, theta, povm)
-        record = training._evaluate(m, theta)
-        for array in (record.H, *record.eigen, record.weights, record.rho):
-            assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            record.rho[0, 0] = 0.0
+        for thetas in (theta[None], np.stack([theta, -theta, 0 * theta])):  # one solve, then two
+            grad_povm_gt(m, thetas, povm)
+            record = training._evaluate(m, thetas)
+            for array in record_arrays(record):
+                assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                record.rho[0, 0, 0] = 0.0
         for _, *ops in povm.lifted(m.n_hidden):
             for op in ops:
                 assert not op.flags.writeable
@@ -1065,8 +1126,11 @@ class TestStackedObjectives:
                 objective(model, thetas[:, :-1], povm, state, 0.0)
             with pytest.raises(ValueError, match="theta shape"):
                 objective(model, thetas[None], povm, state, 0.0)
-        with pytest.raises(ValueError, match="theta shape"):
-            grad_relent(model, thetas, state)
+        for name in ("grad_povm_gt", "grad_povm_exact", "grad_povm_commutator", "grad_relent"):
+            with pytest.raises(ValueError, match="theta shape"):
+                EVALUATIONS[name](model, thetas[None], povm, state)
+        with pytest.raises(ValueError, match="one theta"):
+            grad_relent_sampled(model, thetas, state)
 
     @pytest.mark.parametrize("family", GRADCHECK_SIZES)
     def test_finite_difference_gradient_is_the_loop_of_single_calls(self, family, rng):
@@ -1091,6 +1155,73 @@ class TestStackedObjectives:
             got = finite_difference_gradient(fun, theta)
             assert stacks == [(2 * model.n_terms, model.n_terms)]
             assert np.array_equal(got, loop(fun, theta)), name
+
+
+# Every analytic gradient that takes a theta stack, at (model, theta or theta stack, POVM data, state data).
+STACKED_GRADIENTS = {
+    "gt": lambda m, t, povm, state: grad_povm_gt(m, t, povm, 0.3),
+    "exact": lambda m, t, povm, state: grad_povm_exact(m, t, povm, 0.3),
+    "commutator": lambda m, t, povm, state: grad_povm_commutator(m, t, povm, 0.3, 4),
+    "relent": lambda m, t, povm, state: grad_relent(m, t, state, 0.3),
+}
+
+
+class TestStackedGradients:
+    """Each analytic gradient on a (B, n_terms) theta stack against its call at each row alone."""
+
+    @pytest.mark.parametrize("family,nv,nh", [("fermionic", 2, 1), ("classical_bm", 2, 1), ("pauli_complete", 2, 0)])
+    @pytest.mark.parametrize("kind", STACKED_GRADIENTS)
+    def test_each_row_is_the_single_call(self, family, nv, nh, kind, rng):
+        model = build_model(family, nv, nh)
+        thetas = 0.5 * rng.normal(size=(5, model.n_terms))
+        thetas[1] *= [not term.matrix.imag.any() for term in model.terms]  # a real H beside complex ones
+        thetas[3, 0] = np.nan
+        povm, state = random_full_rank_povm(2**nv, rng), random_mixed(nv, rng)
+        real = ~assemble_hamiltonian(model, thetas).imag.any(axis=(1, 2))
+        assert real[1] and (family != "pauli_complete" or not real[[0, 2, 4]].any())
+        gradient = STACKED_GRADIENTS[kind]
+        got = gradient(model, thetas, povm, state)
+        assert got.shape == thetas.shape
+        assert np.isnan(got[3]).all()
+        for b in (0, 1, 2, 4):
+            assert np.array_equal(got[b], gradient(build_model(family, nv, nh), thetas[b], povm, state))
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            gradient(build_model(family, nv, nh), thetas[3], povm, state)
+
+    @pytest.mark.parametrize("kind", STACKED_GRADIENTS)
+    def test_one_training_set_per_row(self, kind, rng):
+        model = build_fermionic_model(2, 1)
+        thetas = 0.5 * rng.normal(size=(3, model.n_terms))
+        povms = [random_full_rank_povm(4, rng) for _ in thetas]
+        states = [random_mixed(2, rng) for _ in thetas]
+        gradient = STACKED_GRADIENTS[kind]
+        got = gradient(model, thetas, povms, states)
+        for theta, povm, state, row in zip(thetas, povms, states, got):
+            assert np.array_equal(row, gradient(model, theta, povm, state))
+        for name, objective in OBJECTIVES.items():
+            got = objective(model, thetas, povms, states, 0.3)
+            assert np.array_equal(got, [objective(model, *args, 0.3) for args in zip(thetas, povms, states)]), name
+        with pytest.raises(ValueError, match="2 training sets for 3 theta rows"):
+            gradient(model, thetas, povms[:2], states[:2])
+
+    def test_a_row_whose_bound_solve_fails_reads_nan(self, rng, monkeypatch):
+        # the solver behind gibbs_state fails on a huge H - log Lambda_v, as LAPACK may at theta ~ 1e307
+        model, povm = build_fermionic_model(2), random_full_rank_povm(4, rng)
+        thetas = 0.5 * rng.normal(size=(3, model.n_terms))
+        want = grad_povm_gt(model, thetas, povm)
+        thetas[1] *= 1e150
+        solve = linalg._eigh
+
+        def fail_when_huge(H, vectors=True):
+            if np.abs(H).max() > 1e140:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return solve(H, vectors)
+
+        monkeypatch.setattr(linalg, "_eigh", fail_when_huge)
+        got = grad_povm_gt(model, thetas, povm)
+        assert np.isnan(got[1]).all() and np.array_equal(got[[0, 2]], want[[0, 2]])
+        with pytest.raises(np.linalg.LinAlgError, match="converge"):
+            grad_povm_gt(model, thetas[1], povm)
 
 
 class TestMeasurementBases:
