@@ -7,6 +7,9 @@ and sampled gradients, plus seeded experiment runners that emit plot-ready
 CSV/JSON data.
 """
 
+# Set before the imports, so that experiments can read it while this package initializes.
+__version__ = "0.1.0"
+
 from .linalg import (
     EigenSystem,
     expectation_value,
@@ -14,7 +17,6 @@ from .linalg import (
     gibbs_state,
     hermitian_eigendecompose,
     hermitize,
-    log_partition,
     matrix_log_psd,
     validate_density_matrix,
     von_neumann_entropy,
@@ -73,5 +75,3 @@ from .experiments import (
     run_tomography_ensemble,
     run_variance_sweep,
 )
-
-__version__ = "0.1.0"

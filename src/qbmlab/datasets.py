@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import _eigh, _gibbs_from_eigensystem
+from .linalg import _eigh, _gibbs
 from .operators import HamiltonianModel, assemble_hamiltonian
 from .training import PovmTrainingSet, StateTrainingSet
 
@@ -132,4 +132,4 @@ def random_ti_teacher(model: HamiltonianModel, normalize, rng: np.random.Generat
     evals, V = _eigh(assemble_hamiltonian(model, theta))  # Hermitian bit for bit: unchecked
     norm = np.abs(evals).max()
     scales = [norm if flag else 1.0 for flag in normalize]  # x / 1.0 is x, bit for bit
-    return [(theta / s, StateTrainingSet(rho=_gibbs_from_eigensystem(evals / s, V)[0])) for s in scales]
+    return [(theta / s, StateTrainingSet(rho=_gibbs(evals / s, V)[1])) for s in scales]

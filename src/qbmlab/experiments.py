@@ -20,6 +20,7 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
+from . import __version__
 from .datasets import (
     haar_random_pure,
     random_mixed,
@@ -981,15 +982,6 @@ _KEY_TYPES = {f.name: f.type for config_class, _ in EXPERIMENTS.values()
               for f in dataclasses.fields(config_class)}
 
 
-def _tool_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("qbmlab")
-    except Exception:
-        return "unknown"
-
-
 def run_experiment(config: ExperimentConfig):
     """Run one experiment; write its files and manifest if config.out is set.
 
@@ -1002,7 +994,7 @@ def run_experiment(config: ExperimentConfig):
     result, files = EXPERIMENTS[config.experiment][1](config)
     if config.out:
         os.makedirs(config.out, exist_ok=True)
-        manifest = dict(experiment=config.experiment, version=_tool_version(), seed=config.seed,
+        manifest = dict(experiment=config.experiment, version=__version__, seed=config.seed,
                         config=dataclasses.asdict(config))
         for name, payload in {"manifest.json": manifest, **files}.items():
             path = os.path.join(config.out, name)

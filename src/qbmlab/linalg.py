@@ -5,8 +5,9 @@ scale (a handful of qubits, dimension at most a few thousand). The one
 exception is inside the eigensolver: a Hermitian matrix with no imaginary
 part is real symmetric and goes to numpy's real solver, so its
 eigenvectors are float64. Gibbs weights are always computed in the
-eigenbasis with a max-shift so that matrix norms up to ~50 stay far away
-from overflow. The public entry points check and symmetrize their input;
+eigenbasis with a max-shift, by the one kernel _gibbs for a single
+eigensystem or a stack, so that matrix norms up to ~50 stay far away from
+overflow. The public entry points check and symmetrize their input;
 _eigh, the one caller of numpy's eigensolvers, trusts it.
 """
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "hermitize",
     "hermitian_eigendecompose",
     "gibbs_state",
-    "log_partition",
     "matrix_log_psd",
     "von_neumann_entropy",
     "fidelity",
@@ -103,28 +103,20 @@ def hermitian_eigendecompose(A: np.ndarray) -> EigenSystem:
     return _eigh(_require_hermitian(A, "operator"))
 
 
-def _shifted_weights(evals: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Gibbs weights e^{-(lambda_i - lambda_min)}, their sum and log Z.
+def _gibbs(evals: np.ndarray, V: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """(weights, rho, log Z) of the matrix with eigensystem (evals, V), or of each of a stack.
 
-    evals must be ascending. Only ratios of order one are ever
-    exponentiated; log Z is shift-corrected.
+    evals are ascending along the last axis. The weights are
+    e^{-(lambda_i - lambda_min)}, so only ratios of order one are ever
+    exponentiated, and log Z is shift-corrected. rho = e^{-H} / Tr[e^{-H}] is
+    formed in V's arithmetic (see _spectral_sum), or is None without V. Each
+    matrix of a stack gets bit for bit what it gets alone.
     """
-    shift = evals[0]
+    shift = evals[..., :1]
     weights = np.exp(-(evals - shift))
-    total = weights.sum()
-    return weights, total, float(np.log(total) - shift)
-
-
-def _gibbs_from_eigensystem(
-    evals: np.ndarray, V: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Gibbs state, shifted weights and log Z of the matrix with eigensystem (evals, V).
-
-    rho is formed in V's arithmetic (real for real eigenvectors) and
-    returned as complex128.
-    """
-    weights, total, log_z = _shifted_weights(evals)
-    return _spectral_sum(V, weights / total), weights, log_z
+    total = weights.sum(axis=-1, keepdims=True)
+    rho = None if V is None else _spectral_sum(V, (weights / total)[..., None, :])
+    return weights, rho, (np.log(total) - shift)[..., 0]
 
 
 def _spectral_sum(V: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -142,17 +134,8 @@ def gibbs_state(H: np.ndarray) -> tuple[np.ndarray, float]:
     Returns (rho, logZ) with rho = e^{-H} / Tr[e^{-H}], formed from
     max-shifted weights so that large ||H|| cannot overflow.
     """
-    rho, _, log_z = _gibbs_from_eigensystem(*hermitian_eigendecompose(H))
-    return rho, log_z
-
-
-def log_partition(H: np.ndarray) -> float:
-    """log Tr[e^{-H}] from the spectrum alone (eigvalsh, no eigenvectors).
-
-    The same shifted log-sum-exp as gibbs_state's logZ, for callers that
-    need only the normalization.
-    """
-    return _shifted_weights(_eigh(_require_hermitian(H, "operator"), vectors=False))[2]
+    _, rho, log_z = _gibbs(*hermitian_eigendecompose(H))
+    return rho, float(log_z)
 
 
 def matrix_log_psd(A: np.ndarray, clip: float = 1e-10) -> np.ndarray:

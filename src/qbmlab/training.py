@@ -19,9 +19,8 @@ from .linalg import (
     EigenSystem,
     _eigh,
     _exp_neg_divided_differences,
+    _gibbs,
     _require_hermitian,
-    _shifted_weights,
-    _spectral_sum,
     expectation_value,
     gibbs_state,
     hermitian_eigendecompose,
@@ -305,12 +304,7 @@ def _evaluate(model: HamiltonianModel, thetas: np.ndarray) -> _Evaluation:
     # unchecked: the scatter makes H[r, c] and H[c, r] exact conjugates
     H = assemble_hamiltonian(model, thetas)
     solves, failed = _solve_stack(H)
-    parts = []  # (rows, weights, rho, log Z) of each solve, as _shifted_weights forms them row by row
-    for rows, (evals, V) in solves:
-        shift = evals[:, :1]
-        weights = np.exp(-(evals - shift))
-        total = weights.sum(axis=1, keepdims=True)
-        parts.append((rows, weights, _spectral_sum(V, (weights / total)[:, None]), (np.log(total) - shift)[:, 0]))
+    parts = [(rows, *_gibbs(*eigen)) for rows, eigen in solves]  # (rows, weights, rho, log Z) of each solve
     if len(parts) == 1 and len(parts[0][0]) == len(H):
         _, weights, rho, log_z = parts[0]  # one solve of every row, as at dim 512: no copy
     else:
@@ -393,13 +387,13 @@ def term_expectations(model: HamiltonianModel, state: np.ndarray) -> np.ndarray:
     if state.ndim not in (2, 3) or state.shape[-2:] != (model.dim, model.dim):
         raise ValueError(f"state shape {state.shape} does not match dimension {model.dim}")
     entries = model.entries
-    if state.ndim == 2:
-        picked = state.ravel()[entries.flat_t]
-        return np.bincount(entries.index, (entries.values * picked).real, model.n_terms)
-    # row b's sums go to bins offset by b * n_terms, in the same order
-    products = (entries.values * state.reshape(len(state), -1)[:, entries.flat_t]).real
-    index = (model.n_terms * np.arange(len(state))[:, None] + entries.index).ravel()
-    return np.bincount(index, products.ravel(), len(state) * model.n_terms).reshape(len(state), -1)
+    # a single state is the one-row stack; row b's sums go to bins offset by b * n_terms, in the same order
+    states = state.reshape(-1, model.dim**2)
+    products = (entries.values * states.take(entries.flat_t, axis=1)).real
+    size = len(states) * model.n_terms
+    index = (np.arange(0, size, model.n_terms)[:, None] + entries.index).ravel()
+    values = np.bincount(index, products.ravel(), size)
+    return values.reshape(state.shape[:-2] + (model.n_terms,))
 
 
 def _clamped_log(value: float) -> float:
@@ -456,7 +450,7 @@ def objective_povm_gt(
     log_partitions = np.full(len(shifted), np.nan)
     solves, failed = _solve_stack(shifted, vectors=False)
     for rows, evals in solves:
-        log_partitions[rows] = [_shifted_weights(row)[2] for row in evals]
+        log_partitions[rows] = _gibbs(evals)[2]
     failed = {**{int(row_of[k]): reason for k, reason in failed.items()}, **ev.failed}
     per_row = np.split(log_partitions, np.cumsum(counts)[:-1])
     return _result(theta, _rowwise(lambda b: _povm_gt_value(

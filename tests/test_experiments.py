@@ -477,7 +477,7 @@ class TestOutputs:
         assert manifest["config"]["epochs"] == 4
         # tomography always fits the complete Pauli family and never reads the key
         assert "family" not in manifest["config"]
-        assert "version" in manifest
+        assert manifest["version"] == qbmlab.__version__
 
     def test_tomography_files(self, tmp_path):
         out = tmp_path / "tomo"

@@ -10,12 +10,12 @@ import pytest
 import qbmlab
 from qbmlab.linalg import (
     _exp_neg_divided_differences,
+    _gibbs,
     expectation_value,
     fidelity,
     gibbs_state,
     hermitian_eigendecompose,
     hermitize,
-    log_partition,
     matrix_log_psd,
     validate_density_matrix,
     von_neumann_entropy,
@@ -67,7 +67,7 @@ class TestEigendecompose:
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     @pytest.mark.parametrize(
-        "solve", [hermitian_eigendecompose, gibbs_state, log_partition, matrix_log_psd,
+        "solve", [hermitian_eigendecompose, gibbs_state, matrix_log_psd,
                   von_neumann_entropy])
     def test_public_entry_points_reject_non_finite(self, solve, entry):
         m = np.eye(2, dtype=complex)
@@ -130,7 +130,6 @@ class TestRealSymmetricPath:
         assert rho.dtype == np.complex128
         assert np.abs(rho - want_rho).max() <= 1e-13
         assert abs(log_z - want_log_z) <= 1e-13 * max(1.0, abs(want_log_z))
-        assert abs(log_partition(h) - want_log_z) <= 1e-13 * max(1.0, abs(want_log_z))
 
     def test_anti_hermitian_noise_cancels_before_the_test(self, rng):
         h = random_real_symmetric(8, rng)
@@ -200,22 +199,52 @@ class TestGibbsState:
         assert np.isfinite(logz)
 
 
-class TestLogPartition:
+class TestGibbsLogZ:
+    """log Z = log Tr[e^{-H}] as gibbs_state returns it."""
+
     @pytest.mark.parametrize("scale", [0.1, 1.0, 50.0])
-    def test_matches_gibbs_state(self, rng, scale):
+    def test_matches_log_sum_exp_of_the_spectrum(self, rng, scale):
+        from scipy.special import logsumexp
+
         for dim in (2, 8, 32):
             h = random_hermitian(dim, rng, scale=scale)
             _, logz = gibbs_state(h)
-            assert abs(log_partition(h) - logz) <= 1e-12 * abs(logz)
+            assert abs(logz - logsumexp(-np.linalg.eigvalsh(h))) <= 1e-12 * max(1.0, abs(logz))
 
     def test_diagonal_closed_form(self):
         e = np.array([-3.0, 0.5, 2.0, 40.0])
         expected = np.log(np.exp(-e).sum())
-        assert abs(log_partition(np.diag(e).astype(complex)) - expected) < 1e-12 * abs(expected)
+        assert abs(gibbs_state(np.diag(e).astype(complex))[1] - expected) < 1e-12 * abs(expected)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            log_partition(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            gibbs_state(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+class TestGibbsKernel:
+    """_gibbs, the one kernel behind every Gibbs state and log Z, on a (B, d) stack."""
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_stack_rows_are_each_eigensystem_alone(self, rng, real):
+        dim = 8
+        scales = (0.1, 1.0, 50.0)
+        hs = [random_real_symmetric(dim, rng) if real else random_hermitian(dim, rng) for _ in scales]
+        stack = np.stack([h * (scale / np.linalg.norm(h, 2)) for h, scale in zip(hs, scales)])
+        evals, V = np.linalg.eigh(stack)
+        assert V.dtype == (np.float64 if real else np.complex128)
+        weights, rho, log_z = _gibbs(evals, V)
+        assert (weights.shape, rho.shape, log_z.shape) == ((3, dim), (3, dim, dim), (3,))
+        for b in range(len(stack)):
+            alone = _gibbs(evals[b], V[b])
+            for got, want in zip((weights[b], rho[b], log_z[b]), alone):
+                assert np.array_equal(got, want)
+        # the eigenvalues alone give the same weights and log Z, and no rho
+        values_only = _gibbs(evals)
+        assert values_only[1] is None
+        assert np.array_equal(values_only[0], weights) and np.array_equal(values_only[2], log_z)
+        # the scale-50 row stays finite
+        assert np.isfinite(weights).all() and np.isfinite(rho).all() and np.isfinite(log_z).all()
+        validate_density_matrix(rho[2])
 
 
 class TestMatrixLogPsd:

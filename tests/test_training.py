@@ -809,6 +809,15 @@ class TestTermExpectations:
         for row, state in zip(got, X):
             assert np.array_equal(row, term_expectations(model, state))
 
+    @pytest.mark.parametrize("name", ENTRY_LIST_MODELS)
+    def test_single_state_is_the_one_row_stack(self, name, rng):
+        model = entry_list_model(name, rng)
+        X = rng.normal(size=(model.dim, model.dim)) + 1j * rng.normal(size=(model.dim, model.dim))
+        for state in (X, X.T):  # X.T is not contiguous
+            got = term_expectations(model, state)
+            assert got.shape == (model.n_terms,)
+            assert np.array_equal(got, term_expectations(model, np.array([state]))[0])
+
     def test_state_shape_checked(self):
         with pytest.raises(ValueError):
             term_expectations(build_mean_field(2), np.eye(2))
