@@ -7,7 +7,7 @@ the leftmost tensor factor; visible units come before hidden units.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -56,19 +56,19 @@ def _masked_parity(values: np.ndarray, mask: int) -> np.ndarray:
     return parity
 
 
-def _scatter(n: int, rows, cols, values) -> np.ndarray:
-    """Dense 2^n x 2^n complex matrix with the given entries, zero elsewhere."""
-    out = np.zeros((2**n, 2**n), dtype=np.complex128)
+def _scatter(dim: int, rows, cols, values) -> np.ndarray:
+    """Dense dim x dim complex matrix with the given entries, zero elsewhere."""
+    out = np.zeros((dim, dim), dtype=np.complex128)
     out[rows, cols] = values
     return out
 
 
-def pauli_matrix(letters: str) -> np.ndarray:
-    """Dense matrix of a Pauli string such as "IXZ" (qubit 0 leftmost).
+def _pauli_entries(letters: str):
+    """Entries (rows, cols, values) of a Pauli string such as "IXZ" (qubit 0 leftmost).
 
     With x the bitmask of the X/Y sites, z that of the Z/Y sites and #Y the
     number of Y letters, the string maps basis state c to
-    i^{#Y} (-1)^{popcount(c & z)} |c ^ x>, so the matrix is one scatter.
+    i^{#Y} (-1)^{popcount(c & z)} |c ^ x>: one entry per column.
     """
     if not letters:
         raise ValueError("empty Pauli string")
@@ -83,8 +83,12 @@ def pauli_matrix(letters: str) -> np.ndarray:
             z |= _bit(site, n)
         n_y += ch == "Y"
     cols = np.arange(2**n)
-    phases = (1, 1j, -1, -1j)[n_y % 4] * (1 - 2 * _masked_parity(cols, z))
-    return _scatter(n, cols ^ x, cols, phases)
+    return cols ^ x, cols, (1, 1j, -1, -1j)[n_y % 4] * (1 - 2 * _masked_parity(cols, z))
+
+
+def pauli_matrix(letters: str) -> np.ndarray:
+    """Dense matrix of a Pauli string such as "IXZ" (qubit 0 leftmost): one scatter."""
+    return _scatter(2 ** len(letters), *_pauli_entries(letters))
 
 
 def _ladder_product(ops, n: int):
@@ -108,17 +112,15 @@ def _ladder_product(ops, n: int):
     return rows, cols, values
 
 
-def _ladder_term(ops, n: int) -> np.ndarray:
-    """The Hermitian term B + B^ for the ladder-operator product B."""
+def _ladder_term(ops, n: int):
+    """Entries of the Hermitian term B + B^ for the (real) ladder-operator product B."""
     rows, cols, values = _ladder_product(ops, n)
-    out = _scatter(n, rows, cols, values)
-    out[cols, rows] += values
-    return out
+    return np.concatenate([rows, cols]), np.concatenate([cols, rows]), np.concatenate([values, values])
 
 
-def _number_term(modes, n: int) -> np.ndarray:
-    """Product of the number operators n_p = a_p^ a_p over `modes` (diagonal)."""
-    return _scatter(n, *_ladder_product([(p, c) for p in modes for c in (True, False)], n))
+def _number_term(modes, n: int):
+    """Entries of the product of the number operators n_p = a_p^ a_p over `modes` (diagonal)."""
+    return _ladder_product([(p, c) for p in modes for c in (True, False)], n)
 
 
 def _nonzeros(m: np.ndarray) -> np.ndarray:
@@ -127,42 +129,73 @@ def _nonzeros(m: np.ndarray) -> np.ndarray:
     return (m != 0).ravel().nonzero()[0]
 
 
-@dataclass(frozen=True, eq=False)
+class _Nonzeros(NamedTuple):
+    """A term's entries m[r, c] != 0: flat positions r * dim + c, strictly increasing, and values."""
+
+    flat: np.ndarray
+    values: np.ndarray  # complex128
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Term:
-    """One Hermitian summand of a model Hamiltonian."""
+    """One Hermitian summand of a model Hamiltonian, held as its nonzero entries.
+
+    Term(label, matrix) takes a dense matrix; the builders hand over entries
+    (_term). The dense `matrix` is built on first use.
+    """
 
     label: str
-    matrix: np.ndarray
-    is_quantum: bool = field(init=False)
+    dim: int
+    nonzeros: _Nonzeros
+    is_quantum: bool
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.flags.writeable and np.may_share_memory(m, self.matrix):
-            # freeze a private copy, never the caller's array; the builders
-            # hand over fresh arrays already read-only, which need none
-            m = m.copy()
+    def __init__(self, label: str, matrix):
+        m = np.asarray(matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
-            raise ValueError(f"term {self.label!r} matrix must be square and non-empty")
+            raise ValueError(f"term {label!r} matrix must be square and non-empty")
+        flat = _nonzeros(m)
+        self._check(label, m.shape[0], flat, m.flat[flat])  # a copy: the caller's array is never kept
+
+    def _check(self, label: str, dim: int, flat: np.ndarray, values: np.ndarray):
         # Exact on the nonzeros alone: m - m^ vanishes where m and m^T both do, and
         # |m[r,c] - conj(m[c,r])| = |m[c,r] - conj(m[r,c])|, so the maxima agree.
-        # With k = r * dim + c, m.T.flat[k] is m[c, r]; diagonal k are multiples of dim + 1.
-        flat = _nonzeros(m)
-        values = m.flat[flat]
+        # m[c, r] sits at flat c * dim + r, found in the sorted positions or zero;
+        # diagonal positions are multiples of dim + 1.
+        rows, cols = np.divmod(flat, dim)
+        flat_t = cols * dim + rows
+        at = np.minimum(flat.searchsorted(flat_t), flat.size - 1)
         with np.errstate(invalid="ignore"):  # inf - inf, reported below
-            worst = np.abs(values - m.T.flat[flat].conj()).max(initial=0.0)
+            worst = np.abs(values - np.where(flat[at] == flat_t, values[at], 0).conj()).max(initial=0.0)
         if not worst <= 1e-12:  # NaN too
             problem = "is not Hermitian within 1e-12" if np.isfinite(worst) else "has non-finite entries"
-            raise ValueError(f"term {self.label!r} {problem}")
-        offdiagonal = np.abs(values[flat % (m.shape[0] + 1) != 0]).max(initial=0.0)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+            raise ValueError(f"term {label!r} {problem}")
+        offdiagonal = np.abs(values[flat % (dim + 1) != 0]).max(initial=0.0)
+        for array in (flat, values):
+            array.flags.writeable = False
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "nonzeros", _Nonzeros(flat, values))
         object.__setattr__(self, "is_quantum", bool(offdiagonal > QUANTUM_OFFDIAG_TOL))
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense dim x dim matrix, read-only: one scatter of the entries on first use."""
+        matrix = _scatter(self.dim, *np.divmod(self.nonzeros.flat, self.dim), self.nonzeros.values)
+        matrix.flags.writeable = False
+        return matrix
 
-def _owned_term(label: str, matrix: np.ndarray) -> Term:
-    """Term for a fresh array the builder hands over (frozen, not copied)."""
-    matrix.flags.writeable = False
-    return Term(label, matrix)
+
+def _term(label: str, dim: int, rows, cols, values) -> Term:
+    """Term with entries values[k] at (rows[k], cols[k]): duplicates summed, zeros dropped."""
+    flat = np.ravel_multi_index((rows, cols), (dim, dim))  # raises on an index out of range
+    order = np.argsort(flat, kind="stable")
+    flat, values = flat[order], np.asarray(values)[order]
+    starts = np.flatnonzero(np.diff(flat, prepend=-1))
+    # a run of one position keeps its value bit for bit; a longer run sums in the given order
+    values = np.add.reduceat(values, starts).astype(np.complex128)
+    term = Term.__new__(Term)
+    term._check(label, dim, flat[starts][values != 0], values[values != 0])
+    return term
 
 
 class TermEntries(NamedTuple):
@@ -228,25 +261,25 @@ class HamiltonianModel:
 
     @cached_property
     def entries(self) -> TermEntries:
-        """Every nonzero entry of every term, built from the dense matrices on first use."""
-        if any(t.matrix.shape != (self.dim, self.dim) for t in self.terms):
+        """Every nonzero entry of every term: the terms' own entries, joined on first use."""
+        if any(t.dim != self.dim for t in self.terms):
             raise ValueError(f"every term must be {self.dim} x {self.dim} for {self.n_qubits} qubits")
-        positions = [_nonzeros(t.matrix) for t in self.terms]
-        flat = np.concatenate(positions)
+        flat = np.concatenate([t.nonzeros.flat for t in self.terms])
         rows, cols = np.divmod(flat, self.dim)
         entries = TermEntries(
-            index=np.repeat(np.arange(self.n_terms), [p.size for p in positions]),
+            index=np.repeat(np.arange(self.n_terms), [t.nonzeros.flat.size for t in self.terms]),
             flat=flat,
             flat_t=cols * self.dim + rows,
-            values=np.concatenate([t.matrix.ravel()[p] for t, p in zip(self.terms, positions)]),
+            values=np.concatenate([t.nonzeros.values for t in self.terms]),
         )
         for a in entries:
             a.flags.writeable = False
         return entries
 
 
-# Largest qubit count (visible + hidden) of each family: its dense terms take n_terms * 4^n * 16
-# bytes, at most 1.02 GiB at these caps (ti_complete 10) and over 2 GiB one qubit on.
+# Largest qubit count (visible + hidden) of each family. Terms are held as entries, but every
+# dense reader (Term.matrix, matrix_stack, the sampled gradient's term eigenbases) takes
+# n_terms * 4^n * 16 bytes: at most 1.02 GiB at these caps (ti_complete 10), over 2 GiB one qubit on.
 QUBIT_CAPS = {"classical_bm": 10, "fermionic": 8, "ti_complete": 10, "pauli_complete": 6,
               "mean_field": 10}
 
@@ -276,16 +309,16 @@ def build_classical_bm(n_visible: int, n_hidden: int = 0) -> HamiltonianModel:
     and the pairs i < j come lexicographically.
     """
     n = check_model_size("classical_bm", n_visible, n_hidden)
-    terms = [_owned_term(f"n{j}", _number_term([j], n)) for j in range(n)]
+    terms = [_term(f"n{j}", 2**n, *_number_term([j], n)) for j in range(n)]
     pairs = itertools.combinations(range(n), 2)
-    terms += [_owned_term(f"n{i}n{j}", _number_term([i, j], n)) for i, j in pairs]
+    terms += [_term(f"n{i}n{j}", 2**n, *_number_term([i, j], n)) for i, j in pairs]
     return HamiltonianModel("classical_bm", n_visible, n_hidden, tuple(terms))
 
 
 def _site_term(letters: dict, n: int) -> Term:
     """Pauli term with letters[site] on the given sites, labelled like "Z0Z3"."""
     label = "".join(f"{op}{site}" for site, op in letters.items())
-    return _owned_term(label, pauli_matrix("".join(letters.get(k, "I") for k in range(n))))
+    return _term(label, 2**n, *_pauli_entries("".join(letters.get(k, "I") for k in range(n))))
 
 
 def build_transverse_ising_complete(n: int) -> HamiltonianModel:
@@ -309,7 +342,7 @@ def build_complete_pauli_set(n: int) -> HamiltonianModel:
         word = "".join(letters)
         if set(word) == {"I"}:
             continue
-        terms.append(_owned_term(word, pauli_matrix(word)))
+        terms.append(_term(word, 2**n, *_pauli_entries(word)))
     return HamiltonianModel("pauli_complete", n, 0, tuple(terms))
 
 
@@ -337,21 +370,21 @@ def build_fermionic_model(n_visible: int, n_hidden: int = 0) -> HamiltonianModel
     Boltzmann machine on the complete graph.
     """
     n = check_model_size("fermionic", n_visible, n_hidden)
-    terms = [_owned_term(f"a{p}+a{p}^", _ladder_term([(p, False)], n)) for p in range(n)]
+    terms = [_term(f"a{p}+a{p}^", 2**n, *_ladder_term([(p, False)], n)) for p in range(n)]
     for p in range(n):
         for q in range(p, n):
             if p == q:
-                terms.append(_owned_term(f"n{p}", _number_term([p], n)))
+                terms.append(_term(f"n{p}", 2**n, *_number_term([p], n)))
             else:
-                terms.append(_owned_term(f"hop({p},{q})", _ladder_term([(p, True), (q, False)], n)))
+                terms.append(_term(f"hop({p},{q})", 2**n, *_ladder_term([(p, True), (q, False)], n)))
     pairs = list(itertools.combinations(range(n), 2))
     for ip, (p, q) in enumerate(pairs):
         for r, s in pairs[ip:]:
             if (p, q) == (r, s):
-                terms.append(_owned_term(f"n{p}n{q}", _number_term([p, q], n)))
+                terms.append(_term(f"n{p}n{q}", 2**n, *_number_term([p, q], n)))
             else:
                 body = [(p, True), (q, True), (s, False), (r, False)]
-                terms.append(_owned_term(f"int({p},{q};{r},{s})", _ladder_term(body, n)))
+                terms.append(_term(f"int({p},{q};{r},{s})", 2**n, *_ladder_term(body, n)))
     return HamiltonianModel("fermionic", n_visible, n_hidden, tuple(terms))
 
 

@@ -3,17 +3,22 @@
 import copy
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import qbmlab.operators as operators
+import qbmlab.training as training
 from qbmlab.linalg import gibbs_state
 from qbmlab.operators import (
     PAULI,
     QUBIT_CAPS,
     _ladder_product,
     _masked_parity,
+    _nonzeros,
     _scatter,
+    _term,
     HamiltonianModel,
     Term,
     assemble_hamiltonian,
@@ -25,8 +30,9 @@ from qbmlab.operators import (
     build_transverse_ising_complete,
     pauli_matrix,
 )
+from qbmlab.training import OptimizerConfig, PovmTrainingSet, StateTrainingSet, train
 
-from conftest import ENTRY_LIST_MODELS, entry_list_model, random_hermitian
+from conftest import ENTRY_LIST_MODELS, entry_list_model, random_density, random_full_rank_povm, random_hermitian
 
 ALL_FAMILIES = ("classical_bm", "ti_complete", "pauli_complete", "mean_field", "fermionic")
 
@@ -125,10 +131,22 @@ def _dense_reference(matrix):
     return "ok", bool(magnitudes.max() > 1e-12)
 
 
-def _term_check(matrix):
-    """The same verdict and flag from Term."""
+def _entry_built(label, matrix):
+    """Term through the entry constructor: every position, zeros included, in a scrambled order."""
+    m = np.asarray(matrix)
+    order = np.random.default_rng(0).permutation(m.size)
+    rows, cols = np.divmod(order, m.shape[1])
+    return _term(label, m.shape[0], rows, cols, m.ravel()[order])
+
+
+# The two ways into a term: a dense matrix, or the entries the builders hand over.
+TERM_PATHS = {"dense": Term, "entries": _entry_built}
+
+
+def _term_check(matrix, path="dense"):
+    """The same verdict and flag from a Term made on the given path."""
     try:
-        term = Term("t", matrix)
+        term = TERM_PATHS[path]("t", matrix)
     except ValueError as err:
         return ("non-finite" if "non-finite" in str(err) else "not Hermitian"), None
     return "ok", term.is_quantum
@@ -180,13 +198,20 @@ TERM_CHECK_CASES = {
 
 
 class TestTermCheck:
-    """The one-pass check over the nonzeros against the dense reference."""
+    """The one-pass check over the nonzeros against the dense reference, on both paths."""
 
     @pytest.mark.parametrize("name", TERM_CHECK_CASES)
     def test_matches_dense_reference(self, name):
         matrix, expected = TERM_CHECK_CASES[name]
         assert _dense_reference(matrix) == expected
-        assert _term_check(matrix) == expected
+        assert _term_check(matrix) == _term_check(matrix, "entries") == expected
+        messages = set()
+        for make in TERM_PATHS.values():
+            try:
+                make("t", matrix)
+            except ValueError as err:
+                messages.add(str(err))
+        assert len(messages) == (expected[0] != "ok")  # both paths reject with one message
 
     def test_random_sparse_near_hermitian(self, rng):
         # sparse patterns with unmatched mirrors and defects around 1e-12
@@ -197,7 +222,12 @@ class TestTermCheck:
             scale = 10.0 ** rng.integers(-14, -10)
             noise = scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
             matrix = matrix + np.where(rng.random((dim, dim)) < 0.3, noise, 0.0)
-            assert _term_check(matrix) == _dense_reference(matrix)
+            verdict = _dense_reference(matrix)
+            assert _term_check(matrix) == _term_check(matrix, "entries") == verdict
+            if verdict[0] == "ok":
+                dense, built = Term("d", matrix), _entry_built("e", matrix)
+                assert dense.nonzeros.flat.tobytes() == built.nonzeros.flat.tobytes()
+                assert dense.nonzeros.values.tobytes() == built.nonzeros.values.tobytes()
 
     def test_rejects_empty_and_non_square(self):
         for matrix in (np.zeros((0, 0)), np.zeros((2, 3)), np.zeros(4)):
@@ -206,21 +236,58 @@ class TestTermCheck:
 
     def test_no_runtime_warning_on_inf(self):
         with np.errstate(all="raise"):
-            for name in ("inf_on_both_sides", "inf_diagonal"):
-                with pytest.raises(ValueError, match="non-finite"):
-                    Term("bad", TERM_CHECK_CASES[name][0])
+            for make in TERM_PATHS.values():
+                for name in ("inf_on_both_sides", "inf_diagonal", "inf_mirror_zero", "imaginary_inf_mirror_zero"):
+                    with pytest.raises(ValueError, match="non-finite"):
+                        make("bad", TERM_CHECK_CASES[name][0])
 
-    def test_one_scan_per_term_and_one_for_the_entries(self, monkeypatch):
-        import qbmlab.operators as operators
+    def test_entries_sum_duplicates_and_drop_zeros(self):
+        # X as two halves at (0, 1), a cancelling pair at (1, 1) and an explicit zero at (0, 0)
+        term = _term("x", 2, [0, 1, 1, 0, 1, 0], [1, 1, 0, 1, 1, 0], [0.5, 2.0, 1.0, 0.5, -2.0, 0.0])
+        assert term.nonzeros.flat.tolist() == [1, 2]
+        assert term.nonzeros.values.dtype == np.complex128
+        assert np.array_equal(term.matrix, pauli_matrix("X")) and term.is_quantum
+        with pytest.raises(ValueError, match="invalid entry"):
+            _term("x", 2, [2], [0], [1.0])
 
-        scans = []
-        real = operators._nonzeros
-        monkeypatch.setattr(operators, "_nonzeros", lambda m: scans.append(m.shape) or real(m))
-        model = build_model("fermionic", 3, 1)
-        assert len(scans) == model.n_terms
+    def test_dense_matrix_built_on_first_use_read_only(self):
+        term = build_model("mean_field", 1).terms[1]
+        assert "matrix" not in vars(term)
+        matrix = term.matrix
+        assert term.matrix is matrix and not matrix.flags.writeable
+        assert np.array_equal(matrix, pauli_matrix("Y"))
+        with pytest.raises(Exception):
+            term.matrix = np.zeros((2, 2))
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_no_dense_term_on_the_hot_path(self, family, monkeypatch):
+        # build, the entry list, then one epoch of every gradient kind but the sampled one,
+        # which measures in the terms' eigenbases and so reads their dense matrices
+        nv, nh = (2, 1) if family in ("classical_bm", "fermionic") else (2, 0)
+        rng = np.random.default_rng(5)
+        data = {StateTrainingSet: StateTrainingSet(random_density(2**nv, rng)),
+                PovmTrainingSet: random_full_rank_povm(2**nv, rng)}
+        calls = []
+        for name in ("_nonzeros", "_scatter"):
+            monkeypatch.setattr(operators, name, lambda *args, name=name: calls.append(name))
+        model = build_model(family, nv, nh)
         model.entries
-        model.entries
-        assert len(scans) == 2 * model.n_terms
+        for kind, (data_type, _) in training._GRADIENTS.items():
+            if kind != "relent_sampled":
+                trace = train(model, np.zeros(model.n_terms), data[data_type], OptimizerConfig(kind, epochs=1))
+                assert len(trace.records) == 2 and not trace.diverged, kind
+        assert calls == []
+        assert all("matrix" not in vars(term) for term in model.terms)
+
+    def test_building_holds_no_dense_term(self):
+        # one dense 512 x 512 term would take 4 MiB
+        tracemalloc.start()
+        try:
+            build_model("ti_complete", 9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 512 * 16
 
 
 class TestClassicalBm:
@@ -537,7 +604,7 @@ class TestTermOracles:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_annihilator_matches_kron_chain(self, n):
         for p in range(n):
-            assert np.array_equal(_scatter(n, *_ladder_product([(p, False)], n)), _kron_annihilator(p, n))
+            assert np.array_equal(_scatter(2**n, *_ladder_product([(p, False)], n)), _kron_annihilator(p, n))
 
 
 class TestEntryList:
@@ -563,21 +630,31 @@ class TestEntryList:
             with pytest.raises(ValueError, match="theta has shape"):
                 assemble_hamiltonian(model, bad)
 
-    @pytest.mark.parametrize("name", ENTRY_LIST_MODELS)
+    @pytest.mark.parametrize("name", [*ENTRY_LIST_MODELS, "classical_bm 3+2"])
     def test_entries_are_the_nonzeros_in_term_order(self, name, rng):
-        model = entry_list_model(name, rng)
+        model = build_model("classical_bm", 3, 2) if name == "classical_bm 3+2" else entry_list_model(name, rng)
         entries = model.entries
         assert np.all(np.diff(entries.index) >= 0)
-        stack = model.matrix_stack.reshape(model.n_terms, -1)
-        assert np.count_nonzero(stack) == entries.index.size
-        assert np.array_equal(stack[entries.index, entries.flat], entries.values)
-        transposed = model.matrix_stack.transpose(0, 2, 1).reshape(model.n_terms, -1)
-        assert np.array_equal(transposed[entries.index, entries.flat_t], entries.values)
+        # within a term in C order: that order fixes the per-term sums bit for bit
+        same_term = np.diff(entries.index) == 0
+        assert np.all(np.diff(entries.flat)[same_term] > 0)
+        # every array is, bit for bit, what a scan of the dense terms gives
+        positions = [_nonzeros(m) for m in model.matrix_stack]
+        rows, cols = np.divmod(np.concatenate(positions), model.dim)
+        want = (
+            np.repeat(np.arange(model.n_terms), [p.size for p in positions]),
+            rows * model.dim + cols,
+            cols * model.dim + rows,
+            np.concatenate([m.ravel()[p] for m, p in zip(model.matrix_stack, positions)]),
+        )
+        for got, expected in zip(model.entries, want, strict=True):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
     def test_term_size_must_match_qubit_count(self):
-        model = HamiltonianModel("custom", 1, 0, (Term("zz", pauli_matrix("ZZ")),))
-        with pytest.raises(ValueError, match="2 x 2"):
-            assemble_hamiltonian(model, np.ones(1))
+        for make in TERM_PATHS.values():
+            model = HamiltonianModel("custom", 1, 0, (make("zz", pauli_matrix("ZZ")),))
+            with pytest.raises(ValueError, match="every term must be 2 x 2"):
+                assemble_hamiltonian(model, np.ones(1))
 
 
 # Terms of each family on n qubits (classical_bm on the complete graph).
