@@ -35,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="root seed")
         p.add_argument("--out", help="output directory (created if missing)")
         p.add_argument("--ensemble", type=int, help="number of instances")
-        p.add_argument("--jobs", type=int, help="worker processes (povm-train branches, ensemble tasks)")
+        p.add_argument("--jobs", type=int, help="worker processes for ensemble tasks (tomography, hamlearn, meanfield)")
         p.add_argument(
             "--set",
             dest="overrides",

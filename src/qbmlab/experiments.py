@@ -5,8 +5,9 @@ curves as CSV, a JSON summary, and a manifest echoing the resolved
 configuration. Runs are deterministic within one commit, numpy/BLAS build
 and BLAS thread count: the same config and seed produce byte-identical
 output files. Instances draw from per-instance seed splits, so neither
-dispatch order, the split of an ensemble into lockstep chunks nor
-parallelism (``jobs > 1``) changes more than wall time.
+dispatch order, the split of an ensemble into lockstep chunks nor the
+process pool of the relative-entropy ensembles (``jobs > 1``) changes more
+than wall time. povm-train trains its grid in one process.
 """
 
 from __future__ import annotations
@@ -272,7 +273,6 @@ POVM_FAMILIES = ("fermionic", "classical_bm")  # quantum, then classical
 
 @dataclass
 class PovmTrainConfig(ExperimentConfig):
-    jobs: int = 1
     n_visible_grid: str = "3,4,5"
     n_hidden_grid: str = "0,1,2"
     povm_kind: str = "projector"
@@ -314,15 +314,6 @@ def _max_objective(povm: PovmTrainingSet) -> float:
     return float(np.sum(probs[mask] * np.log(probs[mask])))
 
 
-def _povm_branch(args):
-    data, n_visible, n_hidden, family, seed_seq, theta0_scale, opt = args
-    model = build_model(family, n_visible, n_hidden)
-    theta0 = theta0_scale * np.random.default_rng(seed_seq).standard_normal(model.n_terms)
-    trace = train(model, theta0, data, opt)
-    curve = _pad_curve(trace.objectives, opt.epochs + 1)
-    return curve, bool(trace.diverged)
-
-
 def run_povm_experiment(config: PovmTrainConfig):
     """Fermionic vs classical generative fit on the step-function target.
 
@@ -337,12 +328,6 @@ def run_povm_experiment(config: PovmTrainConfig):
     # are built once per (n_visible, n_hidden).
     povms = {nv: _step_povm(nv, config.noise_p, config.povm_kind)
              for nv in set(config.grid("n_visible_grid"))}
-    jobs_args = [
-        (povms[nv], nv, nh, family, child_seed(config.seed, point_index, branch), config.theta0_scale, opt)
-        for point_index, (nv, nh) in enumerate(grid)
-        for branch, family in enumerate(POVM_FAMILIES)
-    ]
-    results = _map_instances(_povm_branch, jobs_args, config.jobs)
 
     rows = []
     points = []
@@ -351,8 +336,13 @@ def run_povm_experiment(config: PovmTrainConfig):
         # The entropy-limited maximum depends on the target statistics,
         # hence on n_visible in basis mode (it is 0 in projector mode).
         o_max = _max_objective(povms[nv])
-        q_curve, q_div = results[2 * idx]
-        c_curve, c_div = results[2 * idx + 1]
+        branches = []
+        for branch, family in enumerate(POVM_FAMILIES):
+            model = build_model(family, nv, nh)
+            rng = np.random.default_rng(child_seed(config.seed, idx, branch))
+            trace = train(model, config.theta0_scale * rng.standard_normal(model.n_terms), povms[nv], opt)
+            branches.append((_pad_curve(trace.objectives, opt.epochs + 1), bool(trace.diverged)))
+        (q_curve, q_div), (c_curve, c_div) = branches
         quantum_curves.append(o_max - q_curve)
         points.append(
             dict(

@@ -141,7 +141,8 @@ class Term:
     """One Hermitian summand of a model Hamiltonian, held as its nonzero entries.
 
     Term(label, matrix) takes a dense matrix; the builders hand over entries
-    (_term). The dense `matrix` is built on first use.
+    (_term). The dense `matrix` is built on first use and kept; dense()
+    builds a copy that is not.
     """
 
     label: str
@@ -177,10 +178,14 @@ class Term:
         object.__setattr__(self, "nonzeros", _Nonzeros(flat, values))
         object.__setattr__(self, "is_quantum", bool(offdiagonal > QUANTUM_OFFDIAG_TOL))
 
+    def dense(self) -> np.ndarray:
+        """A new dense dim x dim matrix: one scatter of the entries, kept by nobody."""
+        return _scatter(self.dim, *np.divmod(self.nonzeros.flat, self.dim), self.nonzeros.values)
+
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The dense dim x dim matrix, read-only: one scatter of the entries on first use."""
-        matrix = _scatter(self.dim, *np.divmod(self.nonzeros.flat, self.dim), self.nonzeros.values)
+        """The dense matrix, read-only: dense() on first use, then kept on the term."""
+        matrix = self.dense()
         matrix.flags.writeable = False
         return matrix
 

@@ -42,26 +42,19 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
+def _json_default(obj):
+    """The JSON form of the numpy values json does not take: bools, ints and arrays."""
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    return obj
+    if isinstance(obj, (np.integer, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path, obj) -> None:
     """Write sorted-key, 2-space-indented JSON with a trailing newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_jsonable(obj), fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=2, default=_json_default)
         fh.write("\n")
 
 

@@ -628,7 +628,7 @@ def _measurement_bases(model: HamiltonianModel) -> EigenSystem:
     """
     bases = model.__dict__.get("_measurement_bases")
     if bases is None:
-        solved = [_measurement_basis(term.matrix) for term in model.terms]
+        solved = [_measurement_basis(term.dense()) for term in model.terms]  # one dense term at a time
         bases = EigenSystem(*(np.stack(arrays) for arrays in zip(*solved)))
         for array in bases:
             array.flags.writeable = False

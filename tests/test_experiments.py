@@ -47,7 +47,7 @@ class TestConfig:
     def test_settable_keys_per_experiment(self):
         # the keys each runner reads, plus seed and out; none added
         counts = {name: len(_keys(name)) for name in EXPERIMENTS}
-        assert counts == {"povm-train": 14, "tomography": 9, "hamlearn": 9, "meanfield": 8,
+        assert counts == {"povm-train": 13, "tomography": 9, "hamlearn": 9, "meanfield": 8,
                           "commutator-compare": 16, "gradcheck": 4, "variance-sweep": 5}
         for name in EXPERIMENTS:
             assert {"seed", "out"} <= _keys(name)
@@ -104,6 +104,12 @@ class TestConfig:
             # a value another experiment accepts
             with pytest.raises(ValueError, match=f"does not read config key.*{key}"):
                 make_config(experiment, {key: others[key]})
+
+    def test_povm_train_has_no_jobs_key(self):
+        # it trains its grid in one process; the relent ensembles keep their pool
+        with pytest.raises(ValueError, match="povm-train does not read config key.*jobs"):
+            make_config("povm-train", {"jobs": 2})
+        assert make_config("tomography", {"jobs": 2}).jobs == 2
 
     def test_optimizer_view(self):
         cfg = make_config("povm-train")
@@ -179,7 +185,6 @@ class TestParallelism:
     # every experiment that dispatches to a process pool, at small settings; at dim 128
     # (hamlearn-n7) each lockstep chunk holds one instance and a task trains several
     POOLED = {
-        "povm-train": ("povm-train", {"n_visible_grid": "2,3", "n_hidden_grid": "0,1", "epochs": "3"}),
         "tomography": ("tomography", {"ensemble": "4", "epochs": "3"}),
         "hamlearn": ("hamlearn", {"ensemble": "3", "epochs": "3"}),
         "hamlearn-n7": ("hamlearn", {"ensemble": "3", "epochs": "3", "n_visible": "7"}),
@@ -355,6 +360,16 @@ class TestPovmData:
         # the GT logarithm of the one projector with P_v > 0, once per n_visible
         assert len(logs) == 2
 
+    def test_rerun_writes_the_same_files(self, tmp_path):
+        settings = {"n_visible_grid": "2,3", "n_hidden_grid": "0,1", "epochs": "3", "seed": "3"}
+        outputs = []
+        for run in (1, 2):
+            out = tmp_path / f"run{run}"
+            run_experiment(make_config("povm-train", settings, {"out": str(out)}))
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"})
+        assert sorted(outputs[0]) == ["curves.csv", "summary.json"]
+        assert outputs[0] == outputs[1]
+
 
 class TestSerializeHelpers:
     def test_format_cell(self):
@@ -386,6 +401,14 @@ class TestSerializeHelpers:
         write_json(p2, {"c": np.arange(3), "a": 0.25, "b": 1})
         assert p1.read_bytes() == p2.read_bytes()
         assert json.loads(p1.read_text()) == {"a": 0.25, "b": 1, "c": [0, 1, 2]}
+
+    def test_json_numpy_values(self, tmp_path):
+        path = tmp_path / "np.json"
+        write_json(path, {"flag": np.bool_(True), "n": np.int64(3), "m": np.eye(2), "x": (np.float64(0.1),)})
+        assert json.loads(path.read_text()) == {"flag": True, "n": 3, "m": [[1.0, 0.0], [0.0, 1.0]], "x": [0.1]}
+        for value in (np.float32(0.5), np.complex128(1j), object()):
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                write_json(path, {"v": value})
 
 
 # experiment -> (tiny settings, output file names, top-level keys of its
@@ -633,6 +656,8 @@ class TestCli:
          "--set", "gradient_kind=gt", "--set", "n_hidden=2"],
         ["tomography", "--set", "lam=5"],
         ["povm-train", "--ensemble", "3"],
+        ["povm-train", "--jobs", "2"],
+        ["povm-train", "--set", "jobs=2"],
     ])
     def test_ignored_key_exit_code(self, tmp_path, capsys, argv):
         out = tmp_path / "never"

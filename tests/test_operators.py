@@ -252,6 +252,9 @@ class TestTermCheck:
 
     def test_dense_matrix_built_on_first_use_read_only(self):
         term = build_model("mean_field", 1).terms[1]
+        copies = [term.dense(), term.dense()]  # new arrays, neither kept on the term
+        assert copies[0] is not copies[1] and all(c.flags.writeable for c in copies)
+        assert all(np.array_equal(c, pauli_matrix("Y")) for c in copies)
         assert "matrix" not in vars(term)
         matrix = term.matrix
         assert term.matrix is matrix and not matrix.flags.writeable
@@ -262,7 +265,7 @@ class TestTermCheck:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_no_dense_term_on_the_hot_path(self, family, monkeypatch):
         # build, the entry list, then one epoch of every gradient kind but the sampled one,
-        # which measures in the terms' eigenbases and so reads their dense matrices
+        # which measures in the terms' eigenbases and so scatters each term once
         nv, nh = (2, 1) if family in ("classical_bm", "fermionic") else (2, 0)
         rng = np.random.default_rng(5)
         data = {StateTrainingSet: StateTrainingSet(random_density(2**nv, rng)),

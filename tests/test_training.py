@@ -311,6 +311,30 @@ class TestGradients:
             grad_povm_commutator(m, np.zeros(len(m.terms)), data, order=MAX_COMMUTATOR_ORDER + 1)
 
 
+class TestDecoupledHiddenUnits:
+    """Hidden units that no nonzero weight couples change no objective and no visible gradient.
+
+    With every term that touches a hidden unit at weight zero, H = H_v (x) I and the
+    Gibbs state is sigma_v (x) I / 2^n_hidden, so the lifted POVM elements E (x) I see
+    what E sees in the model without hidden units, term for term.
+    """
+
+    @pytest.mark.parametrize("family,nv,nh", [("fermionic", 2, 1), ("fermionic", 3, 1), ("classical_bm", 3, 2)])
+    def test_matches_the_model_without_hidden_units(self, family, nv, nh, rng):
+        visible, hidden = build_model(family, nv), build_model(family, nv, nh)
+        theta_v = 0.5 * rng.normal(size=visible.n_terms)
+        weights = dict(zip(visible.labels, theta_v))
+        theta_h = np.array([weights.get(label, 0.0) for label in hidden.labels])
+        matched = [hidden.labels.index(label) for label in visible.labels]
+        assert np.count_nonzero(theta_h) == visible.n_terms < hidden.n_terms
+        data, lam = random_full_rank_povm(2**nv, rng), 0.3
+        for objective in (objective_povm_exact, objective_povm_gt):
+            assert abs(objective(hidden, theta_h, data, lam) - objective(visible, theta_v, data, lam)) <= 1e-12
+        for gradient in (grad_povm_exact, grad_povm_gt, grad_povm_commutator):
+            np.testing.assert_allclose(gradient(hidden, theta_h, data, lam)[matched],
+                                       gradient(visible, theta_v, data, lam), rtol=0, atol=1e-12)
+
+
 class TestPerTermOracles:
     """Adjoint-form gradients against term-by-term reference formulas.
 
@@ -1258,6 +1282,19 @@ class TestMeasurementBases:
         assert not evals.flags.writeable and not V.flags.writeable
         with pytest.raises(ValueError):
             V[0, 0, 0] = 0.0
+
+    @pytest.mark.parametrize("family,nv,nh", [("fermionic", 3, 1), ("mean_field", 4, 0),
+                                              ("pauli_complete", 2, 0), ("ti_complete", 3, 0)])
+    def test_no_term_kept_dense(self, family, nv, nh, rng):
+        model, data = build_model(family, nv, nh), random_mixed(nv, rng)
+        theta = 0.5 * rng.normal(size=model.n_terms)
+        got = grad_relent_sampled(model, theta, data, 0.3, 64, 5)
+        assert not any("matrix" in vars(term) for term in model.terms)
+        # bit for bit the gradient from bases taken on the kept dense terms
+        kept = build_model(family, nv, nh)
+        solved = [training._measurement_basis(term.matrix) for term in kept.terms]
+        vars(kept)["_measurement_bases"] = training.EigenSystem(*(np.stack(a) for a in zip(*solved)))
+        assert np.array_equal(got, grad_relent_sampled(kept, theta, data, 0.3, 64, 5))
 
     @pytest.mark.parametrize("family,nv,nh", [("fermionic", 3, 1), ("mean_field", 4, 0),
                                               ("pauli_complete", 2, 0), ("ti_complete", 3, 0)])
