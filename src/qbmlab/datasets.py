@@ -120,7 +120,9 @@ def random_ti_teacher(model: HamiltonianModel, normalize, rng: np.random.Generat
     is the raw draw. One eigendecomposition of the raw Hamiltonian serves
     every variant: its spectral norm is the largest ``|lambda|``, and the
     rescaled Hamiltonian has eigenvalues ``lambda / norm`` with the same
-    eigenvectors.
+    eigenvectors. Each target is built by StateTrainingSet.from_eigensystem
+    from those eigenvectors and the variant's Gibbs weights: it is checked and
+    its entropy taken from the weights, with no further solve.
 
     Returns
     -------
@@ -132,4 +134,8 @@ def random_ti_teacher(model: HamiltonianModel, normalize, rng: np.random.Generat
     evals, V = _eigh(assemble_hamiltonian(model, theta))  # Hermitian bit for bit: unchecked
     norm = np.abs(evals).max()
     scales = [norm if flag else 1.0 for flag in normalize]  # x / 1.0 is x, bit for bit
-    return [(theta / s, StateTrainingSet(rho=_gibbs(evals / s, V)[1])) for s in scales]
+    variants = []
+    for s in scales:
+        weights = _gibbs(evals / s)[0]
+        variants.append((theta / s, StateTrainingSet.from_eigensystem(weights / weights.sum(), V)))
+    return variants

@@ -175,11 +175,15 @@ def _exp_neg_divided_differences(evals: np.ndarray) -> np.ndarray:
     )
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy -Tr[rho log rho] in nats, with 0 log 0 = 0 (spectrum only)."""
-    evals = _eigh(_require_hermitian(rho, "operator"), vectors=False)
+def _entropy(evals: np.ndarray) -> float:
+    """-sum p log p over the eigenvalues p > 1e-18 of a state, in nats (0 log 0 = 0)."""
     p = evals[evals > 1e-18]
     return float(-np.sum(p * np.log(p)))
+
+
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    """Entropy -Tr[rho log rho] in nats, with 0 log 0 = 0 (spectrum only)."""
+    return _entropy(_eigh(_require_hermitian(rho, "operator"), vectors=False))
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -18,9 +18,11 @@ import numpy as np
 from .linalg import (
     EigenSystem,
     _eigh,
+    _entropy,
     _exp_neg_divided_differences,
     _gibbs,
     _require_hermitian,
+    _spectral_sum,
     expectation_value,
     gibbs_state,
     hermitian_eigendecompose,
@@ -140,16 +142,41 @@ class PovmTrainingSet:
 
 @dataclass(frozen=True, eq=False)
 class StateTrainingSet:
-    """Full target density matrix on the visible units."""
+    """Full target density matrix on the visible units.
+
+    ``StateTrainingSet(rho=...)`` checks rho by validate_density_matrix and takes its entropy
+    by a second solve; from_eigensystem does both from a spectrum already known.
+    """
 
     rho: np.ndarray
 
     def __post_init__(self):
-        rho = validate_density_matrix(self.rho, "target state")
-        rho = rho.copy()
+        self._freeze(validate_density_matrix(self.rho, "target state").copy())
+
+    def _freeze(self, rho: np.ndarray) -> None:
         rho.flags.writeable = False
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "_lifts", {0: rho})
+
+    @classmethod
+    def from_eigensystem(cls, p, V: np.ndarray) -> "StateTrainingSet":
+        """The state sum_i p_i v_i v_i^+ from eigenvalues p and orthonormal columns V of a solve already done.
+
+        rho is formed as _gibbs forms a Gibbs state, bit for bit. Only p is checked, in O(d), with
+        validate_density_matrix's bounds: finite, p_i >= -1e-10, |sum p - 1| <= 1e-10. rho is
+        Hermitian by construction; V's orthonormality is trusted. The entropy is taken from p.
+        """
+        p = np.asarray(p, dtype=np.float64)
+        if not np.isfinite(p).all():
+            raise ValueError("target state spectrum has non-finite entries")
+        if p.min() < -1e-10:
+            raise ValueError(f"target state has eigenvalue {p.min():.3e} below -1e-10")
+        if abs(p.sum() - 1.0) > 1e-10:
+            raise ValueError(f"target state trace {p.sum()} differs from 1 beyond 1e-10")
+        data = object.__new__(cls)
+        data._freeze(_spectral_sum(V, p[None, :]))
+        object.__setattr__(data, "entropy", _entropy(p))  # fills the cached property
+        return data
 
     @property
     def dim(self) -> int:
@@ -165,7 +192,7 @@ class StateTrainingSet:
 
     @cached_property
     def entropy(self) -> float:
-        """Von Neumann entropy of the target, computed once."""
+        """Von Neumann entropy of the target, computed once (set at construction by from_eigensystem)."""
         return von_neumann_entropy(self.rho)
 
 

@@ -149,11 +149,15 @@ class TestTiTeacher:
         model = build_transverse_ising_complete(n)
         single = [random_ti_teacher(model, (flag,), np.random.default_rng(7))[0] for flag in (True, False)]
         solves = []
-        eigh = datasets._eigh
-        monkeypatch.setattr(datasets, "_eigh", lambda H: solves.append(H) or eigh(H))
+        eigh = linalg._eigh
+        for module in (datasets, training, linalg):
+            monkeypatch.setattr(module, "_eigh", lambda H, vectors=True: solves.append(vectors) or eigh(H, vectors))
         rng = np.random.default_rng(7)
         both = random_ti_teacher(model, (True, False), rng)
-        assert len(solves) == 1
+        for _, target in both:
+            assert 0 <= target.entropy <= n * np.log(2) + 1e-12
+        # the teacher's one eigendecomposition, and no eigvalsh to check a target or take its entropy
+        assert solves == [True]
         # bit for bit what a draw per variant from the same stream gives, and the stream
         # is left where one such draw leaves it
         for (theta, target), (want_theta, want_target) in zip(both, single):

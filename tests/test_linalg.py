@@ -9,6 +9,7 @@ import pytest
 
 import qbmlab
 from qbmlab.linalg import (
+    _entropy,
     _exp_neg_divided_differences,
     _gibbs,
     expectation_value,
@@ -20,7 +21,7 @@ from qbmlab.linalg import (
     validate_density_matrix,
     von_neumann_entropy,
 )
-from qbmlab.datasets import step_function_state
+from qbmlab.datasets import random_mixed, step_function_state
 from qbmlab.operators import pauli_matrix
 
 from conftest import random_density, random_hermitian
@@ -316,6 +317,11 @@ class TestEntropies:
 
     def test_maximally_mixed(self):
         assert abs(von_neumann_entropy(HALF) - np.log(2)) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_one_formula_for_a_state_and_a_spectrum(self, rng, n):
+        rho = hermitize(random_mixed(n, rng).rho)  # Hermitian bit for bit, as the solve sees it
+        assert von_neumann_entropy(rho) == _entropy(np.linalg.eigvalsh(rho))
 
 
 class TestFidelity:

@@ -126,6 +126,50 @@ class TestTrainingSets:
             StateTrainingSet(rho=np.array([[0.5, 1e160], [-1e160, 0.5]]))
 
 
+class TestFromEigensystem:
+    @staticmethod
+    def teacher_spectrum(n, draw):
+        model = build_model("ti_complete", n)
+        return linalg._eigh(assemble_hamiltonian(model, draw(model.n_terms)))
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_gibbs_state_bit_for_bit(self, rng, n, normalize):
+        evals, V = self.teacher_spectrum(n, rng.standard_normal)
+        s = np.abs(evals).max() if normalize else 1.0
+        weights = linalg._gibbs(evals / s)[0]
+        data = StateTrainingSet.from_eigensystem(weights / weights.sum(), V)
+        assert np.array_equal(data.rho, linalg._gibbs(evals / s, V)[1])
+        assert abs(data.entropy - linalg.von_neumann_entropy(data.rho)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_tied_spectrum_entropy(self, n):
+        # theta = 0: H = 0, every eigenvalue tied, the maximally mixed state
+        evals, V = self.teacher_spectrum(n, np.zeros)
+        weights = linalg._gibbs(evals)[0]
+        data = StateTrainingSet.from_eigensystem(weights / weights.sum(), V)
+        assert abs(data.entropy - n * math.log(2)) <= 1e-13
+        assert abs(linalg.von_neumann_entropy(data.rho) - n * math.log(2)) <= 1e-13
+
+    @pytest.mark.parametrize("p, match", [
+        ([np.nan, 1.0], "non-finite"),
+        ([1.0 + 2e-10, -2e-10], "below -1e-10"),
+        ([0.5, 0.5 + 1e-9], "trace"),
+    ])
+    def test_rejects_bad_spectrum(self, p, match):
+        with pytest.raises(ValueError, match=match):
+            StateTrainingSet.from_eigensystem(np.array(p), np.eye(2))
+
+    def test_read_only_and_lifted(self, rng):
+        w = rng.uniform(size=4)
+        data = StateTrainingSet.from_eigensystem(w / w.sum(), np.linalg.qr(rng.standard_normal((4, 4)))[0])
+        assert not data.rho.flags.writeable
+        with pytest.raises(ValueError):
+            data.rho[0, 0] = 0
+        assert data.lifted(0) is data.rho
+        assert np.array_equal(data.lifted(1), np.kron(data.rho, np.eye(2, dtype=complex) / 2))
+
+
 class TestOptimizerConfig:
     def test_defaults_valid(self):
         cfg = OptimizerConfig()
