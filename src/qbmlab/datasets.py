@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import _eigh, _gibbs
+from .linalg import _eigh, _gibbs, _spectral_sum
 from .operators import HamiltonianModel, assemble_hamiltonian
 from .training import PovmTrainingSet, StateTrainingSet
 
@@ -100,13 +100,14 @@ def random_mixed(n: int, rng: np.random.Generator) -> StateTrainingSet:
 
     Eigenvectors are the columns of a Haar-random unitary (drawn first);
     eigenvalues are ``2^n`` i.i.d. Uniform(0,1) weights normalized to sum
-    one (drawn second).  Full rank with probability 1.
+    one (drawn second).  Full rank with probability 1. The density matrix is
+    formed by ``linalg._spectral_sum``, so it is Hermitian bit for bit.
     """
     dim = 2 ** int(n)
     u = haar_unitary(dim, rng)
     w = rng.uniform(size=dim)
     w /= w.sum()
-    return StateTrainingSet(rho=(u * w) @ u.conj().T)
+    return StateTrainingSet(rho=_spectral_sum(u, w[None, :]))
 
 
 def random_ti_teacher(model: HamiltonianModel, normalize, rng: np.random.Generator) -> list:

@@ -57,6 +57,9 @@ __all__ = [
 LIKELIHOOD_FLOOR = 1e-300
 LOG_CLAMP = -700.0
 
+# Highest commutator-series order. Its kernel misses (e^x - 1)/x by about |x|^order/(order+1)!
+# at an eigenvalue gap x (6.6e-7 at order 12 and gap 2, a unit-norm H's widest); more buys
+# nothing, as grad_povm_exact costs the same one rotation per element with no truncation.
 MAX_COMMUTATOR_ORDER = 12
 
 # Eigenvalue floor of the POVM-element logarithms in the Golden-Thompson
@@ -516,6 +519,27 @@ def grad_povm_gt(
     return _result(theta, term_expectations(model, X) - _reg_grad(model, thetas, lam), failed)
 
 
+def _grad_povm_rotated(model: HamiltonianModel, theta, data, lam: float, kernel) -> np.ndarray:
+    """Re Tr[H_j (rho + V (W * kernel(mu, w)) V^+)] - lam theta_j [quantum]: the exact and series gradients.
+
+    At each row, V holds the eigenvectors of H, mu = evals - evals[0] and
+    w = e^{-mu} the Gibbs weights. W = sum_v (P_v / L_v) V^+ Lambda_v V, with
+    L_v = Tr[Lambda_v e^{-(H - evals[0])}] = diag(V^+ Lambda_v V) . w floored at
+    LIKELIHOOD_FLOOR, and the (dim, dim) kernel multiplies W entry by entry.
+    """
+    thetas, ev, sets = _setup(model, theta, data)
+    X = ev.rho.copy()
+    for rows, (evals_rows, V_rows) in ev.solves:
+        for b, evals, V in zip(rows, evals_rows, V_rows):
+            weighted = np.zeros(V.shape, dtype=np.complex128)  # V is real for real-symmetric H
+            for p, el, _ in sets[b].lifted(model.n_hidden):
+                el_rot = V.conj().T @ el @ V
+                likelihood = max(float(el_rot.diagonal().real @ ev.weights[b]), LIKELIHOOD_FLOOR)
+                weighted += (p / likelihood) * el_rot
+            X[b] += V @ (weighted * kernel(evals - evals[0], ev.weights[b])) @ V.conj().T
+    return _result(theta, term_expectations(model, X) - _reg_grad(model, thetas, lam))
+
+
 def grad_povm_exact(
     model: HamiltonianModel, theta, data: PovmTrainingSet, lam: float = 0.0
 ) -> np.ndarray:
@@ -524,37 +548,12 @@ def grad_povm_exact(
     The Frechet derivative D(H, E) of e^{-H} along E is self-adjoint under
     the trace, Tr[Lambda D(H, H_j)] = Tr[H_j D(H, Lambda)], so component j
     is Re Tr[H_j (rho + sum_v P_v D(H, Lambda_v) / Tr[Lambda_v e^{-H}])].
-    The D(H, Lambda_v) are summed in the eigenbasis of H and scaled once by
-    the divided differences of e^{-x} (_exp_neg_divided_differences) at
-    eigenvalues shifted by the minimum, so large ||H|| stays finite; the
-    shift cancels in the likelihood ratios.
+    In H's eigenbasis D(H, E) = V ((V^+ E V) * K) V^+ (Daleckii-Krein), with
+    K the divided differences of e^{-x} (_exp_neg_divided_differences) at
+    the eigenvalues shifted by the minimum, so large ||H|| stays finite; the
+    shift cancels in the likelihood ratios (_grad_povm_rotated).
     """
-    thetas, ev, sets = _setup(model, theta, data)
-    X = ev.rho.copy()
-    for rows, (evals_rows, V_rows) in ev.solves:
-        for b, evals, V in zip(rows, evals_rows, V_rows):
-            # sum_v (P_v / L_v) V^+ Lambda_v V, with L_v = Tr[Lambda_v e^{-(H - evals[0])}]
-            weighted = np.zeros(V.shape, dtype=np.complex128)  # V is real for real-symmetric H
-            for p, el, _ in sets[b].lifted(model.n_hidden):
-                el_rot = V.conj().T @ el @ V
-                likelihood = max(float(el_rot.diagonal().real @ ev.weights[b]), LIKELIHOOD_FLOOR)
-                weighted += (p / likelihood) * el_rot
-            X[b] += V @ (weighted * _exp_neg_divided_differences(evals - evals[0])) @ V.conj().T
-    return _result(theta, term_expectations(model, X) - _reg_grad(model, thetas, lam))
-
-
-def _hadamard_series(H: np.ndarray, direction: np.ndarray, order: int) -> np.ndarray:
-    """Truncation of int_0^1 e^{sH} D e^{-sH} ds to `order` terms.
-
-    Equals sum_{m=0}^{order-1} ad_H^m(D) / (m+1)! with ad_H(D) = HD - DH,
-    by Hadamard's lemma. Order 1 keeps only D itself.
-    """
-    series = direction.copy()
-    nested = direction
-    for m in range(1, order):
-        nested = H @ nested - nested @ H
-        series += nested / math.factorial(m + 1)
-    return series
+    return _grad_povm_rotated(model, theta, data, lam, lambda mu, _: _exp_neg_divided_differences(mu))
 
 
 def grad_povm_commutator(
@@ -571,23 +570,22 @@ def grad_povm_commutator(
     Tr[ad_H(A) B] = -Tr[A ad_H(B)], the series moves off the terms onto
     B = rho sum_v (P_v / L_v) Lambda_v with L_v = Tr[rho Lambda_v]:
     component j is Re Tr[H_j (rho - sum_{m<order} ad_H^m(B) / (m+1)!)].
-    Only the real part of each trace is kept (the truncation's
-    anti-Hermitian residue is discarded). Exact for commuting models at
-    any order and increasingly accurate in `order` while ||H|| is
-    moderate; orders above 12 are rejected as numerically useless.
+    In H's eigenbasis ad_H scales entry (a, b) by mu_a - mu_b: this is the
+    exact gradient's form (_grad_povm_rotated) with the kernel
+    -w_a S(mu_a - mu_b), where S(x) = sum_{m<order} x^m / (m+1)! truncates
+    (e^x - 1)/x. Only the real part of each trace is kept. Exact for
+    commuting models at any order and increasingly accurate in `order` while
+    ||H|| is moderate (see MAX_COMMUTATOR_ORDER).
     """
     _check_commutator_order(order)
-    thetas, ev, sets = _setup(model, theta, data)
-    X = ev.rho.copy()
-    for b, data in enumerate(sets):
-        if b in ev.failed:
-            continue
-        rho = ev.rho[b]
-        weighted = np.zeros_like(rho)
-        for p, el, _ in data.lifted(model.n_hidden):
-            weighted += (p / max(expectation_value(rho, el), LIKELIHOOD_FLOOR)) * el
-        X[b] -= _hadamard_series(ev.H[b], rho @ weighted, order)
-    return _result(theta, term_expectations(model, X) - _reg_grad(model, thetas, lam))
+
+    def kernel(mu, w):
+        x, series = mu[:, None] - mu[None, :], 0.0
+        for m in range(order, 0, -1):  # Horner's rule: S's coefficient of x^(m-1) is 1/m!
+            series = series * x + 1.0 / math.factorial(m)
+        return -w[:, None] * series
+
+    return _grad_povm_rotated(model, theta, data, lam, kernel)
 
 
 def objective_relent(

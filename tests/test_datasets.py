@@ -100,6 +100,11 @@ class TestRandomMixed:
         w /= w.sum()
         assert np.allclose(np.linalg.eigvalsh(s.rho), np.sort(w), atol=1e-10)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_hermitian_bit_for_bit(self, rng, n):
+        rho = random_mixed(n, rng).rho
+        assert np.array_equal(rho, rho.conj().T)
+
     def test_state_validated_once(self, rng, monkeypatch):
         # StateTrainingSet checks the state; random_mixed adds no second check
         checks = []

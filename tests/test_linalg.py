@@ -320,7 +320,7 @@ class TestEntropies:
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_one_formula_for_a_state_and_a_spectrum(self, rng, n):
-        rho = hermitize(random_mixed(n, rng).rho)  # Hermitian bit for bit, as the solve sees it
+        rho = random_mixed(n, rng).rho  # Hermitian bit for bit, as the solve sees it
         assert von_neumann_entropy(rho) == _entropy(np.linalg.eigvalsh(rho))
 
 

@@ -422,11 +422,15 @@ class TestPerTermOracles:
         assert np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want)
 
     def test_exact_at_zero_theta(self, problem):
-        # H = 0 is degenerate: every eigenvalue pair takes the kernel's confluent branch
+        # H = 0 is degenerate: every eigenvalue pair is confluent, and ad_H = 0 makes every series order exact
         m, _, data, H, padded = problem
         want = self.exact_oracle(m, np.zeros_like(H), padded, data.probabilities)
-        got = grad_povm_exact(m, np.zeros(m.n_terms), data)
-        assert np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want)
+        gradients = {"exact": grad_povm_exact}
+        for order in (1, 5, MAX_COMMUTATOR_ORDER):
+            gradients[f"commutator-{order}"] = lambda m, t, d, order=order: grad_povm_commutator(m, t, d, order=order)
+        for name, gradient in gradients.items():
+            got = gradient(m, np.zeros(m.n_terms), data)
+            assert np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want), name
 
     def test_exact_with_real_eigenvectors_and_real_data(self, problem):
         # fermionic H and the step-function projectors are real: every solve is real
@@ -458,6 +462,80 @@ class TestPerTermOracles:
         want = np.array(want)
         got = grad_povm_commutator(m, theta, data, order=order)
         assert np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want)
+
+
+class TestOneQubitClosedForm:
+    """The exact POVM objective, its gradient and the commutator series at one qubit, in closed form.
+
+    mean_field 1 and pauli_complete 1 both have the terms X, Y, Z, so H = h.sigma with
+    h = theta. With r = |h|, e^{-H} = cosh r I - sinh r (h.sigma)/r and Z = 2 cosh r, so
+    rho = (I - u h.sigma)/2 with u = tanh(r)/r, and an element Lambda = a0 I + a.sigma has
+    the likelihood a0 - u h.a. On Pauli vectors ad_H is 2i h x, so the commutator series is
+    a 3x3 matrix power. No eigensolver, scatter or gradient kernel of the package runs here.
+    """
+
+    LAM = 0.3
+    QUANTUM = np.array([1.0, 1.0, 0.0])  # X and Y are off-diagonal terms, Z is not
+
+    @staticmethod
+    def pauli_vector(A):
+        """(c0, c) with A = c0 I + c.sigma."""
+        c = [(A[0, 1] + A[1, 0]) / 2, (A[1, 0] - A[0, 1]) / 2j, (A[0, 0] - A[1, 1]) / 2]
+        return (A[0, 0] + A[1, 1]) / 2, np.array(c)
+
+    @staticmethod
+    def ratios(r):
+        """u = tanh(r)/r and v = (r - tanh r)/r^3, by their Taylor series near r = 0."""
+        if r < 1e-4:
+            return 1.0 - r**2 / 3, 1.0 / 3 - 2 * r**2 / 15
+        t = math.tanh(r)
+        return t / r, (r - t) / r**3
+
+    @pytest.fixture(params=["mean_field", "pauli_complete"])
+    def model(self, request):
+        model = build_model(request.param, 1)
+        assert [label[0] for label in model.labels] == ["X", "Y", "Z"]
+        return model
+
+    def problem(self, r, rng):
+        """(h, data, Pauli vectors (a0, a) of its elements, u, v, likelihoods) at a random h of norm r."""
+        n = rng.normal(size=3)
+        h = r * n / np.linalg.norm(n)
+        data = random_full_rank_povm(2, rng)
+        a = [(c0.real, c.real) for c0, c in map(self.pauli_vector, data.elements)]
+        u, v = self.ratios(r)
+        return h, data, a, u, v, np.array([a0 - u * (h @ av) for a0, av in a])
+
+    @pytest.mark.parametrize("r", [0.0, 1e-8, 1.0, 20.0])
+    def test_exact(self, model, r, rng, request):
+        h, data, a, u, v, likelihoods = self.problem(r, rng)
+        value = data.probabilities @ np.log(likelihoods) - self.LAM / 2 * (self.QUANTUM * h) @ h
+        assert abs(objective_povm_exact(model, h, data, self.LAM) - value) <= 1e-12 * max(1.0, abs(value))
+        # d/dh log Tr[Lambda e^{-H}] = (a0 u h - u a - v (h.a) h) / (a0 - u h.a), and d/dh log Z = u h
+        want = sum(p * (a0 * u * h - u * av - v * (h @ av) * h) / L
+                   for p, (a0, av), L in zip(data.probabilities, a, likelihoods)) - u * h - self.LAM * self.QUANTUM * h
+        if r == 1e-8:
+            request.applymarker(pytest.mark.xfail(strict=True, reason=(
+                "_exp_neg_divided_differences divides e^{-a} - e^{-b} by a - b at gaps just above its 1e-8 "
+                "confluence cut, which loses about 1e-9 relative at the gap 2e-8")))
+        got = grad_povm_exact(model, h, data, self.LAM)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("r", [0.0, 1e-8, 1.0])
+    def test_commutator_at_every_order(self, model, r, rng):
+        h, data, a, u, _, likelihoods = self.problem(r, rng)
+        # B = rho W with W = sum_v (P_v / L_v) Lambda_v, and (x0 + x.sigma)(y0 + y.sigma)
+        # has the Pauli vector x0 y + y0 x + i x cross y
+        w0 = sum(p * a0 / L for p, (a0, _), L in zip(data.probabilities, a, likelihoods))
+        w = sum(p * av / L for p, (_, av), L in zip(data.probabilities, a, likelihoods))
+        rho = -u * h / 2
+        b = 0.5 * w + w0 * rho + 1j * np.cross(rho, w)
+        ad = 2j * np.array([[0.0, -h[2], h[1]], [h[2], 0.0, -h[0]], [-h[1], h[0], 0.0]])  # ad_H as 2i h x
+        for order in range(1, MAX_COMMUTATOR_ORDER + 1):
+            series = sum(np.linalg.matrix_power(ad, m) @ b / math.factorial(m + 1) for m in range(order))
+            want = 2 * rho - 2 * series.real - self.LAM * self.QUANTUM * h
+            got = grad_povm_commutator(model, h, data, self.LAM, order)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), order
 
 
 def sampled_oracle(model, theta, data, lam, n_samples, rng_seed):
@@ -1239,6 +1317,7 @@ STACKED_GRADIENTS = {
     "gt": lambda m, t, povm, state: grad_povm_gt(m, t, povm, 0.3),
     "exact": lambda m, t, povm, state: grad_povm_exact(m, t, povm, 0.3),
     "commutator": lambda m, t, povm, state: grad_povm_commutator(m, t, povm, 0.3, 4),
+    "commutator-12": lambda m, t, povm, state: grad_povm_commutator(m, t, povm, 0.3, MAX_COMMUTATOR_ORDER),
     "relent": lambda m, t, povm, state: grad_relent(m, t, state, 0.3),
 }
 
