@@ -23,7 +23,7 @@ from .linalg import (
     _gibbs,
     _require_hermitian,
     _spectral_sum,
-    expectation_value,
+    _traces,
     gibbs_state,
     hermitian_eigendecompose,
     matrix_log_psd,
@@ -375,11 +375,6 @@ def _setup(model: HamiltonianModel, theta, data):
     return thetas, ev, sets
 
 
-def _rowwise(value, thetas: np.ndarray, failed: dict) -> np.ndarray:
-    """value(b) at each row b of a theta stack, NaN at the rows in failed."""
-    return np.array([math.nan if b in failed else value(b) for b in range(len(thetas))])
-
-
 def _result(theta, values: np.ndarray, failed: dict | None = None):
     """values at a theta stack, or at a single theta its one row: a float for an objective.
 
@@ -392,11 +387,12 @@ def _result(theta, values: np.ndarray, failed: dict | None = None):
     return float(values[0]) if values.ndim == 1 else values[0]
 
 
-def _reg_value(model: HamiltonianModel, theta: np.ndarray, lam: float) -> float:
+def _penalty(model: HamiltonianModel, thetas: np.ndarray, lam: float):
+    """(lam/2)||theta_Q||^2 at each row of a theta stack (0.0 at lam 0), each a contiguous dot product as alone."""
     if lam == 0.0:
         return 0.0
-    quantum = theta[model.quantum_mask]
-    return 0.5 * lam * float(quantum @ quantum)
+    quantum = np.ascontiguousarray(thetas[:, model.quantum_mask])
+    return 0.5 * lam * (quantum[:, None, :] @ quantum[:, :, None])[:, 0, 0]
 
 
 def _reg_grad(model: HamiltonianModel, theta: np.ndarray, lam: float) -> np.ndarray:
@@ -426,10 +422,11 @@ def term_expectations(model: HamiltonianModel, state: np.ndarray) -> np.ndarray:
     return values.reshape(state.shape[:-2] + (model.n_terms,))
 
 
-def _clamped_log(value: float) -> float:
-    if value < LIKELIHOOD_FLOOR:
-        return LOG_CLAMP
-    return float(np.log(value))
+def _povm_pairs(model: HamiltonianModel, sets: list):
+    """(lifted, row_of, P): each set's lifted tuple, and the row and P_v of each (row, element) pair in that order."""
+    lifted = [data.lifted(model.n_hidden) for data in sets]
+    row_of = np.repeat(np.arange(len(sets)), [len(ops) for ops in lifted])
+    return lifted, row_of, np.array([p for ops in lifted for p, *_ in ops])
 
 
 def objective_povm_exact(
@@ -445,19 +442,17 @@ def objective_povm_exact(
     returns one value per row from the model's one stacked evaluation
     (_evaluate), each bit for bit the call at its row alone. A row whose
     H(theta) is non-finite or whose solve fails reads NaN, where a single
-    theta raises LinAlgError.
+    theta raises LinAlgError. Here each (row, element) pair takes one likelihood
+    trace, and the clamped logs are summed per row in element order.
     """
     thetas, ev, sets = _setup(model, theta, data)
-    lifted = [data.lifted(model.n_hidden) for data in sets]
-    return _result(theta, _rowwise(
-        lambda b: _povm_exact_value(model, thetas[b], lifted[b], ev.rho[b], lam), thetas, ev.failed))
-
-
-def _povm_exact_value(model: HamiltonianModel, theta: np.ndarray, lifted: tuple,
-                      rho: np.ndarray, lam: float) -> float:
-    """objective_povm_exact at theta from its Gibbs state rho."""
-    value = sum(p * _clamped_log(expectation_value(rho, el)) for p, el, _ in lifted)
-    return value - _reg_value(model, theta, lam)
+    lifted, row_of, probabilities = _povm_pairs(model, sets)
+    # pair by pair on views of the record and the lifted elements: a gathered stack of the pairs
+    # would only add copies, and one (dim, dim) product at a time bounds the temporaries
+    likelihoods = np.array([_traces(rho, el) for rho, ops in zip(ev.rho, lifted) for _, el, _ in ops])
+    logs = np.where(likelihoods < LIKELIHOOD_FLOOR, LOG_CLAMP, np.log(np.maximum(likelihoods, LIKELIHOOD_FLOOR)))
+    values = np.bincount(row_of, probabilities * logs, len(thetas))
+    return _result(theta, values - _penalty(model, thetas, lam))
 
 
 def objective_povm_gt(
@@ -472,26 +467,16 @@ def objective_povm_gt(
     realness group (_solve_stack); a row whose solve fails reads NaN.
     """
     thetas, ev, sets = _setup(model, theta, data)
-    lifted = [data.lifted(model.n_hidden) for data in sets]
+    lifted, row_of, probabilities = _povm_pairs(model, sets)
     # H_b - log Lambda_v is bitwise Hermitian, as both terms are: no check or symmetrization
     shifted = np.concatenate([H - np.stack([log_el for *_, log_el in ops]) for H, ops in zip(ev.H, lifted)])
-    counts = [len(ops) for ops in lifted]
-    row_of = np.repeat(np.arange(len(thetas)), counts)  # the row of each matrix of shifted
     log_partitions = np.full(len(shifted), np.nan)
     solves, failed = _solve_stack(shifted, vectors=False)
     for rows, evals in solves:
         log_partitions[rows] = _gibbs(evals)[2]
     failed = {**{int(row_of[k]): reason for k, reason in failed.items()}, **ev.failed}
-    per_row = np.split(log_partitions, np.cumsum(counts)[:-1])
-    return _result(theta, _rowwise(lambda b: _povm_gt_value(
-        model, thetas[b], lifted[b], per_row[b], ev.log_z[b], lam), thetas, failed), failed)
-
-
-def _povm_gt_value(model: HamiltonianModel, theta: np.ndarray, lifted: tuple,
-                   log_partitions, log_z: float, lam: float) -> float:
-    """objective_povm_gt at theta from log Z and the log partition function of each H - log Lambda_v."""
-    value = sum(p * (log_zv - log_z) for (p, *_), log_zv in zip(lifted, log_partitions))
-    return value - _reg_value(model, theta, lam)
+    values = np.bincount(row_of, probabilities * (log_partitions - ev.log_z[row_of]), len(thetas))
+    return _result(theta, values - _penalty(model, thetas, lam), failed)
 
 
 def grad_povm_gt(
@@ -597,19 +582,13 @@ def objective_relent(
     entropy is S(rho) + n_hidden ln 2 with S(rho) cached on the data.
     Written with log Gibbs(H) = -H - logZ so arbitrarily large ||H|| stays
     finite; ascending this objective drives the Gibbs state toward rho.
-    A theta stack gives one value per row (see objective_povm_exact).
+    A theta stack gives one value per row (see objective_povm_exact), each
+    Tr[rho H] traced against the row's lifted target, never copied to a stack.
     """
     thetas, ev, sets = _setup(model, theta, data)
-    return _result(theta, _rowwise(
-        lambda b: _relent_value(model, thetas[b], sets[b], ev.H[b], ev.log_z[b], lam), thetas, ev.failed))
-
-
-def _relent_value(model: HamiltonianModel, theta: np.ndarray, data: StateTrainingSet,
-                  H: np.ndarray, log_z: float, lam: float) -> float:
-    """objective_relent at theta from H(theta) and its log Z."""
-    entropy = data.entropy + model.n_hidden * math.log(2.0)
-    relent = -entropy + expectation_value(data.lifted(model.n_hidden), H) + log_z
-    return -relent - _reg_value(model, theta, lam)
+    entropies = np.array([data.entropy for data in sets]) + model.n_hidden * math.log(2.0)
+    energies = np.array([_traces(data.lifted(model.n_hidden), H) for data, H in zip(sets, ev.H)])
+    return _result(theta, -(-entropies + energies + ev.log_z) - _penalty(model, thetas, lam))
 
 
 def grad_relent(
@@ -812,8 +791,8 @@ def _train_lockstep(model: HamiltonianModel, theta0, data, configs, rng_seed=0):
                     traces[b].diverged = True
                     traces[b].note = f"{ev.failed.get(i, 'non-finite objective or gradient')} at epoch {epoch}"
                     continue
-                overlap = None if data_type is PovmTrainingSet else expectation_value(
-                    sets[i].lifted(model.n_hidden), ev.rho[i])
+                overlap = None if data_type is PovmTrainingSet else float(_traces(
+                    sets[i].lifted(model.n_hidden), ev.rho[i]))
                 # hypot is scaled, so finite whenever the norm itself is
                 traces[b].records.append(TraceRecord(
                     epoch, theta[i].copy(), float(objective[i]), math.hypot(*grad[i]), overlap))

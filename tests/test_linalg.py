@@ -12,6 +12,7 @@ from qbmlab.linalg import (
     _entropy,
     _exp_neg_divided_differences,
     _gibbs,
+    _traces,
     expectation_value,
     fidelity,
     gibbs_state,
@@ -419,3 +420,18 @@ class TestDensityValidation:
     def test_expectation_value_rejects_a_shape_mismatch(self, state, observable):
         with pytest.raises(ValueError, match="shape"):
             expectation_value(state, observable)
+
+
+class TestTraces:
+    """_traces, the one Re Tr[A B] kernel, pinned to the flat sum of one pair's products."""
+
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_each_pair_of_a_stack_is_the_flat_sum_of_its_products(self, kind, rng):
+        for d in range(2, 65):
+            A, B = rng.normal(size=(2, 3, d, d)) + (1j * rng.normal(size=(2, 3, d, d)) if kind is complex else 0)
+            got = _traces(A, B)
+            assert got.shape == (3,)
+            for k in range(3):
+                want = np.sum(A[k] * B[k].T).real
+                assert np.array_equal(got[k], want) and np.array_equal(_traces(A[k], B[k]), want), d
+                assert expectation_value(A[k], B[k]) == want

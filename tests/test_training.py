@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from qbmlab.training import (
     train,
 )
 from qbmlab.datasets import random_mixed, random_ti_teacher, step_distribution, step_function_state
-from qbmlab.experiments import GRADCHECK_SIZES, finite_difference_gradient
+from qbmlab.experiments import GRADCHECK_SIZES, _step_povm, finite_difference_gradient
 from qbmlab.operators import HamiltonianModel, Term
 
 from conftest import (
@@ -1232,23 +1233,50 @@ class TestStackedObjectives:
         model = build_model(family, n_visible, n_hidden)
         thetas = 0.5 * rng.normal(size=(5, model.n_terms))
         thetas[1] *= [not term.matrix.imag.any() for term in model.terms]  # a real H beside complex ones
+        if povm_kind == "ragged":  # one set per row, with 2 or 2^n_visible elements
+            kinds = ("projector", "basis", "basis", "projector", "basis")
+            return model, thetas, [_step_povm(n_visible, 0.1, kind) for kind in kinds], random_mixed(n_visible, rng)
         # with real POVM elements the H_b - log Lambda_v of a real H_b are real too
         povm = (diagonal_povm if povm_kind == "real" else random_full_rank_povm)(2**n_visible, rng)
         return model, thetas, povm, random_mixed(n_visible, rng)
 
     @pytest.mark.parametrize("family", GRADCHECK_SIZES)
-    @pytest.mark.parametrize("povm_kind", ["real", "complex"])
+    @pytest.mark.parametrize("povm_kind", ["real", "complex", "ragged"])
     @pytest.mark.parametrize("lam", [0.0, 0.3])
     def test_each_row_is_the_single_call(self, family, povm_kind, lam, rng):
         model, thetas, povm, state = self.problem(family, povm_kind, rng)
         real = ~assemble_hamiltonian(model, thetas).imag.any(axis=(1, 2))
         assert thetas[1].any() and real[1] and (real.all() or not real[[0, 2, 3, 4]].any())
+        povms = povm if isinstance(povm, list) else [povm] * len(thetas)
+        assert len({len(p.elements) for p in povms}) == (2 if povm_kind == "ragged" else 1)
         for name, objective in OBJECTIVES.items():
             got = objective(model, thetas, povm, state, lam)
             assert got.shape == (len(thetas),)
-            want = [objective(build_model(family, *GRADCHECK_SIZES[family]), theta, povm, state, lam)
-                    for theta in thetas]
+            want = [objective(build_model(family, *GRADCHECK_SIZES[family]), theta, p, state, lam)
+                    for theta, p in zip(thetas, povms)]
             assert np.array_equal(got, want), name
+
+    def test_temporaries_bounded_by_one_pair(self, rng):
+        model, povm = build_model("fermionic", 5, 2), _step_povm(5, 0.1, "basis")  # 32 elements, dim 128
+        theta = 0.3 * rng.normal(size=model.n_terms)
+        want = objective_povm_exact(model, theta, povm)  # takes the evaluation and the lifted elements
+        tracemalloc.start()
+        try:
+            assert objective_povm_exact(model, theta, povm) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (dim, dim) complex product at a time, plus the buffer numpy's multiply takes
+        # for the transposed element, where a stack of every pair holds 32 of them
+        bound = model.dim**2 * 16 + np.getbufsize() * 16 + 64 * 1024
+        assert peak <= bound < len(povm.elements) * model.dim**2 * 16
+
+    def test_penalty_is_the_dot_product_of_each_row(self, rng):
+        for n_terms in range(1, 267):
+            model = SimpleNamespace(quantum_mask=rng.random(n_terms) < 0.6)
+            thetas = rng.normal(size=(4, n_terms))
+            want = [0.5 * 0.3 * float(theta[model.quantum_mask] @ theta[model.quantum_mask]) for theta in thetas]
+            assert np.array_equal(training._penalty(model, thetas, 0.3), want), n_terms
 
     @pytest.mark.parametrize("name", OBJECTIVES)
     def test_a_non_finite_or_unsolvable_row_reads_nan_alone(self, name, rng, monkeypatch):
