@@ -160,18 +160,19 @@ def matrix_log_psd(A: np.ndarray, clip: float = 1e-10) -> np.ndarray:
 def _exp_neg_divided_differences(evals: np.ndarray) -> np.ndarray:
     """Symmetric matrix of divided differences of x -> e^{-x} at evals.
 
-    Entry (i, j) is (e^{-a} - e^{-b}) / (a - b) for a = evals[i],
-    b = evals[j], with the confluent limit -e^{-(a+b)/2} used when
-    |a - b| < 1e-8.
+    Entry (i, j) is (e^{-a} - e^{-b}) / (a - b) for a = evals[i], b = evals[j],
+    formed as -e^{-(a+b)/2} sinh(d)/d with d = (a - b)/2 where |d| < 1, free of
+    cancellation; sinh overflows at wide gaps, which keep the quotient.
     """
     a = evals[:, None]
     b = evals[None, :]
-    diff = a - b
-    near = np.abs(diff) < 1e-8
+    d = (a - b) / 2.0
+    near = np.abs(d) < 1.0
+    x = np.where(near & (d != 0.0), d, 1.0)  # only the near, nonzero half-gaps go through sinh(x)/x
     return np.where(
         near,
-        -np.exp(-(a + b) / 2.0),
-        (np.exp(-a) - np.exp(-b)) / np.where(near, 1.0, diff),
+        -np.exp(-(a + b) / 2.0) * np.where(d == 0.0, 1.0, np.sinh(x) / x),
+        (np.exp(-a) - np.exp(-b)) / np.where(near, 1.0, a - b),
     )
 
 

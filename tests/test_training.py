@@ -466,17 +466,19 @@ class TestPerTermOracles:
 
 
 class TestOneQubitClosedForm:
-    """The exact POVM objective, its gradient and the commutator series at one qubit, in closed form.
+    """The POVM and relent objectives, their gradients and the commutator series at one qubit, in closed form.
 
     mean_field 1 and pauli_complete 1 both have the terms X, Y, Z, so H = h.sigma with
     h = theta. With r = |h|, e^{-H} = cosh r I - sinh r (h.sigma)/r and Z = 2 cosh r, so
     rho = (I - u h.sigma)/2 with u = tanh(r)/r, and an element Lambda = a0 I + a.sigma has
     the likelihood a0 - u h.a. On Pauli vectors ad_H is 2i h x, so the commutator series is
-    a 3x3 matrix power. No eigensolver, scatter or gradient kernel of the package runs here.
+    a 3x3 matrix power. No eigensolver, scatter or gradient kernel of the package runs in
+    the oracles.
     """
 
     LAM = 0.3
     QUANTUM = np.array([1.0, 1.0, 0.0])  # X and Y are off-diagonal terms, Z is not
+    PAULIS = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]]))
 
     @staticmethod
     def pauli_vector(A):
@@ -508,18 +510,51 @@ class TestOneQubitClosedForm:
         return h, data, a, u, v, np.array([a0 - u * (h @ av) for a0, av in a])
 
     @pytest.mark.parametrize("r", [0.0, 1e-8, 1.0, 20.0])
-    def test_exact(self, model, r, rng, request):
+    def test_exact(self, model, r, rng):
         h, data, a, u, v, likelihoods = self.problem(r, rng)
         value = data.probabilities @ np.log(likelihoods) - self.LAM / 2 * (self.QUANTUM * h) @ h
         assert abs(objective_povm_exact(model, h, data, self.LAM) - value) <= 1e-12 * max(1.0, abs(value))
         # d/dh log Tr[Lambda e^{-H}] = (a0 u h - u a - v (h.a) h) / (a0 - u h.a), and d/dh log Z = u h
         want = sum(p * (a0 * u * h - u * av - v * (h @ av) * h) / L
                    for p, (a0, av), L in zip(data.probabilities, a, likelihoods)) - u * h - self.LAM * self.QUANTUM * h
-        if r == 1e-8:
-            request.applymarker(pytest.mark.xfail(strict=True, reason=(
-                "_exp_neg_divided_differences divides e^{-a} - e^{-b} by a - b at gaps just above its 1e-8 "
-                "confluence cut, which loses about 1e-9 relative at the gap 2e-8")))
         got = grad_povm_exact(model, h, data, self.LAM)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("r", [0.0, 1e-8, 1.0, 20.0])
+    def test_relent(self, model, r, rng):
+        # rho_t = (I + s.sigma)/2 has eigenvalues (1 +- |s|)/2 and Tr[rho_t H] = s.h, so
+        # -S(rho_t || sigma) = S(rho_t) - s.h - log(2 cosh r); the gradient is -s - u h
+        h, *_ = self.problem(r, rng)
+        n, length = rng.normal(size=3), rng.uniform(0.1, 0.9)
+        s = length * n / np.linalg.norm(n)
+        rho_t = (np.eye(2) + sum(c * sigma for c, sigma in zip(s, self.PAULIS))) / 2
+        entropy = -sum(q * math.log(q) for q in ((1 + length) / 2, (1 - length) / 2))
+        u, _ = self.ratios(r)
+        value = entropy - s @ h - math.log(2 * math.cosh(r)) - self.LAM / 2 * (self.QUANTUM * h) @ h
+        data = StateTrainingSet(rho_t)
+        assert abs(objective_relent(model, h, data, self.LAM) - value) <= 1e-12 * max(1.0, abs(value))
+        want = -s - u * h - self.LAM * self.QUANTUM * h
+        got = grad_relent(model, h, data, self.LAM)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("r", [0.0, 1e-8, 1.0, 20.0])
+    def test_gt(self, model, r, rng):
+        # Lambda_v = a0 I + a.sigma has eigenvalues a0 +- |a| (at least 0.1 here, above GT_CLIP), so
+        # H - log Lambda_v = g0 I + g.sigma with g0 = -(log of their product)/2 and
+        # g = h - (log of their ratio)/2 a/|a|, and log Z_v = -g0 + log(2 cosh|g|)
+        h, data, a, *_ = self.problem(r, rng)
+        value, want = 0.0, 0.0
+        for p, (a0, av) in zip(data.probabilities, a):
+            plus, minus = a0 + np.linalg.norm(av), a0 - np.linalg.norm(av)
+            g0 = -(math.log(plus) + math.log(minus)) / 2
+            g = h - (math.log(plus) - math.log(minus)) / 2 * av / np.linalg.norm(av)
+            value += p * (-g0 + math.log(2 * math.cosh(np.linalg.norm(g))) - math.log(2 * math.cosh(r)))
+            want += p * math.tanh(np.linalg.norm(g)) * g / np.linalg.norm(g)  # d log Z_v / dh
+        u, _ = self.ratios(r)
+        value -= self.LAM / 2 * (self.QUANTUM * h) @ h
+        want = want - u * h - self.LAM * self.QUANTUM * h
+        assert abs(objective_povm_gt(model, h, data, self.LAM) - value) <= 1e-12 * max(1.0, abs(value))
+        got = grad_povm_gt(model, h, data, self.LAM)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("r", [0.0, 1e-8, 1.0])
