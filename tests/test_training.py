@@ -5,8 +5,8 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
-from types import SimpleNamespace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
