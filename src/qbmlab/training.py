@@ -388,7 +388,7 @@ def _result(theta, values: np.ndarray, failed: dict | None = None):
 
 
 def _penalty(model: HamiltonianModel, thetas: np.ndarray, lam: float):
-    """(lam/2)||theta_Q||^2 at each row of a theta stack (0.0 at lam 0), each a contiguous dot product as alone."""
+    """(lam/2)||theta_Q||^2 per row of a theta stack, or 0.0 at lam 0; on contiguous rows, bit for bit one theta's."""
     if lam == 0.0:
         return 0.0
     quantum = np.ascontiguousarray(thetas[:, model.quantum_mask])
