@@ -434,8 +434,9 @@ def _relent_ensemble(config: RelentEnsembleConfig, setup, *fixed):
     """Run config.ensemble seeded instances of ``setup(*fixed)`` (see _relent_task).
 
     The instances split into min(jobs, ensemble) contiguous tasks, which the
-    pool runs. Returns the curves stacked by name and the lists of (target,
-    final state) pairs and diverged flags, one row each per drawn row.
+    pool runs; a worker receives seeds and settings, never models. Returns the
+    curves stacked by name and the lists of (target, final state) pairs and
+    diverged flags, one row each per drawn row.
     """
     opt = config.optimizer(gradient_kind="relent")
     args = [(setup, fixed, config.seed, task.tolist(), opt)

@@ -3,6 +3,9 @@
 Models are ordered lists of Hermitian terms H_j with trainable weights
 kept outside the model object: H(theta) = sum_j theta_j H_j. Qubit 0 is
 the leftmost tensor factor; visible units come before hidden units.
+The classical_bm, fermionic and ti_complete terms are real, so their H(theta)
+and Gibbs states (the teacher targets too) are real and take the real-symmetric
+solver (linalg._eigh); pauli_complete and mean_field hold imaginary Y terms.
 """
 from __future__ import annotations
 
@@ -46,7 +49,7 @@ def _bit(site: int, n: int) -> int:
 
 
 def _masked_parity(values: np.ndarray, mask: int) -> np.ndarray:
-    """popcount(values & mask) mod 2, by XOR over the set bits of mask."""
+    """popcount(values & mask) mod 2, by XOR over the set bits of mask: numpy 1.24 has no np.bitwise_count."""
     parity = np.zeros_like(values)
     bit = 0
     while mask >> bit:
@@ -68,7 +71,8 @@ def _pauli_entries(letters: str):
 
     With x the bitmask of the X/Y sites, z that of the Z/Y sites and #Y the
     number of Y letters, the string maps basis state c to
-    i^{#Y} (-1)^{popcount(c & z)} |c ^ x>: one entry per column.
+    i^{#Y} (-1)^{popcount(c & z)} |c ^ x>: one entry per column (the
+    symplectic bitmask form of Aaronson and Gottesman).
     """
     if not letters:
         raise ValueError("empty Pauli string")

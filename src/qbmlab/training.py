@@ -4,7 +4,10 @@ Two data modalities are supported: POVM outcome statistics (maximum
 log-likelihood) and a full target density matrix (maximum negative
 relative entropy). All objectives are ascended; the optional L2 penalty
 (lam/2)*||theta_Q||^2 acts only on weights of quantum (off-diagonal)
-terms. Inverse temperature is fixed at 1 throughout.
+terms. Inverse temperature is fixed at 1 throughout. Each analytic gradient
+builds one operator X and reads every Re Tr[H_j X] in one gather
+(term_expectations), so it costs O(#POVM elements * dim^3) plus one pass
+over the term entries, not a dim^3 product per term.
 """
 from __future__ import annotations
 
@@ -62,8 +65,12 @@ LOG_CLAMP = -700.0
 # nothing, as grad_povm_exact costs the same one rotation per element with no truncation.
 MAX_COMMUTATOR_ORDER = 12
 
-# Eigenvalue floor of the POVM-element logarithms in the Golden-Thompson
-# bound, which makes rank-deficient elements full rank.
+# Eigenvalue floor of the POVM-element logarithms in the Golden-Thompson bound, which makes
+# rank-deficient elements full rank. It is a parameter of the bound, not only a guard: for a
+# projector P padded with identity, H - log Lambda_v = H + L (I - P (x) I) with L = -ln GT_CLIP
+# (about 23), and a smaller clip moves the bound down toward its L -> infinity limit, log Z of H
+# clamped to the range of P (x) I. So exact objective >= clipped bound >= clamped limit, the
+# first up to the weight GT_CLIP Tr[e^{-H} (I - P (x) I)] that the clip adds.
 GT_CLIP = 1e-10
 
 # Complex entries a stacked (block, dim, dim) temporary holds at most: lockstep rows or sampled terms.
@@ -468,8 +475,10 @@ def objective_povm_gt(
     """
     thetas, ev, sets = _setup(model, theta, data)
     lifted, row_of, probabilities = _povm_pairs(model, sets)
-    # H_b - log Lambda_v is bitwise Hermitian, as both terms are: no check or symmetrization
-    shifted = np.concatenate([H - np.stack([log_el for *_, log_el in ops]) for H, ops in zip(ev.H, lifted)])
+    # H_b - log Lambda_v, bitwise Hermitian as both are (so unchecked), into one stack held once
+    shifted = np.empty((len(row_of), model.dim, model.dim), dtype=ev.H.dtype)
+    for k, (b, log_el) in enumerate(zip(row_of, (log_el for ops in lifted for *_, log_el in ops))):
+        np.subtract(ev.H[b], log_el, out=shifted[k])
     log_partitions = np.full(len(shifted), np.nan)
     solves, failed = _solve_stack(shifted, vectors=False)
     for rows, evals in solves:
@@ -596,7 +605,9 @@ def grad_relent(
 ) -> np.ndarray:
     """Gradient of objective_relent: Tr[H_j (sigma - rho)] - lam theta_j [quantum].
 
-    sigma is the Gibbs state of H, rho the (embedded) target.
+    sigma is the Gibbs state of H, rho the (embedded) target. If both are real, an imaginary
+    term (a Y) has component exactly 0, so real targets keep a real H(theta0) real: a
+    mean-field run from 0 against real teachers takes only real solves.
     """
     thetas, ev, sets = _setup(model, theta, data)
     targets = np.array([data.lifted(model.n_hidden) for data in sets])

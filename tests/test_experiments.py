@@ -1,6 +1,7 @@
 """Experiment runner plumbing: configs, ensembles, CLI, output files."""
 
 import dataclasses
+import importlib
 import json
 import os
 import re
@@ -533,17 +534,22 @@ class TestOutputs:
             assert np.array_equal(sigma, fresh_gibbs(assemble_hamiltonian(model, trace.final_theta))[0])
 
     def test_meanfield_overlaps_come_from_the_training_epochs(self, monkeypatch):
-        calls = []
+        calls, dtypes = [], []
         spy_on_solves(monkeypatch, calls, training, linalg)
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: dtypes.append(a.dtype) or eigh(a))
         cfg = make_config("meanfield", {"epochs": "4", "n_visible": "3"})
         opt = cfg.optimizer(gradient_kind="relent")
         indices = [0, 1, 2]
         results = experiments._relent_task(
             (experiments._meanfield_setup, (cfg.n_visible,), cfg.seed, indices, opt))
-        # one stacked solve of the chunk per epoch, none after training: theta0 = 0 makes
-        # every H real at epoch 0, and the Y terms make every later H complex
+        # one stacked solve of the chunk per epoch, none after training
         assert len(calls) == opt.epochs + 1
         assert all(H.shape[0] == len(indices) for H in calls)
+        # the mean-field family has imaginary Y terms, but against real teachers from theta0 = 0
+        # every Y gradient, hence every Y weight, is exactly 0: each teacher's solve and each
+        # H(theta) take the real solver
+        assert dtypes == [np.dtype(np.float64)] * (len(indices) + opt.epochs + 1)
         teachers = build_model("ti_complete", cfg.n_visible)
         student = build_model("mean_field", cfg.n_visible)
         for i, (curves, (rho, sigma), _) in zip(indices, results):
@@ -721,11 +727,15 @@ class TestCli:
         assert "monotone from order 2: True" in out
 
 
-def _readme_section(start, end):
-    """README.md from the heading `start` up to the heading `end`."""
+def _readme():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
-        text = fh.read()
+        return fh.read()
+
+
+def _readme_section(start, end):
+    """README.md from the heading `start` up to the heading `end`."""
+    text = _readme()
     return text[text.index(start):text.index(end)]
 
 
@@ -771,6 +781,24 @@ class TestReadme:
         path.write_text(config_text)
         assert main([experiment, "--config", str(path)]) == 0, capsys.readouterr().err
         assert stub_runs[0].experiment == experiment
+
+    def test_dotted_names_resolve(self):
+        text = re.sub(r"```.*?```", "", _readme(), flags=re.S)  # inline code spans only
+        names = {name for span in re.findall(r"`([^`]+)`", text)
+                 for name in re.findall(r"\bqbmlab(?:\.\w+)+", span)}
+        assert len(names) >= 5
+        for name in sorted(names):
+            parts = name.split(".")
+            # the longest importable module prefix, then attributes below it
+            for split in range(len(parts), 0, -1):
+                try:
+                    target = importlib.import_module(".".join(parts[:split]))
+                    break
+                except ModuleNotFoundError:
+                    continue
+            for attribute in parts[split:]:
+                assert hasattr(target, attribute), name
+                target = getattr(target, attribute)
 
     def test_library_use_example_runs(self, capsys):
         section = _readme_section("## Library use", "## Reproducibility")

@@ -574,6 +574,90 @@ class TestOneQubitClosedForm:
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), order
 
 
+class TestCommutingClosedForm:
+    """POVM objectives and gradients of classical_bm on basis data, and relent on mean_field 2, in closed form.
+
+    classical_bm's H(theta) is diagonal: basis state s has the energy f(s) . theta, with the
+    features f(s) = (s_j for each unit, then s_i s_j for each pair i < j) of its bits (qubit 0
+    the most significant, visible units first). A visible basis element Lambda_x (x) I picks
+    the states whose visible bits are x, so each likelihood is a finite sum of Boltzmann
+    weights over the hidden states, and the Golden-Thompson likelihood is
+    Tr[(Lambda + GT_CLIP (I - P)) e^{-H}] / Z with P = Lambda (x) I. mean_field 2 has the
+    product Gibbs state rho_0 (x) rho_1, rho_k = (I - u_k h_k.sigma)/2 as at one qubit. No
+    eigensolver, scatter or gradient kernel of the package runs in the oracles.
+    """
+
+    LAM = 0.3
+
+    @staticmethod
+    def close(got, want):
+        return np.linalg.norm(np.subtract(got, want)) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.fixture(params=[(1, 1), (2, 1)], ids=["1+1", "2+1"])
+    def classical(self, request, rng):
+        """(model, basis data, probabilities, features, visible bits of each basis state)."""
+        n_visible, n_hidden = request.param
+        model, n = build_classical_bm(n_visible, n_hidden), n_visible + n_hidden
+        bits = (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert model.labels == tuple([f"n{j}" for j in range(n)] + [f"n{i}n{j}" for i, j in pairs])
+        assert not model.quantum_mask.any()  # the penalty is 0 at any lam
+        features = np.column_stack([bits] + [bits[:, i] * bits[:, j] for i, j in pairs]).astype(float)
+        q = rng.dirichlet(np.ones(2**n_visible))
+        q[rng.integers(q.size)] = 0.0  # an element with P_v = 0 drops out of every sum
+        q /= q.sum()
+        data = PovmTrainingSet(tuple(np.diag(np.eye(q.size)[x]) for x in range(q.size)), q)
+        return model, data, q, features, np.arange(2**n) >> n_hidden
+
+    @pytest.mark.parametrize("r", [0.0, 1e-8, 1.0, 20.0])
+    def test_classical_bm_on_basis_data(self, classical, r, rng):
+        model, data, q, features, visible = classical
+        n = rng.normal(size=model.n_terms)
+        theta = r * n / np.linalg.norm(n)
+        energies = features @ theta
+        w = np.exp(-(energies - energies.min()))
+        mean = features.T @ w / w.sum()  # <f> under the Gibbs state; d log Z / d theta = -mean
+        values, grads = {}, {}
+        # the exact likelihood weighs the other visible states by 0, the Golden-Thompson one by GT_CLIP
+        for kind, other in (("exact", 0.0), ("gt", training.GT_CLIP)):
+            values[kind], grads[kind] = 0.0, mean.copy()
+            for x in np.flatnonzero(q):
+                weight = w * np.where(visible == x, 1.0, other)
+                values[kind] += q[x] * math.log(weight.sum() / w.sum())
+                grads[kind] -= q[x] * features.T @ weight / weight.sum()
+        assert self.close(objective_povm_exact(model, theta, data, self.LAM), values["exact"])
+        assert self.close(objective_povm_gt(model, theta, data, self.LAM), values["gt"])
+        assert self.close(grad_povm_exact(model, theta, data, self.LAM), grads["exact"])
+        assert self.close(grad_povm_gt(model, theta, data, self.LAM), grads["gt"])
+        for order in (1, 5, MAX_COMMUTATOR_ORDER):  # a commuting model's series is exact at any order
+            assert self.close(grad_povm_commutator(model, theta, data, self.LAM, order), grads["exact"]), order
+
+    @pytest.mark.parametrize("r", [(0.0, 0.0), (1e-8, 1.0), (1.0, 20.0), (20.0, 1e-8)])
+    def test_mean_field_relent(self, r, rng):
+        model = build_mean_field(2)
+        assert model.labels == ("X0", "Y0", "Z0", "X1", "Y1", "Z1")
+        h = [rk * n / np.linalg.norm(n) for rk, n in zip(r, rng.normal(size=(2, 3)))]
+        # a target with a known spectrum p: U diag(p) U^+ for a unitary U from a QR factorization
+        U = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        p = rng.dirichlet(np.ones(4))
+        rho_t = (U * p) @ U.conj().T
+        blocks = rho_t.reshape(2, 2, 2, 2)
+        # the Bloch vector s_k of the target's marginal (I + s_k.sigma)/2 on qubit k, by partial trace
+        s = [2 * TestOneQubitClosedForm.pauli_vector(np.einsum(subscripts, blocks))[1].real
+             for subscripts in ("ijkj->ik", "ijil->jl")]
+        u = [TestOneQubitClosedForm.ratios(rk)[0] for rk in r]
+        quantum = np.tile([1.0, 1.0, 0.0], 2)  # X and Y are off-diagonal terms, Z is not
+        theta = np.concatenate(h)
+        # -S(rho_t || sigma) = S(rho_t) - Tr[rho_t H] - log Z with log Z = sum_k log(2 cosh r_k)
+        value = (-(p * np.log(p)).sum() - sum(sk @ hk for sk, hk in zip(s, h))
+                 - sum(math.log(2 * math.cosh(rk)) for rk in r) - self.LAM / 2 * (quantum * theta) @ theta)
+        data = StateTrainingSet(rho_t)
+        assert self.close(objective_relent(model, theta, data, self.LAM), value)
+        # Tr[sigma_a^(k) (Gibbs - rho_t)] = -u_k h_ka - s_ka
+        want = np.concatenate([-uk * hk - sk for uk, hk, sk in zip(u, h, s)]) - self.LAM * quantum * theta
+        assert self.close(grad_relent(model, theta, data, self.LAM), want)
+
+
 def sampled_oracle(model, theta, data, lam, n_samples, rng_seed):
     """grad_relent_sampled term by term and stream by stream, each stream a Generator.choice."""
     [theta], ev, [data] = training._setup(model, theta, data)
@@ -1305,6 +1389,20 @@ class TestStackedObjectives:
         # for the transposed element, where a stack of every pair holds 32 of them
         bound = model.dim**2 * 16 + np.getbufsize() * 16 + 64 * 1024
         assert peak <= bound < len(povm.elements) * model.dim**2 * 16
+
+    def test_gt_holds_its_shifted_stack_once(self, rng):
+        model, povm = build_model("fermionic", 5, 2), _step_povm(5, 0.1, "basis")  # 32 elements, dim 128
+        thetas = 0.3 * rng.normal(size=(2, model.n_terms))
+        want = objective_povm_gt(model, thetas, povm)  # takes the evaluation and the lifted logarithms
+        tracemalloc.start()
+        try:
+            assert np.array_equal(objective_povm_gt(model, thetas, povm), want)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (64, dim, dim) complex stack of H_b - log Lambda_v, and no second copy of it
+        stack = len(thetas) * len(povm.elements) * model.dim**2 * 16
+        assert stack <= peak <= 1.25 * stack
 
     def test_penalty_is_the_dot_product_of_each_row(self, rng):
         for n_terms in range(1, 267):
