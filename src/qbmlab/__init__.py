@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .linalg import (
     EigenSystem,
-    expectation_value,
     fidelity,
     gibbs_state,
     hermitian_eigendecompose,
@@ -31,7 +30,6 @@ from .operators import (
     build_mean_field,
     build_model,
     build_transverse_ising_complete,
-    pauli_matrix,
 )
 from .training import (
     GRADIENT_KINDS,

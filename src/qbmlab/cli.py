@@ -79,7 +79,11 @@ def main(argv=None) -> int:
         print(f"qbmlab: {msg}", file=sys.stderr)
         return 2
 
-    result = run_experiment(config)
+    try:
+        result = run_experiment(config)
+    except OSError as exc:  # such as an --out that names a file
+        print(f"qbmlab: {exc}", file=sys.stderr)
+        return 2
     if config.experiment == "gradcheck":
         for row in result["table"]:
             status = "ok" if row["ok"] else "FAIL"

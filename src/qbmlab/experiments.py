@@ -13,6 +13,7 @@ than wall time. povm-train trains its grid in one process.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -393,41 +394,33 @@ class RelentEnsembleConfig(ExperimentConfig):
     epochs: int = 100
 
 
-def _relent_task(args):
+def _relent_task(setup, fixed: tuple, root: int, opt: OptimizerConfig, indices: list) -> list:
     """Train instances ``indices`` of an ensemble on models built once, in lockstep chunks.
 
     ``setup(*fixed)`` returns ``(model, draw)``; ``draw(rng)`` draws the
     ``(theta0, target, theta_true)`` rows of instance i from its stream
-    child_seed(root, i). The instances split evenly into chunks of at most
-    CHUNK_ENTRIES // dim^2 rows, or of one instance. Returns per row, in
-    instance order, the padded curves by name (``s`` = S(rho || sigma),
-    ``overlap`` = Tr(rho sigma), and ``dh`` = ||H - H_true||_F if there is a
-    teacher theta_true), the (target, final state) pair and the diverged flag.
+    child_seed(root, i). All rows form one lazy stream, trained in consecutive
+    chunks of max(1, CHUNK_ENTRIES // dim^2) rows. Returns per row, in order,
+    the padded curves by name (``s`` = S(rho || sigma), ``overlap`` =
+    Tr(rho sigma), and ``dh`` = ||H - H_true||_F if there is a teacher
+    theta_true), the (target, final state) pair (None with a teacher, whose
+    row is scored by dh alone) and the diverged flag.
     """
-    setup, fixed, root, indices, opt = args
     model, draw = setup(*fixed)
-    draws = (draw(np.random.default_rng(child_seed(root, i))) for i in indices)
-    first = next(draws)  # every instance draws the same number of rows
-    per_chunk = max(1, CHUNK_ENTRIES // model.dim**2 // len(first))  # instances
-    draws, results = itertools.chain([first], draws), []
-    for chunk in np.array_split(indices, -(-len(indices) // per_chunk)):
-        rows = [row for drawn in itertools.islice(draws, len(chunk)) for row in drawn]
-        results += _relent_chunk(model, rows, opt)
+    rows = itertools.chain.from_iterable(draw(np.random.default_rng(child_seed(root, i))) for i in indices)
+    per_chunk, results = max(1, CHUNK_ENTRIES // model.dim**2), []
+    while chunk := list(itertools.islice(rows, per_chunk)):
+        theta0, targets, theta_trues = zip(*chunk)
+        traces, states = _train_lockstep(model, theta0, targets, [opt] * len(chunk))
+        for trace, target, state, theta_true in zip(traces, targets, states, theta_trues):
+            curves = dict(s=-trace.objectives, overlap=[r.overlap for r in trace.records])
+            if theta_true is not None:
+                # H is linear in theta: H(th) - H(theta_true) = H(th - theta_true)
+                curves["dh"] = [float(np.linalg.norm(assemble_hamiltonian(model, th - theta_true)))
+                                for th in trace.thetas]
+            curves = {name: _pad_curve(values, opt.epochs + 1) for name, values in curves.items()}
+            results.append((curves, None if theta_true is not None else (target.rho, state), bool(trace.diverged)))
     return results
-
-
-def _relent_chunk(model: HamiltonianModel, rows: list, opt: OptimizerConfig):
-    """Train ``(theta0, target, theta_true)`` rows in lockstep; yields per row what _relent_task returns."""
-    theta0, targets, theta_trues = zip(*rows)
-    traces, states = _train_lockstep(model, theta0, targets, [opt] * len(rows))
-    for trace, target, state, theta_true in zip(traces, targets, states, theta_trues):
-        curves = dict(s=-trace.objectives, overlap=[r.overlap for r in trace.records])
-        if theta_true is not None:
-            # H is linear in theta: H(th) - H(theta_true) = H(th - theta_true)
-            curves["dh"] = [float(np.linalg.norm(assemble_hamiltonian(model, th - theta_true)))
-                            for th in trace.thetas]
-        curves = {name: _pad_curve(values, opt.epochs + 1) for name, values in curves.items()}
-        yield curves, (target.rho, state), bool(trace.diverged)
 
 
 def _relent_ensemble(config: RelentEnsembleConfig, setup, *fixed):
@@ -435,13 +428,12 @@ def _relent_ensemble(config: RelentEnsembleConfig, setup, *fixed):
 
     The instances split into min(jobs, ensemble) contiguous tasks, which the
     pool runs; a worker receives seeds and settings, never models. Returns the
-    curves stacked by name and the lists of (target, final state) pairs and
-    diverged flags, one row each per drawn row.
+    curves stacked by name and the lists of (target, final state) pairs (None
+    for a teacher's row) and diverged flags, one entry each per drawn row.
     """
-    opt = config.optimizer(gradient_kind="relent")
-    args = [(setup, fixed, config.seed, task.tolist(), opt)
-            for task in np.array_split(np.arange(config.ensemble), min(config.jobs, config.ensemble))]
-    results = [r for task in _map_instances(_relent_task, args, config.jobs) for r in task]
+    task = functools.partial(_relent_task, setup, fixed, config.seed, config.optimizer(gradient_kind="relent"))
+    splits = np.array_split(np.arange(config.ensemble), min(config.jobs, config.ensemble))
+    results = [r for rows in _map_instances(task, [split.tolist() for split in splits], config.jobs) for r in rows]
     curves = {name: np.asarray([r[0][name] for r in results]) for name in results[0][0]}
     return curves, [r[1] for r in results], [r[2] for r in results]
 
@@ -540,13 +532,7 @@ def run_hamlearn(config: HamlearnConfig):
             n_diverged=sum(diverged[v::2]),
         )
 
-    summary = EnsembleSummary(
-        experiment=config.experiment,
-        metric="relative_entropy",
-        curves=variants["normalized"]["s"],
-        finals=variants["normalized"]["s_finals"],
-        extras=variants,
-    )
+    summary = _summary(config, "relative_entropy", curves["s"][0::2], **variants)  # the normalized rows
     curves_by_key = {
         (name, metric): data[metric] for name, data in variants.items() for metric in ("s", "dh")
     }
@@ -653,10 +639,17 @@ class CommutatorCompareConfig(ExperimentConfig):
         super().__post_init__()
         if not 0.0 < self.switch_fraction < 1.0:
             raise ValueError("switch_fraction must lie in (0, 1)")
+        if self.switch_epoch >= self.epochs:
+            raise ValueError(f"switch_fraction {self.switch_fraction} switches at epoch "
+                             f"{self.switch_epoch} of {self.epochs}, not before the last")
         if min(self.grid("eta_grid", float)) <= 0:
             raise ValueError("eta_grid values must be positive")
         for mu in self.grid("momentum_grid", float):
             self.optimizer(momentum=mu)
+
+    @property
+    def switch_epoch(self) -> int:  # where schedule B switches to the commutator gradient
+        return max(1, round(self.switch_fraction * self.epochs))
 
     def models(self) -> list:
         return [(self.family, self.n_visible, self.n_hidden)]
@@ -677,9 +670,7 @@ def run_commutator_compare(config: CommutatorCompareConfig):
     rng = np.random.default_rng(child_seed(config.seed, 0))
     theta0 = config.theta0_scale * rng.standard_normal(model.n_terms)
 
-    total = config.epochs
-    first = max(1, int(round(config.switch_fraction * total)))
-    second = max(1, total - first)
+    total, first = config.epochs, config.switch_epoch
 
     # A and every distinct (eta, mu) of C's grid are rows of one GT run; A is the row with A's settings
     opt_a = config.optimizer(gradient_kind="gt", epochs=total)
@@ -691,7 +682,7 @@ def run_commutator_compare(config: CommutatorCompareConfig):
     trace_a, curve_a = traces[0], curves[opt_a]
 
     # B's first phase is A's run up to epoch `first`, record for record
-    opt_b2 = config.optimizer(gradient_kind="commutator", epochs=second)
+    opt_b2 = config.optimizer(gradient_kind="commutator", epochs=total - first)
     trace_b2 = train(model, trace_a.records[: first + 1][-1].theta, data, opt_b2)
     curve_b = _pad_curve(
         np.concatenate([trace_a.objectives[: first + 1], trace_b2.objectives[1:]]), total + 1
@@ -979,12 +970,13 @@ def run_experiment(config: ExperimentConfig):
     The manifest holds the experiment, tool version, seed and config: every
     key the experiment reads, so only settings that took effect. A runner
     returns (result, files); in files a ``.csv`` name maps to (header, rows)
-    and any other name to a JSON payload. Returns the in-memory result (an
-    EnsembleSummary or a report dict).
+    and any other name to a JSON payload. config.out is made before the run.
+    Returns the in-memory result (an EnsembleSummary or a report dict).
     """
-    result, files = EXPERIMENTS[config.experiment][1](config)
     if config.out:
         os.makedirs(config.out, exist_ok=True)
+    result, files = EXPERIMENTS[config.experiment][1](config)
+    if config.out:
         manifest = dict(experiment=config.experiment, version=__version__, seed=config.seed,
                         config=dataclasses.asdict(config))
         for name, payload in {"manifest.json": manifest, **files}.items():

@@ -29,7 +29,6 @@ __all__ = [
     "matrix_log_psd",
     "von_neumann_entropy",
     "fidelity",
-    "expectation_value",
     "validate_density_matrix",
 ]
 
@@ -209,14 +208,6 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
 def _traces(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Re Tr[A B] of two matrices, or of each pair of two (K, d, d) stacks, each bit for bit as alone; unchecked."""
     return (A * B.swapaxes(-1, -2)).sum(axis=(-2, -1)).real
-
-
-def expectation_value(state: np.ndarray, observable: np.ndarray) -> float:
-    """Re Tr[state @ observable] for a Hermitian observable of matching shape."""
-    state, observable = np.asarray(state), np.asarray(observable)
-    if state.ndim != 2 or state.shape != observable.shape[::-1]:
-        raise ValueError(f"state shape {state.shape} does not match observable shape {observable.shape}")
-    return float(_traces(state, observable))
 
 
 def validate_density_matrix(rho: np.ndarray, name: str = "state") -> np.ndarray:

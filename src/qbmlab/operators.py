@@ -17,10 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "PAULI",
     "Term",
     "HamiltonianModel",
-    "pauli_matrix",
     "build_classical_bm",
     "build_transverse_ising_complete",
     "build_complete_pauli_set",
@@ -30,13 +28,6 @@ __all__ = [
     "check_model_size",
     "assemble_hamiltonian",
 ]
-
-PAULI = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
 
 # Off-diagonal magnitude above which a term couples computational basis
 # states and counts as quantum (subject to L2 regularization).
@@ -79,7 +70,7 @@ def _pauli_entries(letters: str):
     n = len(letters)
     x = z = n_y = 0
     for site, ch in enumerate(letters):
-        if ch not in PAULI:
+        if ch not in "IXYZ":
             raise ValueError(f"unknown Pauli letter {ch!r} in {letters!r}")
         if ch in "XY":
             x |= _bit(site, n)
@@ -88,11 +79,6 @@ def _pauli_entries(letters: str):
         n_y += ch == "Y"
     cols = np.arange(2**n)
     return cols ^ x, cols, (1, 1j, -1, -1j)[n_y % 4] * (1 - 2 * _masked_parity(cols, z))
-
-
-def pauli_matrix(letters: str) -> np.ndarray:
-    """Dense matrix of a Pauli string such as "IXZ" (qubit 0 leftmost): one scatter."""
-    return _scatter(2 ** len(letters), *_pauli_entries(letters))
 
 
 def _ladder_product(ops, n: int):

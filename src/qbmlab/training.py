@@ -73,7 +73,8 @@ MAX_COMMUTATOR_ORDER = 12
 # first up to the weight GT_CLIP Tr[e^{-H} (I - P (x) I)] that the clip adds.
 GT_CLIP = 1e-10
 
-# Complex entries a stacked (block, dim, dim) temporary holds at most: lockstep rows or sampled terms.
+# Complex entries a stacked (block, dim, dim) temporary of lockstep rows or sampled terms holds at most,
+# unless one row or term alone has more.
 CHUNK_ENTRIES = 2**14
 
 

@@ -13,6 +13,23 @@ def rng():
     return np.random.default_rng(1234)
 
 
+# The 2x2 Pauli matrices, the oracles every Pauli word is built from.
+PAULI = {
+    "I": np.eye(2, dtype=np.complex128),
+    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
+}
+
+
+def pauli_word(word):
+    """Dense matrix of a Pauli word such as "IXZ" (qubit 0 leftmost): the kron chain of its letters."""
+    out = np.ones((1, 1), dtype=np.complex128)
+    for ch in word:
+        out = np.kron(out, PAULI[ch])
+    return out
+
+
 def random_hermitian(dim, rng, scale=1.0):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = (a + a.conj().T) / 2

@@ -12,7 +12,7 @@ import pytest
 
 from qbmlab.datasets import random_ti_teacher
 from qbmlab.experiments import make_config, run_experiment
-from qbmlab.linalg import expectation_value, gibbs_state
+from qbmlab.linalg import _traces, gibbs_state
 from qbmlab.operators import (
     assemble_hamiltonian,
     build_classical_bm,
@@ -165,7 +165,7 @@ def test_criterion_05_meanfield_overlap():
         rng = np.random.default_rng(child_seed(config.seed, i))
         [(_, target)] = random_ti_teacher(teachers, (False,), rng)
         sigma = _product_of_marginals(target.rho, config.n_visible)
-        optimum.append(expectation_value(target.rho, sigma))
+        optimum.append(_traces(target.rho, sigma))
     closed_form = float(np.median(optimum))
     _report(
         f"criterion 5b: median final fidelity F = {fid:.3f}, required band [0.5, 0.9]; "

@@ -184,7 +184,7 @@ class TestParallelism:
         assert np.array_equal(s1.finals, s2.finals)
 
     # every experiment that dispatches to a process pool, at small settings; at dim 128
-    # (hamlearn-n7) each lockstep chunk holds one instance and a task trains several
+    # (hamlearn-n7) each lockstep chunk holds one row and a task trains several
     POOLED = {
         "tomography": ("tomography", {"ensemble": "4", "epochs": "3"}),
         "hamlearn": ("hamlearn", {"ensemble": "3", "epochs": "3"}),
@@ -283,7 +283,7 @@ class TestLockstep:
         "hamlearn": ("hamlearn", {}),
     }
 
-    @pytest.mark.parametrize("budget", ["default", "one instance"])
+    @pytest.mark.parametrize("budget", ["default", "one row"])
     @pytest.mark.parametrize("case", CASES)
     def test_every_instance_is_train_bit_for_bit(self, monkeypatch, case, budget):
         experiment, settings = self.CASES[case]
@@ -291,18 +291,17 @@ class TestLockstep:
         lockstep = experiments._train_lockstep
         monkeypatch.setattr(experiments, "_train_lockstep",
                             lambda *args: runs.append((args, lockstep(*args))) or runs[-1][1])
-        if budget == "one instance":
+        if budget == "one row":
             monkeypatch.setattr(experiments, "CHUNK_ENTRIES", 1)
         config = make_config(experiment, settings, {"ensemble": "3", "epochs": "6"})
         run_experiment(config)
-        # one lockstep run per chunk; hamlearn's two rows of an instance share its chunk
-        rows = 2 if experiment == "hamlearn" else 1
-        assert [len(args[2]) for args, _ in runs] == (
-            [rows] * config.ensemble if budget == "one instance" else [rows * config.ensemble])
+        # one lockstep run per chunk; hamlearn draws two rows per instance
+        rows = config.ensemble * (2 if experiment == "hamlearn" else 1)
+        assert [len(args[2]) for args, _ in runs] == ([1] * rows if budget == "one row" else [rows])
         for (model, theta0, targets, opt), (traces, states) in runs:
             assert_lockstep_matches_train(model, theta0, targets, opt, traces, states)
 
-    # n=2: every instance in one chunk; n=7 (dim 128): one instance, two rows, per chunk
+    # n=2: every instance in one chunk; n=7 (dim 128): one row per chunk
     @pytest.mark.parametrize("n_visible, ensemble", [(2, 4), (7, 2)])
     def test_hamlearn_rows_are_a_run_per_variant_bit_for_bit(self, n_visible, ensemble):
         config = make_config("hamlearn", {"n_visible": n_visible, "ensemble": ensemble, "epochs": "3"})
@@ -322,7 +321,8 @@ class TestLockstep:
                 assert np.array_equal(curves["s"][row], -trace.objectives)
                 assert np.array_equal(curves["dh"][row], [np.linalg.norm(assemble_hamiltonian(
                     model, th - theta_true)) for th in trace.thetas])
-                assert np.array_equal(pairs[row][0], target.rho) and diverged[row] is False
+                # scored by ||H - H_true||, a teacher's row keeps no states
+                assert pairs[row] is None and diverged[row] is False
                 finals.append(-trace.objectives[-1])
             assert np.array_equal(summary.extras[name]["s_finals"], finals)
 
@@ -332,18 +332,19 @@ class TestLockstep:
         monkeypatch.setattr(experiments, "build_model", lambda *args: built.append(args) or build(*args))
         eigh = datasets._eigh
         monkeypatch.setattr(datasets, "_eigh", lambda H: solves.append(H) or eigh(H))
-        run_experiment(make_config("hamlearn", {"ensemble": "3", "n_visible": "7", "epochs": "1"}))
-        # three chunks of one instance each, one model, one teacher solve per instance
-        assert built == [("ti_complete", 7)] and len(solves) == 3
-        built.clear()
         sizes = []
         lockstep = experiments._train_lockstep
         monkeypatch.setattr(experiments, "_train_lockstep",
                             lambda model, theta0, *args: sizes.append(len(theta0)) or lockstep(model, theta0, *args))
+        run_experiment(make_config("hamlearn", {"ensemble": "3", "n_visible": "7", "epochs": "1"}))
+        # a row of dim 128 fills the budget: six chunks of one row, one model, one teacher solve per instance
+        assert built == [("ti_complete", 7)] and len(solves) == 3 and sizes == [1] * 6
+        built.clear()
+        sizes.clear()
         run_experiment(make_config("meanfield", {"ensemble": "50", "n_visible": "5", "epochs": "1"}))
         assert built == [("ti_complete", 5), ("mean_field", 5)]
-        # at most 16 rows of dim 32 per chunk, split evenly
-        assert sizes == [13, 13, 12, 12]
+        # consecutive chunks of at most 16 rows of dim 32
+        assert sizes == [16, 16, 16, 2]
 
 
 class TestPovmData:
@@ -523,8 +524,7 @@ class TestOutputs:
                                 raising=False)
         cfg = make_config("tomography", {"epochs": "3"})
         opt = cfg.optimizer(gradient_kind="relent")
-        results = experiments._relent_task(
-            (experiments._tomography_setup, (cfg.n_visible, "mixed"), cfg.seed, [0, 1], opt))
+        results = experiments._relent_task(experiments._tomography_setup, (cfg.n_visible, "mixed"), cfg.seed, opt, [0, 1])
         assert calls == []
         model = build_model("pauli_complete", cfg.n_visible)
         for i, (_, (_, sigma), _) in enumerate(results):
@@ -541,8 +541,7 @@ class TestOutputs:
         cfg = make_config("meanfield", {"epochs": "4", "n_visible": "3"})
         opt = cfg.optimizer(gradient_kind="relent")
         indices = [0, 1, 2]
-        results = experiments._relent_task(
-            (experiments._meanfield_setup, (cfg.n_visible,), cfg.seed, indices, opt))
+        results = experiments._relent_task(experiments._meanfield_setup, (cfg.n_visible,), cfg.seed, opt, indices)
         # one stacked solve of the chunk per epoch, none after training
         assert len(calls) == opt.epochs + 1
         assert all(H.shape[0] == len(indices) for H in calls)
@@ -557,7 +556,7 @@ class TestOutputs:
             [(_, target)] = random_ti_teacher(teachers, (False,), np.random.default_rng(child_seed(cfg.seed, i)))
             trace = train(student, np.zeros(student.n_terms), target, opt)
             fresh = [linalg.gibbs_state(assemble_hamiltonian(student, th))[0] for th in trace.thetas]
-            assert np.array_equal(curves["overlap"], [linalg.expectation_value(rho, s) for s in fresh])
+            assert np.array_equal(curves["overlap"], [linalg._traces(rho, s) for s in fresh])
             assert np.array_equal(sigma, fresh[-1])
 
     def test_commutator_compare_reuses_schedule_a(self, monkeypatch):
@@ -681,6 +680,9 @@ class TestCli:
         ["commutator-compare", "--set", "eta_grid=0", "--set", "epochs=2"],
         ["commutator-compare", "--set", "momentum_grid=0,1"],
         ["commutator-compare", "--set", "family=ti_complete", "--set", "n_hidden=1"],
+        # the switch would fall on the last epoch (round(2.7) = 3), or after it
+        ["commutator-compare", "--set", "epochs=3", "--set", "switch_fraction=0.9"],
+        ["commutator-compare", "--set", "epochs=1"],
         ["variance-sweep", "--set", "n_samples_grid=0"],
         ["variance-sweep", "--set", "n_samples_grid=64"],
         ["variance-sweep", "--set", "n_repeats=0"],
@@ -714,6 +716,17 @@ class TestCli:
         cfg.write_text("# header\nepochs = ten\n")
         assert main(["tomography", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"qbmlab: {cfg}:2: epochs must be an int, got 'ten'\n"
+
+    def test_out_naming_a_file_exits_2_before_the_run(self, tmp_path, monkeypatch, capsys):
+        runs = []
+        config_class, run = EXPERIMENTS["tomography"]
+        monkeypatch.setitem(EXPERIMENTS, "tomography", (config_class, lambda config: runs.append(config) or run(config)))
+        out = tmp_path / "a_file"
+        out.write_text("kept\n")
+        assert main(["tomography", "--ensemble", "3", "--set", "epochs=3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qbmlab: ") and err.count("\n") == 1 and str(out) in err
+        assert runs == [] and out.read_text() == "kept\n"
 
     def test_missing_config_file_exit_code(self, capsys):
         assert main(["tomography", "--config", "/no/such/file.cfg"]) == 2

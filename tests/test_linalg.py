@@ -13,7 +13,6 @@ from qbmlab.linalg import (
     _exp_neg_divided_differences,
     _gibbs,
     _traces,
-    expectation_value,
     fidelity,
     gibbs_state,
     hermitian_eigendecompose,
@@ -23,9 +22,7 @@ from qbmlab.linalg import (
     von_neumann_entropy,
 )
 from qbmlab.datasets import random_mixed, step_function_state
-from qbmlab.operators import pauli_matrix
-
-from conftest import random_density, random_hermitian
+from conftest import pauli_word, random_density, random_hermitian
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
@@ -38,14 +35,14 @@ class TestEigendecompose:
         assert np.allclose(es.eigenvalues, [1.0, 1.0])
 
     def test_pauli_z(self):
-        es = hermitian_eigendecompose(pauli_matrix("Z"))
+        es = hermitian_eigendecompose(pauli_word("Z"))
         assert np.allclose(es.eigenvalues, [-1.0, 1.0])
         # ascending order puts the -1 eigenvector |1> first
         assert abs(abs(es.eigenvectors[1, 0]) - 1.0) < 1e-12
         assert abs(abs(es.eigenvectors[0, 1]) - 1.0) < 1e-12
 
     def test_pauli_x(self):
-        es = hermitian_eigendecompose(pauli_matrix("X"))
+        es = hermitian_eigendecompose(pauli_word("X"))
         assert np.allclose(es.eigenvalues, [-1.0, 1.0])
         v = es.eigenvectors
         for col, sign in ((0, -1.0), (1, 1.0)):
@@ -102,7 +99,7 @@ class TestEigendecompose:
             hermitian_eigendecompose(m)
 
     def test_hermitize_absorbs_roundoff(self):
-        h = pauli_matrix("X") + 1e-12 * np.array([[0, 1j], [0, 0]])
+        h = pauli_word("X") + 1e-12 * np.array([[0, 1j], [0, 0]])
         assert np.allclose(hermitize(h), hermitize(h).conj().T)
 
 
@@ -147,7 +144,7 @@ class TestRealSymmetricPath:
         evals, V = hermitian_eigendecompose(h)
         assert V.dtype == np.complex128
         assert np.array_equal(evals, np.linalg.eigh(hermitize(h))[0])
-        assert hermitian_eigendecompose(pauli_matrix("Y")).eigenvectors.dtype == np.complex128
+        assert hermitian_eigendecompose(pauli_word("Y")).eigenvectors.dtype == np.complex128
 
     def test_public_results_stay_complex(self, rng):
         h = random_real_symmetric(8, rng)
@@ -184,7 +181,7 @@ class TestGibbsState:
 
     def test_single_qubit_z(self):
         # p(|0>) = e^{-1}/(e^{-1}+e^{+1}) = 1/(1+e^2)
-        rho, logz = gibbs_state(pauli_matrix("Z"))
+        rho, logz = gibbs_state(pauli_word("Z"))
         assert abs(rho[0, 0].real - 0.11920292202211755) < 1e-12
         assert abs(logz - np.log(2 * np.cosh(1.0))) < 1e-12
 
@@ -345,7 +342,7 @@ class TestFidelity:
             sigma = random_density(4, rng)
             # rounding-level eigenvalues of the rank-one product enter
             # through a square root, hence ~1e-8 agreement, not 1e-15
-            overlap = expectation_value(pure, sigma)
+            overlap = _traces(pure, sigma)
             assert abs(fidelity(pure, sigma) - overlap) < 1e-6
             assert abs(fidelity(sigma, pure) - overlap) < 1e-6
 
@@ -375,9 +372,9 @@ class TestFidelity:
 
 class TestKron:
     def test_commuting_factors(self):
-        z = pauli_matrix("Z")
+        z = pauli_word("Z")
         i2 = np.eye(2, dtype=complex)
-        assert np.allclose(np.kron(z, i2) @ np.kron(i2, z), pauli_matrix("ZZ"))
+        assert np.allclose(np.kron(z, i2) @ np.kron(i2, z), pauli_word("ZZ"))
 
 
 class TestDensityValidation:
@@ -408,19 +405,6 @@ class TestDensityValidation:
         with pytest.raises(ValueError, match="non-finite"):
             validate_density_matrix(np.array([[np.inf, 0.0], [0.0, 0.0]]))
 
-    def test_expectation_value(self):
-        assert abs(expectation_value(P0, pauli_matrix("Z")) - 1.0) < 1e-12
-
-    @pytest.mark.parametrize("state, observable", [
-        (np.eye(2), [[3.0]]),  # broadcasting made this 6.0
-        (np.eye(2), np.eye(4)),
-        (np.eye(2), np.ones(2)),
-        (np.ones(2), np.ones(2)),
-    ])
-    def test_expectation_value_rejects_a_shape_mismatch(self, state, observable):
-        with pytest.raises(ValueError, match="shape"):
-            expectation_value(state, observable)
-
 
 class TestTraces:
     """_traces, the one Re Tr[A B] kernel, pinned to the flat sum of one pair's products."""
@@ -434,4 +418,3 @@ class TestTraces:
             for k in range(3):
                 want = np.sum(A[k] * B[k].T).real
                 assert np.array_equal(got[k], want) and np.array_equal(_traces(A[k], B[k]), want), d
-                assert expectation_value(A[k], B[k]) == want

@@ -12,11 +12,11 @@ import qbmlab.operators as operators
 import qbmlab.training as training
 from qbmlab.linalg import gibbs_state
 from qbmlab.operators import (
-    PAULI,
     QUBIT_CAPS,
     _ladder_product,
     _masked_parity,
     _nonzeros,
+    _pauli_entries,
     _scatter,
     _term,
     HamiltonianModel,
@@ -28,32 +28,44 @@ from qbmlab.operators import (
     build_mean_field,
     build_model,
     build_transverse_ising_complete,
-    pauli_matrix,
 )
 from qbmlab.training import OptimizerConfig, PovmTrainingSet, StateTrainingSet, train
 
-from conftest import ENTRY_LIST_MODELS, entry_list_model, random_density, random_full_rank_povm, random_hermitian
+from conftest import (
+    ENTRY_LIST_MODELS,
+    PAULI,
+    entry_list_model,
+    pauli_word,
+    random_density,
+    random_full_rank_povm,
+    random_hermitian,
+)
 
 ALL_FAMILIES = ("classical_bm", "ti_complete", "pauli_complete", "mean_field", "fermionic")
 
 
+def _entries_word(word):
+    """The dense matrix of a Pauli word from its entries, as the model builders take them."""
+    return _scatter(2 ** len(word), *_pauli_entries(word))
+
+
 class TestPauliMatrix:
     def test_identity(self):
-        assert np.allclose(pauli_matrix("I"), np.eye(2))
+        assert np.allclose(_entries_word("I"), np.eye(2))
 
     def test_zz_diagonal(self):
-        assert np.allclose(pauli_matrix("ZZ"), np.diag([1, -1, -1, 1]))
+        assert np.allclose(_entries_word("ZZ"), np.diag([1, -1, -1, 1]))
 
     def test_squares_to_identity(self):
-        m = pauli_matrix("XY")
+        m = _entries_word("XY")
         assert np.allclose(m @ m, np.eye(4))
 
     def test_qubit_zero_leftmost(self):
-        assert np.allclose(pauli_matrix("XI"), np.kron(pauli_matrix("X"), np.eye(2)))
+        assert np.allclose(_entries_word("XI"), np.kron(pauli_word("X"), np.eye(2)))
 
     def test_rejects_bad_letter(self):
         with pytest.raises(ValueError):
-            pauli_matrix("XQ")
+            _pauli_entries("XQ")
 
 
 class TestTerm:
@@ -87,10 +99,10 @@ class TestTerm:
         assert np.array_equal(base, snapshot.T)
 
     def test_transpose_of_read_only_term_matrix(self):
-        first = Term("y", pauli_matrix("Y"))
+        first = Term("y", pauli_word("Y"))
         second = Term("yT", first.matrix.T)
-        assert np.array_equal(second.matrix, pauli_matrix("Y").T)
-        assert np.array_equal(first.matrix, pauli_matrix("Y"))
+        assert np.array_equal(second.matrix, pauli_word("Y").T)
+        assert np.array_equal(first.matrix, pauli_word("Y"))
 
     def test_leaves_caller_array_writeable(self, rng):
         Term("z", PAULI["Z"])
@@ -187,7 +199,7 @@ TERM_CHECK_CASES = {
                        ("ok", True)),
     "real_not_symmetric": (_with_entries(3, {(0, 1): 0.5, (1, 0): 0.25}, np.float64),
                            ("not Hermitian", None)),
-    "fortran_hermitian": (np.asfortranarray(pauli_matrix("YX")), ("ok", True)),
+    "fortran_hermitian": (np.asfortranarray(pauli_word("YX")), ("ok", True)),
     "fortran_not_hermitian": (np.asfortranarray(_with_entries(4, {(3, 0): 1j, (0, 3): 1j})),
                               ("not Hermitian", None)),
     "fortran_real": (np.asfortranarray(_with_entries(2, {(0, 1): 1.0, (1, 0): 1.0}, np.float64)),
@@ -246,7 +258,7 @@ class TestTermCheck:
         term = _term("x", 2, [0, 1, 1, 0, 1, 0], [1, 1, 0, 1, 1, 0], [0.5, 2.0, 1.0, 0.5, -2.0, 0.0])
         assert term.nonzeros.flat.tolist() == [1, 2]
         assert term.nonzeros.values.dtype == np.complex128
-        assert np.array_equal(term.matrix, pauli_matrix("X")) and term.is_quantum
+        assert np.array_equal(term.matrix, pauli_word("X")) and term.is_quantum
         with pytest.raises(ValueError, match="invalid entry"):
             _term("x", 2, [2], [0], [1.0])
 
@@ -254,11 +266,11 @@ class TestTermCheck:
         term = build_model("mean_field", 1).terms[1]
         copies = [term.dense(), term.dense()]  # new arrays, neither kept on the term
         assert copies[0] is not copies[1] and all(c.flags.writeable for c in copies)
-        assert all(np.array_equal(c, pauli_matrix("Y")) for c in copies)
+        assert all(np.array_equal(c, pauli_word("Y")) for c in copies)
         assert "matrix" not in vars(term)
         matrix = term.matrix
         assert term.matrix is matrix and not matrix.flags.writeable
-        assert np.array_equal(matrix, pauli_matrix("Y"))
+        assert np.array_equal(matrix, pauli_word("Y"))
         with pytest.raises(Exception):
             term.matrix = np.zeros((2, 2))
 
@@ -379,8 +391,8 @@ class TestMeanField:
         for _ in range(100):
             theta = rng.normal(size=6)
             rho, _ = gibbs_state(assemble_hamiltonian(m, theta))
-            h0 = theta[0] * pauli_matrix("X") + theta[1] * pauli_matrix("Y") + theta[2] * pauli_matrix("Z")
-            h1 = theta[3] * pauli_matrix("X") + theta[4] * pauli_matrix("Y") + theta[5] * pauli_matrix("Z")
+            h0 = theta[0] * pauli_word("X") + theta[1] * pauli_word("Y") + theta[2] * pauli_word("Z")
+            h1 = theta[3] * pauli_word("X") + theta[4] * pauli_word("Y") + theta[5] * pauli_word("Z")
             prod = np.kron(gibbs_state(h0)[0], gibbs_state(h1)[0])
             assert np.linalg.norm(rho - prod) < 1e-10
 
@@ -496,13 +508,6 @@ class TestSerialization:
 # 2x2 PAULI matrices and products of kron-built Jordan-Wigner annihilators.
 
 
-def _kron_word(word):
-    out = np.ones((1, 1), dtype=np.complex128)
-    for ch in word:
-        out = np.kron(out, PAULI[ch])
-    return out
-
-
 def _site_word(n, letters):
     return "".join(letters.get(k, "I") for k in range(n))
 
@@ -518,7 +523,7 @@ def _kron_annihilator(p, n):
 
 
 def _kron_number(site, n):
-    return (_kron_word("I" * n) - _kron_word(_site_word(n, {site: "Z"}))) / 2.0
+    return (pauli_word("I" * n) - pauli_word(_site_word(n, {site: "Z"}))) / 2.0
 
 
 def _oracle_classical_bm(n):
@@ -529,21 +534,21 @@ def _oracle_classical_bm(n):
 
 
 def _oracle_ti_complete(n):
-    terms = [(f"Z{j}", _kron_word(_site_word(n, {j: "Z"}))) for j in range(n)]
-    terms += [(f"X{j}", _kron_word(_site_word(n, {j: "X"}))) for j in range(n)]
-    terms += [(f"Z{i}Z{j}", _kron_word(_site_word(n, {i: "Z", j: "Z"})))
+    terms = [(f"Z{j}", pauli_word(_site_word(n, {j: "Z"}))) for j in range(n)]
+    terms += [(f"X{j}", pauli_word(_site_word(n, {j: "X"}))) for j in range(n)]
+    terms += [(f"Z{i}Z{j}", pauli_word(_site_word(n, {i: "Z", j: "Z"})))
               for i, j in itertools.combinations(range(n), 2)]
     return terms
 
 
 def _oracle_mean_field(n):
-    return [(f"{op}{j}", _kron_word(_site_word(n, {j: op})))
+    return [(f"{op}{j}", pauli_word(_site_word(n, {j: op})))
             for j in range(n) for op in "XYZ"]
 
 
 def _oracle_pauli_complete(n):
     words = ("".join(w) for w in itertools.product("IXYZ", repeat=n))
-    return [(w, _kron_word(w)) for w in words if set(w) != {"I"}]
+    return [(w, pauli_word(w)) for w in words if set(w) != {"I"}]
 
 
 def _oracle_fermionic(n):
@@ -589,7 +594,7 @@ class TestTermOracles:
     def test_pauli_matrix_every_word(self, n):
         for letters in itertools.product("IXYZ", repeat=n):
             word = "".join(letters)
-            assert np.array_equal(pauli_matrix(word), _kron_word(word)), word
+            assert np.array_equal(_entries_word(word), pauli_word(word)), word
 
     @pytest.mark.parametrize("family,nv,nh,oracle", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
     def test_every_term_labels_and_flags(self, family, nv, nh, oracle):
@@ -655,7 +660,7 @@ class TestEntryList:
 
     def test_term_size_must_match_qubit_count(self):
         for make in TERM_PATHS.values():
-            model = HamiltonianModel("custom", 1, 0, (make("zz", pauli_matrix("ZZ")),))
+            model = HamiltonianModel("custom", 1, 0, (make("zz", pauli_word("ZZ")),))
             with pytest.raises(ValueError, match="every term must be 2 x 2"):
                 assemble_hamiltonian(model, np.ones(1))
 

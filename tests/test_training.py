@@ -1,6 +1,7 @@
 """Objectives, gradients and the optimizer loop."""
 
 import ast
+import itertools
 import math
 import re
 import tracemalloc
@@ -378,6 +379,59 @@ class TestDecoupledHiddenUnits:
         for gradient in (grad_povm_exact, grad_povm_gt, grad_povm_commutator):
             np.testing.assert_allclose(gradient(hidden, theta_h, data, lam)[matched],
                                        gradient(visible, theta_v, data, lam), rtol=0, atol=1e-12)
+
+
+def _term_sites(label):
+    """{(qubit, Pauli letter)} of a term label: a word such as "XIZ", or sited letters such as "Z0Z2"."""
+    sited = re.findall(r"([XYZ])(\d+)", label)
+    if sited:
+        return frozenset((int(q), letter) for letter, q in sited)
+    return frozenset((q, letter) for q, letter in enumerate(label) if letter != "I")
+
+
+def _permute_qubits(rho, perm):
+    """rho with its qubit q moved to position perm[q] (qubit 0 leftmost)."""
+    n = len(perm)
+    old = list(np.argsort(perm))  # the qubit that lands at each position
+    return rho.reshape((2,) * 2 * n).transpose(old + [n + q for q in old]).reshape(rho.shape)
+
+
+class TestQubitRelabelling:
+    """Permuting the target's qubits permutes theta along every relative-entropy trajectory.
+
+    ti_complete, pauli_complete and mean_field map onto themselves under a qubit
+    permutation: moving qubit q to perm[q] turns the term on sites {(q, P)} into the
+    term on sites {(perm[q], P)}. From the mapped theta0, training on the permuted
+    target is then the mapped run, epoch by epoch. The map is read off the labels
+    alone, so it shares nothing with the code under test.
+    """
+
+    @staticmethod
+    def label_map(model, perm):
+        """index[j]: the term that term j becomes when each qubit q moves to perm[q]."""
+        where = {_term_sites(label): j for j, label in enumerate(model.labels)}
+        return np.array([where[frozenset((perm[q], letter) for q, letter in _term_sites(label))]
+                         for label in model.labels])
+
+    @pytest.mark.parametrize("family,n", [("ti_complete", 3), ("pauli_complete", 2), ("mean_field", 3)])
+    def test_permuted_target_permutes_every_theta(self, family, n):
+        model = build_model(family, n)
+        opt = OptimizerConfig(gradient_kind="relent", learning_rate=0.5, momentum=0.3, epochs=30)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            target, theta0 = random_mixed(n, rng), 0.3 * rng.normal(size=model.n_terms)
+            thetas = train(model, theta0, target, opt).thetas
+            for perm in itertools.permutations(range(n)):
+                index = self.label_map(model, perm)
+                assert sorted(index) == list(range(model.n_terms))
+                start, want = np.empty_like(theta0), np.empty_like(thetas)
+                start[index], want[:, index] = theta0, thetas
+                permuted = StateTrainingSet(rho=_permute_qubits(target.rho, perm))
+                got = train(model, start, permuted, opt).thetas
+                assert got.shape == want.shape and np.abs(got - want).max() <= 1e-12, (seed, perm)
+                if list(perm) != sorted(perm):
+                    # the relation has teeth: leaving theta unmapped misses by far more
+                    assert np.abs(got - thetas).max() > 1e-3, (seed, perm)
 
 
 class TestPerTermOracles:
@@ -921,7 +975,7 @@ class TestTrainLoop:
         target = np.kron(data.rho, np.eye(2)) / 2
         for record in tr.records:
             sigma = gibbs_state(assemble_hamiltonian(m, record.theta))[0]
-            assert record.overlap == linalg.expectation_value(target, sigma)
+            assert record.overlap == linalg._traces(target, sigma)
 
     def test_povm_training_records_no_overlap(self):
         _, povm, _ = step_function_state(2, 0.1)
