@@ -24,12 +24,7 @@ from .operators import (
     HamiltonianModel,
     Term,
     assemble_hamiltonian,
-    build_classical_bm,
-    build_complete_pauli_set,
-    build_fermionic_model,
-    build_mean_field,
     build_model,
-    build_transverse_ising_complete,
 )
 from .training import (
     GRADIENT_KINDS,

@@ -113,8 +113,8 @@ def random_mixed(n: int, rng: np.random.Generator) -> StateTrainingSet:
 def random_ti_teacher(model: HamiltonianModel, normalize, rng: np.random.Generator) -> list:
     """Random teacher of a built transverse-field Ising family, in variants, with Gibbs-state targets.
 
-    model must come from build_transverse_ising_complete (family
-    ``ti_complete``); callers build it once for any number of teachers.
+    model must come from ``build_model("ti_complete", n)``; callers build it
+    once for any number of teachers.
     Teacher parameters are i.i.d. standard Gaussians over its terms, drawn
     once. ``normalize`` holds one flag per variant: a True variant is
     rescaled so the assembled Hamiltonian has unit spectral norm, a False one

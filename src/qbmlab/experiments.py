@@ -45,6 +45,7 @@ from .training import (
     OptimizerConfig,
     PovmTrainingSet,
     StateTrainingSet,
+    TrainingDiverged,
     _train_lockstep,
     child_seed,
     grad_povm_commutator,
@@ -291,6 +292,9 @@ class PovmTrainConfig(ExperimentConfig):
         if self.gradient_kind not in POVM_GRADIENT_KINDS:
             raise ValueError(f"povm-train trains on POVM statistics; gradient_kind must be "
                              f"one of {POVM_GRADIENT_KINDS}, got {self.gradient_kind!r}")
+        if self.gradient_kind != "commutator" and self.commutator_order != PovmTrainConfig.commutator_order:
+            raise ValueError(f"povm-train reads commutator_order only with gradient_kind=commutator, "
+                             f"not {self.gradient_kind!r}")
 
     def models(self) -> list:
         return [(family, nv, nh) for nv in self.grid("n_visible_grid")
@@ -681,12 +685,18 @@ def run_commutator_compare(config: CommutatorCompareConfig):
     curves = {opt: _pad_curve(trace.objectives, total + 1) for opt, trace in zip(opts, traces)}
     trace_a, curve_a = traces[0], curves[opt_a]
 
-    # B's first phase is A's run up to epoch `first`, record for record
-    opt_b2 = config.optimizer(gradient_kind="commutator", epochs=total - first)
-    trace_b2 = train(model, trace_a.records[: first + 1][-1].theta, data, opt_b2)
-    curve_b = _pad_curve(
-        np.concatenate([trace_a.objectives[: first + 1], trace_b2.objectives[1:]]), total + 1
-    )
+    # B's first phase is A's run up to epoch `first`, record for record; if A stopped before
+    # the switch, B is A. B's curve holds its last value from where it diverged.
+    curve_b, diverged_b = curve_a, trace_a.diverged
+    if len(trace_a.records) > first:
+        opt_b2 = config.optimizer(gradient_kind="commutator", epochs=total - first)
+        try:
+            trace_b2 = train(model, trace_a.records[first].theta, data, opt_b2)
+        except TrainingDiverged:  # the commutator gradient is not finite at A's switch theta
+            tail, diverged_b = [], True
+        else:
+            tail, diverged_b = trace_b2.objectives[1:], trace_b2.diverged
+        curve_b = _pad_curve(np.concatenate([trace_a.objectives[: first + 1], tail]), total + 1)
 
     runs = [(eta, mu, curves[opt]) for eta, mu, opt in grid]
     # the first run with the best final objective
@@ -703,7 +713,7 @@ def run_commutator_compare(config: CommutatorCompareConfig):
         switch_epoch=first,
         best_eta=best_eta,
         best_momentum=best_mu,
-        diverged_b=bool(trace_b2.diverged),
+        diverged_b=bool(diverged_b),
     )
     rows = [(e, curve_a[e], curve_b[e], curve_c[e]) for e in range(total + 1)]
     files = {

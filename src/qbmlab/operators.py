@@ -19,11 +19,6 @@ import numpy as np
 __all__ = [
     "Term",
     "HamiltonianModel",
-    "build_classical_bm",
-    "build_transverse_ising_complete",
-    "build_complete_pauli_set",
-    "build_mean_field",
-    "build_fermionic_model",
     "build_model",
     "check_model_size",
     "assemble_hamiltonian",
@@ -113,12 +108,6 @@ def _number_term(modes, n: int):
     return _ladder_product([(p, c) for p in modes for c in (True, False)], n)
 
 
-def _nonzeros(m: np.ndarray) -> np.ndarray:
-    """Flat C-order positions of the entries of m != 0, NaN and inf included."""
-    # nonzero of the boolean mask, not of m: on complex data it is 2-3x slower
-    return (m != 0).ravel().nonzero()[0]
-
-
 class _Nonzeros(NamedTuple):
     """A term's entries m[r, c] != 0: flat positions r * dim + c, strictly increasing, and values."""
 
@@ -130,9 +119,12 @@ class _Nonzeros(NamedTuple):
 class Term:
     """One Hermitian summand of a model Hamiltonian, held as its nonzero entries.
 
-    Term(label, matrix) takes a dense matrix; the builders hand over entries
-    (_term). The dense `matrix` is built on first use and kept; dense()
-    builds a copy that is not.
+    Term(label, dim, rows, cols, values) puts values[k] at (rows[k], cols[k])
+    of a dim x dim matrix m: duplicates are summed in the given order, zeros
+    dropped. m must be finite and Hermitian within 1e-12; the term keeps its
+    Hermitian part (m + m^)/2, so mirrored entries are exact conjugates, and
+    an entry already the conjugate of its mirror keeps its bits. The dense
+    `matrix` is built on first use and kept; dense() builds a copy that is not.
     """
 
     label: str
@@ -140,26 +132,37 @@ class Term:
     nonzeros: _Nonzeros
     is_quantum: bool
 
-    def __init__(self, label: str, matrix):
-        m = np.asarray(matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
-            raise ValueError(f"term {label!r} matrix must be square and non-empty")
-        flat = _nonzeros(m)
-        self._check(label, m.shape[0], flat, m.flat[flat])  # a copy: the caller's array is never kept
-
-    def _check(self, label: str, dim: int, flat: np.ndarray, values: np.ndarray):
+    def __init__(self, label: str, dim: int, rows, cols, values):
+        flat = np.ravel_multi_index((rows, cols), (dim, dim))  # raises on an index out of range
+        values = np.asarray(values)
+        if values.shape != flat.shape:
+            raise ValueError(f"term {label!r} has {values.size} values at {flat.size} positions")
+        order = np.argsort(flat, kind="stable")
+        flat, values = flat[order], values[order]
+        starts = np.flatnonzero(np.diff(flat, prepend=-1))
+        # a run of one position keeps its value bit for bit; a longer run sums in the given order
+        values = np.add.reduceat(values, starts).astype(np.complex128)
+        flat, values = flat[starts][values != 0], values[values != 0]
         # Exact on the nonzeros alone: m - m^ vanishes where m and m^T both do, and
         # |m[r,c] - conj(m[c,r])| = |m[c,r] - conj(m[r,c])|, so the maxima agree.
-        # m[c, r] sits at flat c * dim + r, found in the sorted positions or zero;
-        # diagonal positions are multiples of dim + 1.
+        # m[c, r] sits at flat c * dim + r, found in the sorted positions or zero.
         rows, cols = np.divmod(flat, dim)
         flat_t = cols * dim + rows
         at = np.minimum(flat.searchsorted(flat_t), flat.size - 1)
+        lone = flat[at] != flat_t
+        mirror = np.where(lone, 0, values[at]).conj()
         with np.errstate(invalid="ignore"):  # inf - inf, reported below
-            worst = np.abs(values - np.where(flat[at] == flat_t, values[at], 0).conj()).max(initial=0.0)
+            worst = np.abs(values - mirror).max(initial=0.0)
         if not worst <= 1e-12:  # NaN too
             problem = "is not Hermitian within 1e-12" if np.isfinite(worst) else "has non-finite entries"
             raise ValueError(f"term {label!r} {problem}")
+        if worst > 0:  # keep the Hermitian part (m + m^)/2; a lone entry gives half of itself to its mirror
+            values = np.where(values == mirror, values, (values + mirror) / 2)
+            flat, values = np.concatenate([flat, flat_t[lone]]), np.concatenate([values, values[lone].conj()])
+            order = np.argsort(flat)
+            keep = order[values[order] != 0]
+            flat, values = flat[keep], values[keep]
+        # diagonal positions are multiples of dim + 1
         offdiagonal = np.abs(values[flat % (dim + 1) != 0]).max(initial=0.0)
         for array in (flat, values):
             array.flags.writeable = False
@@ -178,19 +181,6 @@ class Term:
         matrix = self.dense()
         matrix.flags.writeable = False
         return matrix
-
-
-def _term(label: str, dim: int, rows, cols, values) -> Term:
-    """Term with entries values[k] at (rows[k], cols[k]): duplicates summed, zeros dropped."""
-    flat = np.ravel_multi_index((rows, cols), (dim, dim))  # raises on an index out of range
-    order = np.argsort(flat, kind="stable")
-    flat, values = flat[order], np.asarray(values)[order]
-    starts = np.flatnonzero(np.diff(flat, prepend=-1))
-    # a run of one position keeps its value bit for bit; a longer run sums in the given order
-    values = np.add.reduceat(values, starts).astype(np.complex128)
-    term = Term.__new__(Term)
-    term._check(label, dim, flat[starts][values != 0], values[values != 0])
-    return term
 
 
 class TermEntries(NamedTuple):
@@ -297,62 +287,50 @@ def check_model_size(family: str, n_visible: int, n_hidden: int = 0) -> int:
     return n
 
 
-def build_classical_bm(n_visible: int, n_hidden: int = 0) -> HamiltonianModel:
+def _classical_bm_terms(n: int) -> list:
     """Classical Boltzmann machine on the complete graph: biases n_j, then couplings n_i n_j.
 
     All terms are diagonal. Units are numbered visible first, hidden after,
     and the pairs i < j come lexicographically.
     """
-    n = check_model_size("classical_bm", n_visible, n_hidden)
-    terms = [_term(f"n{j}", 2**n, *_number_term([j], n)) for j in range(n)]
+    terms = [Term(f"n{j}", 2**n, *_number_term([j], n)) for j in range(n)]
     pairs = itertools.combinations(range(n), 2)
-    terms += [_term(f"n{i}n{j}", 2**n, *_number_term([i, j], n)) for i, j in pairs]
-    return HamiltonianModel("classical_bm", n_visible, n_hidden, tuple(terms))
+    return terms + [Term(f"n{i}n{j}", 2**n, *_number_term([i, j], n)) for i, j in pairs]
 
 
 def _site_term(letters: dict, n: int) -> Term:
     """Pauli term with letters[site] on the given sites, labelled like "Z0Z3"."""
     label = "".join(f"{op}{site}" for site, op in letters.items())
-    return _term(label, 2**n, *_pauli_entries("".join(letters.get(k, "I") for k in range(n))))
+    return Term(label, 2**n, *_pauli_entries("".join(letters.get(k, "I") for k in range(n))))
 
 
-def build_transverse_ising_complete(n: int) -> HamiltonianModel:
+def _ti_complete_terms(n: int) -> list:
     """Transverse-field Ising family on the complete graph.
 
     Terms in order: Z on every qubit, X on every qubit, then ZZ on every
     pair lexicographically. n(n+3)/2 terms total, all visible.
     """
-    check_model_size("ti_complete", n)
     terms = [_site_term({j: "Z"}, n) for j in range(n)]
     terms += [_site_term({j: "X"}, n) for j in range(n)]
-    terms += [_site_term({i: "Z", j: "Z"}, n) for i, j in itertools.combinations(range(n), 2)]
-    return HamiltonianModel("ti_complete", n, 0, tuple(terms))
+    return terms + [_site_term({i: "Z", j: "Z"}, n) for i, j in itertools.combinations(range(n), 2)]
 
 
-def build_complete_pauli_set(n: int) -> HamiltonianModel:
+def _pauli_complete_terms(n: int) -> list:
     """All 4^n - 1 non-identity Pauli strings, lexicographically ordered."""
-    check_model_size("pauli_complete", n)
-    terms = []
-    for letters in itertools.product("IXYZ", repeat=n):
-        word = "".join(letters)
-        if set(word) == {"I"}:
-            continue
-        terms.append(_term(word, 2**n, *_pauli_entries(word)))
-    return HamiltonianModel("pauli_complete", n, 0, tuple(terms))
+    words = ("".join(letters) for letters in itertools.product("IXYZ", repeat=n))
+    return [Term(word, 2**n, *_pauli_entries(word)) for word in words if set(word) != {"I"}]
 
 
-def build_mean_field(n: int) -> HamiltonianModel:
+def _mean_field_terms(n: int) -> list:
     """Product-form family: X, Y and Z on each qubit separately (3n terms).
 
     Gibbs states factorize across qubits, so this is the natural
     uncorrelated approximation to any multi-qubit target.
     """
-    check_model_size("mean_field", n)
-    terms = [_site_term({j: op}, n) for j in range(n) for op in "XYZ"]
-    return HamiltonianModel("mean_field", n, 0, tuple(terms))
+    return [_site_term({j: op}, n) for j in range(n) for op in "XYZ"]
 
 
-def build_fermionic_model(n_visible: int, n_hidden: int = 0) -> HamiltonianModel:
+def _fermionic_terms(n: int) -> list:
     """Fermionic QBM with one-mode, hopping and two-body interaction terms.
 
     Modes map to qubits by Jordan-Wigner (visible modes first). Terms:
@@ -364,37 +342,34 @@ def build_fermionic_model(n_visible: int, n_hidden: int = 0) -> HamiltonianModel
     Zeroing every off-diagonal weight leaves exactly the classical
     Boltzmann machine on the complete graph.
     """
-    n = check_model_size("fermionic", n_visible, n_hidden)
-    terms = [_term(f"a{p}+a{p}^", 2**n, *_ladder_term([(p, False)], n)) for p in range(n)]
+    terms = [Term(f"a{p}+a{p}^", 2**n, *_ladder_term([(p, False)], n)) for p in range(n)]
     for p in range(n):
         for q in range(p, n):
             if p == q:
-                terms.append(_term(f"n{p}", 2**n, *_number_term([p], n)))
+                terms.append(Term(f"n{p}", 2**n, *_number_term([p], n)))
             else:
-                terms.append(_term(f"hop({p},{q})", 2**n, *_ladder_term([(p, True), (q, False)], n)))
+                terms.append(Term(f"hop({p},{q})", 2**n, *_ladder_term([(p, True), (q, False)], n)))
     pairs = list(itertools.combinations(range(n), 2))
     for ip, (p, q) in enumerate(pairs):
         for r, s in pairs[ip:]:
             if (p, q) == (r, s):
-                terms.append(_term(f"n{p}n{q}", 2**n, *_number_term([p, q], n)))
+                terms.append(Term(f"n{p}n{q}", 2**n, *_number_term([p, q], n)))
             else:
                 body = [(p, True), (q, True), (s, False), (r, False)]
-                terms.append(_term(f"int({p},{q};{r},{s})", 2**n, *_ladder_term(body, n)))
-    return HamiltonianModel("fermionic", n_visible, n_hidden, tuple(terms))
+                terms.append(Term(f"int({p},{q};{r},{s})", 2**n, *_ladder_term(body, n)))
+    return terms
+
+
+# The term list of each family on n qubits (visible units first).
+_FAMILY_TERMS = {"classical_bm": _classical_bm_terms, "fermionic": _fermionic_terms,
+                 "ti_complete": _ti_complete_terms, "pauli_complete": _pauli_complete_terms,
+                 "mean_field": _mean_field_terms}
 
 
 def build_model(family: str, n_visible: int, n_hidden: int = 0) -> HamiltonianModel:
-    """Construct a model family by name (used by the experiments)."""
-    check_model_size(family, n_visible, n_hidden)
-    if family == "classical_bm":
-        return build_classical_bm(n_visible, n_hidden)
-    if family == "fermionic":
-        return build_fermionic_model(n_visible, n_hidden)
-    if family == "ti_complete":
-        return build_transverse_ising_complete(n_visible)
-    if family == "pauli_complete":
-        return build_complete_pauli_set(n_visible)
-    return build_mean_field(n_visible)
+    """The model of a family by name; only classical_bm and fermionic take hidden units."""
+    n = check_model_size(family, n_visible, n_hidden)
+    return HamiltonianModel(family, n_visible, n_hidden, tuple(_FAMILY_TERMS[family](n)))
 
 
 def assemble_hamiltonian(model: HamiltonianModel, theta) -> np.ndarray:

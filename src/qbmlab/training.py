@@ -53,6 +53,7 @@ __all__ = [
     "grad_relent_sampled",
     "child_seed",
     "train",
+    "TrainingDiverged",
 ]
 
 # Likelihoods below this underflow threshold contribute the clamped
@@ -724,6 +725,10 @@ POVM_GRADIENT_KINDS = tuple(
 )
 
 
+class TrainingDiverged(ValueError):
+    """A row's objective or gradient was not finite, or its solve failed, at epoch 0: no record to keep."""
+
+
 def train(
     model: HamiltonianModel,
     theta0,
@@ -738,7 +743,8 @@ def train(
     commutator runs monitor the exact POVM objective, relative-entropy runs
     monitor objective_relent. A non-finite objective or gradient, or a failed
     solve, aborts the run, keeps every valid record and sets trace.diverged
-    (expected for unstable commutator settings). Epoch e's sampled gradient
+    (expected for unstable commutator settings); with no valid record it
+    raises TrainingDiverged. Epoch e's sampled gradient
     draws from child_seed(rng_seed, e).
     """
     if np.ndim(theta0) != 1:
@@ -819,5 +825,5 @@ def _train_lockstep(model: HamiltonianModel, theta0, data, configs, rng_seed=0):
             velocity = momentum * velocity + rate * grad
             theta = theta + velocity
     if not all(trace.records for trace in traces):
-        raise ValueError("training diverged before the first epoch completed")
+        raise TrainingDiverged("training diverged before the first epoch completed")
     return traces, states

@@ -37,6 +37,14 @@ def random_hermitian(dim, rng, scale=1.0):
     return h * (scale / norm) if norm > 0 else h
 
 
+def entry_built(label, matrix):
+    """Term of a dense matrix through the entry form: every position, zeros included, in a scrambled order."""
+    m = np.asarray(matrix)
+    order = np.random.default_rng(0).permutation(m.size)
+    rows, cols = np.divmod(order, m.shape[1])
+    return Term(label, m.shape[0], rows, cols, m.ravel()[order])
+
+
 def random_density(dim, rng):
     # full rank with probability 1
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -57,8 +65,8 @@ def random_full_rank_povm(dim, rng):
 
 
 # Models for the entry-list oracles against the dense term stack: one per
-# family (built by name), and dense random Hermitian terms around an
-# all-zero term, as a library user might hand them to HamiltonianModel.
+# family (built by name), and random Hermitian terms around an all-zero
+# term, every entry handed over as a library user might build them.
 ENTRY_LIST_MODELS = {
     "classical_bm": ("classical_bm", 3, 1),
     "ti_complete": ("ti_complete", 4, 0),
@@ -72,8 +80,8 @@ ENTRY_LIST_MODELS = {
 def entry_list_model(name, rng):
     if ENTRY_LIST_MODELS[name] is not None:
         return build_model(*ENTRY_LIST_MODELS[name])
-    terms = [Term(f"h{k}", random_hermitian(8, rng)) for k in range(3)]
-    terms.insert(1, Term("zero", np.zeros((8, 8))))
+    terms = [entry_built(f"h{k}", random_hermitian(8, rng)) for k in range(3)]
+    terms.insert(1, entry_built("zero", np.zeros((8, 8))))
     return HamiltonianModel("hand_built", 3, 0, tuple(terms))
 
 

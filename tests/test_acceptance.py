@@ -8,19 +8,11 @@ experiments are cached at module scope so related criteria share one run.
 import time
 
 import numpy as np
-import pytest
 
 from qbmlab.datasets import random_ti_teacher
 from qbmlab.experiments import make_config, run_experiment
-from qbmlab.linalg import _traces, gibbs_state
-from qbmlab.operators import (
-    assemble_hamiltonian,
-    build_classical_bm,
-    build_complete_pauli_set,
-    build_fermionic_model,
-    build_mean_field,
-    build_transverse_ising_complete,
-)
+from qbmlab.linalg import _traces
+from qbmlab.operators import build_model
 from qbmlab.training import (
     PovmTrainingSet,
     child_seed,
@@ -67,11 +59,11 @@ def test_criterion_02_golden_thompson_bound():
     start = time.perf_counter()
     rng = np.random.default_rng(20)
     models = [
-        build_fermionic_model(2),
-        build_transverse_ising_complete(3),
-        build_complete_pauli_set(2),
-        build_mean_field(3),
-        build_classical_bm(3),
+        build_model("fermionic", 2),
+        build_model("ti_complete", 3),
+        build_model("pauli_complete", 2),
+        build_model("mean_field", 3),
+        build_model("classical_bm", 3),
     ]
     min_gap = np.inf
     for i in range(500):
@@ -90,7 +82,7 @@ def test_criterion_02_golden_thompson_bound():
         assert gap >= -1e-9
     # commuting full-rank instances: the bound is tight
     worst_equality = 0.0
-    m = build_classical_bm(2)
+    m = build_model("classical_bm", 2)
     for _ in range(100):
         theta = rng.normal(size=3)
         u = rng.uniform(0.2, 0.8, size=4)
@@ -159,7 +151,7 @@ def test_criterion_05_meanfield_overlap():
     # Relative entropy over all product states is minimized by matching every
     # single-qubit marginal, so the trained overlap must match the closed form.
     config = make_config("meanfield")
-    teachers = build_transverse_ising_complete(config.n_visible)
+    teachers = build_model("ti_complete", config.n_visible)
     optimum = []
     for i in range(config.ensemble):
         rng = np.random.default_rng(child_seed(config.seed, i))

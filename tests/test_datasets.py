@@ -15,7 +15,7 @@ from qbmlab.datasets import (
     step_function_state,
 )
 from qbmlab.linalg import gibbs_state
-from qbmlab.operators import assemble_hamiltonian, build_model, build_transverse_ising_complete
+from qbmlab.operators import assemble_hamiltonian, build_model
 from qbmlab.training import PovmTrainingSet, StateTrainingSet, child_seed
 
 
@@ -127,16 +127,16 @@ class TestRandomMixed:
 
 class TestTiTeacher:
     def test_normalized_unit_spectral_norm(self, rng):
-        model = build_transverse_ising_complete(3)
+        model = build_model("ti_complete", 3)
         [(theta, _)] = random_ti_teacher(model, (True,), rng)
         assert abs(np.linalg.norm(assemble_hamiltonian(model, theta), 2) - 1.0) < 1e-10
 
     def test_parameter_count(self, rng):
-        [(theta, _)] = random_ti_teacher(build_transverse_ising_complete(2), (False,), rng)
+        [(theta, _)] = random_ti_teacher(build_model("ti_complete", 2), (False,), rng)
         assert theta.size == 5
 
     def test_target_is_teacher_gibbs(self, rng):
-        model = build_transverse_ising_complete(2)
+        model = build_model("ti_complete", 2)
         [(theta, target)] = random_ti_teacher(model, (False,), rng)
         rho, _ = gibbs_state(assemble_hamiltonian(model, theta))
         assert np.allclose(target.rho, rho, atol=1e-12)
@@ -144,14 +144,14 @@ class TestTiTeacher:
     @pytest.mark.parametrize("n", [2, 4])
     def test_normalized_target_is_teacher_gibbs(self, rng, n):
         # built from the raw spectrum rescaled, not a second eigendecomposition
-        model = build_transverse_ising_complete(n)
+        model = build_model("ti_complete", n)
         [(theta, target)] = random_ti_teacher(model, (True,), rng)
         rho, _ = gibbs_state(assemble_hamiltonian(model, theta))
         assert np.abs(target.rho - rho).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_variants_share_one_draw_and_one_solve(self, n, monkeypatch):
-        model = build_transverse_ising_complete(n)
+        model = build_model("ti_complete", n)
         single = [random_ti_teacher(model, (flag,), np.random.default_rng(7))[0] for flag in (True, False)]
         solves = []
         eigh = linalg._eigh

@@ -673,6 +673,9 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["tomography", "--set", "momentum=1.5", "--ensemble", "1"],
         ["povm-train", "--set", "commutator_order=20", "--set", "epochs=1"],
+        # the order is read by the commutator gradient alone, so with gt it would not take effect
+        ["povm-train", "--set", "commutator_order=9"],
+        ["povm-train", "--set", "commutator_order=9", "--set", "gradient_kind=exact"],
         ["povm-train", "--set", "noise_p=0.7", "--set", "epochs=1"],
         ["povm-train", "--set", "n_visible_grid=", "--set", "epochs=1"],
         ["povm-train", "--set", "n_visible_grid=1", "--set", "epochs=1"],
@@ -706,6 +709,27 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("qbmlab: ") and captured.err.count("\n") == 1
         assert not out.exists()
+
+    def test_povm_train_reads_commutator_order_with_the_commutator_gradient(self):
+        config = make_config("povm-train", {"gradient_kind": "commutator", "commutator_order": "9"})
+        assert config.optimizer().commutator_order == 9
+        assert make_config("povm-train", {"commutator_order": "5"}).commutator_order == 5
+
+    # at 1e150 the commutator gradient is not finite at A's switch theta; at 1e300 A diverges
+    # at epoch 1, before the switch, so B is A
+    @pytest.mark.parametrize("rate", ["1e150", "1e300"])
+    def test_commutator_compare_b_diverged_holds_a_at_the_switch(self, tmp_path, capsys, rate):
+        out = tmp_path / "cc"
+        argv = ["commutator-compare", "--set", "n_visible=3", "--set", "epochs=20",
+                "--set", f"learning_rate={rate}", "--seed", "0", "--out", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["diverged_b"] is True and summary["switch_epoch"] == 10
+        rows = [line.split(",") for line in (out / "curves.csv").read_text().splitlines()[1:]]
+        a, b = [float(row[1]) for row in rows], [float(row[2]) for row in rows]
+        assert b[:11] == a[:11] and b[11:] == [a[10]] * 10
+        assert summary["final_b"] == a[10]
 
     def test_bad_value_exit_code(self, tmp_path, capsys):
         assert main(["tomography", "--set", "epochs=ten"]) == 2

@@ -15,25 +15,19 @@ from qbmlab.operators import (
     QUBIT_CAPS,
     _ladder_product,
     _masked_parity,
-    _nonzeros,
     _pauli_entries,
     _scatter,
-    _term,
     HamiltonianModel,
     Term,
     assemble_hamiltonian,
-    build_classical_bm,
-    build_complete_pauli_set,
-    build_fermionic_model,
-    build_mean_field,
     build_model,
-    build_transverse_ising_complete,
 )
 from qbmlab.training import OptimizerConfig, PovmTrainingSet, StateTrainingSet, train
 
 from conftest import (
     ENTRY_LIST_MODELS,
     PAULI,
+    entry_built,
     entry_list_model,
     pauli_word,
     random_density,
@@ -69,67 +63,60 @@ class TestPauliMatrix:
 
 
 class TestTerm:
-    # A transposed C-ordered array is Fortran-ordered, and so is np.asarray
-    # of it; the Hermiticity check must neither write into it nor misjudge it.
-    @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "not_hermitian"])
-    def test_fortran_ordered_input_untouched(self, hermitian, rng):
-        raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        base = raw + raw.conj().T if hermitian else raw
-        source = base.T
-        assert source.flags.f_contiguous and not source.flags.c_contiguous
-        snapshot = source.copy()
-        if hermitian:
-            term = Term("h", source)
-            assert np.array_equal(term.matrix, snapshot)
-        else:
-            with pytest.raises(ValueError, match="not Hermitian"):
-                Term("h", source)
-        assert np.array_equal(source, snapshot)
-        assert np.array_equal(base, snapshot.T)
-
-    def test_real_fortran_ordered_input_untouched(self, rng):
-        raw = rng.standard_normal((4, 4))
-        base = raw + raw.T
-        source = base.T
-        snapshot = source.copy()
-        term = Term("s", source)
-        assert np.array_equal(term.matrix, snapshot)
-        assert term.is_quantum
-        assert np.array_equal(source, snapshot)
-        assert np.array_equal(base, snapshot.T)
-
     def test_transpose_of_read_only_term_matrix(self):
-        first = Term("y", pauli_word("Y"))
-        second = Term("yT", first.matrix.T)
+        first = entry_built("y", pauli_word("Y"))
+        second = entry_built("yT", first.matrix.T)
         assert np.array_equal(second.matrix, pauli_word("Y").T)
         assert np.array_equal(first.matrix, pauli_word("Y"))
 
-    def test_leaves_caller_array_writeable(self, rng):
-        Term("z", PAULI["Z"])
-        assert PAULI["Z"].flags.writeable
-        # complex128 already, so np.asarray hands back the caller's own array
-        source = random_hermitian(4, rng)
-        term = Term("h", source)
-        assert source.flags.writeable and not term.matrix.flags.writeable
-        source[0, 0] += 1.0
-        assert not np.array_equal(term.matrix, source)
+    def test_leaves_caller_arrays_writeable(self):
+        rows, cols, values = np.array([0, 1]), np.array([1, 0]), np.array([1j, -1j])
+        term = Term("y", 2, rows, cols, values)
+        assert all(a.flags.writeable for a in (rows, cols, values))
+        assert not term.nonzeros.values.flags.writeable
+        values[0] = 5.0
+        assert np.array_equal(term.matrix, pauli_word("Y").T)
+
+    def test_values_must_match_the_positions(self):
+        for values in ([1.0, -1.0, 2.0], [1.0], 1.0):
+            with pytest.raises(ValueError, match="values at 2 positions"):
+                Term("z", 2, [0, 1], [0, 1], values)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
         matrix = np.eye(2, dtype=np.complex128)
         matrix[0, 0] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            Term("bad", matrix)
+            entry_built("bad", matrix)
         matrix = np.full((2, 2), bad)
         with pytest.raises(ValueError, match="non-finite"):
-            Term("bad", matrix)
+            entry_built("bad", matrix)
+
+    def test_keeps_the_hermitian_part(self, rng):
+        # a defect within the tolerance is split between the mirrored entries, so
+        # H(theta) is bitwise Hermitian, as the real-symmetric solver assumes
+        h = random_hermitian(4, rng)
+        x = entry_built("x", pauli_word("XI"))
+        for defect in ({(0, 1): 5e-13}, {(2, 2): 5e-13j}, {(3, 0): 5e-13, (0, 3): -4e-13j}):
+            m = h.copy()
+            for position, value in defect.items():
+                m[position] += value
+            term = entry_built("h", m)
+            assert np.array_equal(term.matrix, term.matrix.conj().T)
+            assert np.abs(term.matrix - (m + m.conj().T) / 2).max() <= 1e-16
+            H = assemble_hamiltonian(HamiltonianModel("hand_built", 2, 0, (term, x)), rng.normal(size=2))
+            assert np.array_equal(H, H.conj().T)
+        # a lone entry gives half of itself to its mirror; an exact input keeps its bits
+        assert entry_built("t", np.diag([0.0, 0.0]) + np.diag([4e-13], 1)).nonzeros.values.tolist() == [2e-13, 2e-13]
+        assert entry_built("h", h).matrix.tobytes() == h.tobytes()
 
 
 def _dense_reference(matrix):
     """The dense term checks: the verdict and, if accepted, the quantum flag.
 
     max |m - m^| over every entry, non-finite first, then the 1e-12
-    Hermiticity bound, then the largest off-diagonal magnitude.
+    Hermiticity bound, then the largest off-diagonal magnitude of the
+    Hermitian part (m + m^)/2, which the term keeps.
     """
     m = np.asarray(matrix, dtype=np.complex128)
     with np.errstate(invalid="ignore"):  # inf - inf
@@ -138,27 +125,15 @@ def _dense_reference(matrix):
         return "non-finite", None
     if worst > 1e-12:
         return "not Hermitian", None
-    magnitudes = np.abs(m)
+    magnitudes = np.abs((m + m.conj().T) / 2)
     np.fill_diagonal(magnitudes, 0.0)
     return "ok", bool(magnitudes.max() > 1e-12)
 
 
-def _entry_built(label, matrix):
-    """Term through the entry constructor: every position, zeros included, in a scrambled order."""
-    m = np.asarray(matrix)
-    order = np.random.default_rng(0).permutation(m.size)
-    rows, cols = np.divmod(order, m.shape[1])
-    return _term(label, m.shape[0], rows, cols, m.ravel()[order])
-
-
-# The two ways into a term: a dense matrix, or the entries the builders hand over.
-TERM_PATHS = {"dense": Term, "entries": _entry_built}
-
-
-def _term_check(matrix, path="dense"):
-    """The same verdict and flag from a Term made on the given path."""
+def _term_check(matrix):
+    """The same verdict and flag from a Term of the matrix's entries."""
     try:
-        term = TERM_PATHS[path]("t", matrix)
+        term = entry_built("t", matrix)
     except ValueError as err:
         return ("non-finite" if "non-finite" in str(err) else "not Hermitian"), None
     return "ok", term.is_quantum
@@ -210,20 +185,13 @@ TERM_CHECK_CASES = {
 
 
 class TestTermCheck:
-    """The one-pass check over the nonzeros against the dense reference, on both paths."""
+    """The one-pass check over the entries against the dense reference."""
 
     @pytest.mark.parametrize("name", TERM_CHECK_CASES)
     def test_matches_dense_reference(self, name):
         matrix, expected = TERM_CHECK_CASES[name]
         assert _dense_reference(matrix) == expected
-        assert _term_check(matrix) == _term_check(matrix, "entries") == expected
-        messages = set()
-        for make in TERM_PATHS.values():
-            try:
-                make("t", matrix)
-            except ValueError as err:
-                messages.add(str(err))
-        assert len(messages) == (expected[0] != "ok")  # both paths reject with one message
+        assert _term_check(matrix) == expected
 
     def test_random_sparse_near_hermitian(self, rng):
         # sparse patterns with unmatched mirrors and defects around 1e-12
@@ -235,32 +203,28 @@ class TestTermCheck:
             noise = scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
             matrix = matrix + np.where(rng.random((dim, dim)) < 0.3, noise, 0.0)
             verdict = _dense_reference(matrix)
-            assert _term_check(matrix) == _term_check(matrix, "entries") == verdict
+            assert _term_check(matrix) == verdict
             if verdict[0] == "ok":
-                dense, built = Term("d", matrix), _entry_built("e", matrix)
-                assert dense.nonzeros.flat.tobytes() == built.nonzeros.flat.tobytes()
-                assert dense.nonzeros.values.tobytes() == built.nonzeros.values.tobytes()
-
-    def test_rejects_empty_and_non_square(self):
-        for matrix in (np.zeros((0, 0)), np.zeros((2, 3)), np.zeros(4)):
-            with pytest.raises(ValueError, match="square"):
-                Term("bad", matrix)
+                adjoint = matrix.conj().T
+                hermitian = np.where(matrix == adjoint, matrix, (matrix + adjoint) / 2)
+                term = entry_built("e", matrix)
+                assert np.array_equal(term.matrix, hermitian)
+                assert term.nonzeros.flat.tolist() == np.flatnonzero(hermitian).tolist()
 
     def test_no_runtime_warning_on_inf(self):
         with np.errstate(all="raise"):
-            for make in TERM_PATHS.values():
-                for name in ("inf_on_both_sides", "inf_diagonal", "inf_mirror_zero", "imaginary_inf_mirror_zero"):
-                    with pytest.raises(ValueError, match="non-finite"):
-                        make("bad", TERM_CHECK_CASES[name][0])
+            for name in ("inf_on_both_sides", "inf_diagonal", "inf_mirror_zero", "imaginary_inf_mirror_zero"):
+                with pytest.raises(ValueError, match="non-finite"):
+                    entry_built("bad", TERM_CHECK_CASES[name][0])
 
     def test_entries_sum_duplicates_and_drop_zeros(self):
         # X as two halves at (0, 1), a cancelling pair at (1, 1) and an explicit zero at (0, 0)
-        term = _term("x", 2, [0, 1, 1, 0, 1, 0], [1, 1, 0, 1, 1, 0], [0.5, 2.0, 1.0, 0.5, -2.0, 0.0])
+        term = Term("x", 2, [0, 1, 1, 0, 1, 0], [1, 1, 0, 1, 1, 0], [0.5, 2.0, 1.0, 0.5, -2.0, 0.0])
         assert term.nonzeros.flat.tolist() == [1, 2]
         assert term.nonzeros.values.dtype == np.complex128
         assert np.array_equal(term.matrix, pauli_word("X")) and term.is_quantum
         with pytest.raises(ValueError, match="invalid entry"):
-            _term("x", 2, [2], [0], [1.0])
+            Term("x", 2, [2], [0], [1.0])
 
     def test_dense_matrix_built_on_first_use_read_only(self):
         term = build_model("mean_field", 1).terms[1]
@@ -283,8 +247,7 @@ class TestTermCheck:
         data = {StateTrainingSet: StateTrainingSet(random_density(2**nv, rng)),
                 PovmTrainingSet: random_full_rank_povm(2**nv, rng)}
         calls = []
-        for name in ("_nonzeros", "_scatter"):
-            monkeypatch.setattr(operators, name, lambda *args, name=name: calls.append(name))
+        monkeypatch.setattr(operators, "_scatter", lambda *args: calls.append("_scatter"))
         model = build_model(family, nv, nh)
         model.entries
         for kind, (data_type, _) in training._GRADIENTS.items():
@@ -307,43 +270,43 @@ class TestTermCheck:
 
 class TestClassicalBm:
     def test_single_number_operator(self):
-        m = build_classical_bm(1)
+        m = build_model("classical_bm", 1)
         assert len(m.terms) == 1
         assert np.allclose(m.terms[0].matrix, np.diag([0.0, 1.0]))
 
     def test_edge_coupling_matrix(self):
-        m = build_classical_bm(2)
+        m = build_model("classical_bm", 2)
         coupling = m.terms[-1].matrix
         assert np.allclose(coupling, np.diag([0.0, 0.0, 0.0, 1.0]))
 
     def test_zero_theta_zero_hamiltonian(self):
-        m = build_classical_bm(2)
+        m = build_model("classical_bm", 2)
         assert np.allclose(assemble_hamiltonian(m, np.zeros(3)), np.zeros((4, 4)))
 
     def test_frozen_two_site_assembly(self):
         # b = (1, 1), w = 1 over basis 00,01,10,11
-        m = build_classical_bm(2)
+        m = build_model("classical_bm", 2)
         h = assemble_hamiltonian(m, np.array([1.0, 1.0, 1.0]))
         assert np.allclose(h, np.diag([0.0, 1.0, 1.0, 3.0]))
 
     def test_all_terms_classical(self):
-        m = build_classical_bm(3)
+        m = build_model("classical_bm", 3)
         assert all(not t.is_quantum for t in m.terms)
 
 
 class TestTransverseIsing:
     def test_term_count_and_order_n2(self):
-        m = build_transverse_ising_complete(2)
+        m = build_model("ti_complete", 2)
         labels = [t.label for t in m.terms]
         assert len(labels) == 5
         # all Z, then all X, then ZZ pairs
         assert [l[0] for l in labels] == ["Z", "Z", "X", "X", "Z"]
 
     def test_term_count_n5(self):
-        assert len(build_transverse_ising_complete(5).terms) == 20
+        assert len(build_model("ti_complete", 5).terms) == 20
 
     def test_x_term_is_quantum(self):
-        m = build_transverse_ising_complete(2)
+        m = build_model("ti_complete", 2)
         x_terms = [t for t in m.terms if t.label.startswith("X")]
         assert len(x_terms) == 2
         for t in x_terms:
@@ -351,43 +314,43 @@ class TestTransverseIsing:
             assert np.allclose(np.diag(t.matrix), 0.0)
 
     def test_zz_lexicographic(self):
-        m = build_transverse_ising_complete(3)
+        m = build_model("ti_complete", 3)
         zz = [t.label for t in m.terms[6:]]
         assert zz == sorted(zz)
 
 
 class TestCompletePauliSet:
     def test_one_qubit(self):
-        labels = [t.label for t in build_complete_pauli_set(1).terms]
+        labels = [t.label for t in build_model("pauli_complete", 1).terms]
         assert labels == ["X", "Y", "Z"]
 
     def test_two_qubit_count(self):
-        m = build_complete_pauli_set(2)
+        m = build_model("pauli_complete", 2)
         assert len(m.terms) == 15
         assert len({t.label for t in m.terms}) == 15
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
-            build_complete_pauli_set(7)
+            build_model("pauli_complete", 7)
 
 
 class TestMeanField:
     def test_one_qubit_matches_complete_set(self):
-        mf = build_mean_field(1)
-        cp = build_complete_pauli_set(1)
+        mf = build_model("mean_field", 1)
+        cp = build_model("pauli_complete", 1)
         for a, b in zip(mf.terms, cp.terms):
             assert np.allclose(a.matrix, b.matrix)
 
     def test_term_count(self):
-        assert len(build_mean_field(4).terms) == 12
+        assert len(build_model("mean_field", 4).terms) == 12
 
     def test_zero_theta_maximally_mixed(self):
-        m = build_mean_field(2)
+        m = build_model("mean_field", 2)
         rho, _ = gibbs_state(assemble_hamiltonian(m, np.zeros(6)))
         assert np.allclose(rho, np.eye(4) / 4)
 
     def test_gibbs_factorizes_100_draws(self, rng):
-        m = build_mean_field(2)
+        m = build_model("mean_field", 2)
         for _ in range(100):
             theta = rng.normal(size=6)
             rho, _ = gibbs_state(assemble_hamiltonian(m, theta))
@@ -426,13 +389,13 @@ class TestJordanWigner:
 
 class TestFermionicModel:
     def test_one_mode_term_count(self):
-        m = build_fermionic_model(2)
+        m = build_model("fermionic", 2)
         assert sum(1 for t in m.terms if t.label.startswith("a")) == 2
 
     def test_diagonal_reduction_matches_classical_bm(self):
         # zeroing every off-diagonal term leaves the number-operator sub-family
-        m = build_fermionic_model(3)
-        classical = build_classical_bm(3)
+        m = build_model("fermionic", 3)
+        classical = build_model("classical_bm", 3)
         by_label = {t.label: i for i, t in enumerate(m.terms)}
         theta = np.zeros(len(m.terms))
         diag_labels = [t.label for t in m.terms if not t.is_quantum]
@@ -446,7 +409,7 @@ class TestFermionicModel:
         assert np.allclose(h_f, h_c, atol=1e-12)
 
     def test_interaction_terms_hermitian_traceless(self):
-        m = build_fermionic_model(4)
+        m = build_model("fermionic", 4)
         quads = [t for t in m.terms if t.label.startswith("int(")]
         assert quads
         for t in quads:
@@ -455,14 +418,14 @@ class TestFermionicModel:
                 assert abs(np.trace(t.matrix)) < 1e-12
 
     def test_one_mode_and_hopping_unit_norm(self):
-        m = build_fermionic_model(3)
+        m = build_model("fermionic", 3)
         for t in m.terms:
             if t.label.startswith("a") or t.label.startswith("hop("):
                 assert abs(np.linalg.norm(t.matrix, 2) - 1.0) < 1e-12
 
     def test_minimum_size(self):
         with pytest.raises(ValueError):
-            build_fermionic_model(1)
+            build_model("fermionic", 1)
 
 
 class TestEveryBuilder:
@@ -487,7 +450,7 @@ class TestEveryBuilder:
         assert np.allclose(lhs, assemble_hamiltonian(m, t1 + t2), atol=1e-12)
 
     def test_theta_length_checked(self):
-        m = build_mean_field(2)
+        m = build_model("mean_field", 2)
         with pytest.raises(ValueError):
             assemble_hamiltonian(m, np.zeros(5))
 
@@ -498,7 +461,7 @@ class TestEveryBuilder:
 
 class TestSerialization:
     def test_model_immutable(self):
-        m = build_mean_field(1)
+        m = build_model("mean_field", 1)
         with pytest.raises(Exception):
             m.n_visible = 3
         assert isinstance(m, HamiltonianModel)
@@ -647,7 +610,7 @@ class TestEntryList:
         same_term = np.diff(entries.index) == 0
         assert np.all(np.diff(entries.flat)[same_term] > 0)
         # every array is, bit for bit, what a scan of the dense terms gives
-        positions = [_nonzeros(m) for m in model.matrix_stack]
+        positions = [np.flatnonzero(m) for m in model.matrix_stack]
         rows, cols = np.divmod(np.concatenate(positions), model.dim)
         want = (
             np.repeat(np.arange(model.n_terms), [p.size for p in positions]),
@@ -659,10 +622,9 @@ class TestEntryList:
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
     def test_term_size_must_match_qubit_count(self):
-        for make in TERM_PATHS.values():
-            model = HamiltonianModel("custom", 1, 0, (make("zz", pauli_word("ZZ")),))
-            with pytest.raises(ValueError, match="every term must be 2 x 2"):
-                assemble_hamiltonian(model, np.ones(1))
+        model = HamiltonianModel("custom", 1, 0, (entry_built("zz", pauli_word("ZZ")),))
+        with pytest.raises(ValueError, match="every term must be 2 x 2"):
+            assemble_hamiltonian(model, np.ones(1))
 
 
 # Terms of each family on n qubits (classical_bm on the complete graph).

@@ -16,14 +16,7 @@ import qbmlab
 import qbmlab.linalg as linalg
 import qbmlab.training as training
 from qbmlab.linalg import gibbs_state
-from qbmlab.operators import (
-    assemble_hamiltonian,
-    build_classical_bm,
-    build_complete_pauli_set,
-    build_fermionic_model,
-    build_mean_field,
-    build_model,
-)
+from qbmlab.operators import assemble_hamiltonian, build_model
 from qbmlab.training import (
     GRADIENT_KINDS,
     MAX_COMMUTATOR_ORDER,
@@ -32,6 +25,7 @@ from qbmlab.training import (
     PovmTrainingSet,
     StateTrainingSet,
     TraceRecord,
+    TrainingDiverged,
     child_seed,
     grad_povm_commutator,
     grad_povm_exact,
@@ -201,7 +195,7 @@ class TestOptimizerConfig:
 class TestObjectives:
     def test_gt_lower_bounds_exact(self, rng):
         # Golden-Thompson: Tr[e^{A+B}] <= Tr[e^A e^B]
-        m = build_fermionic_model(2)
+        m = build_model("fermionic", 2)
         for _ in range(50):
             theta = rng.normal(size=len(m.terms))
             data = random_full_rank_povm(4, rng)
@@ -225,7 +219,7 @@ class TestObjectives:
         assert exact >= clipped >= clamped
 
     def test_gt_equals_exact_when_commuting(self, rng):
-        m = build_classical_bm(2)
+        m = build_model("classical_bm", 2)
         for _ in range(20):
             theta = rng.normal(size=3)
             data = diagonal_povm(4, rng)
@@ -234,7 +228,7 @@ class TestObjectives:
             assert abs(a - b) < 1e-8
 
     def test_regularizer_penalizes_quantum_weights_only(self, rng):
-        m = build_mean_field(2)
+        m = build_model("mean_field", 2)
         theta = rng.normal(size=6)
         data = random_full_rank_povm(4, rng)
         base = objective_povm_exact(m, theta, data)
@@ -243,7 +237,7 @@ class TestObjectives:
         assert abs(objective_povm_exact(m, theta, data, lam=0.3) - (base - penalty)) < 1e-12
 
     def test_relent_zero_at_match(self, rng):
-        m = build_complete_pauli_set(1)
+        m = build_model("pauli_complete", 1)
         theta = rng.normal(size=3)
         rho, _ = gibbs_state(assemble_hamiltonian(m, theta))
         data = StateTrainingSet(rho=rho)
@@ -255,7 +249,7 @@ class TestObjectives:
     def test_relent_pure_target_against_maximally_mixed(self, n_hidden):
         # theta = 0 gives sigma = I/2^n; S(|0><0| (x) I/2^h || I/2^(1+h)) = log 2,
         # with 0 log 0 = 0 on the pure target's null space
-        m = build_classical_bm(1, n_hidden)
+        m = build_model("classical_bm", 1, n_hidden)
         data = StateTrainingSet(rho=np.diag([1.0, 0.0]).astype(complex))
         assert abs(objective_relent(m, np.zeros(m.n_terms), data) + np.log(2)) < 1e-12
 
@@ -265,7 +259,7 @@ class TestObjectives:
         # Tr rho (log rho - log sigma) from scipy's logm, with sigma from expm
         from scipy.linalg import expm, logm
 
-        m = build_fermionic_model(2, n_hidden)
+        m = build_model("fermionic", 2, n_hidden)
         data = random_mixed(2, rng)
         for _ in range(5):
             theta = rng.normal(size=m.n_terms)
@@ -287,7 +281,7 @@ class TestObjectives:
             return original(rho)
 
         monkeypatch.setattr(training, "von_neumann_entropy", counting)
-        m = build_complete_pauli_set(2)
+        m = build_model("pauli_complete", 2)
         first, second = random_mixed(2, rng), random_mixed(2, rng)
         for _ in range(5):
             theta = rng.normal(size=m.n_terms)
@@ -298,7 +292,7 @@ class TestObjectives:
 
 class TestGradients:
     def test_exact_matches_finite_difference(self, rng):
-        m = build_fermionic_model(2)
+        m = build_model("fermionic", 2)
         theta = rng.normal(size=len(m.terms)) * 0.4
         data = random_full_rank_povm(4, rng)
         fd = central_difference(lambda t: objective_povm_exact(m, t, data, lam=0.2), theta)
@@ -306,7 +300,7 @@ class TestGradients:
         assert np.linalg.norm(g - fd) < 1e-6 * max(1.0, np.linalg.norm(fd))
 
     def test_gt_matches_finite_difference(self, rng):
-        m = build_fermionic_model(2)
+        m = build_model("fermionic", 2)
         theta = rng.normal(size=len(m.terms)) * 0.4
         data = random_full_rank_povm(4, rng)
         fd = central_difference(lambda t: objective_povm_gt(m, t, data, lam=0.2), theta)
@@ -314,7 +308,7 @@ class TestGradients:
         assert np.linalg.norm(g - fd) < 1e-5 * max(1.0, np.linalg.norm(fd))
 
     def test_relent_matches_finite_difference(self, rng):
-        m = build_complete_pauli_set(2)
+        m = build_model("pauli_complete", 2)
         theta = rng.normal(size=15) * 0.3
         data = random_mixed(2, rng)
         fd = central_difference(lambda t: objective_relent(m, t, data, lam=0.1), theta)
@@ -322,14 +316,14 @@ class TestGradients:
         assert np.linalg.norm(g - fd) < 1e-6 * max(1.0, np.linalg.norm(fd))
 
     def test_relent_zero_gradient_at_optimum(self, rng):
-        m = build_complete_pauli_set(1)
+        m = build_model("pauli_complete", 1)
         theta = rng.normal(size=3)
         rho, _ = gibbs_state(assemble_hamiltonian(m, theta))
         g = grad_relent(m, theta, StateTrainingSet(rho=rho))
         assert np.linalg.norm(g) < 1e-10
 
     def test_commutator_converges_to_exact(self, rng):
-        m = build_fermionic_model(2)
+        m = build_model("fermionic", 2)
         theta = rng.normal(size=len(m.terms))
         theta /= np.linalg.norm(assemble_hamiltonian(m, theta), 2)  # keep ||H|| = 1
         data = random_full_rank_povm(4, rng)
@@ -340,7 +334,7 @@ class TestGradients:
     def test_commutator_exact_for_commuting_model(self, rng):
         # every nested commutator vanishes for a diagonal Hamiltonian, so
         # truncation order is irrelevant
-        m = build_classical_bm(2)
+        m = build_model("classical_bm", 2)
         theta = rng.normal(size=3)
         data = random_full_rank_povm(4, rng)
         g_exact = grad_povm_exact(m, theta, data)
@@ -349,7 +343,7 @@ class TestGradients:
             assert np.linalg.norm(g - g_exact) < 1e-10
 
     def test_commutator_order_validated(self, rng):
-        m = build_fermionic_model(2)
+        m = build_model("fermionic", 2)
         data = random_full_rank_povm(4, rng)
         with pytest.raises(ValueError):
             grad_povm_commutator(m, np.zeros(len(m.terms)), data, order=0)
@@ -443,7 +437,7 @@ class TestPerTermOracles:
 
     @pytest.fixture
     def problem(self, rng):
-        m = build_fermionic_model(3, 1)
+        m = build_model("fermionic", 3, 1)
         theta = rng.normal(size=len(m.terms))
         theta *= 2.0 / np.linalg.norm(assemble_hamiltonian(m, theta), 2)  # ||H|| = 2
         data = random_full_rank_povm(8, rng)
@@ -651,7 +645,7 @@ class TestCommutingClosedForm:
     def classical(self, request, rng):
         """(model, basis data, probabilities, features, visible bits of each basis state)."""
         n_visible, n_hidden = request.param
-        model, n = build_classical_bm(n_visible, n_hidden), n_visible + n_hidden
+        model, n = build_model("classical_bm", n_visible, n_hidden), n_visible + n_hidden
         bits = (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         assert model.labels == tuple([f"n{j}" for j in range(n)] + [f"n{i}n{j}" for i, j in pairs])
@@ -688,7 +682,7 @@ class TestCommutingClosedForm:
 
     @pytest.mark.parametrize("r", [(0.0, 0.0), (1e-8, 1.0), (1.0, 20.0), (20.0, 1e-8)])
     def test_mean_field_relent(self, r, rng):
-        model = build_mean_field(2)
+        model = build_model("mean_field", 2)
         assert model.labels == ("X0", "Y0", "Z0", "X1", "Y1", "Z1")
         h = [rk * n / np.linalg.norm(n) for rk, n in zip(r, rng.normal(size=(2, 3)))]
         # a target with a known spectrum p: U diag(p) U^+ for a unitary U from a QR factorization
@@ -751,7 +745,7 @@ class TestSampledGradient:
                 assert np.array_equal(got, sampled_oracle(model, theta, data, lam, n_samples, seed))
 
     def test_training_matches_the_oracle_gradient(self, rng, monkeypatch):
-        model, data = build_fermionic_model(2, 1), random_mixed(2, rng)
+        model, data = build_model("fermionic", 2, 1), random_mixed(2, rng)
         theta0 = 0.3 * rng.normal(size=model.n_terms)
         cfg = OptimizerConfig(gradient_kind="relent_sampled", learning_rate=0.5, momentum=0.5, lam=0.3,
                               epochs=3, n_samples=64)
@@ -763,14 +757,13 @@ class TestSampledGradient:
 
     def test_deterministic_eigenstates(self):
         # measuring Z on |0> always returns +1 and on the Gibbs state |1><1| of H = 400 Z always -1
-        z = np.diag([1.0, -1.0]).astype(complex)
-        model = HamiltonianModel("hand_built", 1, 0, (Term("Z", z),))
+        model = HamiltonianModel("hand_built", 1, 0, (Term("Z", 2, [0, 1], [0, 1], [1.0, -1.0]),))
         data = StateTrainingSet(rho=np.diag([1.0, 0.0]).astype(complex))
         for n_samples in (1, 64):
             assert grad_relent_sampled(model, np.array([400.0]), data, n_samples=n_samples).tolist() == [-2.0]
 
     def test_reproducible(self, rng):
-        m = build_mean_field(1)
+        m = build_model("mean_field", 1)
         theta, data = rng.normal(size=3), random_mixed(1, rng)
         a = grad_relent_sampled(m, theta, data, n_samples=512, rng_seed=42)
         assert np.array_equal(grad_relent_sampled(m, theta, data, n_samples=512, rng_seed=42), a)
@@ -779,10 +772,10 @@ class TestSampledGradient:
     def test_sample_count_checked(self, rng):
         for n_samples in (0, -1):
             with pytest.raises(ValueError, match="n_samples"):
-                grad_relent_sampled(build_mean_field(1), np.zeros(3), random_mixed(1, rng), n_samples=n_samples)
+                grad_relent_sampled(build_model("mean_field", 1), np.zeros(3), random_mixed(1, rng), n_samples=n_samples)
 
     def test_sample_count_checked_before_any_solve(self, rng, monkeypatch):
-        model, data = build_mean_field(1), random_mixed(1, rng)
+        model, data = build_model("mean_field", 1), random_mixed(1, rng)
         calls = []
         spy_on_solves(monkeypatch, calls, training, linalg, values_too=True)
         with pytest.raises(ValueError, match="n_samples"):
@@ -795,10 +788,10 @@ class TestSampledGradient:
         monkeypatch.setattr(training, "_evaluate", lambda m, t: evaluate(m, t)._replace(
             rho=np.full((len(t), m.dim, m.dim), fill, dtype=complex)))
         with pytest.raises(ValueError, match=message):
-            grad_relent_sampled(build_mean_field(1), np.zeros(3), random_mixed(1, rng))
+            grad_relent_sampled(build_model("mean_field", 1), np.zeros(3), random_mixed(1, rng))
 
     def test_sampled_gradient_concentrates(self, rng):
-        m = build_mean_field(1)
+        m = build_model("mean_field", 1)
         theta = rng.normal(size=3) * 0.5
         data = random_mixed(1, rng)
         g_true = grad_relent(m, theta, data)
@@ -828,7 +821,7 @@ class TestChildSeed:
 
     def test_a_reused_seed_sequence_gives_the_same_draws(self, rng):
         # spawn() advances its SeedSequence, so a second call drew new streams
-        m = build_mean_field(1)
+        m = build_model("mean_field", 1)
         data = random_mixed(1, rng)
         theta = rng.normal(size=3)
         seed = np.random.SeedSequence(5)
@@ -859,7 +852,7 @@ class TestChildSeed:
 
 class TestTrainLoop:
     def test_records_epochs_plus_one(self, rng):
-        m = build_mean_field(1)
+        m = build_model("mean_field", 1)
         data = random_mixed(1, rng)
         cfg = OptimizerConfig(gradient_kind="relent", epochs=7, learning_rate=0.5)
         tr = train(m, np.zeros(3), data, cfg)
@@ -867,7 +860,7 @@ class TestTrainLoop:
         assert not tr.diverged
 
     def test_zero_learning_rate_freezes_theta(self, rng):
-        m = build_mean_field(1)
+        m = build_model("mean_field", 1)
         data = random_mixed(1, rng)
         theta0 = rng.normal(size=3)
         cfg = OptimizerConfig(gradient_kind="relent", learning_rate=0.0, epochs=5)
@@ -877,7 +870,7 @@ class TestTrainLoop:
         assert np.ptp(tr.objectives) == 0.0
 
     def test_heavy_ball_update_rule(self, rng):
-        m = build_mean_field(1)
+        m = build_model("mean_field", 1)
         data = random_mixed(1, rng)
         theta0 = rng.normal(size=3) * 0.2
         cfg = OptimizerConfig(gradient_kind="relent", learning_rate=0.3, momentum=0.6, epochs=2)
@@ -890,7 +883,7 @@ class TestTrainLoop:
         assert np.allclose(tr.thetas[2], theta2, atol=1e-14)
 
     def test_relent_training_improves(self, rng):
-        m = build_complete_pauli_set(2)
+        m = build_model("pauli_complete", 2)
         data = random_mixed(2, rng)
         cfg = OptimizerConfig(gradient_kind="relent", learning_rate=1.0, epochs=30)
         tr = train(m, np.zeros(15), data, cfg)
@@ -899,7 +892,7 @@ class TestTrainLoop:
 
     def test_divergence_sets_flag_keeps_records(self):
         _, povm, _ = step_function_state(2, 0.1)
-        m = build_fermionic_model(2)
+        m = build_model("fermionic", 2)
         cfg = OptimizerConfig(gradient_kind="commutator", learning_rate=100.0, epochs=30, commutator_order=5)
         tr = train(m, 5.0 * np.ones(len(m.terms)), povm, cfg)
         assert tr.diverged
@@ -912,9 +905,9 @@ class TestTrainLoop:
     def test_failed_solve_ends_the_run_diverged(self, kind, monkeypatch):
         # a learning rate of 1e308 takes theta to about 1e307 in one step
         if kind == "relent":
-            m, data = build_complete_pauli_set(2), random_mixed(2, np.random.default_rng(0))
+            m, data = build_model("pauli_complete", 2), random_mixed(2, np.random.default_rng(0))
         else:
-            m, data = build_fermionic_model(2), step_function_state(2, 0.1)[1]
+            m, data = build_model("fermionic", 2), step_function_state(2, 0.1)[1]
         if kind == "gt":
             # numpy solves the bound's finite H - log Lambda_v at theta ~ 1e307, so a
             # stand-in for the solver behind gibbs_state fails there as LAPACK reports it
@@ -933,11 +926,19 @@ class TestTrainLoop:
         assert tr.note.endswith(f"at epoch {len(tr.records)}")
         assert all(np.isfinite(r.objective) and np.isfinite(r.grad_norm) for r in tr.records)
 
+    def test_no_record_at_epoch_0_raises_training_diverged(self):
+        # an infinite theta0 makes H(theta) non-finite before the first record
+        m = build_model("pauli_complete", 1)
+        data = random_mixed(1, np.random.default_rng(0))
+        with pytest.raises(TrainingDiverged, match="before the first epoch"):
+            train(m, np.array([np.inf, 0.0, 0.0]), data, OptimizerConfig("relent", epochs=2))
+        assert issubclass(TrainingDiverged, ValueError)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_hamiltonian_ends_the_run_diverged(self, monkeypatch):
         # momentum carries an infinite step into theta; H(theta) is then non-finite
         _, povm, _ = step_function_state(2, 0.1)
-        m = build_fermionic_model(2)
+        m = build_model("fermionic", 2)
         grad = training._GRADIENTS["exact"]
         monkeypatch.setitem(training._GRADIENTS, "exact", (grad[0], lambda m, t, *args: np.full(t.shape, 1e308)))
         tr = train(m, np.zeros(m.n_terms), povm, OptimizerConfig("exact", learning_rate=10.0, epochs=4))
@@ -947,7 +948,7 @@ class TestTrainLoop:
 
     def test_grad_norm_of_a_huge_finite_gradient_is_finite(self, monkeypatch):
         # 1e200 squared overflows; the norm itself is 1e200 * sqrt(n_terms)
-        m = build_mean_field(2)
+        m = build_model("mean_field", 2)
         monkeypatch.setattr(training, "grad_relent", lambda m, t, *args: np.full(t.shape, 1e200))
         data = random_mixed(2, np.random.default_rng(0))
         tr = train(m, np.zeros(m.n_terms), data, OptimizerConfig("relent", learning_rate=0.0, epochs=2))
@@ -956,7 +957,7 @@ class TestTrainLoop:
             assert math.isclose(record.grad_norm, 1e200 * math.sqrt(m.n_terms), rel_tol=1e-15)
 
     def test_sampled_training_reproducible(self, rng):
-        m = build_mean_field(1)
+        m = build_model("mean_field", 1)
         data = random_mixed(1, rng)
         cfg = OptimizerConfig(gradient_kind="relent_sampled", learning_rate=0.5, epochs=4, n_samples=64)
         a = train(m, np.zeros(3), data, cfg, rng_seed=7)
@@ -968,7 +969,7 @@ class TestTrainLoop:
     @pytest.mark.parametrize("kind", ["relent", "relent_sampled"])
     def test_state_training_records_the_overlap_of_each_epoch(self, kind, rng):
         # with a hidden unit the target is embedded as rho (x) I/2
-        m = build_classical_bm(2, 1)
+        m = build_model("classical_bm", 2, 1)
         data = random_mixed(2, rng)
         cfg = OptimizerConfig(gradient_kind=kind, learning_rate=0.5, epochs=3, n_samples=64)
         tr = train(m, rng.normal(size=m.n_terms), data, cfg)
@@ -979,18 +980,18 @@ class TestTrainLoop:
 
     def test_povm_training_records_no_overlap(self):
         _, povm, _ = step_function_state(2, 0.1)
-        m = build_fermionic_model(2)
+        m = build_model("fermionic", 2)
         tr = train(m, np.zeros(m.n_terms), povm, OptimizerConfig("gt", epochs=2))
         assert [r.overlap for r in tr.records] == [None] * 3
 
     def test_theta_length_mismatch(self, rng):
-        m = build_mean_field(1)
+        m = build_model("mean_field", 1)
         data = random_mixed(1, rng)
         with pytest.raises(ValueError):
             train(m, np.zeros(4), data, OptimizerConfig(gradient_kind="relent"))
 
     def test_povm_data_required_for_povm_kinds(self, rng):
-        m = build_mean_field(1)
+        m = build_model("mean_field", 1)
         data = random_mixed(1, rng)
         with pytest.raises(ValueError):
             train(m, np.zeros(3), data, OptimizerConfig(gradient_kind="gt"))
@@ -1001,7 +1002,7 @@ class TestLockstep:
 
     @pytest.fixture
     def problem(self, rng):
-        model = build_complete_pauli_set(2)
+        model = build_model("pauli_complete", 2)
         targets = [random_mixed(2, rng) for _ in range(5)]
         theta0 = 0.3 * rng.normal(size=(5, model.n_terms))
         theta0[0] = 0.0  # a real H beside complex ones at epoch 0
@@ -1073,7 +1074,7 @@ class TestLockstep:
 
     def test_a_gt_grid_with_a_diverging_row_is_train_row_by_row(self, rng):
         # commutator-compare's schedule C: one model, one data set and one theta0 under several (eta, mu)
-        model, povm = build_fermionic_model(2, 1), step_function_state(2, 0.1)[1]
+        model, povm = build_model("fermionic", 2, 1), step_function_state(2, 0.1)[1]
         base = OptimizerConfig("gt", lam=0.2, epochs=8)
         settings = [(0.1, 0.0), (0.5, 0.9), (1e308, 0.0), (1.0, 0.5), (0.1, 0.0)]
         configs = [replace(base, learning_rate=eta, momentum=mu) for eta, mu in settings]
@@ -1086,7 +1087,7 @@ class TestLockstep:
 
     @pytest.mark.parametrize("kind", ["exact", "commutator"])
     def test_povm_rows_on_their_own_data(self, kind, rng):
-        model = build_classical_bm(2, 1)
+        model = build_model("classical_bm", 2, 1)
         sets = [random_full_rank_povm(4, rng) for _ in range(3)]
         theta0 = 0.3 * rng.normal(size=(3, model.n_terms))
         configs = [OptimizerConfig(kind, learning_rate=0.3, momentum=0.5, epochs=4)] * 3
@@ -1106,7 +1107,7 @@ class TestLockstep:
         with pytest.raises(ValueError, match="4 training sets for 5 theta rows"):
             training._train_lockstep(model, theta0, targets[:4], configs)
         with pytest.raises(ValueError, match="dimension"):
-            training._train_lockstep(build_mean_field(3), np.zeros((5, 9)), targets, configs)
+            training._train_lockstep(build_model("mean_field", 3), np.zeros((5, 9)), targets, configs)
         with pytest.raises(ValueError, match="one theta0"):
             train(model, theta0, targets[0], configs[0])
 
@@ -1140,12 +1141,12 @@ class TestTermExpectations:
 
     def test_state_shape_checked(self):
         with pytest.raises(ValueError):
-            term_expectations(build_mean_field(2), np.eye(2))
+            term_expectations(build_model("mean_field", 2), np.eye(2))
         with pytest.raises(ValueError):
-            term_expectations(build_mean_field(1), np.zeros((1, 1, 2, 2)))
+            term_expectations(build_model("mean_field", 1), np.zeros((1, 1, 2, 2)))
 
     def test_training_never_builds_the_dense_stack(self, rng):
-        m = build_fermionic_model(2, 1)
+        m = build_model("fermionic", 2, 1)
         data = random_full_rank_povm(4, rng)
         cfg = OptimizerConfig(gradient_kind="exact", learning_rate=0.1, epochs=2)
         train(m, np.zeros(len(m.terms)), data, cfg)
@@ -1190,27 +1191,27 @@ class TestEvaluationRecord:
     def problem(self, rng):
         # one hidden unit, so the padded POVM elements and logarithms differ
         # from the visible ones
-        theta = 0.4 * rng.normal(size=build_fermionic_model(2, 1).n_terms)
+        theta = 0.4 * rng.normal(size=build_model("fermionic", 2, 1).n_terms)
         other = 0.4 * rng.normal(size=theta.size)
         return theta, other, random_full_rank_povm(4, rng), random_mixed(2, rng)
 
     @pytest.mark.parametrize("name", EVALUATIONS)
     def test_value_does_not_depend_on_history(self, name, problem):
         theta, other, povm, state = problem
-        fresh = EVALUATIONS[name](build_fermionic_model(2, 1), theta, povm, state)
+        fresh = EVALUATIONS[name](build_model("fermionic", 2, 1), theta, povm, state)
 
-        warm = build_fermionic_model(2, 1)
+        warm = build_model("fermionic", 2, 1)
         for evaluate in EVALUATIONS.values():
             evaluate(warm, theta.copy(), povm, state)
         after_same = EVALUATIONS[name](warm, theta, povm, state)
 
-        moved = build_fermionic_model(2, 1)
+        moved = build_model("fermionic", 2, 1)
         for evaluate in EVALUATIONS.values():
             evaluate(moved, other, povm, state)
         after_other = EVALUATIONS[name](moved, theta, povm, state)
 
         # the record of a stack holding theta is no record of theta: shapes differ
-        stacked = build_fermionic_model(2, 1)
+        stacked = build_model("fermionic", 2, 1)
         for key, evaluate in EVALUATIONS.items():
             if key != "grad_relent_sampled":  # one theta only
                 evaluate(stacked, np.stack([other, theta]), povm, state)
@@ -1220,7 +1221,7 @@ class TestEvaluationRecord:
             assert np.array_equal(value, fresh)
 
     def test_models_share_nothing(self, rng):
-        first = build_mean_field(2)
+        first = build_model("mean_field", 2)
         # same term count and dimension, other Hamiltonian
         second = type(first)("mean_field", 2, 0, first.terms[::-1])
         theta = rng.normal(size=first.n_terms)
@@ -1235,7 +1236,7 @@ class TestEvaluationRecord:
 
     def test_cached_arrays_read_only(self, problem):
         theta, _, povm, _ = problem
-        m = build_fermionic_model(2, 1)
+        m = build_model("fermionic", 2, 1)
         for thetas in (theta[None], np.stack([theta, -theta, 0 * theta])):  # one solve, then two
             grad_povm_gt(m, thetas, povm)
             record = training._evaluate(m, thetas)
@@ -1251,7 +1252,7 @@ class TestEvaluationRecord:
         theta, _, povm, state = problem
         calls = []
         spy_on_solves(monkeypatch, calls, training)
-        m = build_fermionic_model(2, 1)
+        m = build_model("fermionic", 2, 1)
         grad_povm_gt(m, theta, povm)
         grad_povm_exact(m, theta, povm)
         grad_povm_commutator(m, theta, povm)
@@ -1267,7 +1268,7 @@ class TestEvaluationRecord:
         spy_on_solves(monkeypatch, calls, training, linalg)
         logs = []
         _counting(monkeypatch, training, "matrix_log_psd", logs)
-        m = build_fermionic_model(2, 1)
+        m = build_model("fermionic", 2, 1)
         data = state if kind == "relent" else povm
         epochs = 4
         cfg = OptimizerConfig(gradient_kind=kind, learning_rate=0.1, epochs=epochs)
@@ -1363,7 +1364,7 @@ class TestEvaluationRecord:
         first, second = random_full_rank_povm(4, rng), random_full_rank_povm(4, rng)
         cfg = OptimizerConfig(gradient_kind="gt", learning_rate=0.1, epochs=3)
         for n_hidden in (0, 1, 0, 1):
-            m = build_fermionic_model(2, n_hidden)
+            m = build_model("fermionic", 2, n_hidden)
             for data in (first, second):
                 train(m, np.zeros(m.n_terms), data, cfg)
                 objective_povm_gt(m, np.zeros(m.n_terms), data)
@@ -1375,7 +1376,7 @@ class TestEvaluationRecord:
         cfg = OptimizerConfig(gradient_kind="relent", learning_rate=0.1, epochs=3)
         hidden_counts = (0, 1, 2, 1, 2, 0)
         # built before krons are counted: building the terms takes krons too
-        models = [build_fermionic_model(2, n_hidden) for n_hidden in hidden_counts]
+        models = [build_model("fermionic", 2, n_hidden) for n_hidden in hidden_counts]
         kron = np.kron
         calls = []
         _counting(monkeypatch, np, "kron", calls)
@@ -1561,7 +1562,7 @@ class TestStackedGradients:
 
     @pytest.mark.parametrize("kind", STACKED_GRADIENTS)
     def test_one_training_set_per_row(self, kind, rng):
-        model = build_fermionic_model(2, 1)
+        model = build_model("fermionic", 2, 1)
         thetas = 0.5 * rng.normal(size=(3, model.n_terms))
         povms = [random_full_rank_povm(4, rng) for _ in thetas]
         states = [random_mixed(2, rng) for _ in thetas]
@@ -1577,7 +1578,7 @@ class TestStackedGradients:
 
     def test_a_row_whose_bound_solve_fails_reads_nan(self, rng, monkeypatch):
         # the solver behind gibbs_state fails on a huge H - log Lambda_v, as LAPACK may at theta ~ 1e307
-        model, povm = build_fermionic_model(2), random_full_rank_povm(4, rng)
+        model, povm = build_model("fermionic", 2), random_full_rank_povm(4, rng)
         thetas = 0.5 * rng.normal(size=(3, model.n_terms))
         want = grad_povm_gt(model, thetas, povm)
         thetas[1] *= 1e150
@@ -1599,7 +1600,7 @@ class TestMeasurementBases:
     """grad_relent_sampled takes each term's eigenbasis once per model."""
 
     def test_each_term_solved_once_per_model(self, rng, monkeypatch):
-        model, data = build_mean_field(2), random_mixed(2, rng)
+        model, data = build_model("mean_field", 2), random_mixed(2, rng)
         thetas = 0.3 * rng.normal(size=(3, model.n_terms))
         calls = []
         spy_on_solves(monkeypatch, calls, linalg)
@@ -1610,7 +1611,7 @@ class TestMeasurementBases:
             assert np.array_equal(H, term.matrix)
         # as from bases taken afresh on a new model
         for seed, theta, grad in zip((0, 1, 2, 7), (*thetas, thetas[0]), grads):
-            assert np.array_equal(grad, grad_relent_sampled(build_mean_field(2), theta, data, 0.3, 64, seed))
+            assert np.array_equal(grad, grad_relent_sampled(build_model("mean_field", 2), theta, data, 0.3, 64, seed))
         # stacked, one row per term as each term's own solve gives it, read-only
         evals, V = vars(model)["_measurement_bases"]
         assert evals.shape == (model.n_terms, model.dim) and V.shape == (model.n_terms, model.dim, model.dim)
@@ -1664,8 +1665,8 @@ class TestMeasurementBases:
         assert peak <= bound < 2 * held
 
     def test_a_term_above_unit_norm_fails_every_call(self, rng):
-        z = np.diag([1.0, -1.0]).astype(complex)
-        model = HamiltonianModel("hand_built", 1, 0, (Term("Z", z), Term("2Z", 2 * z)))
+        terms = (Term("Z", 2, [0, 1], [0, 1], [1.0, -1.0]), Term("2Z", 2, [0, 1], [0, 1], [2.0, -2.0]))
+        model = HamiltonianModel("hand_built", 1, 0, terms)
         data = random_mixed(1, rng)
         for _ in range(2):
             with pytest.raises(ValueError, match="exceeds 1"):
