@@ -19,6 +19,7 @@ from .experiments import (
     parse_config_file,
     run_experiment,
 )
+from .training import TrainingDiverged
 
 __all__ = ["build_parser", "main"]
 
@@ -81,7 +82,7 @@ def main(argv=None) -> int:
 
     try:
         result = run_experiment(config)
-    except OSError as exc:  # such as an --out that names a file
+    except (OSError, TrainingDiverged) as exc:  # such as an --out that names a file, or a huge theta0_scale
         print(f"qbmlab: {exc}", file=sys.stderr)
         return 2
     if config.experiment == "gradcheck":

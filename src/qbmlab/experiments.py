@@ -398,6 +398,16 @@ class RelentEnsembleConfig(ExperimentConfig):
     epochs: int = 100
 
 
+def _frobenius_norm(A: np.ndarray) -> float:
+    """||A||_F; if the squares of A's entries overflow, retaken after an exact power-of-two rescaling."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(A))
+    if norm == np.inf and np.isfinite(A).all():
+        unit = np.ldexp(1.0, -np.frexp(np.abs(A).max())[1])
+        norm = float(np.linalg.norm(A * unit)) / unit
+    return norm
+
+
 def _relent_task(setup, fixed: tuple, root: int, opt: OptimizerConfig, indices: list) -> list:
     """Train instances ``indices`` of an ensemble on models built once, in lockstep chunks.
 
@@ -420,8 +430,7 @@ def _relent_task(setup, fixed: tuple, root: int, opt: OptimizerConfig, indices: 
             curves = dict(s=-trace.objectives, overlap=[r.overlap for r in trace.records])
             if theta_true is not None:
                 # H is linear in theta: H(th) - H(theta_true) = H(th - theta_true)
-                curves["dh"] = [float(np.linalg.norm(assemble_hamiltonian(model, th - theta_true)))
-                                for th in trace.thetas]
+                curves["dh"] = [_frobenius_norm(assemble_hamiltonian(model, th - theta_true)) for th in trace.thetas]
             curves = {name: _pad_curve(values, opt.epochs + 1) for name, values in curves.items()}
             results.append((curves, None if theta_true is not None else (target.rho, state), bool(trace.diverged)))
     return results

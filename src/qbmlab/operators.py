@@ -6,6 +6,14 @@ the leftmost tensor factor; visible units come before hidden units.
 The classical_bm, fermionic and ti_complete terms are real, so their H(theta)
 and Gibbs states (the teacher targets too) are real and take the real-symmetric
 solver (linalg._eigh); pauli_complete and mean_field hold imaginary Y terms.
+
+A family lists its terms as (label, spec) pairs and builds them in blocks of
+max(1, 2048 // dim) consecutive terms: one vectorized pass makes a block's
+entries, and one _checked_terms pass gives each term what Term(...) gives it.
+Blocks keep every temporary under 128 KiB, glibc's initial mmap threshold.
+Freeing a larger one raises that threshold, so the dense arrays made after the
+build come from the heap, whose pages are not given back: one block per model
+raised a set-up's peak RSS by 29 MiB at fermionic 5+2.
 """
 from __future__ import annotations
 
@@ -29,20 +37,12 @@ __all__ = [
 QUANTUM_OFFDIAG_TOL = 1e-12
 
 
-def _bit(site: int, n: int) -> int:
-    """Basis-index bit of qubit `site` out of n (qubit 0 is the most significant)."""
-    return 1 << (n - 1 - site)
-
-
-def _masked_parity(values: np.ndarray, mask: int) -> np.ndarray:
-    """popcount(values & mask) mod 2, by XOR over the set bits of mask: numpy 1.24 has no np.bitwise_count."""
-    parity = np.zeros_like(values)
-    bit = 0
-    while mask >> bit:
-        if (mask >> bit) & 1:
-            parity ^= (values >> bit) & 1
-        bit += 1
-    return parity
+def _parity_table(n: int) -> np.ndarray:
+    """popcount(c) mod 2 for every c < 2^n, as parity(2^k + c) = 1 - parity(c): numpy 1.24 has no bitwise_count."""
+    table = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        table = np.concatenate([table, 1 - table])
+    return table
 
 
 def _scatter(dim: int, rows, cols, values) -> np.ndarray:
@@ -52,60 +52,46 @@ def _scatter(dim: int, rows, cols, values) -> np.ndarray:
     return out
 
 
-def _pauli_entries(letters: str):
-    """Entries (rows, cols, values) of a Pauli string such as "IXZ" (qubit 0 leftmost).
+def _pauli_entries(words, table: np.ndarray):
+    """Entries (rows, cols, values) of Pauli strings such as "IXZ" (qubit 0 leftmost), one row per string.
 
     With x the bitmask of the X/Y sites, z that of the Z/Y sites and #Y the
-    number of Y letters, the string maps basis state c to
+    number of Y letters, a string maps basis state c to
     i^{#Y} (-1)^{popcount(c & z)} |c ^ x>: one entry per column (the
     symplectic bitmask form of Aaronson and Gottesman).
     """
-    if not letters:
-        raise ValueError("empty Pauli string")
-    n = len(letters)
-    x = z = n_y = 0
-    for site, ch in enumerate(letters):
-        if ch not in "IXYZ":
-            raise ValueError(f"unknown Pauli letter {ch!r} in {letters!r}")
-        if ch in "XY":
-            x |= _bit(site, n)
-        if ch in "YZ":
-            z |= _bit(site, n)
-        n_y += ch == "Y"
-    cols = np.arange(2**n)
-    return cols ^ x, cols, (1, 1j, -1, -1j)[n_y % 4] * (1 - 2 * _masked_parity(cols, z))
+    # the X/Y and the Z/Y sites as binary numerals, qubit 0 the most significant bit
+    sites = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
+    x, z = (np.array([[int(w.translate(s), 2)] for w in words]) for s in sites)
+    phase = np.array([[(1, 1j, -1, -1j)[w.count("Y") % 4]] for w in words])
+    cols = np.arange(table.size)
+    sign = 1 - 2 * table[cols & z]
+    # the bits of each string alone: a real phase times the integer signs, an imaginary one the complex product
+    return cols ^ x, np.broadcast_to(cols, sign.shape), np.where(phase.imag == 0, phase.real * sign, phase * sign)
 
 
-def _ladder_product(ops, n: int):
-    """Entries (rows, cols, values) of a product of Jordan-Wigner ladder operators.
+def _ladder_entries(specs, table: np.ndarray):
+    """Entries (rows, cols, values) of real Jordan-Wigner ladder-operator terms, one row per (ops, hermitian) spec.
 
-    `ops` lists the factors left to right as (mode, creates). They act on
-    every basis column at once, rightmost first: a factor flips the mode's
-    bit, contributes the parity of the occupied lower-indexed modes, and
-    zeroes the column unless the mode was empty (creation) or occupied
-    (annihilation). Column c holds its one possible entry at row rows[c].
+    `ops` lists the factors of a product B left to right as (mode, creates),
+    at most four. They act on every basis column at once, rightmost first:
+    a factor flips the mode's bit, contributes the parity of the occupied
+    lower-indexed modes (a lookup in `table`), and zeroes the column unless
+    the mode was empty (creation) or occupied (annihilation). Column c holds
+    B's one possible entry at row rows[c], and then its mirror: B^ for a
+    hermitian term (B + B^), zeros for a diagonal B.
     """
-    cols = np.arange(2**n)
-    rows = cols.copy()
-    values = np.ones_like(cols)
-    for mode, creates in reversed(ops):
-        shift = n - 1 - mode
-        values *= ((rows >> shift) & 1) ^ int(creates)
-        # the Z string on modes 0..mode-1, the `mode` most significant bits
-        values *= 1 - 2 * _masked_parity(rows, ((1 << mode) - 1) << (shift + 1))
-        rows ^= 1 << shift
-    return rows, cols, values
-
-
-def _ladder_term(ops, n: int):
-    """Entries of the Hermitian term B + B^ for the (real) ladder-operator product B."""
-    rows, cols, values = _ladder_product(ops, n)
-    return np.concatenate([rows, cols]), np.concatenate([cols, rows]), np.concatenate([values, values])
-
-
-def _number_term(modes, n: int):
-    """Entries of the product of the number operators n_p = a_p^ a_p over `modes` (diagonal)."""
-    return _ladder_product([(p, c) for p in modes for c in (True, False)], n)
+    dim, cols = table.size, np.arange(table.size)
+    # absent factors have bit 0 and creates 1: they keep every column as it is
+    bits = np.array([[0] * (4 - len(ops)) + [dim >> (mode + 1) for mode, _ in ops] for ops, _ in specs])[..., None]
+    creates = np.array([[1] * (4 - len(ops)) + [int(c) for _, c in ops] for ops, _ in specs])[..., None]
+    rows, values = np.tile(cols, (len(specs), 1)), np.ones((len(specs), dim), dtype=np.intp)
+    for f in reversed(range(4)):
+        values *= ((rows & bits[:, f]) != 0) ^ creates[:, f]
+        values *= 1 - 2 * table[rows & (dim - 2 * bits[:, f])]  # the Z string: every bit above the mode's
+        rows ^= bits[:, f]
+    cols, hermitian = np.broadcast_to(cols, rows.shape), np.array([[h] for _, h in specs])
+    return np.hstack([rows, cols]), np.hstack([cols, rows]), np.hstack([values, values * hermitian])
 
 
 class _Nonzeros(NamedTuple):
@@ -133,43 +119,9 @@ class Term:
     is_quantum: bool
 
     def __init__(self, label: str, dim: int, rows, cols, values):
-        flat = np.ravel_multi_index((rows, cols), (dim, dim))  # raises on an index out of range
-        values = np.asarray(values)
-        if values.shape != flat.shape:
-            raise ValueError(f"term {label!r} has {values.size} values at {flat.size} positions")
-        order = np.argsort(flat, kind="stable")
-        flat, values = flat[order], values[order]
-        starts = np.flatnonzero(np.diff(flat, prepend=-1))
-        # a run of one position keeps its value bit for bit; a longer run sums in the given order
-        values = np.add.reduceat(values, starts).astype(np.complex128)
-        flat, values = flat[starts][values != 0], values[values != 0]
-        # Exact on the nonzeros alone: m - m^ vanishes where m and m^T both do, and
-        # |m[r,c] - conj(m[c,r])| = |m[c,r] - conj(m[r,c])|, so the maxima agree.
-        # m[c, r] sits at flat c * dim + r, found in the sorted positions or zero.
-        rows, cols = np.divmod(flat, dim)
-        flat_t = cols * dim + rows
-        at = np.minimum(flat.searchsorted(flat_t), flat.size - 1)
-        lone = flat[at] != flat_t
-        mirror = np.where(lone, 0, values[at]).conj()
-        with np.errstate(invalid="ignore"):  # inf - inf, reported below
-            worst = np.abs(values - mirror).max(initial=0.0)
-        if not worst <= 1e-12:  # NaN too
-            problem = "is not Hermitian within 1e-12" if np.isfinite(worst) else "has non-finite entries"
-            raise ValueError(f"term {label!r} {problem}")
-        if worst > 0:  # keep the Hermitian part (m + m^)/2; a lone entry gives half of itself to its mirror
-            values = np.where(values == mirror, values, (values + mirror) / 2)
-            flat, values = np.concatenate([flat, flat_t[lone]]), np.concatenate([values, values[lone].conj()])
-            order = np.argsort(flat)
-            keep = order[values[order] != 0]
-            flat, values = flat[keep], values[keep]
-        # diagonal positions are multiples of dim + 1
-        offdiagonal = np.abs(values[flat % (dim + 1) != 0]).max(initial=0.0)
-        for array in (flat, values):
-            array.flags.writeable = False
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "nonzeros", _Nonzeros(flat, values))
-        object.__setattr__(self, "is_quantum", bool(offdiagonal > QUANTUM_OFFDIAG_TOL))
+        (term,) = _checked_terms([label], dim, 0, rows, cols, values)
+        for name, value in vars(term).items():
+            object.__setattr__(self, name, value)
 
     def dense(self) -> np.ndarray:
         """A new dense dim x dim matrix: one scatter of the entries, kept by nobody."""
@@ -181,6 +133,65 @@ class Term:
         matrix = self.dense()
         matrix.flags.writeable = False
         return matrix
+
+
+def _checked_terms(labels, dim: int, term, rows, cols, values) -> list:
+    """The Terms labels[j] of a block: entry k puts values[k] at (rows[k], cols[k]) of term term[k].
+
+    term, rows and cols broadcast together. Each term gets what Term(label,
+    dim, ...) does to its entries alone, in one pass over the block keyed by
+    term * dim^2 + flat position; the first term that fails names itself.
+    """
+    term, rows, cols = np.broadcast_arrays(term, rows, cols)
+    outside = (np.minimum(rows, cols) < 0) | (np.maximum(rows, cols) >= dim)
+    if outside.any():
+        raise ValueError(f"term {labels[term[outside].min()]!r} has an invalid entry outside {dim} x {dim}")
+    key = np.ravel_multi_index((term, rows, cols), (len(labels), dim, dim)).ravel()
+    values = np.asarray(values)
+    if values.shape != rows.shape:
+        raise ValueError(f"term {', '.join(map(repr, labels))} has {values.size} values at {key.size} positions")
+    order = np.argsort(key, kind="stable")
+    key, values = key[order], values.ravel()[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    # a run of one position keeps its value bit for bit; a longer run sums in the given order
+    values = np.add.reduceat(values, starts).astype(np.complex128)
+    key, values = key[starts][values != 0], values[values != 0]
+    # Exact on the nonzeros alone: m - m^ vanishes where m and m^T both do, and
+    # |m[r,c] - conj(m[c,r])| = |m[c,r] - conj(m[r,c])|, so the maxima agree.
+    # m[c, r] sits at key (term * dim + c) * dim + r, found in the sorted keys or zero.
+    term, flat = np.divmod(key, dim * dim)
+    rows, cols = np.divmod(flat, dim)
+    key_t = key - flat + cols * dim + rows
+    at = np.minimum(key.searchsorted(key_t), key.size - 1)
+    lone = key[at] != key_t
+    mirror = np.where(lone, 0, values[at]).conj()
+    with np.errstate(invalid="ignore"):  # inf - inf, reported below
+        defect = np.abs(values - mirror)
+        failed = ~(defect <= 1e-12)  # NaN too
+    if failed.any():  # keys sort by term, so the first failed entry is in the first failed term
+        j = term[failed.argmax()]
+        problem = "is not Hermitian within 1e-12" if np.isfinite(defect[term == j]).all() else "has non-finite entries"
+        raise ValueError(f"term {labels[j]!r} {problem}")
+    if defect.any():  # keep the Hermitian part (m + m^)/2; a lone entry gives half of itself to its mirror
+        values = np.where(values == mirror, values, (values + mirror) / 2)
+        key, values = np.concatenate([key, key_t[lone]]), np.concatenate([values, values[lone].conj()])
+        order = np.argsort(key)
+        keep = order[values[order] != 0]
+        key, values = key[keep], values[keep]
+        term, flat = np.divmod(key, dim * dim)
+    # diagonal positions are multiples of dim + 1
+    offdiagonal = (flat % (dim + 1) != 0) & (np.abs(values) > QUANTUM_OFFDIAG_TOL)
+    is_quantum = np.bincount(term[offdiagonal], minlength=len(labels))
+    bounds = term.searchsorted(np.arange(len(labels) + 1))
+    for array in (flat, values):
+        array.flags.writeable = False
+    terms = []
+    for label, lo, hi, quantum in zip(labels, bounds, bounds[1:], is_quantum):
+        terms.append(object.__new__(Term))  # frozen: fields set in one order, so instances share their dict keys
+        for name, value in (("label", label), ("dim", dim), ("nonzeros", _Nonzeros(flat[lo:hi], values[lo:hi])),
+                            ("is_quantum", bool(quantum))):
+            object.__setattr__(terms[-1], name, value)
+    return terms
 
 
 class TermEntries(NamedTuple):
@@ -293,15 +304,14 @@ def _classical_bm_terms(n: int) -> list:
     All terms are diagonal. Units are numbered visible first, hidden after,
     and the pairs i < j come lexicographically.
     """
-    terms = [Term(f"n{j}", 2**n, *_number_term([j], n)) for j in range(n)]
+    terms = [(f"n{j}", ([(j, True), (j, False)], False)) for j in range(n)]  # n_j = a_j^ a_j
     pairs = itertools.combinations(range(n), 2)
-    return terms + [Term(f"n{i}n{j}", 2**n, *_number_term([i, j], n)) for i, j in pairs]
+    return terms + [(f"n{i}n{j}", ([(i, True), (j, True), (j, False), (i, False)], False)) for i, j in pairs]
 
 
-def _site_term(letters: dict, n: int) -> Term:
+def _site_term(letters: dict, n: int) -> tuple:
     """Pauli term with letters[site] on the given sites, labelled like "Z0Z3"."""
-    label = "".join(f"{op}{site}" for site, op in letters.items())
-    return Term(label, 2**n, *_pauli_entries("".join(letters.get(k, "I") for k in range(n))))
+    return "".join(f"{op}{site}" for site, op in letters.items()), "".join(letters.get(k, "I") for k in range(n))
 
 
 def _ti_complete_terms(n: int) -> list:
@@ -318,7 +328,7 @@ def _ti_complete_terms(n: int) -> list:
 def _pauli_complete_terms(n: int) -> list:
     """All 4^n - 1 non-identity Pauli strings, lexicographically ordered."""
     words = ("".join(letters) for letters in itertools.product("IXYZ", repeat=n))
-    return [Term(word, 2**n, *_pauli_entries(word)) for word in words if set(word) != {"I"}]
+    return [(word, word) for word in words if set(word) != {"I"}]
 
 
 def _mean_field_terms(n: int) -> list:
@@ -342,34 +352,38 @@ def _fermionic_terms(n: int) -> list:
     Zeroing every off-diagonal weight leaves exactly the classical
     Boltzmann machine on the complete graph.
     """
-    terms = [Term(f"a{p}+a{p}^", 2**n, *_ladder_term([(p, False)], n)) for p in range(n)]
-    for p in range(n):
-        for q in range(p, n):
-            if p == q:
-                terms.append(Term(f"n{p}", 2**n, *_number_term([p], n)))
-            else:
-                terms.append(Term(f"hop({p},{q})", 2**n, *_ladder_term([(p, True), (q, False)], n)))
-    pairs = list(itertools.combinations(range(n), 2))
-    for ip, (p, q) in enumerate(pairs):
-        for r, s in pairs[ip:]:
-            if (p, q) == (r, s):
-                terms.append(Term(f"n{p}n{q}", 2**n, *_number_term([p, q], n)))
-            else:
-                body = [(p, True), (q, True), (s, False), (r, False)]
-                terms.append(Term(f"int({p},{q};{r},{s})", 2**n, *_ladder_term(body, n)))
+    terms = [(f"a{p}+a{p}^", ([(p, False)], True)) for p in range(n)]
+    for p, q in itertools.combinations_with_replacement(range(n), 2):  # p = q: n_p = a_p^ a_p, no h.c.
+        terms.append((f"hop({p},{q})" if p < q else f"n{p}", ([(p, True), (q, False)], p < q)))
+    # (p, q) = (r, s): n_p n_q = a_p^ a_q^ a_q a_p, no h.c.
+    for (p, q), (r, s) in itertools.combinations_with_replacement(itertools.combinations(range(n), 2), 2):
+        label = f"int({p},{q};{r},{s})" if (p, q) != (r, s) else f"n{p}n{q}"
+        terms.append((label, ([(p, True), (q, True), (s, False), (r, False)], (p, q) != (r, s))))
     return terms
 
 
-# The term list of each family on n qubits (visible units first).
+# The (label, spec) pairs of each family's terms on n qubits (visible units first): ladder-operator
+# products for classical_bm and fermionic, Pauli words for the rest.
 _FAMILY_TERMS = {"classical_bm": _classical_bm_terms, "fermionic": _fermionic_terms,
                  "ti_complete": _ti_complete_terms, "pauli_complete": _pauli_complete_terms,
                  "mean_field": _mean_field_terms}
 
 
+def _blocks(family: str, n: int):
+    """_checked_terms arguments for family's terms on n qubits, max(1, 2048 // 2^n) consecutive terms at a time."""
+    pairs, table = _FAMILY_TERMS[family](n), _parity_table(n)
+    entries = _pauli_entries if isinstance(pairs[0][1], str) else _ladder_entries
+    size = max(1, 2048 // table.size)
+    for start in range(0, len(pairs), size):
+        labels, specs = zip(*pairs[start:start + size])
+        yield (labels, table.size, np.arange(len(labels))[:, None], *entries(specs, table))
+
+
 def build_model(family: str, n_visible: int, n_hidden: int = 0) -> HamiltonianModel:
     """The model of a family by name; only classical_bm and fermionic take hidden units."""
     n = check_model_size(family, n_visible, n_hidden)
-    return HamiltonianModel(family, n_visible, n_hidden, tuple(_FAMILY_TERMS[family](n)))
+    terms = (term for block in _blocks(family, n) for term in _checked_terms(*block))
+    return HamiltonianModel(family, n_visible, n_hidden, tuple(terms))
 
 
 def assemble_hamiltonian(model: HamiltonianModel, theta) -> np.ndarray:

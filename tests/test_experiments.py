@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shlex
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,17 @@ class TestConfig:
 
 
 class TestEnsembleSummary:
+    def test_each_label_is_the_percentile_it_names(self, rng):
+        values = rng.normal(size=(37, 6))
+        curves = percentile_curves(values)
+        assert list(curves) == list(experiments.PERCENTILE_LABELS)
+        for label, curve in curves.items():  # p2_5 is the 2.5th percentile
+            assert np.array_equal(curve, np.percentile(values, float(label[1:].replace("_", ".")), axis=0))
+
+    def test_a_short_curve_is_padded_with_its_last_value(self):
+        assert experiments._pad_curve([3.0, 2.0, 1.5], 6).tolist() == [3.0, 2.0, 1.5, 1.5, 1.5, 1.5]
+        assert experiments._pad_curve(np.arange(5.0), 3).tolist() == [0.0, 1.0, 2.0]
+
     def test_percentile_ordering_property(self, rng):
         curves = percentile_curves(rng.normal(size=(40, 17)))
         for t in range(17):
@@ -730,6 +742,36 @@ class TestCli:
         a, b = [float(row[1]) for row in rows], [float(row[2]) for row in rows]
         assert b[:11] == a[:11] and b[11:] == [a[10]] * 10
         assert summary["final_b"] == a[10]
+
+    def test_training_diverged_at_epoch_0_exits_2_with_one_line(self, tmp_path, capsys):
+        # H(theta0) is finite at this scale, but no row's objective or gradient is
+        out = tmp_path / "cc"
+        argv = ["commutator-compare", "--set", "theta0_scale=1e300", "--set", "epochs=4", "--seed", "0"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == "qbmlab: training diverged before the first epoch completed\n"
+        assert list(out.iterdir()) == []
+
+    def test_hamlearn_dh_finite_at_a_huge_theta0_scale(self, tmp_path, capsys):
+        # ||H(theta - theta_true)||_F is near 3e300 here: its squares overflow, the norm does not
+        out = tmp_path / "hl"
+        argv = ["hamlearn", "--set", "theta0_scale=1e300", "--set", "epochs=2", "--ensemble", "2", "--seed", "0"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        summary = json.loads((out / "summary.json").read_text())
+        assert 1e299 < summary["median_final_dh_normalized"] < np.inf
+        header, *rows = [line.split(",") for line in (out / "curves.csv").read_text().splitlines()]
+        assert header[1] == "metric" and header[3:] == list(experiments.PERCENTILE_LABELS)
+        dh = [float(value) for row in rows if row[1] == "dh" for value in row[3:]]
+        assert len(dh) == 2 * 3 * 5 and np.isfinite(dh).all()
+
+    def test_frobenius_norm_rescales_exactly(self, rng):
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        assert experiments._frobenius_norm(a) == np.linalg.norm(a)
+        # squares of entries near 1e301 overflow; a power-of-two scale is exact in the norm
+        assert experiments._frobenius_norm(a * 2.0**1000) == np.linalg.norm(a) * 2.0**1000
+        assert np.isnan(experiments._frobenius_norm(np.array([np.nan, 1e300])))
 
     def test_bad_value_exit_code(self, tmp_path, capsys):
         assert main(["tomography", "--set", "epochs=ten"]) == 2

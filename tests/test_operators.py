@@ -1,8 +1,10 @@
 """Hamiltonian family builders: term structure, algebra, the sparse entry list."""
 
 import copy
+import gc
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,8 +15,9 @@ import qbmlab.training as training
 from qbmlab.linalg import gibbs_state
 from qbmlab.operators import (
     QUBIT_CAPS,
-    _ladder_product,
-    _masked_parity,
+    _checked_terms,
+    _ladder_entries,
+    _parity_table,
     _pauli_entries,
     _scatter,
     HamiltonianModel,
@@ -40,7 +43,7 @@ ALL_FAMILIES = ("classical_bm", "ti_complete", "pauli_complete", "mean_field", "
 
 def _entries_word(word):
     """The dense matrix of a Pauli word from its entries, as the model builders take them."""
-    return _scatter(2 ** len(word), *_pauli_entries(word))
+    return _scatter(2 ** len(word), *_pauli_entries([word], _parity_table(len(word))))
 
 
 class TestPauliMatrix:
@@ -58,8 +61,9 @@ class TestPauliMatrix:
         assert np.allclose(_entries_word("XI"), np.kron(pauli_word("X"), np.eye(2)))
 
     def test_rejects_bad_letter(self):
-        with pytest.raises(ValueError):
-            _pauli_entries("XQ")
+        for words in (["XQ"], [""]):
+            with pytest.raises(ValueError):
+                _pauli_entries(words, _parity_table(2))
 
 
 class TestTerm:
@@ -544,12 +548,13 @@ ORACLE_CASES = [
 ]
 
 
-class TestMaskedParity:
-    def test_matches_popcount_below_4096(self):
-        values = np.arange(2**12)
+class TestParityTable:
+    def test_masked_lookup_matches_popcount_below_4096(self):
+        values, table = np.arange(2**12), _parity_table(12)
+        assert table.size == 2**12 and table.dtype == np.intp
         for mask in (0, 1, 0b101, 0b100000000001, 2**12 - 1, 0b011011011011):
             expected = [bin(c & mask).count("1") & 1 for c in range(2**12)]
-            assert _masked_parity(values, mask).tolist() == expected
+            assert table[values & mask].tolist() == expected
 
 
 class TestTermOracles:
@@ -574,8 +579,73 @@ class TestTermOracles:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_annihilator_matches_kron_chain(self, n):
+        # each row holds the product's entries, then its mirror: zeros, or the adjoint's for a hermitian term
         for p in range(n):
-            assert np.array_equal(_scatter(2**n, *_ladder_product([(p, False)], n)), _kron_annihilator(p, n))
+            a = _kron_annihilator(p, n)
+            rows, cols, values = _ladder_entries([([(p, False)], False), ([(p, False)], True)], _parity_table(n))
+            assert np.array_equal(_scatter(2**n, rows[0, :2**n], cols[0, :2**n], values[0, :2**n]), a)
+            assert not values[0, 2**n:].any()
+            hermitian = np.zeros((2**n, 2**n))
+            np.add.at(hermitian, (rows[1], cols[1]), values[1])
+            assert np.array_equal(hermitian, a + a.conj().T)
+
+
+BLOCK_CASES = [(family, n) for family in ALL_FAMILIES for n in range(1, 5) if (family, n) != ("fermionic", 1)]
+BLOCK_CASES += [("fermionic", n) for n in range(5, 9)]
+
+
+def _block_arrays(family, n):
+    """Each block of family's terms on n qubits as (labels, dim, term, rows, cols, values), writeable copies."""
+    return [(labels, dim, term, *(np.array(a) for a in entries))
+            for labels, dim, term, *entries in operators._blocks(family, n)]
+
+
+class TestBlocks:
+    """Terms built in blocks, against Term(...) called one term at a time on the same entries."""
+
+    @pytest.mark.parametrize("family,n", BLOCK_CASES, ids=[f"{f}-{n}" for f, n in BLOCK_CASES])
+    def test_block_terms_are_the_one_term_terms(self, family, n):
+        blocks = _block_arrays(family, n)
+        assert all(len(labels) <= max(1, 2048 // 2**n) for labels, *_ in blocks)
+        built = build_model(family, n)
+        one_by_one = [Term(label, dim, rows[j], cols[j], values[j])
+                      for labels, dim, _, rows, cols, values in blocks for j, label in enumerate(labels)]
+        assert [t.label for t in one_by_one] == list(built.labels)
+        for alone, term in zip(one_by_one, built.terms, strict=True):
+            assert alone.is_quantum == term.is_quantum and alone.dim == term.dim == 2**n
+            for a, b in zip(alone.nonzeros, term.nonzeros):
+                assert a.dtype == b.dtype and np.array_equal(a, b), term.label
+                assert not b.flags.writeable
+
+    @pytest.mark.parametrize("family,n", [("fermionic", 3), ("pauli_complete", 2)])
+    def test_a_bad_term_in_a_block_raises_its_own_error(self, family, n):
+        [(labels, dim, term, rows, cols, values)] = _block_arrays(family, n)
+        values = values.astype(np.complex128)
+        j, k = len(labels) // 2, len(labels) - 2
+        for name, value, row in (("not Hermitian", 0.5j, None), ("non-finite", np.nan, None),
+                                 ("invalid entry", None, dim)):
+            bad_rows, bad_values = rows.copy(), values.copy()
+            for i in (j, k):  # the first failing term names itself
+                if value is not None:
+                    bad_values[i, 1] += value
+                else:
+                    bad_rows[i, 1] = row
+            with pytest.raises(ValueError, match=name) as alone:
+                Term(labels[j], dim, bad_rows[j], cols[j], bad_values[j])
+            assert repr(labels[j]) in str(alone.value)
+            with pytest.raises(ValueError, match=re.escape(str(alone.value))):
+                _checked_terms(labels, dim, term, bad_rows, cols, bad_values)
+
+    def test_building_peaks_under_a_mib_above_the_model(self):
+        # a model-sized temporary at fermionic 8 takes several MiB
+        gc.collect()
+        tracemalloc.start()
+        try:
+            model = build_model("fermionic", 8)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.n_terms == 450 and peak - held <= 2**20
 
 
 class TestEntryList:
