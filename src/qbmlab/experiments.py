@@ -16,7 +16,6 @@ import dataclasses
 import functools
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
@@ -234,6 +233,7 @@ def _percentile_csv(key_names: tuple, curves_by_key: dict, epochs: int) -> tuple
 def _map_instances(fn, items, jobs: int) -> list:
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor  # here: a run without a pool loads no multiprocessing
     # a fork pool starts all its workers at the first submit
     with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))

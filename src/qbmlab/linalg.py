@@ -8,7 +8,8 @@ eigenvectors are float64. Gibbs weights are always computed in the
 eigenbasis with a max-shift, by the one kernel _gibbs for a single
 eigensystem or a stack, so that matrix norms up to ~50 stay far away from
 overflow. The public entry points check and symmetrize their input;
-_eigh, the one caller of numpy's eigensolvers, trusts it.
+_eigh, the one caller of numpy's eigensolvers, trusts it; it solves a
+diagonal matrix, such as every classical_bm H, by sorting its diagonal.
 """
 from __future__ import annotations
 
@@ -88,8 +89,21 @@ def _eigh(H: np.ndarray, vectors: bool = True):
 
     H must be Hermitian bit for bit. With no imaginary part it goes to the
     real-symmetric solver, about a quarter of the complex one's arithmetic.
+    A diagonal H, or a stack of them, needs no solver. LAPACK returns its
+    diagonal in stable order (a zero's sign aside) and the float64 permutation
+    matrix, but orders the vectors of tied values by selection sort; so with
+    vectors, only diagonals with no ties, or all of them constant, skip LAPACK.
     """
     H = H if np.count_nonzero(H.imag) else H.real
+    diagonal = H.diagonal(axis1=-2, axis2=-1)
+    if np.count_nonzero(H) == np.count_nonzero(diagonal):
+        evals = np.sort(diagonal, kind="stable")
+        if not vectors:
+            return evals
+        ties = evals[..., 1:] == evals[..., :-1]
+        if ties.all() or not ties.any():
+            order = diagonal.argsort(kind="stable")
+            return EigenSystem(evals, (order[..., None, :] == np.arange(H.shape[-1])[:, None]).astype(np.float64))
     return EigenSystem(*np.linalg.eigh(H)) if vectors else np.linalg.eigvalsh(H)
 
 

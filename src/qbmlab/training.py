@@ -329,7 +329,7 @@ class _Evaluation(NamedTuple):
 def _evaluate(model: HamiltonianModel, thetas: np.ndarray) -> _Evaluation:
     """H(theta_b), its eigensystem, Gibbs state and log Z at each row of a (B, n_terms) stack.
 
-    One stacked assembly and one stacked eigh per realness group
+    One stacked assembly and one stacked _eigh per realness group
     (_solve_stack), so each row is bit for bit what its one-row stack gives.
     The model keeps the record of the last stack it was evaluated at, so the
     monitor and gradient of an epoch share one assembly and one solve per
@@ -472,8 +472,8 @@ def objective_povm_gt(
     Each likelihood is replaced by Tr[e^{-(H - log Lambda_v)}] / Tr[e^{-H}]
     with rank-deficient elements made full rank by eigenvalue clipping.
     The bound is tight whenever Lambda_v commutes with H. Every
-    H_b - log Lambda_v of a stack is solved in one stacked eigvalsh per
-    realness group (_solve_stack); a row whose solve fails reads NaN.
+    H_b - log Lambda_v of a stack is solved in one stacked _eigh, values only,
+    per realness group (_solve_stack); a row whose solve fails reads NaN.
     """
     thetas, ev, sets = _setup(model, theta, data)
     lifted, row_of, probabilities = _povm_pairs(model, sets)

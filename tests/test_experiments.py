@@ -1,11 +1,14 @@
 """Experiment runner plumbing: configs, ensembles, CLI, output files."""
 
+import concurrent.futures
 import dataclasses
 import importlib
 import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -232,13 +235,24 @@ class TestParallelism:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        # _map_instances imports the pool where it builds one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         want = run_experiment(make_config("tomography", {"ensemble": "3", "epochs": "2"}))
         got = run_experiment(make_config("tomography", {"ensemble": "3", "epochs": "2", "jobs": "64"}))
         assert sizes == [3]
         assert np.array_equal(got.finals, want.finals)
         assert experiments._map_instances(abs, [-1, -2, -3], jobs=2) == [1, 2, 3]
         assert sizes == [3, 2]
+
+    def test_the_cli_loads_no_process_pool(self):
+        # only a run that builds a pool pays for importing it
+        source = os.path.dirname(os.path.dirname(qbmlab.cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", "import sys, qbmlab.cli; print(*sys.modules)"],
+                             env=env, capture_output=True, text=True, check=True)
+        modules = run.stdout.split()
+        assert "qbmlab.cli" in modules and "concurrent.futures.process" not in modules
+        assert [m for m in modules if m.split(".")[0] == "multiprocessing"] == []
 
 
 class TestDivergence:
@@ -383,6 +397,20 @@ class TestPovmData:
             outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"})
         assert sorted(outputs[0]) == ["curves.csv", "summary.json"]
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("povm_kind", ["projector", "basis"])
+    def test_summary_finals_are_the_last_curve_rows(self, povm_kind):
+        settings = {"n_visible_grid": "2,3", "n_hidden_grid": "0,1", "epochs": "3", "povm_kind": povm_kind}
+        _, files = experiments.run_povm_experiment(make_config("povm-train", settings))
+        header, rows = files["curves.csv"]
+        assert header[3:] == ("epoch", "objective", "delta_objective")
+        last = {(nv, nh, model): (objective, delta) for nv, nh, model, epoch, objective, delta in rows if epoch == 3}
+        points = files["summary.json"]["grid"]
+        assert len(points) == 4 and len(last) == 8
+        for point in points:
+            for model, branch in (("fermionic", "quantum"), ("classical_bm", "classical")):
+                objective, delta = last[point["n_visible"], point["n_hidden"], model]
+                assert (point[f"final_{branch}"], point[f"final_delta_{branch}"]) == (objective, delta)
 
 
 class TestSerializeHelpers:
@@ -559,8 +587,9 @@ class TestOutputs:
         assert all(H.shape[0] == len(indices) for H in calls)
         # the mean-field family has imaginary Y terms, but against real teachers from theta0 = 0
         # every Y gradient, hence every Y weight, is exactly 0: each teacher's solve and each
-        # H(theta) take the real solver
-        assert dtypes == [np.dtype(np.float64)] * (len(indices) + opt.epochs + 1)
+        # H(theta) take the real solver, except H(theta0) = 0, which is diagonal and takes none
+        assert not any(H.imag.any() for H in calls) and not calls[0].any()
+        assert dtypes == [np.dtype(np.float64)] * (len(indices) + opt.epochs)
         teachers = build_model("ti_complete", cfg.n_visible)
         student = build_model("mean_field", cfg.n_visible)
         for i, (curves, (rho, sigma), _) in zip(indices, results):

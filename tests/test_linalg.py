@@ -9,6 +9,7 @@ import pytest
 
 import qbmlab
 from qbmlab.linalg import (
+    _eigh,
     _entropy,
     _exp_neg_divided_differences,
     _gibbs,
@@ -21,7 +22,9 @@ from qbmlab.linalg import (
     validate_density_matrix,
     von_neumann_entropy,
 )
-from qbmlab.datasets import random_mixed, step_function_state
+from qbmlab.datasets import random_mixed, step_distribution, step_function_state
+from qbmlab.operators import assemble_hamiltonian, build_model
+from qbmlab.training import OptimizerConfig, PovmTrainingSet, train
 from conftest import pauli_word, random_density, random_hermitian
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -170,6 +173,97 @@ def test_only_linalg_calls_numpy_eigensolvers():
                 offenders.append(f"{path.name}:{number}: {line.strip()}")
     assert offenders == []
     assert inside == {"eigh", "eigvalsh"}
+
+
+NUMPY_EIGH, NUMPY_EIGVALSH = np.linalg.eigh, np.linalg.eigvalsh
+
+
+def same(got, want):
+    """Equal bit for bit: dtype, shape and bytes."""
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.fixture
+def numpy_solves(monkeypatch):
+    """The input of every call of numpy's eigh and eigvalsh, in order."""
+    calls = []
+    for name, solve in (("eigh", NUMPY_EIGH), ("eigvalsh", NUMPY_EIGVALSH)):
+        monkeypatch.setattr(np.linalg, name, lambda a, solve=solve: calls.append(a) or solve(a))
+    return calls
+
+
+class TestDiagonalPath:
+    """_eigh takes a diagonal matrix, or a stack of them, to no solver, and returns what numpy's return."""
+
+    @staticmethod
+    def assert_as_numpy(H):
+        real = H if np.iscomplexobj(H) and H.imag.any() else H.real
+        # LAPACK may drop the sign of a zero eigenvalue, which no Gibbs weight, state or log Z sees
+        evals, V = _eigh(H)
+        want_evals, want_V = NUMPY_EIGH(real)
+        assert evals.dtype == want_evals.dtype and np.array_equal(evals, want_evals) and same(V, want_V)
+        values, want_values = _eigh(H, vectors=False), NUMPY_EIGVALSH(real)
+        assert values.dtype == want_values.dtype and np.array_equal(values, want_values)
+        for got, want in zip(_gibbs(evals, V), _gibbs(want_evals, want_V)):
+            assert same(got, want)
+
+    @pytest.mark.parametrize("dim", [1, 4, 128])
+    @pytest.mark.parametrize("value", [0.0, -0.0, 2.5])
+    def test_a_multiple_of_the_identity(self, dim, value, numpy_solves):
+        for H in (value * np.eye(dim), np.diag(np.full(dim, value)).astype(complex), np.zeros((3, dim, dim))):
+            self.assert_as_numpy(H)
+        assert numpy_solves == []
+
+    @pytest.mark.parametrize("n_visible, n_hidden", [(2, 1), (3, 0), (3, 2), (4, 1), (5, 2)])
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 3.0])
+    def test_classical_bm_stacks(self, n_visible, n_hidden, scale, rng, numpy_solves):
+        model = build_model("classical_bm", n_visible, n_hidden)
+        H = assemble_hamiltonian(model, scale * rng.normal(size=(4, model.n_terms)))
+        self.assert_as_numpy(H)
+        for matrix in H:
+            self.assert_as_numpy(matrix)
+        assert numpy_solves == []
+
+    @pytest.mark.parametrize("dim", [3, 4, 16, 128])
+    def test_ties_keep_numpy_eigenvectors(self, dim, rng, numpy_solves):
+        # LAPACK orders tied eigenvectors by selection sort, not stably: [1, 1, 0] gives e2, e1, e0
+        assert same(NUMPY_EIGH(np.diag([1.0, 1.0, 0.0]))[1], np.eye(3)[::-1])
+        H = np.diag(rng.choice([-1.0, 1.0], size=dim)).astype(complex)
+        H[0, 0] = H[1, 1] = H[2, 2] = -1.0  # a tie
+        H[-1, -1] = 1.0  # that is not all of the diagonal
+        self.assert_as_numpy(H)
+        # the eigenvalues alone take no solver; the eigensystem takes numpy's
+        assert len(numpy_solves) == 1
+        # so does a stack of a constant diagonal and one without ties
+        stack = np.stack([np.zeros((dim, dim)), np.diag(rng.permutation(dim) + 0.5)])
+        self.assert_as_numpy(stack)
+        assert [a.shape for a in numpy_solves[1:]] == [(2, dim, dim)]
+
+    def test_a_stack_with_one_non_diagonal_matrix_goes_to_numpy(self, rng, numpy_solves):
+        model = build_model("classical_bm", 2, 1)
+        H = assemble_hamiltonian(model, rng.normal(size=(3, model.n_terms)))
+        H[1] += random_real_symmetric(8, rng)
+        self.assert_as_numpy(H)
+        assert [a.shape for a in numpy_solves] == [(3, 8, 8)] * 2  # eigh, then eigvalsh
+
+    @pytest.mark.parametrize("family, numpy_stacks", [("classical_bm", 0), ("fermionic", 1)])
+    def test_training_solves_h_with_numpy_only_when_it_is_not_diagonal(self, family, numpy_stacks, rng,
+                                                                       numpy_solves):
+        # the exact gradient solves H(theta) once per epoch; each POVM element's check and logarithm solve once
+        model, povm = build_model(family, 2, 1), step_function_state(2)[1]
+        epochs = 4
+        train(model, 0.1 * rng.normal(size=model.n_terms), povm, OptimizerConfig("exact", epochs=epochs))
+        stacks = [a for a in numpy_solves if a.ndim == 3]
+        assert len(stacks) == numpy_stacks * (epochs + 1)
+        assert len(numpy_solves) == len(stacks) + 2 * len(povm.elements)
+
+    def test_basis_data_keeps_every_gt_solve_of_classical_bm_out_of_numpy(self, rng, numpy_solves):
+        # H(theta), every H - log Lambda_v and each element's check are diagonal; only the
+        # logarithms of the basis elements, whose zero eigenvalues tie, take numpy's solver, once each
+        model, dim = build_model("classical_bm", 2, 1), 4
+        data = PovmTrainingSet(tuple(np.diag(row).astype(complex) for row in np.eye(dim)), step_distribution(2))
+        train(model, 0.1 * rng.normal(size=model.n_terms), data, OptimizerConfig("gt", epochs=4))
+        assert [a.shape for a in numpy_solves] == [(dim, dim)] * dim
 
 
 class TestGibbsState:

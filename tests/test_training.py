@@ -1043,7 +1043,7 @@ class TestLockstep:
         clean = [train(model, start, data, config) for start, data, config in zip(theta0, targets, configs)]
         poisoned = assemble_hamiltonian(model, clean[1].records[2].theta)
         unsolvable = assemble_hamiltonian(model, clean[3].records[4].theta)
-        assemble, eigh, solved = training.assemble_hamiltonian, np.linalg.eigh, []
+        assemble, eigh, solved = training.assemble_hamiltonian, training._eigh, []
 
         def assemble_poisoned(m, theta):
             H = assemble(m, theta)
@@ -1052,14 +1052,15 @@ class TestLockstep:
                     matrix[0, 0] = np.inf
             return H
 
-        def eigh_failing(a):
+        def eigh_failing(a, vectors=True):
+            # at the solver entry, which epoch 0's diagonal H(theta0) = 0 reaches without numpy
             solved.append(len(a) if a.ndim == 3 else None)
             if any(np.array_equal(matrix, unsolvable) for matrix in a.reshape(-1, *a.shape[-2:])):
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return eigh(a)
+            return eigh(a, vectors)
 
         monkeypatch.setattr(training, "assemble_hamiltonian", assemble_poisoned)
-        monkeypatch.setattr(np.linalg, "eigh", eigh_failing)
+        monkeypatch.setattr(training, "_eigh", eigh_failing)
         traces, states = training._train_lockstep(model, theta0, targets, configs)
         # one stacked solve per realness group per epoch (two at epoch 0); epoch 4's failed
         # and went row by row over its 4 live rows
@@ -1297,7 +1298,7 @@ class TestEvaluationRecord:
     def test_train_solves_in_the_arithmetic_of_the_model(
         self, family, n_visible, n_hidden, kind, real, rng, monkeypatch
     ):
-        # real models on real data take the real solver; complex ones keep the complex one
+        # real models on real data take the real solver, or none for a diagonal H; complex ones keep the complex one
         if kind != "relent":
             data = step_function_state(n_visible)[1]
         elif real:
@@ -1305,13 +1306,25 @@ class TestEvaluationRecord:
         else:
             data = random_mixed(n_visible, rng)
         m = build_model(family, n_visible, n_hidden)
-        dtypes = []
-        eigh = np.linalg.eigh
+        dtypes, solved = [], []
+        eigh, solve = np.linalg.eigh, linalg._eigh
         monkeypatch.setattr(linalg.np.linalg, "eigh", lambda a: dtypes.append(a.dtype) or eigh(a))
+
+        def spy(H, vectors=True):
+            result = solve(H, vectors)
+            if vectors:
+                solved.append(result.eigenvectors.dtype)
+            return result
+
+        for module in (training, linalg):
+            monkeypatch.setattr(module, "_eigh", spy)
         cfg = OptimizerConfig(gradient_kind=kind, learning_rate=0.1, epochs=3)
         train(m, 0.1 * rng.normal(size=m.n_terms), data, cfg)
-        assert len(dtypes) >= 4
-        assert set(dtypes) == {np.dtype(np.float64 if real else np.complex128)}
+        # every eigensystem, whether numpy's solver or the diagonal path made it, and every numpy call;
+        # numpy makes all of them but classical_bm's H(theta), one per epoch
+        assert len(solved) >= 4
+        assert len(dtypes) == len(solved) - (cfg.epochs + 1 if family == "classical_bm" else 0)
+        assert set(solved) == set(dtypes) == {np.dtype(np.float64 if real else np.complex128)}
 
     @pytest.mark.parametrize("family, n_visible, n_hidden", [
         ("classical_bm", 2, 1),
